@@ -66,14 +66,12 @@ class _Router:
         self.state = state
         self.ops: list[ShuttleOp] = []
         self._dist: dict[int, dict[int, int]] = {}
-        self._enc_trap: tuple | None = None
         self._gs_tables: list[list[int]] = []
         self._apd: list[list[int]] = []
         self._far = 0
         self._junctions: list[int] = []
         self._seal_comp: dict[int, list[int]] = {}
         self._search_cooldown = 0
-        self._last_expansions = 0
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -585,9 +583,9 @@ class _Router:
     # -- state-space search -------------------------------------------------
 
     def _search_tables(self) -> tuple:
-        if self._enc_trap is None:
-            self._enc_trap = kernel.encode_trap(self.graph)
-            n = self._enc_trap[0]
+        trap = self.graph.encoded
+        if not self._apd:
+            n = trap[0]
             self._far = 4 * n + 8
             for g in self.graph.gate_vertices:
                 d = bfs_distances(self.graph, g)
@@ -612,7 +610,7 @@ class _Router:
                                 stack.append(w)
                     mark += 1
                 self._seal_comp[j] = comp
-        return self._enc_trap
+        return trap
 
     def _search_next(self, cap: int, force_greedy: bool = False) -> bool:
         """Weighted best-first search to the nearest first-layer execution.
@@ -630,9 +628,6 @@ class _Router:
         gates_enc = kernel.encode_gates(self.circuit.first_layer)
         if not gates_enc:
             return True
-        backend = kernel.get_backend()
-        succ = backend.successors
-        ready_fn = backend.ready_gates
         tables = self._gs_tables
         apd = self._apd
         far = self._far
@@ -688,7 +683,7 @@ class _Router:
             if g > best[node][0]:
                 continue
             chains, locks = node
-            ready = ready_fn(trap, chains, gates_enc)
+            ready = kernel.ready_gates(trap, chains, gates_enc)
             # A slice may route through junctions but must not end on one:
             # a chain resting there when the gate fires can lock half the
             # trap away for every later gate.
@@ -702,14 +697,12 @@ class _Router:
                     codes.append(code)
                     cur = parent
                 for code in reversed(codes):
-                    self.emit(_decode(code))
-                self._last_expansions = expansions
+                    self.emit(op_mod.decode_op(code))
                 return True
             expansions += 1
             if expansions > cap or len(best) > 1_500_000:
-                self._last_expansions = expansions
                 return False
-            for code, nxt_chains, nxt_locks in succ(trap, chains, locks):
+            for code, nxt_chains, nxt_locks in kernel.successors(trap, chains, locks):
                 ng = g + 1
                 if code[0] == kernel.TRANSLATE and code[1] in self._seal_comp:
                     # Leaving a junction with nothing behind it locks that
@@ -893,21 +886,6 @@ def compile(circuit: Circuit, graph: TrapGraph) -> Schedule:
     return Schedule(graph, circuit, placement, tuple(ops))
 
 
-def _decode(code: tuple[int, int, int]) -> ShuttleOp:
-    kind, a, b = code
-    if kind == kernel.TRANSLATE:
-        return Translate(a, b)
-    if kind == kernel.SEPARATE:
-        return Separate(a)
-    if kind == kernel.MERGE:
-        return Merge(a)
-    if kind == kernel.SWAP:
-        return Swap(a)
-    if kind == kernel.EXECUTE:
-        return ExecuteGate(a)
-    raise ValueError(f"unknown kernel op code {kind}")
-
-
 def bfs_next_gate(
     state: TrapState, graph: TrapGraph, circuit: Circuit
 ) -> tuple[ShuttleOp, ...]:
@@ -927,13 +905,12 @@ def bfs_next_gate(
     gates = kernel.encode_gates(circuit.first_layer)
     if not gates:
         return ()
-    backend = kernel.get_backend()
-    trap = kernel.encode_trap(graph)
+    trap = graph.encoded
     chains, locks = kernel.encode_state(state, trap[0])
-    route = backend.shortest_route(trap, chains, locks, gates)
+    route = kernel.shortest_route(trap, chains, locks, gates)
     if route is None:
         raise NoRouteError("no operation sequence reaches a gate execution")
-    return tuple(_decode(code) for code in route)
+    return tuple(op_mod.decode_op(code) for code in route)
 
 
 def random_circuit(qubits: int, depth: int, seed: int) -> Circuit:

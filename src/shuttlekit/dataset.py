@@ -149,18 +149,15 @@ def _strip_reasoning(text: str) -> str:
     return "".join(out)
 
 
-def parse_output(
-    text: str, graph: TrapGraph, state: TrapState, circuit: Circuit
-) -> list[ShuttleOp]:
+def parse_output(text: str) -> list[ShuttleOp]:
     """Extract the op sequence from model output, hostile input expected.
 
     Echo blocks and prose are ignored; only column-0 lines that start like
     an operation count, and a malformed one is an error with its line
     number. Everything after the first `Execute Gate` line is dropped.
-    Legality is not checked here: callers validate by replaying against
-    the graph, state, and circuit this text was generated for.
+    Legality is not checked here: callers validate by replaying the ops
+    against the graph, state, and circuit the prompt was rendered for.
     """
-    del graph, state, circuit
     ops: list[ShuttleOp] = []
     for lineno, raw in enumerate(_strip_reasoning(text).splitlines(), start=1):
         if raw.startswith((" ", "\t", "-")):

@@ -266,7 +266,7 @@ def generate_schedule(
             continue
         tokens_total += result.token_count
         try:
-            ops = parse_output(result.text, graph, state, current)
+            ops = parse_output(result.text)
             trial_state, trial_circuit = state, current
             for op in ops:
                 trial_state, trial_circuit = step(graph, trial_state, trial_circuit, op)

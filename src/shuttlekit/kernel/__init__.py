@@ -1,130 +1,35 @@
-"""Compact state encodings and the search kernel behind the route oracle.
+"""Compact state encodings and the search kernel behind allowed_ops and the router.
 
-The kernel works on flat tuples instead of the rich dataclasses so that
-states hash cheaply and the compiled backend can run typed loops. Two
-interchangeable backends exist:
-
-* ``pure``: plain Python, always available.
-* ``native``: Cython build of the same functions.
-
-The native backend is preferred when the compiled module imports. Set
-``SHUTTLEKIT_KERNEL=pure`` or ``SHUTTLEKIT_KERNEL=native`` to force one;
-forcing ``native`` without the compiled module is an import error.
+The kernel works on flat vertex-indexed tuples instead of the rich
+dataclasses so that states hash cheaply. `TrapGraph.encoded` flattens a
+trap once per graph; `encode_state` and `encode_gates` below flatten a
+state and a gate list. The search functions are plain Python and live in
+`kernel.pure`; package code calls them through this module.
 """
 
 from __future__ import annotations
 
-import os
 from types import ModuleType
 
 from ..state import TrapState
-from ..trap import TrapGraph
-
 from . import pure
+from .pure import (
+    EXECUTE,
+    MERGE,
+    SEPARATE,
+    SWAP,
+    TRANSLATE,
+    ready_gates,
+    shortest_route,
+    successors,
+)
 
-_ENV_VAR = "SHUTTLEKIT_KERNEL"
-
-
-def _load_native() -> ModuleType | None:
-    try:
-        from . import _native
-    except ImportError:
-        return None
-    return _native
-
-
-def _select_backend() -> tuple[str, ModuleType]:
-    forced = os.environ.get(_ENV_VAR, "").strip().lower()
-    if forced == "pure":
-        return "pure", pure
-    if forced == "native":
-        native = _load_native()
-        if native is None:
-            raise ImportError(
-                f"{_ENV_VAR}=native but shuttlekit.kernel._native is not built"
-            )
-        return "native", native
-    if forced:
-        raise ImportError(f"unknown {_ENV_VAR} value {forced!r}")
-    native = _load_native()
-    if native is not None:
-        return "native", native
-    return "pure", pure
+BACKEND = "pure"
 
 
-BACKEND, _backend = _select_backend()
-
-TRANSLATE = pure.TRANSLATE
-SEPARATE = pure.SEPARATE
-MERGE = pure.MERGE
-SWAP = pure.SWAP
-EXECUTE = pure.EXECUTE
-
-
-def get_backend(name: str | None = None) -> ModuleType:
-    """Return a kernel module: the selected one, or ``pure``/``native`` by name."""
-    if name is None:
-        return _backend
-    if name == "pure":
-        return pure
-    if name == "native":
-        native = _load_native()
-        if native is None:
-            raise ValueError("native kernel backend is not built")
-        return native
-    raise ValueError(f"unknown kernel backend {name!r}")
-
-
-def encode_trap(
-    graph: TrapGraph,
-) -> tuple[
-    int,
-    int,
-    tuple[tuple[int, ...], ...],
-    tuple[bool, ...],
-    tuple[bool, ...],
-    tuple[bool, ...],
-    tuple[bool, ...],
-    tuple[bool, ...],
-    tuple[int, ...],
-    tuple[int, ...],
-]:
-    """Flatten a trap graph into the tuple layout the kernel iterates over.
-
-    Requires vertex ids 0..n-1; the graph builders and the trap file parser
-    both guarantee contiguous ids, so this only re-checks.
-    """
-    n = len(graph.vertices)
-    if graph.vertex_ids != tuple(range(n)):
-        raise ValueError("kernel encoding needs contiguous vertex ids from 0")
-    neighbors = tuple(graph.neighbors(v) for v in range(n))
-    is_junction = tuple(graph.is_junction(v) for v in range(n))
-    can_sep = tuple(graph.allows(v, "separate") for v in range(n))
-    can_mer = tuple(graph.allows(v, "merge") for v in range(n))
-    can_swp = tuple(graph.allows(v, "swap") for v in range(n))
-    can_gat = tuple(graph.allows(v, "gate") for v in range(n))
-    lat_left = []
-    lat_right = []
-    for v in range(n):
-        pair = graph.lateral_pair(v)
-        if pair is None:
-            lat_left.append(-1)
-            lat_right.append(-1)
-        else:
-            lat_left.append(pair[0])
-            lat_right.append(pair[1])
-    return (
-        n,
-        graph.capacity,
-        neighbors,
-        is_junction,
-        can_sep,
-        can_mer,
-        can_swp,
-        can_gat,
-        tuple(lat_left),
-        tuple(lat_right),
-    )
+def get_backend() -> ModuleType:
+    """The module that implements the kernel functions, for tools that wrap them."""
+    return pure
 
 
 def encode_state(

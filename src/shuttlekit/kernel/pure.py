@@ -1,10 +1,12 @@
-"""Route search over encoded states, pure-Python backend.
+"""Legal transitions and route search over encoded states.
 
-Operates on the compact encodings from kernel.encode_*: chains as a
-vertex-indexed tuple of qubit tuples, locks as a vertex-indexed tuple with
--1 for unset. Op codes are (kind, a, b) with kinds 0=Translate(src, dst),
-1=Separate(v), 2=Merge(v), 3=Swap(v), 4=ExecuteGate(gate). The compiled
-backend mirrors this module exactly.
+The one implementation of the shuttling rules that the router, the oracle
+and ops.allowed_ops enumerate with; ops.violation words the same rules per
+op, and tests hold the two equal. Operates on the compact encodings: the
+trap as `TrapGraph.encoded`, chains as a vertex-indexed tuple of qubit
+tuples, locks as a vertex-indexed tuple with -1 for unset. Op codes are
+(kind, a, b) with kinds 0=Translate(src, dst), 1=Separate(v), 2=Merge(v),
+3=Swap(v), 4=ExecuteGate(gate); ops.decode_op turns one into a ShuttleOp.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 Apply functions are pure: they check the operation's precondition against
 the given state and return a new state, raising IllegalOperationError with
 the violated condition otherwise. Executing a gate leaves the chain state
-untouched; callers advance the circuit separately.
+untouched; callers advance the circuit separately. The enumeration of legal
+ops comes from the kernel; violation() states the same rules for one op
+with a reason, and tests hold the two equal.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from . import kernel
 from .circuit import Circuit
 from .errors import IllegalOperationError
 from .state import TrapState
@@ -200,28 +203,34 @@ def apply(state: TrapState, graph: TrapGraph, circuit: Circuit, op: ShuttleOp) -
 
 
 def allowed_ops(state: TrapState, graph: TrapGraph, circuit: Circuit) -> list[ShuttleOp]:
-    """Every legal operation, in canonical order.
+    """Every legal operation, in canonical order, as the kernel enumerates them.
 
-    Translates sorted by (src, dst), then Separate, Merge, and Swap by
-    vertex, then Execute Gate by gate number.
+    kernel.successors gives the shuttling ops: Translates sorted by
+    (src, dst), then Separate, Merge, and Swap by vertex. kernel.ready_gates
+    gives the executable first-layer gates, as Execute Gate by gate number.
     """
-    out: list[ShuttleOp] = []
-    for src in graph.vertex_ids:
-        for dst in graph.neighbors(src):
-            if can_translate(state, graph, src, dst):
-                out.append(Translate(src, dst))
-    for op_type, predicate in (
-        (Separate, can_separate),
-        (Merge, can_merge),
-        (Swap, can_swap),
-    ):
-        for vertex in graph.vertex_ids:
-            if predicate(state, graph, vertex):
-                out.append(op_type(vertex))
-    for gate in circuit.first_layer:
-        if can_execute(state, graph, circuit, gate.id):
-            out.append(ExecuteGate(gate.id))
+    trap = graph.encoded
+    chains, locks = kernel.encode_state(state, trap[0])
+    out = [decode_op(code) for code, _, _ in kernel.successors(trap, chains, locks)]
+    gates = kernel.encode_gates(circuit.first_layer)
+    out.extend(ExecuteGate(g) for g in kernel.ready_gates(trap, chains, gates))
     return out
+
+
+def decode_op(code: tuple[int, int, int]) -> ShuttleOp:
+    """The operation a kernel op code (kind, a, b) stands for."""
+    kind, a, b = code
+    if kind == kernel.TRANSLATE:
+        return Translate(a, b)
+    if kind == kernel.SEPARATE:
+        return Separate(a)
+    if kind == kernel.MERGE:
+        return Merge(a)
+    if kind == kernel.SWAP:
+        return Swap(a)
+    if kind == kernel.EXECUTE:
+        return ExecuteGate(a)
+    raise ValueError(f"unknown kernel op code {kind}")
 
 
 def format_op(op: ShuttleOp) -> str:

@@ -79,9 +79,11 @@ def initial_placement(circuit: Circuit, graph: TrapGraph) -> TrapState:
 
     The first two-qubit gate's operands occupy the gate segment in operand
     order (circuits without two-qubit gates seed it with the first gate's
-    operand). Remaining qubits fill storage vertices by hop distance from
-    the gate segment, paired up when they share their earliest pending
-    two-qubit gate and a free vertex can hold both. Junctions stay empty.
+    operand). Remaining qubits, in qubit order, fill storage vertices by
+    hop distance from the gate segment. When capacity is at least two, a
+    qubit shares its vertex with the other operand of its own first
+    two-qubit gate, if that partner is not yet placed; the partner's own
+    earlier gates are not consulted. Junctions stay empty.
     """
     if not graph.gate_vertices:
         raise PlacementError("trap has no gate-eligible vertex")

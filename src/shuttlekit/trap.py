@@ -95,6 +95,30 @@ class TrapGraph:
     def storage_count(self) -> int:
         return sum(1 for v in self.vertices.values() if v.kind is VertexKind.STORAGE)
 
+    @cached_property
+    def encoded(self) -> tuple:
+        """The trap as the flat vertex-indexed tuples the kernel iterates over.
+
+        (n, capacity, neighbors, is_junction, can_separate, can_merge,
+        can_swap, can_gate, lateral_left, lateral_right), each per-vertex
+        field a length-n tuple indexed by vertex id (ids run 0..n-1, which
+        construction checks); a missing lateral pair is -1 on both sides.
+        """
+        ids = range(len(self.vertices))
+        lateral = [self.lateral_pair(v) or (-1, -1) for v in ids]
+        return (
+            len(ids),
+            self.capacity,
+            tuple(self.neighbors(v) for v in ids),
+            tuple(self.is_junction(v) for v in ids),
+            *(
+                tuple(self.allows(v, flag) for v in ids)
+                for flag in ("separate", "merge", "swap", "gate")
+            ),
+            tuple(left for left, _ in lateral),
+            tuple(right for _, right in lateral),
+        )
+
 
 def _validate(graph: TrapGraph) -> None:
     if not graph.vertices:
@@ -107,6 +131,10 @@ def _validate(graph: TrapGraph) -> None:
         bad = set(vertex.eligibility) - set(ELIGIBILITY_FLAGS)
         if bad:
             raise TrapError(f"vertex {vid} has unknown eligibility {sorted(bad)!r}")
+    if sorted(graph.vertices) != list(range(len(graph.vertices))):
+        raise TrapError(
+            f"vertex ids must run 0..{len(graph.vertices) - 1}, got {sorted(graph.vertices)}"
+        )
 
     degree = {v: 0 for v in graph.vertices}
     for a, b in graph.edges:
@@ -395,6 +423,10 @@ def serialize_trap(graph: TrapGraph) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, int) for item in value)
+
+
 def parse_trap(text: str) -> TrapGraph:
     """Parse and fully validate a trap JSON document."""
     try:
@@ -406,8 +438,13 @@ def parse_trap(text: str) -> TrapGraph:
     capacity = payload.get("capacity", DEFAULT_CAPACITY)
     if not isinstance(capacity, int):
         raise TrapError(f"capacity must be an integer, got {capacity!r}")
+    entries = payload.get("vertices", [])
+    if not isinstance(entries, list):
+        raise TrapError("vertices must be a list")
     vertices: dict[int, Vertex] = {}
-    for entry in payload.get("vertices", []):
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise TrapError(f"vertex entry {entry!r} must be an object")
         vid = entry.get("id")
         if not isinstance(vid, int):
             raise TrapError(f"vertex id {vid!r} is not an integer")
@@ -421,16 +458,20 @@ def parse_trap(text: str) -> TrapGraph:
         lateral_raw = entry.get("lateral")
         lateral = None
         if lateral_raw is not None:
-            if not (isinstance(lateral_raw, list) and len(lateral_raw) == 2):
-                raise TrapError(f"vertex {vid} lateral must be a two-item list")
+            if not (_is_int_list(lateral_raw) and len(lateral_raw) == 2):
+                raise TrapError(f"vertex {vid} lateral must be a two-item list of vertex ids")
             lateral = (lateral_raw[0], lateral_raw[1])
-        vertices[vid] = Vertex(
-            vid, kind, frozenset(entry.get("eligibility", [])), lateral
-        )
+        eligibility = entry.get("eligibility", [])
+        if not (isinstance(eligibility, list) and all(isinstance(f, str) for f in eligibility)):
+            raise TrapError(f"vertex {vid} eligibility must be a list of strings")
+        vertices[vid] = Vertex(vid, kind, frozenset(eligibility), lateral)
+    pairs = payload.get("edges", [])
+    if not isinstance(pairs, list):
+        raise TrapError("edges must be a list")
     edges = set()
-    for pair in payload.get("edges", []):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise TrapError(f"edge {pair!r} must be a two-item list")
+    for pair in pairs:
+        if not (_is_int_list(pair) and len(pair) == 2):
+            raise TrapError(f"edge {pair!r} must be a two-item list of vertex ids")
         a, b = pair
         norm = tuple(sorted((a, b)))
         if norm in edges:

@@ -6,13 +6,15 @@ the bottom are the algebra the optimizer relies on.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shuttlekit import ops, trap
+from shuttlekit import kernel, ops, trap
+from shuttlekit.baseline import ORACLE_MAX_VERTICES, bfs_next_gate, random_circuit
 from shuttlekit.circuit import Circuit, Gate
-from shuttlekit.errors import IllegalOperationError
+from shuttlekit.errors import IllegalOperationError, NoRouteError
 from shuttlekit.ops import (
     ExecuteGate,
     Merge,
@@ -30,7 +32,7 @@ from shuttlekit.ops import (
     parse_op,
     violation,
 )
-from shuttlekit.state import TrapState
+from shuttlekit.state import TrapState, initial_placement
 
 
 LINEAR1 = trap.build_linear(1)  # 0 - [1] - 2
@@ -346,6 +348,86 @@ def test_reachable_states_conserve_qubits():
                         apply(state, graph, circ, op)
         frontier = nxt
     assert seen  # sweep actually explored something
+
+
+# -- kernel against the per-op rules ----------------------------------------------
+
+
+def canonical_key(op):
+    """allowed_ops order: Translates by (src, dst), Separate, Merge, Swap, Execute."""
+    if isinstance(op, Translate):
+        return (0, op.src, op.dst)
+    kinds = (Separate, Merge, Swap, ExecuteGate)
+    return (kinds.index(type(op)) + 1, op.gate if isinstance(op, ExecuteGate) else op.at)
+
+
+WALK_TRAPS = [
+    (trap.build_linear(1), 3),
+    (trap.build_linear(2), 4),
+    (trap.build_linear(4), 4),
+    (trap.build_branched(1, 1, 1), 3),
+    (trap.build_branched(6, 2, 2), 6),
+    (trap.build_eval_layout("ring", 4), 4),
+    (trap.build_eval_layout("ring", 6), 6),
+    (trap.build_eval_layout("multi_linear", 4), 4),
+    (trap.build_eval_layout("multi_linear", 6), 6),
+    (trap.build_eval_layout("four_way", 8), 8),
+]
+
+
+@pytest.mark.parametrize(
+    "graph,qubits",
+    WALK_TRAPS,
+    ids=["linear1", "linear2", "linear4", "branched111", "branched622",
+         "ring4", "ring6", "multi_linear4", "multi_linear6", "four_way8"],
+)
+def test_kernel_matches_violation_on_random_walks(graph, qubits):
+    """Seeded random walks from the initial placement of random circuits.
+
+    On every visited state: allowed_ops is exactly the ops violation()
+    accepts, in canonical order; each kernel successor decodes to an op
+    whose apply lands on that successor's encoding; and on oracle-sized
+    instances the bfs_next_gate route replays and ends in a gate execution.
+    """
+    oracle = len(graph.vertices) <= ORACLE_MAX_VERTICES and qubits <= 4
+    trap_enc = graph.encoded
+    routes = 0
+    for seed in range(4):
+        rng = random.Random(seed)
+        circuit = random_circuit(qubits, 4, seed)
+        state = initial_placement(circuit, graph)
+        for step in range(60):
+            legal = [
+                op for op in every_op(graph, circuit)
+                if violation(state, graph, circuit, op) is None
+            ]
+            listed = allowed_ops(state, graph, circuit)
+            assert listed == sorted(legal, key=canonical_key)
+            chains, locks = kernel.encode_state(state, trap_enc[0])
+            for code, next_chains, next_locks in kernel.successors(trap_enc, chains, locks):
+                after = apply(state, graph, circuit, ops.decode_op(code))
+                assert kernel.encode_state(after, trap_enc[0]) == (next_chains, next_locks)
+            if oracle and step % 10 == 0 and circuit.first_layer:
+                try:
+                    route = bfs_next_gate(state, graph, circuit)
+                except NoRouteError:
+                    route = ()
+                if route:
+                    replayed, replay_circuit = state, circuit
+                    for op in route:
+                        replayed = apply(replayed, graph, replay_circuit, op)
+                        if isinstance(op, ExecuteGate):
+                            replay_circuit = replay_circuit.mark_executed(op.gate)
+                    assert isinstance(route[-1], ExecuteGate)
+                    assert sum(isinstance(op, ExecuteGate) for op in route) == 1
+                    routes += 1
+            if not listed:
+                break
+            op = rng.choice(listed)
+            state = apply(state, graph, circuit, op)
+            if isinstance(op, ExecuteGate):
+                circuit = circuit.mark_executed(op.gate)
+    assert not oracle or routes > 0
 
 
 # -- text form -------------------------------------------------------------------

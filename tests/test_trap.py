@@ -259,3 +259,37 @@ def test_parse_rejects_garbage():
         parse_trap("not json at all {")
     with pytest.raises(TrapError):
         parse_trap(json.dumps([1, 2, 3]))
+
+
+def test_parse_rejects_non_contiguous_vertex_ids():
+    # linear(1) with its right storage vertex renumbered 2 -> 5
+    data = json.loads(serialize_trap(build_linear(1)))
+    data["vertices"][2]["id"] = 5
+    data["edges"] = [[0, 1], [1, 5]]
+    data["vertices"][1]["lateral"] = [0, 5]
+    with pytest.raises(TrapError, match=r"vertex ids must run 0\.\.2"):
+        parse_trap(json.dumps(data))
+
+
+def _linear1_with(change):
+    data = json.loads(serialize_trap(build_linear(1)))
+    change(data)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (lambda d: d["vertices"].append(7), "vertex entry 7 must be an object"),
+        (lambda d: d.update(vertices={"0": {}}), "vertices must be a list"),
+        (lambda d: d["edges"].append(["1", 2]), "must be a two-item list of vertex ids"),
+        (lambda d: d["vertices"][1].update(eligibility="gate"), "eligibility must be a list"),
+        (lambda d: d["vertices"][1].update(lateral=[[0], 2]), "lateral must be a two-item list"),
+        (lambda d: d.update(edges=7), "edges must be a list"),
+    ],
+    ids=["vertex-not-object", "vertices-not-list", "string-endpoint",
+         "eligibility-string", "lateral-not-ids", "edges-not-list"],
+)
+def test_parse_rejects_malformed_entries(change, message):
+    with pytest.raises(TrapError, match=message):
+        parse_trap(_linear1_with(change))
