@@ -29,7 +29,7 @@ from .errors import (
     PlacementError,
 )
 from .ops import ExecuteGate, Merge, Separate, ShuttleOp, Swap, Translate
-from .schedule import Schedule, optimize
+from .schedule import Schedule, optimize, step
 from .state import TrapState, initial_placement
 from .trap import TrapGraph, bfs_distances
 
@@ -88,9 +88,7 @@ class _Router:
         del self.ops[kept:]
 
     def emit(self, op: ShuttleOp) -> None:
-        self.state = op_mod.apply(self.state, self.graph, self.circuit, op)
-        if isinstance(op, ExecuteGate):
-            self.circuit = self.circuit.mark_executed(op.gate)
+        self.state, self.circuit = step(self.graph, self.state, self.circuit, op)
         self.ops.append(op)
 
     def vertex_of(self, qubit: int) -> int:
@@ -730,29 +728,28 @@ class _Router:
         return False
 
     def route_next(self) -> None:
+        before = self.circuit
         self._route_gate()
-        self._drain_junctions()
+        self._drain_junctions(before)
         self._tidy_after_execute()
 
-    def _drain_junctions(self) -> None:
+    def _drain_junctions(self, before: Circuit) -> None:
         """Clear every junction as part of the slice just routed.
 
         Pushed chains may come to rest on a junction. Leaving one there
         can dead-end a whole region (the junction stays locked against its
         only occupied neighbor), and a finished schedule must end with all
-        junctions empty anyway. The slice's ExecuteGate is popped, junction
-        chains park in storage (the gate vertex walled off), and the
-        execute is re-emitted as the slice's closing op.
+        junctions empty anyway. The slice's ExecuteGate is popped and the
+        circuit from before the slice, which `_route_gate` advanced by
+        that one gate, is restored; junction chains park in storage (the
+        gate vertex walled off), and the execute is re-emitted as the
+        slice's closing op.
         """
         if not any(self.graph.is_junction(v) for v in self.state.chains):
             return
         last = self.ops.pop()
         assert isinstance(last, ExecuteGate)
-        self.circuit = Circuit(
-            self.circuit.qubit_count,
-            self.circuit.gates,
-            self.circuit.executed - {last.gate},
-        )
+        self.circuit = before
         gate = self.circuit.gate_by_id[last.gate]
         keep = frozenset(self.vertex_of(q) for q in gate.qubits)
         for _ in range(_MAX_PARK_DEPTH):

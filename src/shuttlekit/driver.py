@@ -237,10 +237,10 @@ def generate_schedule(
 
     Each step submits one instruction and accepts the response only if it
     parses, replays cleanly from the current state, and executes a
-    first-layer gate; accepted slices are peephole-optimized before being
-    applied. Invalid responses resubmit the identical instruction, and ten
-    consecutive invalid responses (or the time budget) abort the run with
-    a partial schedule.
+    first-layer gate; accepted slices are peephole-optimized, and the run
+    continues from the state their trial replay ended in. Invalid responses
+    resubmit the identical instruction, and ten consecutive invalid
+    responses (or the time budget) abort the run with a partial schedule.
     """
     placement = initial_placement(circuit, graph)
     state = placement
@@ -282,11 +282,11 @@ def generate_schedule(
             continue
         # Replay was clean and parse_output guarantees a final ExecuteGate,
         # so at least one first-layer gate was executed. Trim redundant
-        # shuttles before committing the slice.
-        slice_ops = optimize(ops, graph, current, state)
-        for op in slice_ops:
-            state, current = step(graph, state, current, op)
-        all_ops.extend(slice_ops)
+        # shuttles, then commit the state the trial replay ended in:
+        # optimize deletes only pairs that return to their start state,
+        # junction locks included, so the trimmed slice ends there too.
+        all_ops.extend(optimize(ops, graph, current, state))
+        state, current = trial_state, trial_circuit
         tokens_final += result.token_count
         consecutive = 0
     executed = len(circuit.gates) - len(current.pending)

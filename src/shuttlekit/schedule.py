@@ -1,10 +1,12 @@
 """Schedules: placement plus op list, validated by replay.
 
 A schedule is complete when replay executes every gate, ends with no
-occupied junction, and contains no shuttling after the final gate. The
+occupied junction, and contains no shuttling after the final gate. Replay
+is `step` applied op by op; each consumer makes one pass: `validate` and
+`decompose` share one, and `optimize` makes its own forward pass. The
 optimizer deletes adjacent op pairs that provably return to the state they
 started from, junction locks included, so removal can never invalidate a
-later op.
+later op or change the final state.
 """
 
 from __future__ import annotations
@@ -67,57 +69,51 @@ def step(
 
 def validate(schedule: Schedule) -> ValidationReport:
     """Replay the schedule and report the first violated condition, if any."""
+    return _replay(schedule)[0]
+
+
+def decompose(schedule: Schedule) -> list[EntrySlice]:
+    """Split a valid schedule into per-gate slices; concatenating them restores it.
+
+    The slices are cut during the one validating replay. An invalid schedule
+    raises ScheduleValidationError carrying the report `validate` returns.
+    """
+    report, slices = _replay(schedule)
+    if not report.ok:
+        raise ScheduleValidationError(report)
+    return slices
+
+
+def _replay(schedule: Schedule) -> tuple[ValidationReport, list[EntrySlice]]:
+    """One replay pass: the validation report and the per-gate slices cut so far."""
     state = schedule.placement
     circuit = schedule.circuit
-    executed = 0
+    slices: list[EntrySlice] = []
+    slice_state, slice_circuit = state, circuit
     last_gate_index = -1
     for index, op in enumerate(schedule.ops):
         try:
             state, circuit = step(schedule.graph, state, circuit, op)
         except IllegalOperationError as exc:
-            return ValidationReport(False, index, str(exc), executed, None)
+            return ValidationReport(False, index, str(exc), len(slices), None), slices
         if isinstance(op, ExecuteGate):
-            executed += 1
+            piece = schedule.ops[last_gate_index + 1 : index + 1]
+            slices.append(EntrySlice(slice_state, slice_circuit, piece))
+            slice_state, slice_circuit = state, circuit
             last_gate_index = index
+    executed = len(slices)
     if not circuit.is_complete:
         total = len(circuit.gates)
-        return ValidationReport(
-            False, None, f"unexecuted gates remain ({executed} of {total})", executed, state
-        )
+        reason = f"unexecuted gates remain ({executed} of {total})"
+        return ValidationReport(False, None, reason, executed, state), slices
     if last_gate_index != len(schedule.ops) - 1:
-        return ValidationReport(
-            False,
-            last_gate_index + 1,
-            "trailing operations after the final gate",
-            executed,
-            state,
-        )
+        reason = "trailing operations after the final gate"
+        return ValidationReport(False, last_gate_index + 1, reason, executed, state), slices
     for vertex in state.chains:
         if schedule.graph.is_junction(vertex):
-            return ValidationReport(
-                False, None, f"junction {vertex} occupied at the end", executed, state
-            )
-    return ValidationReport(True, None, None, executed, state)
-
-
-def decompose(schedule: Schedule) -> list[EntrySlice]:
-    """Split a valid schedule into per-gate slices; concatenating them restores it."""
-    report = validate(schedule)
-    if not report.ok:
-        raise ScheduleValidationError(report)
-    slices: list[EntrySlice] = []
-    state = schedule.placement
-    circuit = schedule.circuit
-    start_state, start_circuit = state, circuit
-    pending: list[ShuttleOp] = []
-    for op in schedule.ops:
-        pending.append(op)
-        state, circuit = step(schedule.graph, state, circuit, op)
-        if isinstance(op, ExecuteGate):
-            slices.append(EntrySlice(start_state, start_circuit, tuple(pending)))
-            start_state, start_circuit = state, circuit
-            pending = []
-    return slices
+            reason = f"junction {vertex} occupied at the end"
+            return ValidationReport(False, None, reason, executed, state), slices
+    return ValidationReport(True, None, None, executed, state), slices
 
 
 _PAIR_SHAPES = (
@@ -141,37 +137,26 @@ def optimize(
 ) -> list[ShuttleOp]:
     """Remove redundant adjacent pairs until none remain.
 
-    Candidate pairs (back-and-forth Translate, Merge;Separate either way
-    round, double Swap) are deleted only when replay shows the pair is a
-    state identity. Ops are never reordered and Execute Gate lines survive.
+    The ops must replay legally from (state, circuit); an illegal op raises
+    IllegalOperationError. One forward pass keeps a stack of kept ops, each
+    with the state it starts from. An incoming op cancels the top of the
+    stack when the pair has a deletable shape (back-and-forth Translate,
+    Merge;Separate either way round, double Swap) and the two together
+    return to the top op's start state, junction locks included; otherwise
+    it is pushed. A cancelled pair is a state identity, so the kept ops
+    replay to the same states, the same final state and the same executed
+    gates, and no kept adjacent pair is deletable. Ops are never reordered
+    and Execute Gate lines survive.
     """
-    seq = list(ops)
-    # states[i] holds the (state, circuit) pair before seq[i].
-    states: list[tuple[TrapState, Circuit]] = [(state, circuit)]
-
-    def state_before(index: int) -> tuple[TrapState, Circuit]:
-        while len(states) <= index:
-            prev_state, prev_circuit = states[-1]
-            advanced = step(graph, prev_state, prev_circuit, seq[len(states) - 1])
-            states.append(advanced)
-        return states[index]
-
-    i = 0
-    while i + 1 < len(seq):
-        if _deletable_shape(seq[i], seq[i + 1]):
-            before_state, before_circuit = state_before(i)
-            try:
-                mid = step(graph, before_state, before_circuit, seq[i])
-                after = step(graph, *mid, seq[i + 1])
-            except IllegalOperationError:
-                after = None
-            if after is not None and after[0] == before_state:
-                del seq[i : i + 2]
-                del states[i + 1 :]
-                i = max(i - 1, 0)
-                continue
-        i += 1
-    return seq
+    kept: list[tuple[ShuttleOp, TrapState]] = []
+    for op in ops:
+        after, circuit = step(graph, state, circuit, op)
+        if kept and _deletable_shape(kept[-1][0], op) and after == kept[-1][1]:
+            kept.pop()
+        else:
+            kept.append((op, state))
+        state = after
+    return [op for op, _ in kept]
 
 
 def serialize_schedule(schedule: Schedule, trap_path: str, circuit_path: str) -> str:

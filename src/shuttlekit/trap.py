@@ -173,20 +173,9 @@ def _validate(graph: TrapGraph) -> None:
                     raise TrapError(f"vertex {vid} lateral neighbor {side} is not adjacent")
 
     # Connectivity: every segment must be reachable for shuttling.
-    seen = {next(iter(graph.vertices))}
-    queue = deque(seen)
-    adjacency: dict[int, list[int]] = {v: [] for v in graph.vertices}
-    for a, b in graph.edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    while queue:
-        v = queue.popleft()
-        for n in adjacency[v]:
-            if n not in seen:
-                seen.add(n)
-                queue.append(n)
-    if len(seen) != len(graph.vertices):
-        missing = sorted(set(graph.vertices) - seen)
+    reached = bfs_distances(graph, next(iter(graph.vertices)))
+    if len(reached) != len(graph.vertices):
+        missing = sorted(set(graph.vertices) - set(reached))
         raise TrapError(f"trap is disconnected; unreachable vertices {missing}")
 
 
@@ -423,8 +412,13 @@ def serialize_trap(graph: TrapGraph) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON booleans load as Python bools, which are ints too."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(item, int) for item in value)
+    return isinstance(value, list) and all(_is_int(item) for item in value)
 
 
 def parse_trap(text: str) -> TrapGraph:
@@ -436,7 +430,7 @@ def parse_trap(text: str) -> TrapGraph:
     if not isinstance(payload, dict):
         raise TrapError("trap file must hold a JSON object")
     capacity = payload.get("capacity", DEFAULT_CAPACITY)
-    if not isinstance(capacity, int):
+    if not _is_int(capacity):
         raise TrapError(f"capacity must be an integer, got {capacity!r}")
     entries = payload.get("vertices", [])
     if not isinstance(entries, list):
@@ -446,7 +440,7 @@ def parse_trap(text: str) -> TrapGraph:
         if not isinstance(entry, dict):
             raise TrapError(f"vertex entry {entry!r} must be an object")
         vid = entry.get("id")
-        if not isinstance(vid, int):
+        if not _is_int(vid):
             raise TrapError(f"vertex id {vid!r} is not an integer")
         if vid in vertices:
             raise TrapError(f"duplicate vertex {vid}")

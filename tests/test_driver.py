@@ -1,0 +1,109 @@
+"""Generate–validate–retry driver against scripted and replayed clients."""
+
+import pytest
+
+from shuttlekit import baseline, trap
+from shuttlekit.baseline import random_circuit
+from shuttlekit.dataset import parse_output, render_instruction, render_output
+from shuttlekit.driver import (
+    GenerationParams,
+    MockCompletionClient,
+    RecordingClient,
+    ReplayCompletionClient,
+    generate_schedule,
+)
+from shuttlekit.errors import IllegalOperationError, OutputParseError, TransportError
+from shuttlekit.ops import Translate, format_op
+from shuttlekit.schedule import decompose, step, validate
+
+GRAPH = trap.build_linear(2)
+CIRCUIT = random_circuit(3, 3, 0)
+COMPILED = baseline.compile(CIRCUIT, GRAPH)
+SLICES = decompose(COMPILED)
+OUTPUTS = [render_output(piece, GRAPH, piece.circuit) for piece in SLICES]
+
+UNPARSEABLE = "Translate 0 -> nowhere\nExecute Gate 1\n"
+ILLEGAL = "Translate 0 -> 4\nExecute Gate 1\n"  # 0 and 4 are not adjacent
+NO_EXECUTE = "Swap 2\nthe gate is ready now\n"
+
+
+def tokens(text):
+    return len(text.split())
+
+
+def redundant(index):
+    """OUTPUTS[index] led by a legal back-and-forth Translate."""
+    state = SLICES[index].state
+    for vertex in sorted(state.chains):
+        for n in GRAPH.neighbors(vertex):
+            if not state.occupied(n):
+                pair = (Translate(vertex, n), Translate(n, vertex))
+                return "".join(format_op(op) + "\n" for op in pair) + "\n" + OUTPUTS[index]
+    raise AssertionError("no free neighbor to bounce into")
+
+
+def faulty_script():
+    """Every slice once, three rejected outputs and one redundant slice among them."""
+    script = [UNPARSEABLE, OUTPUTS[0], ILLEGAL, OUTPUTS[1], NO_EXECUTE, OUTPUTS[2]]
+    script.append(redundant(3))
+    script.extend(OUTPUTS[4:])
+    return script
+
+
+def run(client, params=GenerationParams()):
+    return generate_schedule(CIRCUIT, GRAPH, client, params, clock=lambda: 0.0)
+
+
+def test_injected_faults_fail_where_intended():
+    with pytest.raises(OutputParseError, match="malformed operation"):
+        parse_output(UNPARSEABLE)
+    with pytest.raises(OutputParseError, match="no Execute Gate"):
+        parse_output(NO_EXECUTE)
+    with pytest.raises(IllegalOperationError):
+        step(GRAPH, COMPILED.placement, CIRCUIT, parse_output(ILLEGAL)[0])
+
+
+def test_faulty_outputs_are_retried_and_redundancy_trimmed():
+    schedule, stats = run(MockCompletionClient(faulty_script()))
+    assert stats.outcome == "complete"
+    assert stats.failure_reason is None
+    assert stats.retries == 3
+    assert schedule.placement == COMPILED.placement
+    assert schedule.ops == COMPILED.ops
+    assert stats.ops_count == len(COMPILED.ops)
+    assert stats.gates_executed == len(CIRCUIT.gates)
+    rejected = tokens(UNPARSEABLE) + tokens(ILLEGAL) + tokens(NO_EXECUTE)
+    assert stats.tokens_total - stats.tokens_final == rejected
+
+
+def test_consecutive_invalid_outputs_fail_with_a_legal_partial_schedule():
+    kept = 2
+    script = OUTPUTS[:kept] + [ILLEGAL] * 10
+    schedule, stats = run(MockCompletionClient(script))
+    assert stats.outcome == "failed"
+    assert stats.failure_reason == "10 consecutive invalid outputs for one instruction"
+    assert stats.retries == 10
+    assert stats.gates_executed == kept
+    assert schedule.ops == tuple(op for piece in SLICES[:kept] for op in piece.ops)
+    report = validate(schedule)
+    assert report.failure_index is None
+    assert report.reason == f"unexecuted gates remain ({kept} of {len(CIRCUIT.gates)})"
+
+
+def test_record_then_replay_reproduces_the_run(tmp_path):
+    path = tmp_path / "exchanges.jsonl"
+    recorded = run(RecordingClient(MockCompletionClient(faulty_script()), str(path)))
+    replayed = run(ReplayCompletionClient(str(path)))
+    assert replayed == recorded
+    assert recorded[1].retries == 3
+
+
+def test_replay_rejects_a_changed_instruction(tmp_path):
+    path = tmp_path / "exchanges.jsonl"
+    run(RecordingClient(MockCompletionClient(OUTPUTS), str(path)))
+    params = GenerationParams()
+    first = render_instruction(GRAPH, COMPILED.placement, CIRCUIT)
+    client = ReplayCompletionClient(str(path))
+    with pytest.raises(TransportError, match="request digest differs"):
+        client.complete(first + "\n", params.max_tokens, params.temperature)
+    assert client.complete(first, params.max_tokens, params.temperature).text == OUTPUTS[0]

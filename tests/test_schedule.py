@@ -47,35 +47,58 @@ def test_validate_accepts_direct_execution():
     assert report.final_state.chains == {1: (0, 1)}
 
 
-def test_validate_reports_first_illegal_op():
+def illegal_op_schedule():
     circuit = Circuit(2, (Gate(1, (0, 1)),))
-    sched = make_schedule(
+    return make_schedule(
         LINEAR1,
         circuit,
         {1: (0, 1)},
         [Swap(1), Translate(1, 0), Translate(1, 2), ExecuteGate(1)],
     )
-    report = validate(sched)
+
+
+def missing_gates_schedule():
+    circuit = Circuit(2, (Gate(1, (0, 1)), Gate(2, (0, 1))))
+    return make_schedule(LINEAR1, circuit, {1: (0, 1)}, [ExecuteGate(1)])
+
+
+def trailing_ops_schedule():
+    circuit = Circuit(2, (Gate(1, (0, 1)),))
+    return make_schedule(
+        LINEAR1, circuit, {1: (0, 1)}, [ExecuteGate(1), Translate(1, 0)]
+    )
+
+
+def junction_occupied_schedule():
+    # bystander parked on junction 1 while the only gate executes
+    circuit = Circuit(2, (Gate(1, (0,)),))
+    return make_schedule(BRANCHED, circuit, {3: (0,), 1: (1,)}, [ExecuteGate(1)])
+
+
+INVALID_SCHEDULES = [
+    illegal_op_schedule,
+    missing_gates_schedule,
+    trailing_ops_schedule,
+    junction_occupied_schedule,
+]
+
+
+def test_validate_reports_first_illegal_op():
+    report = validate(illegal_op_schedule())
     assert not report.ok
     assert report.failure_index == 2  # vertex 1 emptied by the first translate
     assert "Translate 1 -> 2" in report.reason
 
 
 def test_validate_flags_missing_gates():
-    circuit = Circuit(2, (Gate(1, (0, 1)), Gate(2, (0, 1))))
-    sched = make_schedule(LINEAR1, circuit, {1: (0, 1)}, [ExecuteGate(1)])
-    report = validate(sched)
+    report = validate(missing_gates_schedule())
     assert not report.ok
     assert report.reason == "unexecuted gates remain (1 of 2)"
     assert report.gates_executed == 1
 
 
 def test_validate_flags_trailing_ops():
-    circuit = Circuit(2, (Gate(1, (0, 1)),))
-    sched = make_schedule(
-        LINEAR1, circuit, {1: (0, 1)}, [ExecuteGate(1), Translate(1, 0)]
-    )
-    report = validate(sched)
+    report = validate(trailing_ops_schedule())
     assert not report.ok
     assert report.reason == "trailing operations after the final gate"
     assert report.failure_index == 1
@@ -99,10 +122,7 @@ def test_validate_trailing_rule_beats_junction_rule():
 
 
 def test_validate_flags_junction_occupied_at_end():
-    # bystander parked on junction 1 while the only gate executes
-    circuit = Circuit(2, (Gate(1, (0,)),))
-    sched = make_schedule(BRANCHED, circuit, {3: (0,), 1: (1,)}, [ExecuteGate(1)])
-    report = validate(sched)
+    report = validate(junction_occupied_schedule())
     assert not report.ok
     assert report.reason == "junction 1 occupied at the end"
 
@@ -153,11 +173,17 @@ def test_decompose_immediate_execute_slice():
 
 
 def test_decompose_rejects_invalid_schedule():
-    circuit = Circuit(2, (Gate(1, (0, 1)), Gate(2, (0, 1))))
-    sched = make_schedule(LINEAR1, circuit, {1: (0, 1)}, [ExecuteGate(1)])
+    with pytest.raises(ScheduleValidationError) as exc:
+        decompose(missing_gates_schedule())
+    assert "unexecuted" in str(exc.value)
+
+
+@pytest.mark.parametrize("build", INVALID_SCHEDULES, ids=lambda build: build.__name__)
+def test_decompose_raises_the_validate_report(build):
+    sched = build()
     with pytest.raises(ScheduleValidationError) as exc:
         decompose(sched)
-    assert "unexecuted" in str(exc.value)
+    assert exc.value.report == validate(sched)
 
 
 # -- optimize -----------------------------------------------------------------
@@ -214,16 +240,30 @@ def test_optimize_is_idempotent_and_never_grows():
         assert twice == once
 
 
+# (trap, qubits) pairs whose compiled schedules end with junction locks set
+JUNCTION_TRAPS = [
+    (trap.build_branched(2, 1, 1), 3),
+    (trap.build_eval_layout("ring", 4), 4),
+]
+
+
 def test_optimize_preserves_execute_subsequence_and_final_state():
-    for seed in range(6):
-        sched = compiled(4, 5, seed)
+    rng = random.Random(17)
+    cases = [compiled(4, 5, seed) for seed in range(6)]
+    for graph, qubits in JUNCTION_TRAPS:
+        for seed in range(4):
+            cases.append(inject_pairs(compiled(qubits, 4, seed, graph), rng)[0])
+    locked = 0
+    for sched in cases:
         out = run_optimize(sched)
         gates = [op.gate for op in sched.ops if isinstance(op, ExecuteGate)]
         assert [op.gate for op in out if isinstance(op, ExecuteGate)] == gates
         slim = Schedule(sched.graph, sched.circuit, sched.placement, tuple(out))
         before, after = validate(sched), validate(slim)
         assert after.ok
-        assert after.final_state.chains == before.final_state.chains
+        assert after.final_state == before.final_state
+        locked += bool(after.final_state.junction_locks)
+    assert locked >= 2 * 4
 
 
 def inject_pairs(sched, rng):

@@ -286,10 +286,25 @@ def _linear1_with(change):
         (lambda d: d["vertices"][1].update(eligibility="gate"), "eligibility must be a list"),
         (lambda d: d["vertices"][1].update(lateral=[[0], 2]), "lateral must be a two-item list"),
         (lambda d: d.update(edges=7), "edges must be a list"),
+        # JSON booleans load as Python bools, which isinstance(_, int) accepts
+        (lambda d: d.update(capacity=True), "capacity must be an integer"),
+        (lambda d: d["vertices"][1].update(id=True), "vertex id True is not an integer"),
+        (lambda d: d.update(edges=[[0, 1], [1, True]]), "must be a two-item list of vertex ids"),
+        (lambda d: d["vertices"][1].update(lateral=[0, True]), "lateral must be a two-item list"),
     ],
     ids=["vertex-not-object", "vertices-not-list", "string-endpoint",
-         "eligibility-string", "lateral-not-ids", "edges-not-list"],
+         "eligibility-string", "lateral-not-ids", "edges-not-list",
+         "bool-capacity", "bool-vertex-id", "bool-endpoint", "bool-lateral"],
 )
 def test_parse_rejects_malformed_entries(change, message):
     with pytest.raises(TrapError, match=message):
         parse_trap(_linear1_with(change))
+
+
+def test_parse_rejects_disconnected_trap():
+    def cut_right_storage(data):
+        del data["vertices"][1]["lateral"]
+        data["edges"] = [[0, 1]]
+
+    with pytest.raises(TrapError, match=r"trap is disconnected; unreachable vertices \[2\]"):
+        parse_trap(_linear1_with(cut_right_storage))
