@@ -4,12 +4,18 @@ Gate functionality is irrelevant for shuttling, so a circuit reduces to
 which qubits each gate touches and the per-qubit order implied by the text:
 gates sharing a qubit execute in ascending number, independent gates in any
 order. Circuits are immutable; executing a gate yields a new circuit.
+
+Progress is a frontier: one cursor per qubit into that qubit's gate order,
+which is built once per gate list, on the first frontier query, and shared
+by every circuit `mark_executed` derives from it. Executing a gate therefore
+costs O(operands), and the first layer is read off the cursors in
+O(qubits); the gate list is validated once, at construction.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import CircuitError, OrderViolationError
@@ -32,11 +38,35 @@ class Gate:
     name: str = "g"
 
 
+class _Frontier:
+    """Per-qubit gate order of one gate list.
+
+    order[q] holds the ids of the gates on qubit q, ascending; places[id]
+    pairs each operand q of gate id with the gate's index in order[q]. A
+    gate is executed exactly when every operand's cursor has passed it, and
+    it is in the first layer when every operand's cursor points at it.
+    """
+
+    __slots__ = ("gate_by_id", "order", "places")
+
+    def __init__(self, qubit_count: int, gates: tuple[Gate, ...]) -> None:
+        order: list[list[int]] = [[] for _ in range(qubit_count)]
+        places: dict[int, tuple[tuple[int, int], ...]] = {}
+        for gate in gates:
+            places[gate.id] = tuple((q, len(order[q])) for q in gate.qubits)
+            for q in gate.qubits:
+                order[q].append(gate.id)
+        self.gate_by_id = {g.id: g for g in gates}
+        self.order = tuple(tuple(ids) for ids in order)
+        self.places = places
+
+
 @dataclass(frozen=True)
 class Circuit:
     qubit_count: int
     gates: tuple[Gate, ...]
-    executed: frozenset[int] = frozenset()
+    executed_count: int = field(init=False, compare=False)
+    _cursors: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for expected, gate in enumerate(self.gates, start=1):
@@ -49,33 +79,51 @@ class Circuit:
             for q in gate.qubits:
                 if not 0 <= q < self.qubit_count:
                     raise CircuitError(f"gate {gate.id} touches unknown qubit {q}")
-        unknown = self.executed - {g.id for g in self.gates}
-        if unknown:
-            raise CircuitError(f"executed set references unknown gates {sorted(unknown)}")
+        object.__setattr__(self, "executed_count", 0)
+        object.__setattr__(self, "_cursors", (0,) * self.qubit_count)
 
     @cached_property
+    def _frontier(self) -> _Frontier:
+        return _Frontier(self.qubit_count, self.gates)
+
+    @property
     def gate_by_id(self) -> dict[int, Gate]:
-        return {g.id: g for g in self.gates}
+        return self._frontier.gate_by_id
+
+    @cached_property
+    def executed(self) -> frozenset[int]:
+        order = self._frontier.order
+        return frozenset(
+            gid for q, cursor in enumerate(self._cursors) for gid in order[q][:cursor]
+        )
 
     @cached_property
     def pending(self) -> tuple[Gate, ...]:
-        return tuple(g for g in self.gates if g.id not in self.executed)
+        executed = self.executed
+        return tuple(g for g in self.gates if g.id not in executed)
 
     @cached_property
     def pending_per_qubit(self) -> dict[int, tuple[int, ...]]:
-        lists: dict[int, list[int]] = {q: [] for q in range(self.qubit_count)}
-        for gate in self.pending:
-            for q in gate.qubits:
-                lists[q].append(gate.id)
-        return {q: tuple(ids) for q, ids in lists.items()}
+        order = self._frontier.order
+        return {q: order[q][cursor:] for q, cursor in enumerate(self._cursors)}
+
+    def in_first_layer(self, gate_id: int) -> bool:
+        """Whether gate_id is pending with no pending predecessor; O(operands)."""
+        places = self._frontier.places.get(gate_id)
+        cursors = self._cursors
+        return places is not None and all(cursors[q] == i for q, i in places)
 
     @cached_property
     def first_layer(self) -> tuple[Gate, ...]:
         """Pending gates with no pending predecessor on any operand."""
-        per_qubit = self.pending_per_qubit
+        frontier = self._frontier
+        heads = {
+            ids[cursor]
+            for ids, cursor in zip(frontier.order, self._cursors)
+            if cursor < len(ids)
+        }
         return tuple(
-            g for g in self.pending
-            if all(per_qubit[q][0] == g.id for q in g.qubits)
+            frontier.gate_by_id[gid] for gid in sorted(heads) if self.in_first_layer(gid)
         )
 
     @cached_property
@@ -84,38 +132,63 @@ class Circuit:
 
         A gate qualifies when its immediate predecessors across all operands
         collapse to one first-layer gate; executing that gate promotes it.
+        Such a gate is first or second pending on each of its operands, and
+        second on at least one, so only those positions are examined.
         """
-        first_ids = {g.id for g in self.first_layer}
-        per_qubit = self.pending_per_qubit
+        frontier = self._frontier
+        cursors = self._cursors
+        seconds = {
+            ids[cursor + 1]
+            for ids, cursor in zip(frontier.order, cursors)
+            if cursor + 1 < len(ids)
+        }
         out = []
-        for gate in self.pending:
-            if gate.id in first_ids:
-                continue
+        for gid in sorted(seconds):
             preds = set()
-            for q in gate.qubits:
-                order = per_qubit[q]
-                pos = order.index(gate.id)
-                if pos:
-                    preds.add(order[pos - 1])
-            if len(preds) == 1 and next(iter(preds)) in first_ids:
-                out.append(gate)
+            for q, index in frontier.places[gid]:
+                depth = index - cursors[q]
+                if depth > 1:
+                    break
+                if depth == 1:
+                    preds.add(frontier.order[q][cursors[q]])
+            else:
+                if len(preds) == 1 and self.in_first_layer(preds.pop()):
+                    out.append(frontier.gate_by_id[gid])
         return tuple(out)
 
     @property
     def is_complete(self) -> bool:
-        return len(self.executed) == len(self.gates)
+        return self.executed_count == len(self.gates)
 
     def mark_executed(self, gate_id: int) -> Circuit:
-        """New circuit with gate_id executed; rejects out-of-order execution."""
-        if gate_id not in self.gate_by_id:
+        """New circuit with gate_id executed; rejects out-of-order execution.
+
+        The successor shares this circuit's gate list and frontier tables,
+        so it skips the construction check.
+        """
+        frontier = self._frontier
+        places = frontier.places.get(gate_id)
+        if places is None:
             raise CircuitError(f"unknown gate {gate_id}")
-        if gate_id in self.executed:
+        first_qubit, first_index = places[0]
+        if self._cursors[first_qubit] > first_index:
             raise OrderViolationError(f"gate {gate_id} already executed")
-        if gate_id not in {g.id for g in self.first_layer}:
+        if not self.in_first_layer(gate_id):
             raise OrderViolationError(
                 f"gate {gate_id} has pending predecessors and cannot execute"
             )
-        return Circuit(self.qubit_count, self.gates, self.executed | {gate_id})
+        cursors = list(self._cursors)
+        for q, _ in places:
+            cursors[q] += 1
+        successor = object.__new__(Circuit)
+        successor.__dict__.update(
+            qubit_count=self.qubit_count,
+            gates=self.gates,
+            executed_count=self.executed_count + 1,
+            _cursors=tuple(cursors),
+            _frontier=frontier,
+        )
+        return successor
 
 
 def _statements(text: str):

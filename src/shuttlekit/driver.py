@@ -24,6 +24,7 @@ from .errors import (
     OrderViolationError,
     OutputParseError,
     PlacementError,
+    ReplayMismatchError,
     TransportError,
 )
 from .schedule import Schedule, optimize, step
@@ -195,7 +196,11 @@ class RecordingClient:
 
 
 class ReplayCompletionClient:
-    """Replays a recorded exchange file in order, verifying request digests."""
+    """Replays a recorded exchange file in order, verifying request digests.
+
+    A request whose digest differs from the next record's, or that comes
+    after the last record, raises ReplayMismatchError.
+    """
 
     def __init__(self, path: str) -> None:
         self.records = []
@@ -215,11 +220,11 @@ class ReplayCompletionClient:
 
     def complete(self, instruction: str, max_tokens: int, temperature: float) -> CompletionResult:
         if self.cursor >= len(self.records):
-            raise TransportError("replay file exhausted")
+            raise ReplayMismatchError("replay file exhausted")
         record = self.records[self.cursor]
         expected = request_digest(instruction, max_tokens, temperature)
         if record.get("digest") != expected:
-            raise TransportError(
+            raise ReplayMismatchError(
                 f"replay mismatch at record {self.cursor}: request digest differs"
             )
         self.cursor += 1
@@ -241,6 +246,7 @@ def generate_schedule(
     continues from the state their trial replay ended in. Invalid responses
     resubmit the identical instruction, and ten consecutive invalid
     responses (or the time budget) abort the run with a partial schedule.
+    A replay file that cannot answer the instruction aborts it at once.
     """
     placement = initial_placement(circuit, graph)
     state = placement
@@ -260,7 +266,8 @@ def generate_schedule(
         except TransportError as exc:
             retries += 1
             consecutive += 1
-            if consecutive >= params.max_consecutive_invalid:
+            permanent = isinstance(exc, ReplayMismatchError)
+            if permanent or consecutive >= params.max_consecutive_invalid:
                 outcome, reason = "failed", f"transport: {exc}"
                 break
             continue
@@ -289,10 +296,9 @@ def generate_schedule(
         state, current = trial_state, trial_circuit
         tokens_final += result.token_count
         consecutive = 0
-    executed = len(circuit.gates) - len(current.pending)
     stats = GenerationStats(
         outcome=outcome,
-        gates_executed=executed,
+        gates_executed=current.executed_count,
         ops_count=len(all_ops),
         retries=retries,
         tokens_final=tokens_final,

@@ -10,7 +10,7 @@ class TrapError(ShuttleError):
 
 
 class CircuitError(ShuttleError):
-    """Malformed circuit text."""
+    """Malformed circuit text or gate list, or a gate id the circuit lacks."""
 
 
 class OrderViolationError(ShuttleError):
@@ -59,3 +59,7 @@ class OutputParseError(ShuttleError):
 
 class TransportError(ShuttleError):
     """Completion endpoint unreachable or its response malformed."""
+
+
+class ReplayMismatchError(TransportError):
+    """Recorded exchange file cannot answer the request, so a retry cannot help."""

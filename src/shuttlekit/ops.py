@@ -122,7 +122,7 @@ def _execute_violation(
     gate = circuit.gate_by_id.get(gate_id)
     if gate is None:
         return f"unknown gate {gate_id}"
-    if gate_id not in {g.id for g in circuit.first_layer}:
+    if not circuit.in_first_layer(gate_id):
         return f"gate {gate_id} is not in the first layer"
     positions = state.qubit_positions
     for qubit in gate.qubits:

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from shuttlekit import baseline, trap
 from shuttlekit.circuit import (
     Circuit,
     Gate,
@@ -17,6 +18,7 @@ from shuttlekit.circuit import (
     serialize_circuit,
 )
 from shuttlekit.errors import CircuitError, OrderViolationError
+from shuttlekit.schedule import validate
 
 
 FIG1_STYLE = """OPENQASM 2.0;
@@ -43,16 +45,11 @@ def scan_first_layer(gates, executed):
 
 def scan_next_executable(gates, executed):
     """Oracle: pending gates promoted by removing one first-layer gate."""
-    first = set(scan_first_layer(gates, executed))
-    out = []
-    for g in gates:
-        if g.id in executed or g.id in first:
-            continue
-        for f in first:
-            if g.id in scan_first_layer(gates, executed | {f}):
-                out.append(g.id)
-                break
-    return out
+    first = scan_first_layer(gates, executed)
+    promoted = set()
+    for f in first:
+        promoted.update(scan_first_layer(gates, executed | {f}))
+    return [g.id for g in gates if g.id in promoted and g.id not in first]
 
 
 def random_gates(rng, qubit_count, count):
@@ -246,3 +243,58 @@ def test_disjoint_gates_commute():
     other = c.mark_executed(2).mark_executed(1)
     assert one.executed == other.executed
     assert [g.id for g in one.first_layer] == [g.id for g in other.first_layer]
+
+
+def test_frontier_matches_scan_on_long_circuits():
+    """Every query after every step of random legal orders, 300+ gates each."""
+    rng = random.Random(2024)
+    for qn in (1, 4, 8):
+        gates = random_gates(rng, qn, rng.randrange(300, 340))
+        c = Circuit(qn, gates)
+        executed = set()
+        while True:
+            first = scan_first_layer(gates, executed)
+            assert [g.id for g in c.first_layer] == first
+            assert [g.id for g in c.next_executable] == scan_next_executable(gates, executed)
+            assert c.executed == executed
+            assert c.executed_count == len(executed)
+            assert c.pending == tuple(g for g in gates if g.id not in executed)
+            assert c.pending_per_qubit == {
+                q: tuple(g.id for g in c.pending if q in g.qubits) for q in range(qn)
+            }
+            assert c.is_complete == (len(executed) == len(gates))
+            if c.is_complete:
+                break
+            if executed and rng.random() < 0.1:
+                before = c
+                with pytest.raises(OrderViolationError, match="already executed"):
+                    c.mark_executed(rng.choice(sorted(executed)))
+                deeper = [g.id for g in c.pending if g.id not in first]
+                if deeper:
+                    with pytest.raises(OrderViolationError, match="pending predecessors"):
+                        c.mark_executed(rng.choice(deeper))
+                with pytest.raises(CircuitError, match="unknown gate"):
+                    c.mark_executed(rng.choice((0, len(gates) + 1)))
+                assert c == before
+            pick = rng.choice(first)
+            following = c.mark_executed(pick)
+            assert following != c
+            c = following
+            executed.add(pick)
+
+
+def test_replay_validates_the_gate_list_only_at_construction(monkeypatch):
+    calls = []
+    check = Circuit.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    graph = trap.build_linear(2)
+    schedule = baseline.compile(baseline.random_circuit(3, 6, 1), graph)
+    monkeypatch.setattr(Circuit, "__post_init__", counted)
+    assert validate(schedule).ok
+    assert calls == []
+    parse_circuit(serialize_circuit(schedule.circuit))
+    assert len(calls) == 1

@@ -107,3 +107,26 @@ def test_replay_rejects_a_changed_instruction(tmp_path):
     with pytest.raises(TransportError, match="request digest differs"):
         client.complete(first + "\n", params.max_tokens, params.temperature)
     assert client.complete(first, params.max_tokens, params.temperature).text == OUTPUTS[0]
+
+
+def test_replay_that_cannot_answer_fails_at_once(tmp_path):
+    path = tmp_path / "exchanges.jsonl"
+    kept = 2
+    recorded = run(RecordingClient(MockCompletionClient(OUTPUTS[:kept]), str(path)))
+    # An exhausted mock script is a transport error like a failed request: retried.
+    assert recorded[1].retries == 10
+    assert recorded[1].failure_reason == "transport: mock script exhausted"
+
+    client = ReplayCompletionClient(str(path))
+    _, stats = run(client, GenerationParams(temperature=0.5))
+    assert (stats.outcome, stats.retries, stats.gates_executed) == ("failed", 1, 0)
+    assert stats.failure_reason == (
+        "transport: replay mismatch at record 0: request digest differs"
+    )
+    assert client.cursor == 0
+
+    client = ReplayCompletionClient(str(path))
+    schedule, stats = run(client)
+    assert (stats.outcome, stats.retries, stats.gates_executed) == ("failed", 1, kept)
+    assert stats.failure_reason == "transport: replay file exhausted"
+    assert schedule.ops == recorded[0].ops
