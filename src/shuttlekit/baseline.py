@@ -4,11 +4,13 @@ The compiler routes one first-layer gate at a time: it enumerates a small
 family of delivery plans for the gate (strip order, chain orientation,
 lateral assignment), simulates each plan to completion on a scratch copy
 of the state, and commits the cheapest. Plans move chains hop by hop and
-park whatever blocks the way, so any connected trap with enough free
-storage is routable. The oracle is an independent check: plain
-breadth-first search over the kernel encoding, feasible only on small
-instances, returning a provably shortest op sequence to the next gate
-execution.
+park whatever blocks the way. Before any search or plan, a reachability
+check (kernel.reachable_gates) stops the compile at once when junction
+locks have sealed every first-layer gate's operands apart: no op sequence
+from that state executes a gate, so the router has boxed itself in. The
+oracle is an independent check: plain breadth-first search over the
+kernel encoding, feasible only on small instances, returning a provably
+shortest op sequence to the next gate execution.
 """
 
 from __future__ import annotations
@@ -794,6 +796,18 @@ class _Router:
         if op_mod.can_execute(self.state, self.graph, self.circuit, gate.id):
             self.emit(ExecuteGate(gate.id))
             return
+        trap = self.graph.encoded
+        chains, locks = kernel.encode_state(self.state, trap[0])
+        first_layer = kernel.encode_gates(self.circuit.first_layer)
+        if not kernel.reachable_gates(trap, chains, locks, first_layer):
+            # Every search and plan below can only fail from here, after
+            # spending its whole budget.
+            raise CompileError(
+                f"junction locks seal gate {gate.id}'s operands, and those of every "
+                "other first-layer gate, away from any gate vertex where they could "
+                "meet; the router boxed itself in, which does not prove that the "
+                "circuit has no schedule"
+            )
         exact = len(self.graph.vertices) <= ORACLE_MAX_VERTICES
         if exact:
             if self._search_next(_SEARCH_CAP_EXACT):
@@ -867,7 +881,10 @@ def compile(circuit: Circuit, graph: TrapGraph) -> Schedule:
 
     Deterministic: gate choice ties break on the lowest gate id and every
     plan comparison is ordered. Raises CompileError when no plan can route
-    a gate (the trap is too full or lacks eligible vertices).
+    a gate (the trap is too full or lacks eligible vertices), or, without
+    searching, when junction locks the router left behind seal every
+    first-layer gate's operands apart. Neither proves that the circuit has
+    no schedule on the trap.
     """
     try:
         placement = initial_placement(circuit, graph)

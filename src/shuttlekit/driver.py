@@ -141,6 +141,7 @@ class MockCompletionClient:
     """Scripted client: returns canned responses in order; reset() rewinds.
 
     Token counts default to the whitespace estimate so scripts stay terse.
+    A request after the last response raises ReplayMismatchError.
     """
 
     def __init__(
@@ -159,7 +160,7 @@ class MockCompletionClient:
 
     def complete(self, instruction: str, max_tokens: int, temperature: float) -> CompletionResult:
         if self.cursor >= len(self.script):
-            raise TransportError("mock script exhausted")
+            raise ReplayMismatchError("mock script exhausted")
         text = self.script[self.cursor]
         tokens = (
             self.token_counts[self.cursor]
@@ -246,7 +247,8 @@ def generate_schedule(
     continues from the state their trial replay ended in. Invalid responses
     resubmit the identical instruction, and ten consecutive invalid
     responses (or the time budget) abort the run with a partial schedule.
-    A replay file that cannot answer the instruction aborts it at once.
+    A scripted or replayed client that cannot answer the instruction aborts
+    it at once.
     """
     placement = initial_placement(circuit, graph)
     state = placement

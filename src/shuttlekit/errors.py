@@ -38,7 +38,12 @@ class ScheduleValidationError(ShuttleError):
 
 
 class CompileError(ShuttleError):
-    """Router could not produce a legal operation sequence."""
+    """Router could not produce a legal operation sequence.
+
+    The router gave up, or junction locks it left behind seal every
+    first-layer gate away; either way this is not proof that no schedule
+    exists.
+    """
 
 
 class OracleLimitError(ShuttleError):
@@ -62,4 +67,7 @@ class TransportError(ShuttleError):
 
 
 class ReplayMismatchError(TransportError):
-    """Recorded exchange file cannot answer the request, so a retry cannot help."""
+    """A scripted client or recorded exchange file cannot answer the request.
+
+    Its answers are fixed in advance, so a retry cannot help.
+    """

@@ -19,6 +19,7 @@ from .pure import (
     SEPARATE,
     SWAP,
     TRANSLATE,
+    reachable_gates,
     ready_gates,
     shortest_route,
     successors,

@@ -95,6 +95,58 @@ def ready_gates(trap, chains, gates):
     return out
 
 
+def reachable_gates(trap, chains, locks, gates):
+    """Gate ids whose operands could ever meet in one gate-capable vertex.
+
+    A sound over-approximation of what any op sequence can reach, so a gate
+    left out can never execute. Occupancy and capacity are ignored, and a
+    qubit moves along trap edges. A Translate u -> w into junction w with
+    locks[w] == u stays blocked until some chain can reach w; once one can,
+    every side of w counts as open, because leaving w rewrites its lock.
+    Separate and Merge need no rule of their own: they move qubits between
+    a vertex and its lateral neighbours, which are adjacent, and a legal
+    split or merge touches no junction, so no lock ever blocks those edges.
+    With no lock set every gate is returned at once, since traps are
+    connected.
+    """
+    if max(locks) < 0:
+        return [gate_id for gate_id, _ in gates]
+    n, neighbors, is_junction, can_gate = trap[0], trap[2], trap[3], trap[7]
+    opened: set[int] = set()
+
+    def reach(sources):
+        seen = set(sources)
+        stack = list(sources)
+        while stack:
+            u = stack.pop()
+            for w in neighbors[u]:
+                if w in seen or (is_junction[w] and locks[w] == u and w not in opened):
+                    continue
+                seen.add(w)
+                stack.append(w)
+        return seen
+
+    occupied = [v for v in range(n) if chains[v]]
+    while True:
+        reached = {w for w in reach(occupied) if is_junction[w]}
+        if reached <= opened:
+            break
+        opened |= reached
+    vertex_of = {q: v for v in occupied for q in chains[v]}
+    targets: dict[int, set[int]] = {}
+    out = []
+    for gate_id, operands in gates:
+        common = None
+        for q in operands:
+            v = vertex_of[q]
+            if v not in targets:
+                targets[v] = {w for w in reach([v]) if can_gate[w]}
+            common = targets[v] if common is None else common & targets[v]
+        if common:
+            out.append(gate_id)
+    return out
+
+
 def shortest_route(trap, chains, locks, gates):
     """Shortest op sequence ending in an ExecuteGate, or None if unreachable.
 

@@ -6,7 +6,8 @@ to the router that moves one must say so by updating the table.
 
 import pytest
 
-from shuttlekit import baseline, trap
+from shuttlekit import baseline, kernel, trap
+from shuttlekit.errors import CompileError
 from shuttlekit.schedule import validate
 
 # (layout, qubits) -> op counts of random_circuit(qubits, 4, seed) for seeds 0, 1, 2.
@@ -30,3 +31,23 @@ def test_compile_on_eval_layouts(kind, qubits, seed):
     report = validate(schedule)
     assert report.ok, report.reason
     assert len(schedule.ops) == EVAL_OPS[kind, qubits][seed]
+
+
+def test_sealed_router_fails_before_searching(monkeypatch):
+    """Junction locks box the router in at gate 22; it must stop there at once.
+
+    Counted in kernel successor calls, not seconds: searching from the
+    sealed state spends its whole budget, over 258,000 calls, for nothing.
+    """
+    calls = 0
+    successors = kernel.successors
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return successors(*args)
+
+    monkeypatch.setattr(kernel, "successors", counted)
+    with pytest.raises(CompileError, match="junction locks seal gate 22's operands"):
+        baseline.compile(baseline.random_circuit(6, 6, 1), trap.build_branched(6, 2, 2))
+    assert 0 < calls < 10_000

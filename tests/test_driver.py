@@ -113,8 +113,8 @@ def test_replay_that_cannot_answer_fails_at_once(tmp_path):
     path = tmp_path / "exchanges.jsonl"
     kept = 2
     recorded = run(RecordingClient(MockCompletionClient(OUTPUTS[:kept]), str(path)))
-    # An exhausted mock script is a transport error like a failed request: retried.
-    assert recorded[1].retries == 10
+    # A script cannot grow an answer, so its end fails the run at once.
+    assert (recorded[1].outcome, recorded[1].retries) == ("failed", 1)
     assert recorded[1].failure_reason == "transport: mock script exhausted"
 
     client = ReplayCompletionClient(str(path))

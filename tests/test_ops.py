@@ -430,6 +430,77 @@ def test_kernel_matches_violation_on_random_walks(graph, qubits):
     assert not oracle or routes > 0
 
 
+# -- reachability over-approximation ---------------------------------------------------
+
+SEAL_BRANCHED = trap.build_branched(3, 2, 1)  # stacks 7-8 off junction 1, 9-10 off 5
+
+SEAL_TRAPS = [
+    (trap.build_eval_layout("ring", 3), 3),
+    (trap.build_eval_layout("ring", 4), 4),
+    (trap.build_eval_layout("four_way", 3), 3),
+    (trap.build_eval_layout("four_way", 4), 4),
+    (trap.build_eval_layout("multi_linear", 3), 3),
+    (trap.build_eval_layout("multi_linear", 4), 4),
+    (SEAL_BRANCHED, 3),
+    (SEAL_BRANCHED, 4),
+]
+
+# (chains, locks) of three qubits on SEAL_BRANCHED. In the first, qubit 0 can walk its
+# stack but never re-enter junction 1, qubit 1 likewise at junction 5, and
+# the empty spine with the gate vertex between them is closed to both. In
+# the second, qubit 1 reaches junction 1 along the spine and can rewrite
+# its lock, so qubit 0 gets out.
+SEALED_BY_HAND = [
+    ({8: (0,), 9: (1,), 10: (2,)}, {1: 7, 5: 9}),
+    ({8: (0,), 4: (1,), 10: (2,)}, {1: 7}),
+]
+
+
+def every_gate(qubits):
+    """Every one- and two-qubit gate on these qubits, as kernel (id, operands) pairs."""
+    operands = [(q,) for q in range(qubits)] + list(itertools.combinations(range(qubits), 2))
+    return [(gate_id, qs) for gate_id, qs in enumerate(operands, start=1)]
+
+
+def test_reachable_gates_leave_out_only_unroutable_gates():
+    """A gate reachable_gates leaves out has no op sequence that executes it.
+
+    States come from seeded random walks over kernel successors, plus the
+    hand-built states above; exhaustive shortest_route is the reference.
+    """
+    left_out = left_out_moving = 0
+    for graph, qubits in SEAL_TRAPS:
+        enc = graph.encoded
+        gates = every_gate(qubits)
+        states = []
+        if graph is SEAL_BRANCHED and qubits == 3:
+            for chains, locks in SEALED_BY_HAND:
+                states.append(kernel.encode_state(TrapState(chains, locks), enc[0]))
+        for seed in range(8):
+            rng = random.Random(seed)
+            chains, locks = kernel.encode_state(
+                initial_placement(random_circuit(qubits, 4, seed), graph), enc[0]
+            )
+            for _ in range(100):
+                states.append((chains, locks))
+                moves = kernel.successors(enc, chains, locks)
+                if not moves:
+                    break
+                _, chains, locks = rng.choice(moves)
+        for chains, locks in states:
+            kept = kernel.reachable_gates(enc, chains, locks, gates)
+            for gate in gates:
+                if gate[0] in kept:
+                    continue
+                assert kernel.shortest_route(enc, chains, locks, (gate,)) is None, (
+                    graph, chains, locks, gate
+                )
+                left_out += 1
+                left_out_moving += bool(kernel.successors(enc, chains, locks))
+    assert left_out_moving > 0
+    assert left_out > left_out_moving
+
+
 # -- text form -------------------------------------------------------------------
 
 
