@@ -19,6 +19,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernel
 from . import ops as op_mod
@@ -30,6 +31,7 @@ from .errors import (
     OracleLimitError,
     PlacementError,
 )
+from .kernel import MERGE, SWAP, TRANSLATE
 from .ops import ExecuteGate, Merge, Separate, ShuttleOp, Swap, Translate
 from .schedule import Schedule, optimize, step
 from .state import TrapState, initial_placement
@@ -59,6 +61,149 @@ class _PairPlan:
     cross_with_q2: bool
 
 
+class _SearchTables(NamedTuple):
+    """Per-compile tables behind the search estimate and the seal penalty.
+
+    gate_tables[k][v] is the hop distance from v to the k-th gate vertex
+    and `far` stands in for an unreachable one. pair_min[va][vb] is the
+    smallest t[va] + t[vb] over those tables t, or t[va] alone when
+    va == vb (far when the trap has no gate vertex). corridor[k][v] is the
+    bitmask of vertices w with apd[v][w] + t[w] == t[v], the vertices on
+    some shortest path from v to gate vertex k, v itself included.
+    seal_exits[j], for a junction j (None elsewhere), maps each neighbor
+    dst to the bitmask of vertices that must all be empty for the
+    Translate j -> dst to leave nothing on any other side of j.
+    junction_mask is the bitmask of junction vertices.
+    """
+
+    far: int
+    gate_tables: list[list[int]]
+    pair_min: list[list[int]]
+    corridor: list[list[int]]
+    seal_exits: list[dict[int, int] | None]
+    junction_mask: int
+
+
+def _search_tables(graph: TrapGraph) -> _SearchTables:
+    """Build the search tables of one trap, once per compile."""
+    n = len(graph.vertices)
+    far = 4 * n + 8
+    gate_tables = []
+    for g in graph.gate_vertices:
+        d = bfs_distances(graph, g)
+        gate_tables.append([d.get(v, far) for v in range(n)])
+    apd = []
+    for v in range(n):
+        d = bfs_distances(graph, v)
+        apd.append([d.get(w, far) for w in range(n)])
+    pair_min = [
+        [
+            min((t[va] + (t[vb] if vb != va else 0) for t in gate_tables), default=far)
+            for vb in range(n)
+        ]
+        for va in range(n)
+    ]
+    corridor = [
+        [sum(1 << w for w in range(n) if apd[v][w] + t[w] == t[v]) for v in range(n)]
+        for t in gate_tables
+    ]
+    seal_exits: list[dict[int, int] | None] = [None] * n
+    junction_mask = 0
+    for j in range(n):
+        if not graph.is_junction(j):
+            continue
+        junction_mask |= 1 << j
+        comp = [-1] * n
+        mark = 0
+        for root in range(n):
+            if root == j or comp[root] >= 0:
+                continue
+            comp[root] = mark
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                for w in graph.neighbors(u):
+                    if w != j and comp[w] < 0:
+                        comp[w] = mark
+                        stack.append(w)
+            mark += 1
+        seal_exits[j] = {
+            dst: sum(1 << w for w in range(n) if w != j and comp[w] != comp[dst])
+            for dst in graph.neighbors(j)
+        }
+    return _SearchTables(far, gate_tables, pair_min, corridor, seal_exits, junction_mask)
+
+
+def _positions(chains: tuple, qubit_count: int) -> tuple[list[int], int]:
+    """Qubit -> vertex list and occupancy bitmask of an encoded state."""
+    pos = [0] * qubit_count
+    occupied = 0
+    for v, chain in enumerate(chains):
+        if chain:
+            occupied |= 1 << v
+            for q in chain:
+                pos[q] = v
+    return pos, occupied
+
+
+def _estimate(tables: _SearchTables, gates: tuple, greedy: bool):
+    """The search estimate for first-layer `gates`, as h(chains, pos, occupied).
+
+    The minimum over gates and gate vertices of the operands' distance to
+    that vertex, plus one for the execute, plus a stranger term per qubit
+    sharing an operand's chain (weight 1 exact, 3 greedy). Greedy mode adds
+    2 per occupied vertex, operands' own excepted, that lies on a shortest
+    path from an operand to the gate vertex. The result is 1 exactly when
+    some gate is ready: its operands alone fill a gate vertex's chain.
+    """
+    far = tables.far
+    operands = [qs for _, qs in gates]
+    if not greedy:
+        pair_min = tables.pair_min
+
+        def exact_estimate(chains: tuple, pos: list[int], occupied: int) -> int:
+            best = far
+            for qs in operands:
+                va = pos[qs[0]]
+                if len(qs) == 1:
+                    cand = pair_min[va][va] + len(chains[va])
+                else:
+                    vb = pos[qs[1]]
+                    if va == vb:
+                        cand = pair_min[va][va] + len(chains[va]) - 1
+                    else:
+                        cand = pair_min[va][vb] + len(chains[va]) + len(chains[vb]) - 1
+                if cand < best:
+                    best = cand
+            return best
+
+        return exact_estimate
+    paths = list(zip(tables.gate_tables, tables.corridor))
+
+    def greedy_estimate(chains: tuple, pos: list[int], occupied: int) -> int:
+        best = far
+        for qs in operands:
+            va = pos[qs[0]]
+            vb = pos[qs[1]] if len(qs) > 1 else va
+            if va == vb:
+                base = 3 * (len(chains[va]) - len(qs)) + 1
+                others = occupied & ~(1 << va)
+                for t, mask in paths:
+                    cand = t[va] + base + 2 * (mask[va] & others).bit_count()
+                    if cand < best:
+                        best = cand
+            else:
+                base = 3 * (len(chains[va]) + len(chains[vb]) - 2) + 1
+                others = occupied & ~((1 << va) | (1 << vb))
+                for t, mask in paths:
+                    cand = t[va] + t[vb] + base + 2 * ((mask[va] | mask[vb]) & others).bit_count()
+                    if cand < best:
+                        best = cand
+        return best
+
+    return greedy_estimate
+
+
 class _Router:
     """Mutable compilation cursor: current state, remaining circuit, emitted ops."""
 
@@ -68,11 +213,7 @@ class _Router:
         self.state = state
         self.ops: list[ShuttleOp] = []
         self._dist: dict[int, dict[int, int]] = {}
-        self._gs_tables: list[list[int]] = []
-        self._apd: list[list[int]] = []
-        self._far = 0
-        self._junctions: list[int] = []
-        self._seal_comp: dict[int, list[int]] = {}
+        self._tables: _SearchTables | None = None
         self._search_cooldown = 0
 
     # -- bookkeeping ------------------------------------------------------
@@ -582,36 +723,6 @@ class _Router:
 
     # -- state-space search -------------------------------------------------
 
-    def _search_tables(self) -> tuple:
-        trap = self.graph.encoded
-        if not self._apd:
-            n = trap[0]
-            self._far = 4 * n + 8
-            for g in self.graph.gate_vertices:
-                d = bfs_distances(self.graph, g)
-                self._gs_tables.append([d.get(v, self._far) for v in range(n)])
-            for v in range(n):
-                d = bfs_distances(self.graph, v)
-                self._apd.append([d.get(w, self._far) for w in range(n)])
-            self._junctions = [v for v in range(n) if self.graph.is_junction(v)]
-            for j in self._junctions:
-                comp = [-1] * n
-                mark = 0
-                for root in range(n):
-                    if root == j or comp[root] >= 0:
-                        continue
-                    comp[root] = mark
-                    stack = [root]
-                    while stack:
-                        u = stack.pop()
-                        for w in self.graph.neighbors(u):
-                            if w != j and comp[w] < 0:
-                                comp[w] = mark
-                                stack.append(w)
-                    mark += 1
-                self._seal_comp[j] = comp
-        return trap
-
     def _search_next(self, cap: int, force_greedy: bool = False) -> bool:
         """Weighted best-first search to the nearest first-layer execution.
 
@@ -622,72 +733,48 @@ class _Router:
         narrow (force_greedy selects those terms on any trap, the rescue
         mode for deep tangles). Returns False once `cap` expansions are
         spent so the caller can fall back to plan enumeration.
+
+        Node cost is kept low without changing which nodes are expanded or
+        in what order: the estimate and the seal penalty read the
+        per-compile `_SearchTables`, positions and occupancy are computed
+        once per expanded node and patched per pushed child from the
+        vertices its op touches, and kernel.ready_gates runs only on nodes
+        whose estimate is 1, the only ones where a gate can be ready.
         """
-        trap = self._search_tables()
+        trap = self.graph.encoded
+        if self._tables is None:
+            self._tables = _search_tables(self.graph)
+        tables = self._tables
         n = trap[0]
         gates_enc = kernel.encode_gates(self.circuit.first_layer)
         if not gates_enc:
             return True
-        tables = self._gs_tables
-        apd = self._apd
-        far = self._far
-        exact = n <= ORACLE_MAX_VERTICES and not force_greedy
-        weight = 1 if exact else 2
-        stranger_w = 1 if exact else 3
-        corridor_w = 0 if exact else 2
-
-        def heuristic(chains: tuple) -> int:
-            pos: dict[int, int] = {}
-            occupied: list[int] = []
-            for v, ch in enumerate(chains):
-                if ch:
-                    occupied.append(v)
-                    for q in ch:
-                        pos[q] = v
-            best = far
-            for _, qs in gates_enc:
-                if len(qs) == 1:
-                    va = vb = pos[qs[0]]
-                    dirt = stranger_w * (len(chains[va]) - 1)
-                else:
-                    va, vb = pos[qs[0]], pos[qs[1]]
-                    if va == vb:
-                        dirt = stranger_w * (len(chains[va]) - 2)
-                    else:
-                        dirt = stranger_w * (len(chains[va]) + len(chains[vb]) - 2)
-                for t in tables:
-                    cand = t[va] + dirt + 1
-                    if vb != va:
-                        cand += t[vb]
-                    if corridor_w:
-                        da, db = apd[va], apd[vb]
-                        for w in occupied:
-                            if w == va or w == vb:
-                                continue
-                            if da[w] + t[w] == t[va] or db[w] + t[w] == t[vb]:
-                                cand += corridor_w
-                    if cand < best:
-                        best = cand
-            return best
+        greedy = force_greedy or n > ORACLE_MAX_VERTICES
+        weight = 2 if greedy else 1
+        heuristic = _estimate(tables, gates_enc, greedy)
+        lat_left, lat_right = trap[5], trap[6]
+        seal_exits = tables.seal_exits
+        junction_mask = tables.junction_mask
+        qubit_count = self.circuit.qubit_count
 
         start_chains, start_locks = kernel.encode_state(self.state, n)
         start = (start_chains, start_locks)
         best: dict[tuple, tuple] = {start: (0, None, None)}
-        heap: list[tuple[int, int, int, tuple]] = [
-            (weight * heuristic(start_chains), 0, 0, start)
-        ]
+        start_h = heuristic(start_chains, *_positions(start_chains, qubit_count))
+        heap: list[tuple[int, int, int, tuple]] = [(weight * start_h, 0, 0, start)]
         counter = 0
         expansions = 0
         while heap:
-            _, g, _, node = heapq.heappop(heap)
+            f, g, _, node = heapq.heappop(heap)
             if g > best[node][0]:
                 continue
             chains, locks = node
-            ready = kernel.ready_gates(trap, chains, gates_enc)
+            pos, occupied = _positions(chains, qubit_count)
             # A slice may route through junctions but must not end on one:
             # a chain resting there when the gate fires can lock half the
             # trap away for every later gate.
-            if ready and all(not chains[j] for j in self._junctions):
+            if f - g == weight and not occupied & junction_mask:
+                ready = kernel.ready_gates(trap, chains, gates_enc)
                 codes = [(kernel.EXECUTE, min(ready), -1)]
                 cur = node
                 while True:
@@ -704,28 +791,41 @@ class _Router:
                 return False
             for code, nxt_chains, nxt_locks in kernel.successors(trap, chains, locks):
                 ng = g + 1
-                if code[0] == kernel.TRANSLATE and code[1] in self._seal_comp:
-                    # Leaving a junction with nothing behind it locks that
-                    # region away for good (re-entry from the exit side is
-                    # forbidden and no chain remains to tap it open).
-                    # Permitted, since the last chain out of a stack always
-                    # does this, but expensive enough to prefer any detour.
-                    comp = self._seal_comp[code[1]]
-                    side = comp[code[2]]
-                    if all(
-                        not nxt_chains[w] or comp[w] == side
-                        for w in range(n)
-                        if w != code[1]
-                    ):
+                kind, v, dst = code
+                if kind == TRANSLATE:
+                    exits = seal_exits[v]
+                    if exits is not None and not occupied & exits[dst]:
+                        # Leaving a junction with nothing behind it locks
+                        # that region away for good (re-entry from the exit
+                        # side is forbidden and no chain remains to tap it
+                        # open). Permitted, since the last chain out of a
+                        # stack always does this, but expensive enough to
+                        # prefer any detour.
                         ng += 30
                 nxt = (nxt_chains, nxt_locks)
                 seen = best.get(nxt)
                 if seen is not None and seen[0] <= ng:
                     continue
                 best[nxt] = (ng, node, code)
+                if kind == SWAP:
+                    nxt_pos, nxt_occupied = pos, occupied
+                else:
+                    if kind == TRANSLATE:
+                        touched: tuple[int, ...] = (dst,)
+                        flipped = (1 << v) | (1 << dst)
+                    else:
+                        left, right = lat_left[v], lat_right[v]
+                        touched = (v,) if kind == MERGE else (left, right)
+                        flipped = (1 << v) | (1 << left) | (1 << right)
+                    nxt_occupied = occupied ^ flipped
+                    nxt_pos = pos.copy()
+                    for w in touched:
+                        for q in nxt_chains[w]:
+                            nxt_pos[q] = w
                 counter += 1
                 heapq.heappush(
-                    heap, (ng + weight * heuristic(nxt_chains), ng, counter, nxt)
+                    heap,
+                    (ng + weight * heuristic(nxt_chains, nxt_pos, nxt_occupied), ng, counter, nxt),
                 )
         return False
 

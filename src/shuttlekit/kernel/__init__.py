@@ -2,9 +2,10 @@
 
 The kernel works on flat vertex-indexed tuples instead of the rich
 dataclasses so that states hash cheaply. `TrapGraph.encoded` flattens a
-trap once per graph; `encode_state` and `encode_gates` below flatten a
-state and a gate list. The search functions are plain Python and live in
-`kernel.pure`; package code calls them through this module.
+trap once per graph, site tables included, so per-state calls test only
+occupancy, locks and capacity; `encode_state` and `encode_gates` below
+flatten a state and a gate list. The search functions are plain Python
+and live in `kernel.pure`; package code calls them through this module.
 """
 
 from __future__ import annotations

@@ -4,9 +4,12 @@ The one implementation of the shuttling rules that the router, the oracle
 and ops.allowed_ops enumerate with; ops.violation words the same rules per
 op, and tests hold the two equal. Operates on the compact encodings: the
 trap as `TrapGraph.encoded`, chains as a vertex-indexed tuple of qubit
-tuples, locks as a vertex-indexed tuple with -1 for unset. Op codes are
-(kind, a, b) with kinds 0=Translate(src, dst), 1=Separate(v), 2=Merge(v),
-3=Swap(v), 4=ExecuteGate(gate); ops.decode_op turns one into a ShuttleOp.
+tuples, locks as a vertex-indexed tuple with -1 for unset. The trap's
+static site tables settle every state-independent condition (flags,
+lateral pairs, junction sides) once per trap, so a call tests only
+occupancy, locks and capacity. Op codes are (kind, a, b) with kinds
+0=Translate(src, dst), 1=Separate(v), 2=Merge(v), 3=Swap(v),
+4=ExecuteGate(gate); ops.decode_op turns one into a ShuttleOp.
 """
 
 from __future__ import annotations
@@ -18,18 +21,19 @@ TRANSLATE, SEPARATE, MERGE, SWAP, EXECUTE = range(5)
 
 def successors(trap, chains, locks):
     """All legal shuttling transitions from a state, in canonical op order."""
-    n, capacity, neighbors, is_junction, can_sep, can_mer, can_swp, _, lat_left, lat_right = trap
+    capacity, is_junction = trap[1], trap[3]
+    adjacent, separate_sites, merge_sites, swap_sites = trap[7:11]
     out = []
-    for src in range(n):
-        if not chains[src]:
+    for src, chain in enumerate(chains):
+        if not chain:
             continue
-        for dst in neighbors[src]:
+        for dst, dst_is_junction in adjacent[src]:
             if chains[dst]:
                 continue
-            if is_junction[dst] and locks[dst] == src:
+            if dst_is_junction and locks[dst] == src:
                 continue
             new_chains = list(chains)
-            new_chains[dst] = chains[src]
+            new_chains[dst] = chain
             new_chains[src] = ()
             if is_junction[src]:
                 new_locks = list(locks)
@@ -37,27 +41,18 @@ def successors(trap, chains, locks):
                 out.append(((TRANSLATE, src, dst), tuple(new_chains), tuple(new_locks)))
             else:
                 out.append(((TRANSLATE, src, dst), tuple(new_chains), locks))
-    for v in range(n):
-        if not can_sep[v] or len(chains[v]) < 2:
+    for v, left, right in separate_sites:
+        chain = chains[v]
+        if len(chain) < 2 or chains[left] or chains[right]:
             continue
-        left, right = lat_left[v], lat_right[v]
-        if left < 0 or chains[left] or chains[right]:
-            continue
-        if is_junction[left] or is_junction[right]:
-            continue
-        head = (len(chains[v]) + 1) // 2
+        head = (len(chain) + 1) // 2
         new_chains = list(chains)
-        new_chains[left] = chains[v][:head]
-        new_chains[right] = chains[v][head:]
+        new_chains[left] = chain[:head]
+        new_chains[right] = chain[head:]
         new_chains[v] = ()
         out.append(((SEPARATE, v, -1), tuple(new_chains), locks))
-    for v in range(n):
-        if not can_mer[v] or chains[v]:
-            continue
-        left, right = lat_left[v], lat_right[v]
-        if left < 0 or not chains[left] or not chains[right]:
-            continue
-        if is_junction[left] or is_junction[right]:
+    for v, left, right in merge_sites:
+        if chains[v] or not chains[left] or not chains[right]:
             continue
         if len(chains[left]) + len(chains[right]) > capacity:
             continue
@@ -66,8 +61,8 @@ def successors(trap, chains, locks):
         new_chains[left] = ()
         new_chains[right] = ()
         out.append(((MERGE, v, -1), tuple(new_chains), locks))
-    for v in range(n):
-        if can_swp[v] and len(chains[v]) >= 2:
+    for v in swap_sites:
+        if len(chains[v]) >= 2:
             new_chains = list(chains)
             new_chains[v] = chains[v][::-1]
             out.append(((SWAP, v, -1), tuple(new_chains), locks))
@@ -77,7 +72,7 @@ def successors(trap, chains, locks):
 def ready_gates(trap, chains, gates):
     """Gate ids whose operands sit alone together in a gate-capable vertex."""
     n = trap[0]
-    can_gate = trap[7]
+    can_gate = trap[4]
     out = []
     for gate_id, operands in gates:
         first = operands[0]
@@ -111,7 +106,7 @@ def reachable_gates(trap, chains, locks, gates):
     """
     if max(locks) < 0:
         return [gate_id for gate_id, _ in gates]
-    n, neighbors, is_junction, can_gate = trap[0], trap[2], trap[3], trap[7]
+    n, neighbors, is_junction, can_gate = trap[0], trap[2], trap[3], trap[4]
     opened: set[int] = set()
 
     def reach(sources):
@@ -151,11 +146,14 @@ def shortest_route(trap, chains, locks, gates):
     """Shortest op sequence ending in an ExecuteGate, or None if unreachable.
 
     Breadth-first over successors; ties resolve by canonical op order, so
-    the result is deterministic.
+    the result is deterministic. When reachable_gates already rules every
+    gate out, it returns None without searching.
     """
     ready = ready_gates(trap, chains, gates)
     if ready:
         return ((EXECUTE, min(ready), -1),)
+    if not reachable_gates(trap, chains, locks, gates):
+        return None
     start = (chains, locks)
     parents: dict[tuple, tuple | None] = {start: None}
     queue = deque([start])

@@ -1,14 +1,21 @@
 """The compiler on the evaluation layouts: valid schedules with pinned op counts.
 
-The op counts are the compiler's output when the test was written; a change
-to the router that moves one must say so by updating the table.
+The op counts and the schedule digest are the compiler's output when the
+tests were written; a change to the router that moves one must say so by
+updating the table or the digest. The search estimate is checked against
+its defining formula on random walk states.
 """
+
+import hashlib
+import random
 
 import pytest
 
 from shuttlekit import baseline, kernel, trap
 from shuttlekit.errors import CompileError
+from shuttlekit.ops import format_op
 from shuttlekit.schedule import validate
+from shuttlekit.state import initial_placement
 
 # (layout, qubits) -> op counts of random_circuit(qubits, 4, seed) for seeds 0, 1, 2.
 EVAL_OPS = {
@@ -51,3 +58,121 @@ def test_sealed_router_fails_before_searching(monkeypatch):
     with pytest.raises(CompileError, match="junction locks seal gate 22's operands"):
         baseline.compile(baseline.random_circuit(6, 6, 1), trap.build_branched(6, 2, 2))
     assert 0 < calls < 10_000
+
+
+# The schedules of random_circuit(q, 6, seed), seeds 0-3, on three traps: ring
+# q4 (6 vertices, exact search, a junction whose exits pay the seal
+# penalty), linear(5) q5 (11 vertices, greedy search) and four_way q5
+# (greedy search across junctions). A change to the router that moves any
+# op must say so by updating the digest.
+GOLDEN_GRID = [
+    (trap.build_eval_layout("ring", 4), 4),
+    (trap.build_linear(5), 5),
+    (trap.build_eval_layout("four_way", 5), 5),
+]
+GOLDEN_SHA256 = "fbeb47e79979e1b97e604fe9343925b8f965a5242baa4a8eef200d76e5117d8e"
+
+
+def test_compiled_schedules_match_golden_digest():
+    digest = hashlib.sha256()
+    for graph, qubits in GOLDEN_GRID:
+        for seed in range(4):
+            schedule = baseline.compile(baseline.random_circuit(qubits, 6, seed), graph)
+            digest.update("\n".join(map(format_op, schedule.ops)).encode() + b"\n\n")
+    assert digest.hexdigest() == GOLDEN_SHA256
+
+
+# -- search estimate against its defining formula ------------------------------
+
+HEURISTIC_TRAPS = [
+    (trap.build_eval_layout("ring", 4), 4),
+    (trap.build_eval_layout("four_way", 5), 5),
+    (trap.build_eval_layout("multi_linear", 4), 4),
+    (trap.build_branched(3, 2, 1), 4),
+    (trap.build_linear(3), 3),
+]
+
+
+def reference_heuristic(graph, gates, chains, greedy):
+    """The search estimate as a direct scan over gate vertices and occupied vertices."""
+    n = len(graph.vertices)
+    far = 4 * n + 8
+    tables = []
+    for g in graph.gate_vertices:
+        d = trap.bfs_distances(graph, g)
+        tables.append([d.get(v, far) for v in range(n)])
+    apd = []
+    for v in range(n):
+        d = trap.bfs_distances(graph, v)
+        apd.append([d.get(w, far) for w in range(n)])
+    stranger_w, corridor_w = (3, 2) if greedy else (1, 0)
+    pos = {}
+    occupied = []
+    for v, chain in enumerate(chains):
+        if chain:
+            occupied.append(v)
+            for q in chain:
+                pos[q] = v
+    best = far
+    for _, qs in gates:
+        if len(qs) == 1:
+            va = vb = pos[qs[0]]
+            dirt = stranger_w * (len(chains[va]) - 1)
+        else:
+            va, vb = pos[qs[0]], pos[qs[1]]
+            if va == vb:
+                dirt = stranger_w * (len(chains[va]) - 2)
+            else:
+                dirt = stranger_w * (len(chains[va]) + len(chains[vb]) - 2)
+        for t in tables:
+            cand = t[va] + dirt + 1
+            if vb != va:
+                cand += t[vb]
+            if corridor_w:
+                for w in occupied:
+                    if w == va or w == vb:
+                        continue
+                    if apd[va][w] + t[w] == t[va] or apd[vb][w] + t[w] == t[vb]:
+                        cand += corridor_w
+            best = min(best, cand)
+    return best
+
+
+@pytest.mark.parametrize(
+    "graph,qubits",
+    HEURISTIC_TRAPS,
+    ids=["ring4", "four_way5", "multi_linear4", "branched321", "linear3"],
+)
+def test_search_estimate_matches_reference_on_random_walks(graph, qubits):
+    """The table-driven search estimate equals the direct formula.
+
+    On seeded walk states, in both exact and greedy mode; it is also 1
+    exactly when kernel.ready_gates finds a gate, which the search relies
+    on to skip that call elsewhere.
+    """
+    enc = graph.encoded
+    tables = baseline._search_tables(graph)
+    ready_states = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        circuit = baseline.random_circuit(qubits, 4, seed)
+        chains, locks = kernel.encode_state(initial_placement(circuit, graph), enc[0])
+        for _ in range(80):
+            gates = kernel.encode_gates(circuit.first_layer)
+            if not gates:
+                break
+            pos, occupied = baseline._positions(chains, qubits)
+            ready = kernel.ready_gates(enc, chains, gates)
+            ready_states += bool(ready)
+            for greedy in (False, True):
+                h = baseline._estimate(tables, gates, greedy)(chains, pos, occupied)
+                assert h == reference_heuristic(graph, gates, chains, greedy)
+                assert (h == 1) == bool(ready)
+            if ready and rng.random() < 0.5:
+                circuit = circuit.mark_executed(min(ready))
+                continue
+            moves = kernel.successors(enc, chains, locks)
+            if not moves:
+                break
+            _, chains, locks = rng.choice(moves)
+    assert ready_states > 0

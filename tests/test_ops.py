@@ -361,6 +361,25 @@ def canonical_key(op):
     return (kinds.index(type(op)) + 1, op.gate if isinstance(op, ExecuteGate) else op.at)
 
 
+# Gate vertex 2 has junction 1 on its left lateral side, so no state may
+# split or merge there, while storage vertex 3 (lateral pair 2, 4) allows
+# both: the static site tables must tell the two apart.
+#   0 - (1) - [2] - 3 - 4
+#        |
+#        5 - 6
+JUNCTION_LATERAL = trap.TrapGraph(
+    {
+        0: trap.Vertex(0, trap.VertexKind.STORAGE),
+        1: trap.Vertex(1, trap.VertexKind.JUNCTION),
+        2: trap.Vertex(2, trap.VertexKind.GATE, frozenset(trap.ELIGIBILITY_FLAGS)),
+        3: trap.Vertex(3, trap.VertexKind.STORAGE, frozenset({"separate", "merge", "swap"})),
+        4: trap.Vertex(4, trap.VertexKind.STORAGE),
+        5: trap.Vertex(5, trap.VertexKind.STORAGE),
+        6: trap.Vertex(6, trap.VertexKind.STORAGE),
+    },
+    frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6)}),
+)
+
 WALK_TRAPS = [
     (trap.build_linear(1), 3),
     (trap.build_linear(2), 4),
@@ -372,6 +391,7 @@ WALK_TRAPS = [
     (trap.build_eval_layout("multi_linear", 4), 4),
     (trap.build_eval_layout("multi_linear", 6), 6),
     (trap.build_eval_layout("four_way", 8), 8),
+    (JUNCTION_LATERAL, 3),
 ]
 
 
@@ -379,7 +399,8 @@ WALK_TRAPS = [
     "graph,qubits",
     WALK_TRAPS,
     ids=["linear1", "linear2", "linear4", "branched111", "branched622",
-         "ring4", "ring6", "multi_linear4", "multi_linear6", "four_way8"],
+         "ring4", "ring6", "multi_linear4", "multi_linear6", "four_way8",
+         "junction_lateral"],
 )
 def test_kernel_matches_violation_on_random_walks(graph, qubits):
     """Seeded random walks from the initial placement of random circuits.
@@ -462,11 +483,26 @@ def every_gate(qubits):
     return [(gate_id, qs) for gate_id, qs in enumerate(operands, start=1)]
 
 
+def routable(enc, chains, locks, gate):
+    """Whether any op sequence executes gate: exhaustive search over kernel successors."""
+    seen = {(chains, locks)}
+    stack = [(chains, locks)]
+    while stack:
+        chains, locks = stack.pop()
+        if kernel.ready_gates(enc, chains, (gate,)):
+            return True
+        for _, next_chains, next_locks in kernel.successors(enc, chains, locks):
+            if (next_chains, next_locks) not in seen:
+                seen.add((next_chains, next_locks))
+                stack.append((next_chains, next_locks))
+    return False
+
+
 def test_reachable_gates_leave_out_only_unroutable_gates():
     """A gate reachable_gates leaves out has no op sequence that executes it.
 
     States come from seeded random walks over kernel successors, plus the
-    hand-built states above; exhaustive shortest_route is the reference.
+    hand-built states above; exhaustive search is the reference.
     """
     left_out = left_out_moving = 0
     for graph, qubits in SEAL_TRAPS:
@@ -492,13 +528,41 @@ def test_reachable_gates_leave_out_only_unroutable_gates():
             for gate in gates:
                 if gate[0] in kept:
                     continue
-                assert kernel.shortest_route(enc, chains, locks, (gate,)) is None, (
-                    graph, chains, locks, gate
-                )
+                assert not routable(enc, chains, locks, gate), (graph, chains, locks, gate)
                 left_out += 1
                 left_out_moving += bool(kernel.successors(enc, chains, locks))
     assert left_out_moving > 0
     assert left_out > left_out_moving
+
+
+def test_shortest_route_returns_none_at_once_when_sealed(monkeypatch):
+    """shortest_route answers None without searching when no gate is reachable.
+
+    The state is where the router seals itself in on branched(6,2,2): no op
+    sequence executes gate 22, and reachable_gates proves it. Counted in
+    kernel successor calls, since a breadth-first search of that state's
+    whole reachable space takes tens of seconds.
+    """
+    enc = trap.build_branched(6, 2, 2).encoded
+    chains, locks = kernel.encode_state(
+        TrapState({16: (4, 2), 0: (5,), 8: (3,), 5: (1,), 7: (0,)}, {1: 0, 3: 4, 9: 8}),
+        enc[0],
+    )
+    gates = ((22, (3, 5)),)
+    assert kernel.reachable_gates(enc, chains, locks, gates) == []
+    calls = 0
+    successors = kernel.get_backend().successors
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > 1_000:
+            raise AssertionError("shortest_route searched a sealed state")
+        return successors(*args)
+
+    monkeypatch.setattr(kernel.get_backend(), "successors", counted)
+    assert kernel.shortest_route(enc, chains, locks, gates) is None
+    assert calls == 0
 
 
 # -- text form -------------------------------------------------------------------
