@@ -1,24 +1,27 @@
 """Heuristic schedule compiler and the exhaustive shortest-route oracle.
 
-The compiler routes one first-layer gate at a time: it enumerates a small
-family of delivery plans for the gate (strip order, chain orientation,
-lateral assignment), simulates each plan to completion on a scratch copy
-of the state, and commits the cheapest. Plans move chains hop by hop and
-park whatever blocks the way. Before any search or plan, a reachability
-check (kernel.reachable_gates) stops the compile at once when junction
-locks have sealed every first-layer gate's operands apart: no op sequence
-from that state executes a gate, so the router has boxed itself in. The
-oracle is an independent check: plain breadth-first search over the
-kernel encoding, feasible only on small instances, returning a provably
-shortest op sequence to the next gate execution.
+The compiler routes one first-layer gate at a time. A gate whose operands
+already fill a gate vertex executes at once. Otherwise one weighted
+best-first search over the kernel encoding finds a short op sequence from
+the current state to the next first-layer execution that leaves no chain
+on a junction, and the router commits it. Before that search a
+reachability check (kernel.reachable_gates) stops the compile at once when
+junction locks have sealed every first-layer gate's operands apart.
+
+A compile fails in one of two ways past placement, both reported as
+CompileError and neither a proof that the circuit has no schedule: the
+router is stuck, because locks seal it in or the search exhausts every
+state reachable from where it stands, or the search spends its cap
+(`_SEARCH_CAP` expansions, or 1.5M stored states) first. The oracle is an
+independent check: plain breadth-first search over the kernel encoding,
+feasible only on small instances, returning a provably shortest op
+sequence to the next gate execution.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import kernel
@@ -32,7 +35,7 @@ from .errors import (
     PlacementError,
 )
 from .kernel import MERGE, SWAP, TRANSLATE
-from .ops import ExecuteGate, Merge, Separate, ShuttleOp, Swap, Translate
+from .ops import ExecuteGate, Separate, ShuttleOp
 from .schedule import Schedule, optimize, step
 from .state import TrapState, initial_placement
 from .trap import TrapGraph, bfs_distances
@@ -40,25 +43,11 @@ from .trap import TrapGraph, bfs_distances
 ORACLE_MAX_VERTICES = 9
 ORACLE_MAX_QUBITS = 4
 
-# Recursion ceiling for displacement chains while parking; hitting it means
-# the trap is packed too tight to shuffle, which is a compile error, not a bug.
-_MAX_PARK_DEPTH = 32
-_SEARCH_CAP_EXACT = 200_000
-_SEARCH_CAP = 8_000
-_SEARCH_CAP_RESCUE = 250_000
+# Expansions one routing search may spend before the compile gives up.
+_SEARCH_CAP = 250_000
 
 _TWO_QUBIT_NAMES = ("cx", "cz")
 _ONE_QUBIT_NAMES = ("h", "x", "y", "z", "s", "t")
-
-
-@dataclass(frozen=True)
-class _PairPlan:
-    """One way to choreograph a two-qubit gate delivery."""
-
-    strip_q2_first: bool
-    swap_first: bool
-    swap_second: bool
-    cross_with_q2: bool
 
 
 class _SearchTables(NamedTuple):
@@ -214,21 +203,11 @@ class _Router:
         self.ops: list[ShuttleOp] = []
         self._dist: dict[int, dict[int, int]] = {}
         self._tables: _SearchTables | None = None
-        self._search_cooldown = 0
-
-    # -- bookkeeping ------------------------------------------------------
 
     def dist(self, source: int) -> dict[int, int]:
         if source not in self._dist:
             self._dist[source] = bfs_distances(self.graph, source)
         return self._dist[source]
-
-    def snapshot(self) -> tuple[TrapState, Circuit, int]:
-        return self.state, self.circuit, len(self.ops)
-
-    def rollback(self, snap: tuple[TrapState, Circuit, int]) -> None:
-        self.state, self.circuit, kept = snap
-        del self.ops[kept:]
 
     def emit(self, op: ShuttleOp) -> None:
         self.state, self.circuit = step(self.graph, self.state, self.circuit, op)
@@ -236,220 +215,6 @@ class _Router:
 
     def vertex_of(self, qubit: int) -> int:
         return self.state.position_of(qubit).vertex
-
-    # -- movement primitives ----------------------------------------------
-
-    def _find_path(
-        self, src: int, dst: int, walls: frozenset[int], heed_locks: bool = True
-    ) -> list[int] | None:
-        """Shortest vertex path src -> dst; walls are impassable, occupancy is not."""
-        if dst in walls:
-            return None
-        locks = self.state.junction_locks
-        parents: dict[int, int | None] = {src: None}
-        frontier = [src]
-        while frontier:
-            nxt: list[int] = []
-            for u in frontier:
-                for w in self.graph.neighbors(u):
-                    if w in parents or w in walls:
-                        continue
-                    if heed_locks and self.graph.is_junction(w) and locks.get(w) == u:
-                        continue
-                    parents[w] = u
-                    if w == dst:
-                        path = [dst]
-                        while parents[path[-1]] is not None:
-                            path.append(parents[path[-1]])
-                        return list(reversed(path))
-                    nxt.append(w)
-            frontier = nxt
-        return None
-
-    def move_chain(
-        self,
-        src: int,
-        dst: int,
-        walls: frozenset[int] = frozenset(),
-        park_avoid: frozenset[int] = frozenset(),
-        depth: int = 0,
-    ) -> None:
-        """Walk the chain at src to dst, parking blockers off the route.
-
-        The path is recomputed every hop because parking moves rewrite
-        junction locks. Frozen chains sit on wall vertices and are never
-        crossed or displaced; park_avoid vertices stay free for the caller.
-        """
-        if depth > _MAX_PARK_DEPTH:
-            raise CompileError("chain displacement recursion exceeded its limit")
-        hops = 0
-        while src != dst:
-            hops += 1
-            if hops > 3 * len(self.graph.vertices) + 12:
-                raise CompileError(f"chain from {src} cannot settle at {dst}")
-            path = self._find_path(src, dst, walls)
-            if path is None:
-                self._clear_lock_toward(src, dst, walls, park_avoid, depth)
-                continue
-            step = path[1]
-            if self.state.occupied(step):
-                try:
-                    self.park(
-                        step,
-                        park_avoid | set(path) | {src},
-                        walls | {src},
-                        depth + 1,
-                    )
-                except CompileError:
-                    self._push(step, walls | {src}, park_avoid, depth + 1)
-                continue
-            self.emit(Translate(src, step))
-            src = step
-
-    def _push(
-        self, vertex: int, walls: frozenset[int], avoid: frozenset[int], depth: int
-    ) -> None:
-        """Shift the chain at vertex one hop onward, convoy style.
-
-        When a whole corridor is occupied nothing can park sideways, but
-        the line can still compact: each chain shifts one hop once the
-        chain ahead of it has shifted. Prefers empty storage, then shifts
-        occupied neighbors recursively; avoid vertices come last.
-        """
-        if depth > _MAX_PARK_DEPTH:
-            raise CompileError("chain displacement recursion exceeded its limit")
-        ranked: list[tuple[int, int]] = []
-        for n in self.graph.neighbors(vertex):
-            if n in walls:
-                continue
-            if self.graph.is_junction(n) and self.state.junction_locks.get(n) == vertex:
-                continue
-            rank = 4 * (n in avoid) + 2 * self.graph.is_junction(n)
-            rank += self.state.occupied(n)
-            ranked.append((rank, n))
-        last: Exception | None = None
-        for _, n in sorted(ranked):
-            snap = self.snapshot()
-            try:
-                if self.state.occupied(n):
-                    self._push(n, walls | {vertex}, avoid, depth + 1)
-                self.emit(Translate(vertex, n))
-                return
-            except (CompileError, IllegalOperationError) as exc:
-                last = exc
-                self.rollback(snap)
-        raise last if last else CompileError(f"chain at {vertex} is boxed in")
-
-    def park(
-        self, vertex: int, avoid: frozenset[int] | set[int], walls: frozenset[int], depth: int
-    ) -> None:
-        """Move the chain at vertex to the nearest free spot outside avoid."""
-        if depth > _MAX_PARK_DEPTH:
-            raise CompileError("chain displacement recursion exceeded its limit")
-        dist = self.dist(vertex)
-        candidates = [
-            t
-            for t in self.graph.vertex_ids
-            if t != vertex
-            and t in dist
-            and t not in avoid
-            and t not in walls
-            and not self.graph.is_junction(t)
-            and not self.state.occupied(t)
-        ]
-        if not candidates:
-            raise CompileError(f"no free vertex to park the chain at {vertex}")
-        # Storage beats the gate segment; otherwise closest wins.
-        candidates.sort(key=lambda t: (self.graph.allows(t, "gate"), dist[t], t))
-        last_error: CompileError | None = None
-        for target in candidates[:4]:
-            snap = self.snapshot()
-            try:
-                self.move_chain(vertex, target, walls, frozenset(avoid), depth)
-                return
-            except (CompileError, IllegalOperationError) as exc:
-                self.rollback(snap)
-                last_error = CompileError(str(exc))
-        raise last_error if last_error else CompileError(
-            f"no reachable parking spot from {vertex}"
-        )
-
-    def _vacate(
-        self, goal: int, avoid: frozenset[int], walls: frozenset[int]
-    ) -> None:
-        """Free up goal: park its chain, or compact the line one hop.
-
-        Parking walks the occupant to an empty vertex, which fails when
-        every free spot sits behind a solid corridor. A convoy push still
-        works there, so fall back to it.
-        """
-        try:
-            self.park(goal, avoid, walls, 0)
-        except CompileError:
-            self._push(goal, walls, avoid, 0)
-
-    def _clear_lock_toward(
-        self,
-        src: int,
-        dst: int,
-        walls: frozenset[int],
-        park_avoid: frozenset[int],
-        depth: int,
-    ) -> None:
-        """Rewrite the junction lock that blocks every path from src to dst.
-
-        A locked junction only forbids entry from the vertex it last exited
-        toward, so traversing it from any other side changes the lock. When
-        the junction is empty a nearby helper chain taps it: enters from a
-        free side and bounces straight back out.
-        """
-        unlocked = self._find_path(src, dst, walls, heed_locks=False)
-        if unlocked is None:
-            raise CompileError(f"no route from {src} to {dst}")
-        locks = self.state.junction_locks
-        junction = entry = None
-        for u, w in zip(unlocked, unlocked[1:]):
-            if self.graph.is_junction(w) and locks.get(w) == u:
-                junction, entry = w, u
-                break
-        if junction is None:
-            raise CompileError(f"route from {src} to {dst} blocked without a lock")
-        if self.state.occupied(junction):
-            self.park(junction, park_avoid | {entry}, walls | {entry}, depth + 1)
-            return
-        helpers = [
-            v
-            for v in self.state.chains
-            if v != src and v != entry and v not in walls
-        ]
-        helpers.sort(key=lambda v: (self.dist(junction).get(v, len(self.graph.vertices)), v))
-        for helper in helpers:
-            for side in self.graph.neighbors(junction):
-                if side == entry or side in walls:
-                    continue
-                snap = self.snapshot()
-                try:
-                    self.move_chain(
-                        helper, side, walls | {junction}, park_avoid | {junction}, depth + 1
-                    )
-                    self.emit(Translate(side, junction))
-                    self.emit(Translate(junction, side))
-                    return
-                except (CompileError, IllegalOperationError):
-                    self.rollback(snap)
-        raise CompileError(f"no helper chain can rewrite the lock at junction {junction}")
-
-    # -- per-gate choreography ----------------------------------------------
-
-    def target_gate_vertex(self, gate: Gate) -> int:
-        best: tuple[int, int] | None = None
-        for gs in self.graph.gate_vertices:
-            cost = sum(self.dist(gs)[self.vertex_of(q)] for q in gate.qubits)
-            if best is None or (cost, gs) < best:
-                best = (cost, gs)
-        if best is None:
-            raise CompileError("trap has no gate-eligible vertex")
-        return best[1]
 
     def pick_gate(self) -> Gate:
         best: tuple[int, int] | None = None
@@ -465,281 +230,32 @@ class _Router:
         assert chosen is not None
         return chosen
 
-    def nearest_separator(self, vertex: int) -> int:
-        dist = self.dist(vertex)
-        best: tuple[int, int] | None = None
-        for v in self.graph.vertex_ids:
-            if not self.graph.allows(v, "separate") or v not in dist:
-                continue
-            pair = self.graph.lateral_pair(v)
-            if pair is None or any(self.graph.is_junction(s) for s in pair):
-                continue
-            if best is None or (dist[v], v) < best:
-                best = (dist[v], v)
-        if best is None:
-            raise CompileError("trap has no usable Separate vertex")
-        return best[1]
-
-    def strip(self, qubit: int, gate: Gate, swap_first: bool) -> None:
-        """Separate the chain holding qubit until it carries operands only."""
-        rounds = 0
-        while True:
-            vertex = self.vertex_of(qubit)
-            chain = self.state.chain_at(vertex)
-            if all(q in gate.qubits for q in chain):
-                return
-            rounds += 1
-            if rounds > self.graph.capacity + 2:
-                raise CompileError(f"cannot isolate qubit {qubit} by separation")
-            sep = self.nearest_separator(vertex)
-            left, right = self.graph.lateral_pair(sep)
-            self.move_chain(vertex, sep, frozenset(), frozenset({left, right}))
-            for side in (left, right):
-                if self.state.occupied(side):
-                    self.park(side, {sep, left, right}, frozenset({sep}), 0)
-            if swap_first and self.graph.allows(sep, "swap"):
-                self.emit(Swap(sep))
-            self.emit(Separate(sep))
-
-    def _attempt_single(self, gate: Gate, swap_first: bool) -> None:
-        qubit = gate.qubits[0]
-        self.strip(qubit, gate, swap_first)
-        gs = self.target_gate_vertex(gate)
-        self.move_chain(self.vertex_of(qubit), gs)
-        self.emit(ExecuteGate(gate.id))
-
-    def _attempt_pair(self, gate: Gate, plan: _PairPlan) -> None:
-        q1, q2 = gate.qubits
-        order = (q2, q1) if plan.strip_q2_first else (q1, q2)
-        for qubit, swap in zip(order, (plan.swap_first, plan.swap_second)):
-            self.strip(qubit, gate, swap)
-        # Delivery can deadlock on path-shaped regions: Translate never
-        # changes the left-to-right order of chains, so a stranger wedged
-        # between the operands has to be crossed through a swap-capable
-        # vertex before the laterals fill up. Each round either delivers
-        # or commits one crossing that strictly shrinks the wedge.
-        rounds = len(self.state.chains) + 2
-        for _ in range(rounds):
-            for qubit in order:
-                self.strip(qubit, gate, False)
-            best_ops: list[ShuttleOp] | None = None
-            best_end: tuple[TrapState, Circuit] | None = None
-            snap = self.snapshot()
-            for q1_left, q1_first in itertools.product((False, True), repeat=2):
-                try:
-                    self._deliver_pair(gate, q1_left, q1_first)
-                except (CompileError, IllegalOperationError):
-                    self.rollback(snap)
-                    continue
-                cost = len(self.ops) - snap[2]
-                if best_ops is None or cost < len(best_ops):
-                    best_ops = self.ops[snap[2]:]
-                    best_end = (self.state, self.circuit)
-                self.rollback(snap)
-            if best_ops is not None and best_end is not None:
-                self.ops.extend(best_ops)
-                self.state, self.circuit = best_end
-                return
-            before = self._wedged_count(gate)
-            operands = (q2, q1) if plan.cross_with_q2 else (q1, q2)
-            committed = False
-            for operand, rank in itertools.product(operands, (0, 1)):
-                cross_snap = self.snapshot()
-                try:
-                    self._cross_once(gate, operand, rank)
-                except (CompileError, IllegalOperationError):
-                    self.rollback(cross_snap)
-                    continue
-                if self._wedged_count(gate) < before:
-                    committed = True
-                    break
-                self.rollback(cross_snap)
-            if not committed:
-                raise CompileError(f"operands of gate {gate.id} stay blocked")
-        raise CompileError(f"operands of gate {gate.id} stay blocked")
-
-    def _wedged_count(self, gate: Gate) -> int:
-        """Wedge weight: stranger chains on a shortest path between operands.
-
-        A chain of k qubits weighs 2k - 1, so splitting one into any two
-        pieces lowers the total even when both pieces stay wedged. Chains
-        above the exchange headroom cannot cross otherwise.
-        """
-        q1, q2 = gate.qubits
-        d1 = self.dist(self.vertex_of(q1))
-        d2 = self.dist(self.vertex_of(q2))
-        span = d1.get(self.vertex_of(q2))
-        if span is None:
-            return 0
-        count = 0
-        for vertex, chain in self.state.chains.items():
-            if any(q in gate.qubits for q in chain):
-                continue
-            if d1.get(vertex, -1) + d2.get(vertex, -1) == span:
-                count += 2 * len(chain) - 1
-        return count
-
-    def _deliver_pair(self, gate: Gate, q1_left: bool, q1_first: bool) -> None:
-        q1, q2 = gate.qubits
-        if self.vertex_of(q1) == self.vertex_of(q2):
-            # Operands already share one exact pair; just walk it in.
-            gs = self.target_gate_vertex(gate)
-            self.move_chain(self.vertex_of(q1), gs)
-            self.emit(ExecuteGate(gate.id))
-            return
-        merge_at = self.nearest_merge_vertex(gate)
-        left, right = self.graph.lateral_pair(merge_at)
-        reserved = frozenset({merge_at, left, right})
-        occupant = self.state.chain_at(merge_at)
-        if occupant and not any(q in gate.qubits for q in occupant):
-            self.park(merge_at, reserved, frozenset(), 0)
-        targets = {q1: left if q1_left else right}
-        targets[q2] = right if q1_left else left
-        delivery = (q1, q2) if q1_first else (q2, q1)
-        walls: frozenset[int] = frozenset()
-        for qubit in delivery:
-            goal = targets[qubit]
-            if self.vertex_of(qubit) != goal:
-                if self.state.occupied(goal):
-                    self._vacate(goal, reserved | walls, walls | {self.vertex_of(qubit)})
-                self.move_chain(self.vertex_of(qubit), goal, walls, reserved)
-            walls = walls | {goal}
-        if self.state.occupied(merge_at):
-            self.park(merge_at, reserved, frozenset({left, right}), 0)
-        self.emit(Merge(merge_at))
-        gs = self.target_gate_vertex(gate)
-        if merge_at != gs:
-            self.move_chain(merge_at, gs)
-        self.emit(ExecuteGate(gate.id))
-
-    def _cross_once(self, gate: Gate, operand: int, rank: int = 0) -> None:
-        """Swap the operand past one stranger chain.
-
-        Merge the two at an exchange vertex, Swap, Separate: the pieces
-        come back out on exchanged sides. This is the only way to reorder
-        chains along a corridor. Prefers strangers sitting on a shortest
-        path between the operands, nearest one first, since those are the
-        chains actually wedging the delivery; rank picks the next one.
-        """
-        m = self._exchange_vertex(gate)
-        left, right = self.graph.lateral_pair(m)
-        reserved = frozenset({m, left, right})
-        q1, q2 = gate.qubits
-        ov = self.vertex_of(operand)
-        own = len(self.state.chain_at(ov))
-        d1 = self.dist(self.vertex_of(q1))
-        d2 = self.dist(self.vertex_of(q2))
-        span = d1.get(self.vertex_of(q2))
-        od = d1 if operand == q1 else d2
-        wedged: list[tuple[int, int]] = []
-        others: list[tuple[int, int]] = []
-        for vertex, chain in self.state.chains.items():
-            if any(q in gate.qubits for q in chain):
-                continue
-            if vertex not in od:
-                continue
-            key = (od[vertex], vertex)
-            if span is not None and d1.get(vertex, -1) + d2.get(vertex, -1) == span:
-                wedged.append(key)
-            else:
-                others.append(key)
-        candidates = sorted(wedged) + sorted(others)
-        if rank >= len(candidates):
-            raise CompileError("no chain available to cross with")
-        chosen = self.state.chain_at(candidates[rank][1])
-        marker = chosen[0]
-        if len(chosen) + own > self.graph.capacity:
-            # Too big to ride along through the exchange; split it there.
-            self.move_chain(
-                self.vertex_of(marker), m, frozenset(), frozenset({left, right})
-            )
-            for side in (left, right):
-                if self.state.occupied(side):
-                    self.park(side, {m, left, right}, frozenset({m}), 0)
-            self.emit(Separate(m))
-            return
-        far = len(self.graph.vertex_ids) + 1
-        sides = sorted(
-            ((left, right), (right, left)),
-            key=lambda lr: od.get(lr[0], far),
-        )
-        last: Exception | None = None
-        for o_side, s_side in sides:
-            snap = self.snapshot()
-            try:
-                walls: frozenset[int] = frozenset()
-                for qubit, goal in ((operand, o_side), (marker, s_side)):
-                    if self.vertex_of(qubit) != goal:
-                        if self.state.occupied(goal):
-                            self._vacate(
-                                goal, reserved | walls, walls | {self.vertex_of(qubit)}
-                            )
-                        self.move_chain(self.vertex_of(qubit), goal, walls, reserved)
-                    walls = frozenset({goal})
-                if self.state.occupied(m):
-                    self.park(m, reserved, frozenset({o_side, s_side}), 0)
-                self.emit(Merge(m))
-                self.emit(Swap(m))
-                self.emit(Separate(m))
-                return
-            except (CompileError, IllegalOperationError) as exc:
-                last = exc
-                self.rollback(snap)
-        raise last if last else CompileError("crossing failed")
-
-    def _exchange_vertex(self, gate: Gate) -> int:
-        gs = self.target_gate_vertex(gate)
-        dist = self.dist(gs)
-        best: tuple[int, int] | None = None
-        for v in self.graph.vertex_ids:
-            if v not in dist:
-                continue
-            if not all(self.graph.allows(v, f) for f in ("merge", "swap", "separate")):
-                continue
-            pair = self.graph.lateral_pair(v)
-            if pair is None or any(self.graph.is_junction(s) for s in pair):
-                continue
-            if best is None or (dist[v], v) < best:
-                best = (dist[v], v)
-        if best is None:
-            raise CompileError("trap cannot reorder chains")
-        return best[1]
-
-    def nearest_merge_vertex(self, gate: Gate) -> int:
-        gs = self.target_gate_vertex(gate)
-        dist = self.dist(gs)
-        best: tuple[int, int] | None = None
-        for v in self.graph.vertex_ids:
-            if not self.graph.allows(v, "merge") or v not in dist:
-                continue
-            pair = self.graph.lateral_pair(v)
-            if pair is None or any(self.graph.is_junction(s) for s in pair):
-                continue
-            if best is None or (dist[v], v) < best:
-                best = (dist[v], v)
-        if best is None:
-            raise CompileError("trap has no usable Merge vertex")
-        return best[1]
-
     # -- state-space search -------------------------------------------------
 
-    def _search_next(self, cap: int, force_greedy: bool = False) -> bool:
+    def _search_next(self, gate: Gate) -> None:
         """Weighted best-first search to the nearest first-layer execution.
 
-        Expands exact states through the kernel successor function. On
+        Expands exact states through the kernel successor function and
+        emits the ops of the first goal it pops, ending in the execute. On
         oracle-sized traps the weight is 1 and the estimate stays a near
         lower bound, so slices stay near shortest; bigger traps trade that
         for stranger and corridor penalty terms that keep the frontier
-        narrow (force_greedy selects those terms on any trap, the rescue
-        mode for deep tangles). Returns False once `cap` expansions are
-        spent so the caller can fall back to plan enumeration.
+        narrow. A goal has a ready gate and no chain on a junction.
+
+        Raises CompileError when the frontier runs out, so that no op
+        sequence from the current state reaches a goal, or when
+        `_SEARCH_CAP` expansions or 1.5M stored states are spent. `gate`
+        names the router's pick in those messages.
 
         Node cost is kept low without changing which nodes are expanded or
         in what order: the estimate and the seal penalty read the
         per-compile `_SearchTables`, positions and occupancy are computed
         once per expanded node and patched per pushed child from the
         vertices its op touches, and kernel.ready_gates runs only on nodes
-        whose estimate is 1, the only ones where a gate can be ready.
+        whose estimate is 1, the only ones where a gate can be ready. Each
+        stored state keeps only its cost and parent, which bounds the
+        memory of a deep search; the op codes of the path are recovered at
+        the goal (see `_emit_path`).
         """
         trap = self.graph.encoded
         if self._tables is None:
@@ -747,9 +263,7 @@ class _Router:
         tables = self._tables
         n = trap[0]
         gates_enc = kernel.encode_gates(self.circuit.first_layer)
-        if not gates_enc:
-            return True
-        greedy = force_greedy or n > ORACLE_MAX_VERTICES
+        greedy = n > ORACLE_MAX_VERTICES
         weight = 2 if greedy else 1
         heuristic = _estimate(tables, gates_enc, greedy)
         lat_left, lat_right = trap[5], trap[6]
@@ -759,7 +273,7 @@ class _Router:
 
         start_chains, start_locks = kernel.encode_state(self.state, n)
         start = (start_chains, start_locks)
-        best: dict[tuple, tuple] = {start: (0, None, None)}
+        best: dict[tuple, tuple] = {start: (0, None)}
         start_h = heuristic(start_chains, *_positions(start_chains, qubit_count))
         heap: list[tuple[int, int, int, tuple]] = [(weight * start_h, 0, 0, start)]
         counter = 0
@@ -774,21 +288,17 @@ class _Router:
             # a chain resting there when the gate fires can lock half the
             # trap away for every later gate.
             if f - g == weight and not occupied & junction_mask:
-                ready = kernel.ready_gates(trap, chains, gates_enc)
-                codes = [(kernel.EXECUTE, min(ready), -1)]
-                cur = node
-                while True:
-                    _, parent, code = best[cur]
-                    if parent is None:
-                        break
-                    codes.append(code)
-                    cur = parent
-                for code in reversed(codes):
-                    self.emit(op_mod.decode_op(code))
-                return True
+                self._emit_path(best, node)
+                self.emit(ExecuteGate(min(kernel.ready_gates(trap, chains, gates_enc))))
+                return
+            if expansions >= _SEARCH_CAP or len(best) > 1_500_000:
+                raise CompileError(
+                    f"the router gave up on gate {gate.id} after {expansions} search "
+                    f"expansions and {len(best)} stored states (limits {_SEARCH_CAP} and "
+                    "1500000) without executing any first-layer gate; this does not "
+                    "prove that the circuit has no schedule"
+                )
             expansions += 1
-            if expansions > cap or len(best) > 1_500_000:
-                return False
             for code, nxt_chains, nxt_locks in kernel.successors(trap, chains, locks):
                 ng = g + 1
                 kind, v, dst = code
@@ -806,7 +316,7 @@ class _Router:
                 seen = best.get(nxt)
                 if seen is not None and seen[0] <= ng:
                     continue
-                best[nxt] = (ng, node, code)
+                best[nxt] = (ng, node)
                 if kind == SWAP:
                     nxt_pos, nxt_occupied = pos, occupied
                 else:
@@ -827,41 +337,53 @@ class _Router:
                     heap,
                     (ng + weight * heuristic(nxt_chains, nxt_pos, nxt_occupied), ng, counter, nxt),
                 )
-        return False
+        raise CompileError(
+            f"no op sequence from the router's current state executes gate {gate.id} or "
+            f"any other first-layer gate with every junction empty: all {len(best)} "
+            "states reachable from it were searched; the router boxed itself in, which "
+            "does not prove that the circuit has no schedule"
+        )
+
+    def _emit_path(self, best: dict[tuple, tuple], goal: tuple) -> None:
+        """Emit the ops from the search start to `goal` along the parent links.
+
+        The op between a parent and its child is the first of the parent's
+        successors that reaches the child. The search stores a child only
+        for the first successor reaching it at its cost, and two successors
+        of one state never reach the same state, so this is the op the
+        search took.
+        """
+        path = [goal]
+        while best[path[-1]][1] is not None:
+            path.append(best[path[-1]][1])
+        trap = self.graph.encoded
+        for parent, child in zip(reversed(path), reversed(path[:-1])):
+            for code, chains, locks in kernel.successors(trap, *parent):
+                if (chains, locks) == child:
+                    self.emit(op_mod.decode_op(code))
+                    break
+
+    # -- per-gate routing -----------------------------------------------------
 
     def route_next(self) -> None:
-        before = self.circuit
-        self._route_gate()
-        self._drain_junctions(before)
-        self._tidy_after_execute()
-
-    def _drain_junctions(self, before: Circuit) -> None:
-        """Clear every junction as part of the slice just routed.
-
-        Pushed chains may come to rest on a junction. Leaving one there
-        can dead-end a whole region (the junction stays locked against its
-        only occupied neighbor), and a finished schedule must end with all
-        junctions empty anyway. The slice's ExecuteGate is popped and the
-        circuit from before the slice, which `_route_gate` advanced by
-        that one gate, is restored; junction chains park in storage (the
-        gate vertex walled off), and the execute is re-emitted as the
-        slice's closing op.
-        """
-        if not any(self.graph.is_junction(v) for v in self.state.chains):
-            return
-        last = self.ops.pop()
-        assert isinstance(last, ExecuteGate)
-        self.circuit = before
-        gate = self.circuit.gate_by_id[last.gate]
-        keep = frozenset(self.vertex_of(q) for q in gate.qubits)
-        for _ in range(_MAX_PARK_DEPTH):
-            occupied = sorted(v for v in self.state.chains if self.graph.is_junction(v))
-            if not occupied:
-                break
-            self._vacate(occupied[0], frozenset(), keep)
+        """Execute one first-layer gate, searching for its route if needed."""
+        gate = self.pick_gate()
+        if op_mod.can_execute(self.state, self.graph, self.circuit, gate.id):
+            self.emit(ExecuteGate(gate.id))
         else:
-            raise CompileError("junctions cannot be cleared for the final gate")
-        self.emit(ExecuteGate(last.gate))
+            trap = self.graph.encoded
+            chains, locks = kernel.encode_state(self.state, trap[0])
+            first_layer = kernel.encode_gates(self.circuit.first_layer)
+            if not kernel.reachable_gates(trap, chains, locks, first_layer):
+                # The search could only exhaust its frontier or its cap from here.
+                raise CompileError(
+                    f"junction locks seal gate {gate.id}'s operands, and those of every "
+                    "other first-layer gate, away from any gate vertex where they could "
+                    "meet; the router boxed itself in, which does not prove that the "
+                    "circuit has no schedule"
+                )
+            self._search_next(gate)
+        self._tidy_after_execute()
 
     def _tidy_after_execute(self) -> None:
         """Break up a freshly executed pair unless a pending gate reuses it.
@@ -872,8 +394,6 @@ class _Router:
         optimizer pass.
         """
         if self.circuit.is_complete:
-            return
-        if not self.ops or not isinstance(self.ops[-1], ExecuteGate):
             return
         gate = self.circuit.gate_by_id[self.ops[-1].gate]
         if len(gate.qubits) < 2:
@@ -891,100 +411,22 @@ class _Router:
         except IllegalOperationError:
             pass
 
-    def _route_gate(self) -> None:
-        gate = self.pick_gate()
-        if op_mod.can_execute(self.state, self.graph, self.circuit, gate.id):
-            self.emit(ExecuteGate(gate.id))
-            return
-        trap = self.graph.encoded
-        chains, locks = kernel.encode_state(self.state, trap[0])
-        first_layer = kernel.encode_gates(self.circuit.first_layer)
-        if not kernel.reachable_gates(trap, chains, locks, first_layer):
-            # Every search and plan below can only fail from here, after
-            # spending its whole budget.
-            raise CompileError(
-                f"junction locks seal gate {gate.id}'s operands, and those of every "
-                "other first-layer gate, away from any gate vertex where they could "
-                "meet; the router boxed itself in, which does not prove that the "
-                "circuit has no schedule"
-            )
-        exact = len(self.graph.vertices) <= ORACLE_MAX_VERTICES
-        if exact:
-            if self._search_next(_SEARCH_CAP_EXACT):
-                return
-        elif self._search_cooldown > 0:
-            # A capped-out search usually means the trap is tangled enough
-            # that the next few gates would cap out too; go straight to
-            # plan enumeration instead of paying for the frontier again.
-            self._search_cooldown -= 1
-        elif self._search_next(_SEARCH_CAP):
-            return
-        else:
-            self._search_cooldown = 2
-        plans: list
-        if len(gate.qubits) == 1:
-            plans = [False, True]
-            attempt = self._attempt_single
-        else:
-            q1, q2 = gate.qubits
-            chain = self.state.chain_at(self.vertex_of(q1))
-            if self.vertex_of(q1) == self.vertex_of(q2) and set(chain) == {q1, q2}:
-                snap = self.snapshot()
-                try:
-                    gs = self.target_gate_vertex(gate)
-                    self.move_chain(self.vertex_of(q1), gs)
-                    self.emit(ExecuteGate(gate.id))
-                    return
-                except (CompileError, IllegalOperationError):
-                    self.rollback(snap)
-            # Strip and swap choices only matter when an operand actually
-            # shares its chain with a stranger; collapsing the no-op axes
-            # keeps the enumeration small on sparsely packed traps.
-            dirty1 = set(chain) != {q1}
-            dirty2 = set(self.state.chain_at(self.vertex_of(q2))) != {q2}
-            plans = [
-                _PairPlan(strip2, s1, s2, cross)
-                for strip2 in ((False, True) if dirty1 and dirty2 else (False,))
-                for s1 in ((False, True) if dirty1 else (False,))
-                for s2 in ((False, True) if dirty2 else (False,))
-                for cross in (False, True)
-            ]
-            attempt = self._attempt_pair
-        best_ops: list[ShuttleOp] | None = None
-        best_end: tuple[TrapState, Circuit] | None = None
-        snap = self.snapshot()
-        for plan in plans:
-            try:
-                attempt(gate, plan)
-            except (CompileError, IllegalOperationError):
-                self.rollback(snap)
-                continue
-            cost = len(self.ops) - snap[2]
-            if best_ops is None or cost < len(best_ops):
-                best_ops = self.ops[snap[2]:]
-                best_end = (self.state, self.circuit)
-            self.rollback(snap)
-        if best_ops is None or best_end is None:
-            # Plan enumeration covers single wedges and convoys; states with
-            # several interleaved pairs occasionally defeat it and only an
-            # expensive deep search can unpick them. Worth seconds here:
-            # the alternative is failing the whole compile.
-            if self._search_next(_SEARCH_CAP_RESCUE, force_greedy=True):
-                return
-            raise CompileError(f"no delivery plan routes gate {gate.id}")
-        self.ops.extend(best_ops)
-        self.state, self.circuit = best_end
-
 
 def compile(circuit: Circuit, graph: TrapGraph) -> Schedule:
     """Compile a circuit into a valid schedule on the given trap.
 
-    Deterministic: gate choice ties break on the lowest gate id and every
-    plan comparison is ordered. Raises CompileError when no plan can route
-    a gate (the trap is too full or lacks eligible vertices), or, without
-    searching, when junction locks the router left behind seal every
-    first-layer gate's operands apart. Neither proves that the circuit has
-    no schedule on the trap.
+    Each gate that cannot execute at once gets one weighted best-first
+    search for a short slice to the next first-layer execution.
+    Deterministic: gate choice ties break on the lowest gate id and the
+    search orders its frontier by cost, then by insertion.
+
+    Raises CompileError when the initial placement does not fit, or when
+    the router is stuck at some gate: junction locks seal every first-layer
+    gate's operands apart (found before searching), or the search exhausts
+    every state reachable from the router's current state without a gate
+    execution, or it spends its cap first. None of these proves that the
+    circuit has no schedule on the trap: a stuck state is one the router's
+    own earlier choices led to, and a spent cap proves nothing.
     """
     try:
         placement = initial_placement(circuit, graph)
@@ -992,10 +434,7 @@ def compile(circuit: Circuit, graph: TrapGraph) -> Schedule:
         raise CompileError(str(exc)) from exc
     router = _Router(graph, circuit, placement)
     while not router.circuit.is_complete:
-        before = len(router.ops)
         router.route_next()
-        if len(router.ops) == before and router.circuit.pending:
-            raise CompileError("routing made no progress")
     ops = optimize(router.ops, graph, circuit, placement)
     return Schedule(graph, circuit, placement, tuple(ops))
 

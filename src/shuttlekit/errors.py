@@ -40,9 +40,11 @@ class ScheduleValidationError(ShuttleError):
 class CompileError(ShuttleError):
     """Router could not produce a legal operation sequence.
 
-    The router gave up, or junction locks it left behind seal every
-    first-layer gate away; either way this is not proof that no schedule
-    exists.
+    Either the initial placement does not fit, or the router is stuck at
+    some gate: junction locks seal every first-layer gate's operands apart,
+    its search exhausted every state reachable from where it stands, or the
+    search spent its cap. The message says which. None of these is proof
+    that no schedule exists.
     """
 
 

@@ -3,7 +3,8 @@
 The op counts and the schedule digest are the compiler's output when the
 tests were written; a change to the router that moves one must say so by
 updating the table or the digest. The search estimate is checked against
-its defining formula on random walk states.
+its defining formula on random walk states. The router's failure messages
+say which way it failed, and its slices never end on a junction.
 """
 
 import hashlib
@@ -14,7 +15,7 @@ import pytest
 from shuttlekit import baseline, kernel, trap
 from shuttlekit.errors import CompileError
 from shuttlekit.ops import format_op
-from shuttlekit.schedule import validate
+from shuttlekit.schedule import decompose, validate
 from shuttlekit.state import initial_placement
 
 # (layout, qubits) -> op counts of random_circuit(qubits, 4, seed) for seeds 0, 1, 2.
@@ -58,6 +59,60 @@ def test_sealed_router_fails_before_searching(monkeypatch):
     with pytest.raises(CompileError, match="junction locks seal gate 22's operands"):
         baseline.compile(baseline.random_circuit(6, 6, 1), trap.build_branched(6, 2, 2))
     assert 0 < calls < 10_000
+
+
+def test_exhausted_search_says_so_with_the_states_searched():
+    """linear(1) q3 circuit 0: the search runs out of states, not out of budget."""
+    with pytest.raises(CompileError) as failure:
+        baseline.compile(baseline.random_circuit(3, 6, 0), trap.build_linear(1))
+    message = str(failure.value)
+    assert message.startswith(
+        "no op sequence from the router's current state executes gate 5 or any "
+        "other first-layer gate with every junction empty: all 6 states reachable "
+        "from it were searched;"
+    )
+    assert "gave up" not in message
+    assert "does not prove that the circuit has no schedule" in message
+
+
+def test_spent_cap_says_the_router_gave_up(monkeypatch):
+    monkeypatch.setattr(baseline, "_SEARCH_CAP", 3)
+    with pytest.raises(CompileError) as failure:
+        baseline.compile(baseline.random_circuit(6, 6, 0), trap.build_linear(6))
+    message = str(failure.value)
+    assert "the router gave up on gate" in message
+    assert "after 3 search expansions" in message
+    assert "does not prove that the circuit has no schedule" in message
+
+
+def test_occupancy_deadlock_on_branched_8_compiles():
+    """Chains packed so tight that they block each other's way; no lock seals them."""
+    schedule = baseline.compile(baseline.random_circuit(8, 6, 1), trap.build_branched(8, 2, 2))
+    report = validate(schedule)
+    assert report.ok, report.reason
+
+
+JUNCTION_CELLS = [
+    (trap.build_eval_layout("ring", 4), 4, range(4)),
+    (trap.build_eval_layout("four_way", 5), 5, range(4)),
+    (trap.build_branched(3, 2, 1), 3, range(4)),
+    (trap.build_branched(3, 2, 1), 4, range(4)),
+    (trap.build_branched(6, 2, 2), 6, range(1)),
+]
+
+
+@pytest.mark.parametrize(
+    "graph,qubits,seeds",
+    JUNCTION_CELLS,
+    ids=["ring4", "four_way5", "branched321_q3", "branched321_q4", "branched622_q6"],
+)
+def test_every_slice_starts_with_junctions_empty(graph, qubits, seeds):
+    """No slice ends with a chain on a junction, so the next one starts clear."""
+    for seed in seeds:
+        schedule = baseline.compile(baseline.random_circuit(qubits, 6, seed), graph)
+        for piece in decompose(schedule):
+            occupied = [v for v in piece.state.chains if graph.is_junction(v)]
+            assert occupied == [], (seed, piece.gate, occupied)
 
 
 # The schedules of random_circuit(q, 6, seed), seeds 0-3, on three traps: ring
