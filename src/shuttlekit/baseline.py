@@ -8,6 +8,16 @@ on a junction, and the router commits it. Before that search a
 reachability check (kernel.reachable_gates) stops the compile at once when
 junction locks have sealed every first-layer gate's operands apart.
 
+`compile_many` compiles a batch of circuits on one trap and `compile` is a
+batch of one. The compiles of a batch share the trap's search tables and a
+route memo, which maps a search's start to the shuttling ops it found. The
+key renumbers qubits by order of appearance in vertex order, so a start that
+differs from an earlier one only in qubit labels reuses its slice. That is
+sound because the search sees labels only through which vertex holds an
+operand and how long that chain is: its estimate is symmetric in a pair's
+two operands, and its successors, hence its heap order, follow vertex
+order. The memo holds successful searches only and lives for one call.
+
 A compile fails in one of two ways past placement, both reported as
 CompileError and neither a proof that the circuit has no schedule: the
 router is stuck, because locks seal it in or the search exhausts every
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from . import kernel
@@ -35,7 +46,7 @@ from .errors import (
     PlacementError,
 )
 from .kernel import MERGE, SWAP, TRANSLATE
-from .ops import ExecuteGate, Separate, ShuttleOp
+from .ops import ExecuteGate, Merge, Separate, ShuttleOp, Swap, Translate
 from .schedule import Schedule, optimize, step
 from .state import TrapState, initial_placement
 from .trap import TrapGraph, bfs_distances
@@ -51,7 +62,7 @@ _ONE_QUBIT_NAMES = ("h", "x", "y", "z", "s", "t")
 
 
 class _SearchTables(NamedTuple):
-    """Per-compile tables behind the search estimate and the seal penalty.
+    """Per-trap tables behind the search estimate and the seal penalty.
 
     gate_tables[k][v] is the hop distance from v to the k-th gate vertex
     and `far` stands in for an unreachable one. pair_min[va][vb] is the
@@ -74,7 +85,7 @@ class _SearchTables(NamedTuple):
 
 
 def _search_tables(graph: TrapGraph) -> _SearchTables:
-    """Build the search tables of one trap, once per compile."""
+    """Build the search tables of one trap, once per compile_many call."""
     n = len(graph.vertices)
     far = 4 * n + 8
     gate_tables = []
@@ -193,21 +204,80 @@ def _estimate(tables: _SearchTables, gates: tuple, greedy: bool):
     return greedy_estimate
 
 
+def _route_key(chains: tuple, locks: tuple, gates: tuple) -> tuple:
+    """The route memo's key for a search from (chains, locks) to `gates`.
+
+    Qubits are renumbered by order of appearance in vertex order, and the
+    first layer enters as its sorted, renumbered operand sets: gate ids
+    and operand order do not reach the search.
+    """
+    relabel: dict[int, int] = {}
+    for chain in chains:
+        for q in chain:
+            relabel[q] = len(relabel)
+    return (
+        tuple(tuple(relabel[q] for q in chain) for chain in chains),
+        locks,
+        tuple(sorted(tuple(sorted(relabel[q] for q in qs)) for _, qs in gates)),
+    )
+
+
+def _op_between(before: tuple, after: tuple) -> ShuttleOp:
+    """The shuttling op that turns encoded chains `before` into `after`.
+
+    A Swap changes one vertex, a Translate two (its source is the one
+    occupied before), a Separate or a Merge three: a Separate empties the
+    one vertex of the three that was occupied, a Merge fills the one that
+    was empty.
+    """
+    changed = [v for v, (a, b) in enumerate(zip(before, after)) if a != b]
+    if len(changed) == 1:
+        return Swap(changed[0])
+    if len(changed) == 2:
+        src, dst = changed if before[changed[0]] else changed[::-1]
+        return Translate(src, dst)
+    occupied = [v for v in changed if before[v]]
+    if len(occupied) == 1:
+        return Separate(occupied[0])
+    return Merge(next(v for v in changed if not before[v]))
+
+
+class _Batch:
+    """What the compiles of one compile_many call share on their trap.
+
+    The search tables are built at the first search. `routes` is the route
+    memo: `_route_key` of a search's start -> the ops of the slice it found,
+    without the final execute.
+    """
+
+    def __init__(self, graph: TrapGraph) -> None:
+        self.graph = graph
+        self.dist: dict[int, dict[int, int]] = {}
+        self.routes: dict[tuple, tuple[ShuttleOp, ...]] = {}
+        self._tables: _SearchTables | None = None
+
+    @property
+    def tables(self) -> _SearchTables:
+        if self._tables is None:
+            self._tables = _search_tables(self.graph)
+        return self._tables
+
+
 class _Router:
     """Mutable compilation cursor: current state, remaining circuit, emitted ops."""
 
-    def __init__(self, graph: TrapGraph, circuit: Circuit, state: TrapState) -> None:
-        self.graph = graph
+    def __init__(self, batch: _Batch, circuit: Circuit, state: TrapState) -> None:
+        self.batch = batch
+        self.graph = batch.graph
         self.circuit = circuit
         self.state = state
         self.ops: list[ShuttleOp] = []
-        self._dist: dict[int, dict[int, int]] = {}
-        self._tables: _SearchTables | None = None
 
     def dist(self, source: int) -> dict[int, int]:
-        if source not in self._dist:
-            self._dist[source] = bfs_distances(self.graph, source)
-        return self._dist[source]
+        dist = self.batch.dist
+        if source not in dist:
+            dist[source] = bfs_distances(self.graph, source)
+        return dist[source]
 
     def emit(self, op: ShuttleOp) -> None:
         self.state, self.circuit = step(self.graph, self.state, self.circuit, op)
@@ -232,15 +302,18 @@ class _Router:
 
     # -- state-space search -------------------------------------------------
 
-    def _search_next(self, gate: Gate) -> None:
+    def _search_next(
+        self, gate: Gate, start_chains: tuple, start_locks: tuple, gates_enc: tuple
+    ) -> tuple[ShuttleOp, ...]:
         """Weighted best-first search to the nearest first-layer execution.
 
-        Expands exact states through the kernel successor function and
-        emits the ops of the first goal it pops, ending in the execute. On
-        oracle-sized traps the weight is 1 and the estimate stays a near
-        lower bound, so slices stay near shortest; bigger traps trade that
-        for stranger and corridor penalty terms that keep the frontier
-        narrow. A goal has a ready gate and no chain on a junction.
+        Expands exact states from the encoded start through the kernel
+        successor function and returns the shuttling ops to the first goal
+        it pops; the caller emits them and the execute. On oracle-sized
+        traps the weight is 1 and the estimate stays a near lower bound, so
+        slices stay near shortest; bigger traps trade that for stranger and
+        corridor penalty terms that keep the frontier narrow. A goal has a
+        ready gate and no chain on a junction.
 
         Raises CompileError when the frontier runs out, so that no op
         sequence from the current state reaches a goal, or when
@@ -249,20 +322,17 @@ class _Router:
 
         Node cost is kept low without changing which nodes are expanded or
         in what order: the estimate and the seal penalty read the
-        per-compile `_SearchTables`, positions and occupancy are computed
+        batch's `_SearchTables`, positions and occupancy are computed
         once per expanded node and patched per pushed child from the
         vertices its op touches, and kernel.ready_gates runs only on nodes
         whose estimate is 1, the only ones where a gate can be ready. Each
         stored state keeps only its cost and parent, which bounds the
-        memory of a deep search; the op codes of the path are recovered at
-        the goal (see `_emit_path`).
+        memory of a deep search; the ops of the path are read off the
+        parent links at the goal (see `_op_between`).
         """
         trap = self.graph.encoded
-        if self._tables is None:
-            self._tables = _search_tables(self.graph)
-        tables = self._tables
+        tables = self.batch.tables
         n = trap[0]
-        gates_enc = kernel.encode_gates(self.circuit.first_layer)
         greedy = n > ORACLE_MAX_VERTICES
         weight = 2 if greedy else 1
         heuristic = _estimate(tables, gates_enc, greedy)
@@ -271,7 +341,6 @@ class _Router:
         junction_mask = tables.junction_mask
         qubit_count = self.circuit.qubit_count
 
-        start_chains, start_locks = kernel.encode_state(self.state, n)
         start = (start_chains, start_locks)
         best: dict[tuple, tuple] = {start: (0, None)}
         start_h = heuristic(start_chains, *_positions(start_chains, qubit_count))
@@ -288,9 +357,13 @@ class _Router:
             # a chain resting there when the gate fires can lock half the
             # trap away for every later gate.
             if f - g == weight and not occupied & junction_mask:
-                self._emit_path(best, node)
-                self.emit(ExecuteGate(min(kernel.ready_gates(trap, chains, gates_enc))))
-                return
+                path = [node]
+                while best[path[-1]][1] is not None:
+                    path.append(best[path[-1]][1])
+                return tuple(
+                    _op_between(parent[0], child[0])
+                    for parent, child in zip(reversed(path), reversed(path[:-1]))
+                )
             if expansions >= _SEARCH_CAP or len(best) > 1_500_000:
                 raise CompileError(
                     f"the router gave up on gate {gate.id} after {expansions} search "
@@ -344,25 +417,6 @@ class _Router:
             "does not prove that the circuit has no schedule"
         )
 
-    def _emit_path(self, best: dict[tuple, tuple], goal: tuple) -> None:
-        """Emit the ops from the search start to `goal` along the parent links.
-
-        The op between a parent and its child is the first of the parent's
-        successors that reaches the child. The search stores a child only
-        for the first successor reaching it at its cost, and two successors
-        of one state never reach the same state, so this is the op the
-        search took.
-        """
-        path = [goal]
-        while best[path[-1]][1] is not None:
-            path.append(best[path[-1]][1])
-        trap = self.graph.encoded
-        for parent, child in zip(reversed(path), reversed(path[:-1])):
-            for code, chains, locks in kernel.successors(trap, *parent):
-                if (chains, locks) == child:
-                    self.emit(op_mod.decode_op(code))
-                    break
-
     # -- per-gate routing -----------------------------------------------------
 
     def route_next(self) -> None:
@@ -374,15 +428,24 @@ class _Router:
             trap = self.graph.encoded
             chains, locks = kernel.encode_state(self.state, trap[0])
             first_layer = kernel.encode_gates(self.circuit.first_layer)
-            if not kernel.reachable_gates(trap, chains, locks, first_layer):
-                # The search could only exhaust its frontier or its cap from here.
-                raise CompileError(
-                    f"junction locks seal gate {gate.id}'s operands, and those of every "
-                    "other first-layer gate, away from any gate vertex where they could "
-                    "meet; the router boxed itself in, which does not prove that the "
-                    "circuit has no schedule"
-                )
-            self._search_next(gate)
+            key = _route_key(chains, locks, first_layer)
+            route = self.batch.routes.get(key)
+            if route is None:
+                if not kernel.reachable_gates(trap, chains, locks, first_layer):
+                    # The search could only exhaust its frontier or its cap from here.
+                    raise CompileError(
+                        f"junction locks seal gate {gate.id}'s operands, and those of every "
+                        "other first-layer gate, away from any gate vertex where they could "
+                        "meet; the router boxed itself in, which does not prove that the "
+                        "circuit has no schedule"
+                    )
+                route = self._search_next(gate, chains, locks, first_layer)
+                self.batch.routes[key] = route
+            # step checks each op against the real state, memo hit or not.
+            for op in route:
+                self.emit(op)
+            chains = kernel.encode_state(self.state, trap[0])[0]
+            self.emit(ExecuteGate(min(kernel.ready_gates(trap, chains, first_layer))))
         self._tidy_after_execute()
 
     def _tidy_after_execute(self) -> None:
@@ -415,28 +478,59 @@ class _Router:
 def compile(circuit: Circuit, graph: TrapGraph) -> Schedule:
     """Compile a circuit into a valid schedule on the given trap.
 
+    The same as `compile_many([circuit], graph)[0]`, CompileError included.
+    A routing search whose start repeats an earlier one of this compile up
+    to qubit labels reuses its slice, which is the slice a fresh search
+    would find: the search is blind to labels (see `compile_many`). The
+    route memo lives for this one call, so two compiles on one graph search
+    alike.
+    """
+    return compile_many([circuit], graph)[0]
+
+
+def compile_many(circuits: Iterable[Circuit], graph: TrapGraph) -> list[Schedule]:
+    """Compile circuits on one trap into valid schedules, in order.
+
     Each gate that cannot execute at once gets one weighted best-first
     search for a short slice to the next first-layer execution.
     Deterministic: gate choice ties break on the lowest gate id and the
     search orders its frontier by cost, then by insertion.
 
-    Raises CompileError when the initial placement does not fit, or when
-    the router is stuck at some gate: junction locks seal every first-layer
-    gate's operands apart (found before searching), or the search exhausts
-    every state reachable from the router's current state without a gate
-    execution, or it spends its cap first. None of these proves that the
-    circuit has no schedule on the trap: a stuck state is one the router's
-    own earlier choices led to, and a spent cap proves nothing.
+    The compiles share the trap's search tables and a route memo. A search
+    whose start state and first-layer operand sets equal an earlier
+    successful one's up to a renumbering of qubits reuses that slice: its
+    ops are emitted through `step`, which checks each against the real
+    state, and the lowest ready gate id of the real first layer executes.
+    The slice is the one a fresh search would find, because the search
+    reads qubit labels only through operand positions and chain lengths,
+    its estimate is symmetric in a pair's two operands, and its heap order
+    comes from vertex-ordered successors. So each schedule equals the one
+    `compile` gives for its circuit alone. The memo lives for this call
+    only: it is never module-global nor kept on the graph, so separate
+    calls never share entries.
+
+    Raises CompileError for the first circuit that fails: when its initial
+    placement does not fit, or when the router is stuck at some gate:
+    junction locks seal every first-layer gate's operands apart (found
+    before searching), or the search exhausts every state reachable from
+    the router's current state without a gate execution, or it spends its
+    cap first. None of these proves that the circuit has no schedule on the
+    trap: a stuck state is one the router's own earlier choices led to, and
+    a spent cap proves nothing.
     """
-    try:
-        placement = initial_placement(circuit, graph)
-    except PlacementError as exc:
-        raise CompileError(str(exc)) from exc
-    router = _Router(graph, circuit, placement)
-    while not router.circuit.is_complete:
-        router.route_next()
-    ops = optimize(router.ops, graph, circuit, placement)
-    return Schedule(graph, circuit, placement, tuple(ops))
+    batch = _Batch(graph)
+    schedules = []
+    for circuit in circuits:
+        try:
+            placement = initial_placement(circuit, graph)
+        except PlacementError as exc:
+            raise CompileError(str(exc)) from exc
+        router = _Router(batch, circuit, placement)
+        while not router.circuit.is_complete:
+            router.route_next()
+        ops = optimize(router.ops, graph, circuit, placement)
+        schedules.append(Schedule(graph, circuit, placement, tuple(ops)))
+    return schedules
 
 
 def bfs_next_gate(

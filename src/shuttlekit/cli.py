@@ -190,13 +190,11 @@ def _cmd_gen_dataset(args) -> int:
         total = args.train_per_qubit + args.eval_per_qubit
         fraction = args.eval_per_qubit / total if total else 0.0
         for qubits in _parse_qubit_range(args.qubits):
-            graph = build_linear(qubits)
-            schedules = []
-            for i in range(total):
-                circuit = baseline.random_circuit(
-                    qubits, args.depth, args.seed + 1000 * qubits + i
-                )
-                schedules.append(baseline.compile(circuit, graph))
+            circuits = [
+                baseline.random_circuit(qubits, args.depth, args.seed + 1000 * qubits + i)
+                for i in range(total)
+            ]
+            schedules = baseline.compile_many(circuits, build_linear(qubits))
             built = dataset.generate_dataset(schedules, fraction)
             train.extend(built.split["train"])
             eval_entries.extend(built.split["eval"])

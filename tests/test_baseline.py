@@ -4,7 +4,9 @@ The op counts and the schedule digest are the compiler's output when the
 tests were written; a change to the router that moves one must say so by
 updating the table or the digest. The search estimate is checked against
 its defining formula on random walk states. The router's failure messages
-say which way it failed, and its slices never end on a junction.
+say which way it failed, and its slices never end on a junction. A batch
+compiles each circuit as its own compile does, and the search it shares
+between circuits is blind to qubit labels.
 """
 
 import hashlib
@@ -13,10 +15,11 @@ import random
 import pytest
 
 from shuttlekit import baseline, kernel, trap
+from shuttlekit.circuit import Circuit, Gate
 from shuttlekit.errors import CompileError
-from shuttlekit.ops import format_op
+from shuttlekit.ops import decode_op, format_op
 from shuttlekit.schedule import decompose, validate
-from shuttlekit.state import initial_placement
+from shuttlekit.state import TrapState, initial_placement
 
 # (layout, qubits) -> op counts of random_circuit(qubits, 4, seed) for seeds 0, 1, 2.
 EVAL_OPS = {
@@ -231,3 +234,169 @@ def test_search_estimate_matches_reference_on_random_walks(graph, qubits):
                 break
             _, chains, locks = rng.choice(moves)
     assert ready_states > 0
+
+
+# -- slice recovery, batches and the route memo ------------------------------
+
+
+def successor_op(enc, parent, child):
+    """The op between two search states as the first successor reaching the child."""
+    for code, chains, locks in kernel.successors(enc, *parent):
+        if (chains, locks) == child:
+            return decode_op(code)
+    raise AssertionError("child is not a successor of parent")
+
+
+@pytest.mark.parametrize(
+    "graph,qubits",
+    HEURISTIC_TRAPS + [(trap.build_linear(5), 5)],
+    ids=["ring4", "four_way5", "multi_linear4", "branched321", "linear3", "linear5"],
+)
+def test_op_between_matches_successor_recovery_on_random_walks(graph, qubits):
+    """Reading an op off the changed vertices gives the op the successors list has."""
+    enc = graph.encoded
+    kinds = set()
+    for seed in range(6):
+        rng = random.Random(seed)
+        circuit = baseline.random_circuit(qubits, 4, seed)
+        state = kernel.encode_state(initial_placement(circuit, graph), enc[0])
+        for _ in range(80):
+            moves = kernel.successors(enc, *state)
+            if not moves:
+                break
+            for _, chains, locks in moves:
+                op = baseline._op_between(state[0], chains)
+                assert op == successor_op(enc, state, (chains, locks))
+                kinds.add(type(op).__name__)
+            state = rng.choice(moves)[1:]
+    assert kinds == {"Translate", "Separate", "Merge", "Swap"}
+
+
+BATCH_CELLS = [
+    (trap.build_linear(2), 2),
+    (trap.build_linear(3), 3),
+    (trap.build_linear(4), 4),
+    (trap.build_eval_layout("ring", 4), 4),
+    (trap.build_eval_layout("multi_linear", 4), 4),
+    (trap.build_branched(3, 2, 1), 4),
+    (trap.build_linear(5), 5),
+]
+
+
+def counting_successors(monkeypatch) -> list[int]:
+    calls = [0]
+    successors = kernel.successors
+
+    def counted(*args):
+        calls[0] += 1
+        return successors(*args)
+
+    monkeypatch.setattr(kernel, "successors", counted)
+    return calls
+
+
+def compile_each(circuits, graph):
+    """Each circuit's op list from its own compile, or its CompileError message."""
+    outcomes = []
+    for circuit in circuits:
+        try:
+            outcomes.append(baseline.compile(circuit, graph).ops)
+        except CompileError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "graph,qubits",
+    BATCH_CELLS,
+    ids=["linear2", "linear3", "linear4", "ring4", "multi_linear4", "branched321", "linear5"],
+)
+def test_batch_compiles_like_single_compiles(graph, qubits, monkeypatch):
+    """compile_many gives each circuit its own compile's ops, with fewer searches."""
+    calls = counting_successors(monkeypatch)
+    circuits = [baseline.random_circuit(qubits, 6, seed) for seed in range(40)]
+    singles = compile_each(circuits, graph)
+    single_calls, calls[0] = calls[0], 0
+    batch = baseline.compile_many(circuits, graph)
+    assert [schedule.ops for schedule in batch] == singles
+    assert calls[0] < single_calls
+
+
+def test_batch_raises_the_first_failing_circuits_error():
+    """On linear(1) the q2 circuits compile and the q3 circuits exhaust the search."""
+    graph = trap.build_linear(1)
+    circuits = [
+        baseline.random_circuit(qubits, 6, seed) for seed in range(3) for qubits in (2, 3)
+    ]
+    singles = compile_each(circuits, graph)
+    errors = [outcome for outcome in singles if isinstance(outcome, str)]
+    compiled = [c for c, outcome in zip(circuits, singles) if not isinstance(outcome, str)]
+    assert len(errors) == 3 and len(compiled) == 3
+    with pytest.raises(CompileError) as failure:
+        baseline.compile_many(circuits, graph)
+    assert str(failure.value) == errors[0]
+    batch = baseline.compile_many(compiled, graph)
+    assert [schedule.ops for schedule in batch] == [o for o in singles if not isinstance(o, str)]
+
+
+def relabelled(state, circuit, perm, rng):
+    """State and circuit with qubit q renamed perm[q]; two-qubit operands may swap order."""
+    chains = {v: tuple(perm[q] for q in chain) for v, chain in state.chains.items()}
+    gates = []
+    for gate in circuit.gates:
+        qs = tuple(perm[q] for q in gate.qubits)
+        gates.append(Gate(gate.id, qs[::-1] if rng.random() < 0.5 else qs, gate.name))
+    image = Circuit(circuit.qubit_count, tuple(gates))
+    for gate_id in sorted(circuit.executed):
+        image = image.mark_executed(gate_id)
+    return TrapState(chains, dict(state.junction_locks)), image
+
+
+@pytest.mark.parametrize(
+    "graph,qubits,seeds",
+    [(trap.build_eval_layout("ring", 4), 4, range(12)), (trap.build_linear(5), 5, range(4))],
+    ids=["ring4", "linear5"],
+)
+def test_search_is_invariant_under_qubit_relabelling(graph, qubits, seeds):
+    """The property the route memo's key relies on.
+
+    From each slice start of a compiled schedule, the search emits the same
+    ops as from the start's image under a random qubit permutation, the
+    circuit permuted the same way and some pairs' operands swapped. The
+    ring cell takes more circuits: fewer of its slices start with a pair's
+    operands in chains of unequal length, where an asymmetric estimate
+    would show.
+    """
+    batch = baseline._Batch(graph)
+    n = graph.encoded[0]
+    searched = 0
+    for seed in seeds:
+        rng = random.Random(seed)
+        schedule = baseline.compile(baseline.random_circuit(qubits, 6, seed), graph)
+        for piece in decompose(schedule):
+            perm = rng.sample(range(qubits), qubits)
+            routes = []
+            for state, circuit in (
+                (piece.state, piece.circuit),
+                relabelled(piece.state, piece.circuit, perm, rng),
+            ):
+                router = baseline._Router(batch, circuit, state)
+                chains, locks = kernel.encode_state(state, n)
+                gates = kernel.encode_gates(circuit.first_layer)
+                routes.append(router._search_next(router.pick_gate(), chains, locks, gates))
+            assert routes[0] == routes[1]
+            searched += bool(routes[0])
+    assert searched > 10
+
+
+def test_no_route_memo_outlives_a_compile(monkeypatch):
+    """A second compile of the same circuit on the same graph searches as much."""
+    calls = counting_successors(monkeypatch)
+    graph = trap.build_eval_layout("ring", 4)
+    circuit = baseline.random_circuit(4, 6, 0)
+    counts = []
+    for _ in range(2):
+        calls[0] = 0
+        baseline.compile(circuit, graph)
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 0
