@@ -8,9 +8,15 @@ on a junction, and the router commits it. Before that search a
 reachability check (kernel.reachable_gates) stops the compile at once when
 junction locks have sealed every first-layer gate's operands apart.
 
+The router holds only the kernel encoding of its state and the circuit. It
+commits a shuttling op by taking the kernel successor with that op's code,
+so the kernel checks every op against the real state, and it emits op
+codes. Each compile decodes them once, and `optimize` is the one
+validating replay of the schedule.
+
 `compile_many` compiles a batch of circuits on one trap and `compile` is a
 batch of one. The compiles of a batch share the trap's search tables and a
-route memo, which maps a search's start to the shuttling ops it found. The
+route memo, which maps a search's start to the op codes it found. The
 key renumbers qubits by order of appearance in vertex order, so a start that
 differs from an earlier one only in qubit labels reuses its slice. That is
 sound because the search sees labels only through which vertex holds an
@@ -38,16 +44,10 @@ from typing import NamedTuple
 from . import kernel
 from . import ops as op_mod
 from .circuit import Circuit, Gate
-from .errors import (
-    CompileError,
-    IllegalOperationError,
-    NoRouteError,
-    OracleLimitError,
-    PlacementError,
-)
-from .kernel import MERGE, SWAP, TRANSLATE
-from .ops import ExecuteGate, Merge, Separate, ShuttleOp, Swap, Translate
-from .schedule import Schedule, optimize, step
+from .errors import CompileError, NoRouteError, OracleLimitError, PlacementError
+from .kernel import EXECUTE, MERGE, SEPARATE, SWAP, TRANSLATE
+from .ops import ShuttleOp
+from .schedule import Schedule, optimize
 from .state import TrapState, initial_placement
 from .trap import TrapGraph, bfs_distances
 
@@ -222,8 +222,8 @@ def _route_key(chains: tuple, locks: tuple, gates: tuple) -> tuple:
     )
 
 
-def _op_between(before: tuple, after: tuple) -> ShuttleOp:
-    """The shuttling op that turns encoded chains `before` into `after`.
+def _op_between(before: tuple, after: tuple) -> tuple[int, int, int]:
+    """The kernel op code that turns encoded chains `before` into `after`.
 
     A Swap changes one vertex, a Translate two (its source is the one
     occupied before), a Separate or a Merge three: a Separate empties the
@@ -232,88 +232,69 @@ def _op_between(before: tuple, after: tuple) -> ShuttleOp:
     """
     changed = [v for v, (a, b) in enumerate(zip(before, after)) if a != b]
     if len(changed) == 1:
-        return Swap(changed[0])
+        return (SWAP, changed[0], -1)
     if len(changed) == 2:
         src, dst = changed if before[changed[0]] else changed[::-1]
-        return Translate(src, dst)
+        return (TRANSLATE, src, dst)
     occupied = [v for v in changed if before[v]]
     if len(occupied) == 1:
-        return Separate(occupied[0])
-    return Merge(next(v for v in changed if not before[v]))
+        return (SEPARATE, occupied[0], -1)
+    return (MERGE, next(v for v in changed if not before[v]), -1)
 
 
 class _Batch:
     """What the compiles of one compile_many call share on their trap.
 
-    The search tables are built at the first search. `routes` is the route
-    memo: `_route_key` of a search's start -> the ops of the slice it found,
-    without the final execute.
+    `routes` is the route memo: `_route_key` of a search's start -> the op
+    codes of the slice it found, without the final execute.
     """
 
     def __init__(self, graph: TrapGraph) -> None:
         self.graph = graph
-        self.dist: dict[int, dict[int, int]] = {}
-        self.routes: dict[tuple, tuple[ShuttleOp, ...]] = {}
-        self._tables: _SearchTables | None = None
-
-    @property
-    def tables(self) -> _SearchTables:
-        if self._tables is None:
-            self._tables = _search_tables(self.graph)
-        return self._tables
+        self.tables = _search_tables(graph)
+        self.routes: dict[tuple, tuple[tuple[int, int, int], ...]] = {}
 
 
 class _Router:
-    """Mutable compilation cursor: current state, remaining circuit, emitted ops."""
+    """Mutable compilation cursor: encoded state, remaining circuit, emitted op codes."""
 
-    def __init__(self, batch: _Batch, circuit: Circuit, state: TrapState) -> None:
+    def __init__(self, batch: _Batch, circuit: Circuit, chains: tuple, locks: tuple) -> None:
         self.batch = batch
-        self.graph = batch.graph
+        self.trap = batch.graph.encoded
         self.circuit = circuit
-        self.state = state
-        self.ops: list[ShuttleOp] = []
+        self.chains = chains
+        self.locks = locks
+        self.codes: list[tuple[int, int, int]] = []
 
-    def dist(self, source: int) -> dict[int, int]:
-        dist = self.batch.dist
-        if source not in dist:
-            dist[source] = bfs_distances(self.graph, source)
-        return dist[source]
-
-    def emit(self, op: ShuttleOp) -> None:
-        self.state, self.circuit = step(self.graph, self.state, self.circuit, op)
-        self.ops.append(op)
-
-    def vertex_of(self, qubit: int) -> int:
-        return self.state.position_of(qubit).vertex
+    def shuttle(self, code: tuple[int, int, int]) -> bool:
+        """Take the kernel successor that `code` names; False, changing nothing, if none."""
+        for successor, chains, locks in kernel.successors(self.trap, self.chains, self.locks):
+            if successor == code:
+                self.chains, self.locks = chains, locks
+                self.codes.append(code)
+                return True
+        return False
 
     def pick_gate(self) -> Gate:
-        best: tuple[int, int] | None = None
-        chosen: Gate | None = None
-        for gate in sorted(self.circuit.first_layer, key=lambda g: g.id):
-            cost = min(
-                sum(self.dist(gs)[self.vertex_of(q)] for q in gate.qubits)
-                for gs in self.graph.gate_vertices
-            )
-            if best is None or (cost, gate.id) < best:
-                best = (cost, gate.id)
-                chosen = gate
-        assert chosen is not None
-        return chosen
+        tables = self.batch.tables.gate_tables
+        pos = _positions(self.chains, self.circuit.qubit_count)[0]
+        return min(
+            self.circuit.first_layer,
+            key=lambda g: (min(sum(t[pos[q]] for q in g.qubits) for t in tables), g.id),
+        )
 
     # -- state-space search -------------------------------------------------
 
-    def _search_next(
-        self, gate: Gate, start_chains: tuple, start_locks: tuple, gates_enc: tuple
-    ) -> tuple[ShuttleOp, ...]:
+    def _search_next(self, gate: Gate, gates_enc: tuple) -> tuple[tuple[int, int, int], ...]:
         """Weighted best-first search to the nearest first-layer execution.
 
-        Expands exact states from the encoded start through the kernel
-        successor function and returns the shuttling ops to the first goal
-        it pops; the caller emits them and the execute. On oracle-sized
-        traps the weight is 1 and the estimate stays a near lower bound, so
-        slices stay near shortest; bigger traps trade that for stranger and
-        corridor penalty terms that keep the frontier narrow. A goal has a
-        ready gate and no chain on a junction.
+        Expands exact states from the router's state through the kernel
+        successor function and returns the codes of the shuttling ops to
+        the first goal it pops; the caller takes them and the execute. On
+        oracle-sized traps the weight is 1 and the estimate stays a near
+        lower bound, so slices stay near shortest; bigger traps trade that
+        for stranger and corridor penalty terms that keep the frontier
+        narrow. A goal has a ready gate and no chain on a junction.
 
         Raises CompileError when the frontier runs out, so that no op
         sequence from the current state reaches a goal, or when
@@ -330,7 +311,7 @@ class _Router:
         memory of a deep search; the ops of the path are read off the
         parent links at the goal (see `_op_between`).
         """
-        trap = self.graph.encoded
+        trap = self.trap
         tables = self.batch.tables
         n = trap[0]
         greedy = n > ORACLE_MAX_VERTICES
@@ -341,9 +322,9 @@ class _Router:
         junction_mask = tables.junction_mask
         qubit_count = self.circuit.qubit_count
 
-        start = (start_chains, start_locks)
+        start = (self.chains, self.locks)
         best: dict[tuple, tuple] = {start: (0, None)}
-        start_h = heuristic(start_chains, *_positions(start_chains, qubit_count))
+        start_h = heuristic(self.chains, *_positions(self.chains, qubit_count))
         heap: list[tuple[int, int, int, tuple]] = [(weight * start_h, 0, 0, start)]
         counter = 0
         expansions = 0
@@ -422,16 +403,13 @@ class _Router:
     def route_next(self) -> None:
         """Execute one first-layer gate, searching for its route if needed."""
         gate = self.pick_gate()
-        if op_mod.can_execute(self.state, self.graph, self.circuit, gate.id):
-            self.emit(ExecuteGate(gate.id))
-        else:
-            trap = self.graph.encoded
-            chains, locks = kernel.encode_state(self.state, trap[0])
+        gate_id = gate.id
+        if not kernel.ready_gates(self.trap, self.chains, ((gate.id, gate.qubits),)):
             first_layer = kernel.encode_gates(self.circuit.first_layer)
-            key = _route_key(chains, locks, first_layer)
+            key = _route_key(self.chains, self.locks, first_layer)
             route = self.batch.routes.get(key)
             if route is None:
-                if not kernel.reachable_gates(trap, chains, locks, first_layer):
+                if not kernel.reachable_gates(self.trap, self.chains, self.locks, first_layer):
                     # The search could only exhaust its frontier or its cap from here.
                     raise CompileError(
                         f"junction locks seal gate {gate.id}'s operands, and those of every "
@@ -439,40 +417,39 @@ class _Router:
                         "meet; the router boxed itself in, which does not prove that the "
                         "circuit has no schedule"
                     )
-                route = self._search_next(gate, chains, locks, first_layer)
+                route = self._search_next(gate, first_layer)
                 self.batch.routes[key] = route
-            # step checks each op against the real state, memo hit or not.
-            for op in route:
-                self.emit(op)
-            chains = kernel.encode_state(self.state, trap[0])[0]
-            self.emit(ExecuteGate(min(kernel.ready_gates(trap, chains, first_layer))))
-        self._tidy_after_execute()
+            # The kernel checks each op against the real state, memo hit or not.
+            for code in route:
+                if not self.shuttle(code):
+                    raise CompileError(
+                        f"the route to gate {gate.id} takes "
+                        f"{op_mod.format_op(op_mod.decode_op(code))}, which is illegal in "
+                        "the router's current state; this is a router defect, which does "
+                        "not prove that the circuit has no schedule"
+                    )
+            gate_id = min(kernel.ready_gates(self.trap, self.chains, first_layer))
+        self.circuit = self.circuit.mark_executed(gate_id)
+        self.codes.append((EXECUTE, gate_id, -1))
+        self._tidy_after_execute(self.circuit.gate_by_id[gate_id])
 
-    def _tidy_after_execute(self) -> None:
+    def _tidy_after_execute(self, gate: Gate) -> None:
         """Break up a freshly executed pair unless a pending gate reuses it.
 
         Leaving executed pairs in storage lets capacity-2 tangles build up
         that no exchange can unpick later; a Separate right at the gate
         vertex is cheap and cancels against an immediate re-Merge in the
-        optimizer pass.
+        optimizer pass. The pair alone fills its vertex, and the Separate
+        is skipped where the kernel does not allow it.
         """
-        if self.circuit.is_complete:
+        if self.circuit.is_complete or len(gate.qubits) < 2:
             return
-        gate = self.circuit.gate_by_id[self.ops[-1].gate]
-        if len(gate.qubits) < 2:
-            return
-        vertex = self.vertex_of(gate.qubits[0])
-        chain = self.state.chain_at(vertex)
-        if len(chain) < 2:
-            return
-        stale = set(chain)
+        stale = set(gate.qubits)
         for pending in self.circuit.first_layer:
             if set(pending.qubits) == stale:
                 return
-        try:
-            self.emit(Separate(vertex))
-        except IllegalOperationError:
-            pass
+        vertex = next(v for v, chain in enumerate(self.chains) if gate.qubits[0] in chain)
+        self.shuttle((SEPARATE, vertex, -1))
 
 
 def compile(circuit: Circuit, graph: TrapGraph) -> Schedule:
@@ -498,9 +475,11 @@ def compile_many(circuits: Iterable[Circuit], graph: TrapGraph) -> list[Schedule
 
     The compiles share the trap's search tables and a route memo. A search
     whose start state and first-layer operand sets equal an earlier
-    successful one's up to a renumbering of qubits reuses that slice: its
-    ops are emitted through `step`, which checks each against the real
-    state, and the lowest ready gate id of the real first layer executes.
+    successful one's up to a renumbering of qubits reuses that slice: each
+    of its ops is taken as a kernel successor of the real state, and the
+    lowest ready gate id of the real first layer executes. An op that is no
+    successor raises CompileError naming a router defect. The router's op
+    codes are decoded once per circuit and replayed once, by `optimize`.
     The slice is the one a fresh search would find, because the search
     reads qubit labels only through operand positions and chain lengths,
     its estimate is symmetric in a pair's two operands, and its heap order
@@ -525,10 +504,11 @@ def compile_many(circuits: Iterable[Circuit], graph: TrapGraph) -> list[Schedule
             placement = initial_placement(circuit, graph)
         except PlacementError as exc:
             raise CompileError(str(exc)) from exc
-        router = _Router(batch, circuit, placement)
+        router = _Router(batch, circuit, *kernel.encode_state(placement, graph.encoded[0]))
         while not router.circuit.is_complete:
             router.route_next()
-        ops = optimize(router.ops, graph, circuit, placement)
+        ops = [op_mod.decode_op(code) for code in router.codes]
+        ops = optimize(ops, graph, circuit, placement)
         schedules.append(Schedule(graph, circuit, placement, tuple(ops)))
     return schedules
 

@@ -97,16 +97,6 @@ class Circuit:
             gid for q, cursor in enumerate(self._cursors) for gid in order[q][:cursor]
         )
 
-    @cached_property
-    def pending(self) -> tuple[Gate, ...]:
-        executed = self.executed
-        return tuple(g for g in self.gates if g.id not in executed)
-
-    @cached_property
-    def pending_per_qubit(self) -> dict[int, tuple[int, ...]]:
-        order = self._frontier.order
-        return {q: order[q][cursor:] for q, cursor in enumerate(self._cursors)}
-
     def in_first_layer(self, gate_id: int) -> bool:
         """Whether gate_id is pending with no pending predecessor; O(operands)."""
         places = self._frontier.places.get(gate_id)

@@ -27,7 +27,7 @@ from .errors import (
     ReplayMismatchError,
     TransportError,
 )
-from .schedule import Schedule, optimize, step
+from .schedule import Schedule, optimize_replay
 from .state import initial_placement
 from .trap import TrapGraph
 
@@ -243,8 +243,9 @@ def generate_schedule(
 
     Each step submits one instruction and accepts the response only if it
     parses, replays cleanly from the current state, and executes a
-    first-layer gate; accepted slices are peephole-optimized, and the run
-    continues from the state their trial replay ended in. Invalid responses
+    first-layer gate. The replay is `optimize_replay`, which steps each op
+    once: an accepted slice is kept peephole-optimized, and the run
+    continues from the state the replay ended in. Invalid responses
     resubmit the identical instruction, and ten consecutive invalid
     responses (or the time budget) abort the run with a partial schedule.
     A scripted or replayed client that cannot answer the instruction aborts
@@ -276,9 +277,7 @@ def generate_schedule(
         tokens_total += result.token_count
         try:
             ops = parse_output(result.text)
-            trial_state, trial_circuit = state, current
-            for op in ops:
-                trial_state, trial_circuit = step(graph, trial_state, trial_circuit, op)
+            ops, state, current = optimize_replay(ops, graph, current, state)
         except (OutputParseError, IllegalOperationError, OrderViolationError):
             retries += 1
             consecutive += 1
@@ -289,13 +288,12 @@ def generate_schedule(
                 )
                 break
             continue
-        # Replay was clean and parse_output guarantees a final ExecuteGate,
-        # so at least one first-layer gate was executed. Trim redundant
-        # shuttles, then commit the state the trial replay ended in:
-        # optimize deletes only pairs that return to their start state,
-        # junction locks included, so the trimmed slice ends there too.
-        all_ops.extend(optimize(ops, graph, current, state))
-        state, current = trial_state, trial_circuit
+        # The replay was clean and parse_output guarantees a final
+        # ExecuteGate, so at least one first-layer gate was executed. The
+        # optimizer deletes only pairs that return to their start state,
+        # junction locks included, so the trimmed slice ends in the state
+        # the run continues from.
+        all_ops.extend(ops)
         tokens_final += result.token_count
         consecutive = 0
     stats = GenerationStats(

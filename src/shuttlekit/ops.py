@@ -1,4 +1,4 @@
-"""The five schedule operations: legality predicates, effects, enumeration, text.
+"""The five schedule operations: legality checks, effects, enumeration, text.
 
 Apply functions are pure: they check the operation's precondition against
 the given state and return a new state, raising IllegalOperationError with
@@ -136,26 +136,6 @@ def _execute_violation(
     if len(state.chain_at(vertex)) != len(gate.qubits):
         return f"vertex {vertex} holds qubits besides those of gate {gate_id}"
     return None
-
-
-def can_translate(state: TrapState, graph: TrapGraph, src: int, dst: int) -> bool:
-    return _translate_violation(state, graph, src, dst) is None
-
-
-def can_separate(state: TrapState, graph: TrapGraph, at: int) -> bool:
-    return _separate_violation(state, graph, at) is None
-
-
-def can_merge(state: TrapState, graph: TrapGraph, at: int) -> bool:
-    return _merge_violation(state, graph, at) is None
-
-
-def can_swap(state: TrapState, graph: TrapGraph, at: int) -> bool:
-    return _swap_violation(state, graph, at) is None
-
-
-def can_execute(state: TrapState, graph: TrapGraph, circuit: Circuit, gate_id: int) -> bool:
-    return _execute_violation(state, graph, circuit, gate_id) is None
 
 
 def violation(

@@ -3,10 +3,11 @@
 A schedule is complete when replay executes every gate, ends with no
 occupied junction, and contains no shuttling after the final gate. Replay
 is `step` applied op by op; each consumer makes one pass: `validate` and
-`decompose` share one, and `optimize` makes its own forward pass. The
-optimizer deletes adjacent op pairs that provably return to the state they
-started from, junction locks included, so removal can never invalidate a
-later op or change the final state.
+`decompose` share one, and `optimize_replay` is both the optimizer and the
+validating replay of a compiled schedule or an accepted generated slice.
+The optimizer deletes adjacent op pairs that provably return to the state
+they started from, junction locks included, so removal can never invalidate
+a later op or change the final state.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import (
     ScheduleError,
     ScheduleValidationError,
 )
-from .ops import ExecuteGate, Merge, Separate, ShuttleOp, Swap, Translate
+from .ops import ExecuteGate, ShuttleOp
 from .state import TrapState
 from .trap import TrapGraph
 
@@ -116,19 +117,6 @@ def _replay(schedule: Schedule) -> tuple[ValidationReport, list[EntrySlice]]:
     return ValidationReport(True, None, None, executed, state), slices
 
 
-_PAIR_SHAPES = (
-    lambda a, b: isinstance(a, Translate) and isinstance(b, Translate)
-    and a.src == b.dst and a.dst == b.src,
-    lambda a, b: isinstance(a, Merge) and isinstance(b, Separate) and a.at == b.at,
-    lambda a, b: isinstance(a, Separate) and isinstance(b, Merge) and a.at == b.at,
-    lambda a, b: isinstance(a, Swap) and isinstance(b, Swap) and a.at == b.at,
-)
-
-
-def _deletable_shape(a: ShuttleOp, b: ShuttleOp) -> bool:
-    return any(shape(a, b) for shape in _PAIR_SHAPES)
-
-
 def optimize(
     ops: list[ShuttleOp] | tuple[ShuttleOp, ...],
     graph: TrapGraph,
@@ -138,25 +126,42 @@ def optimize(
     """Remove redundant adjacent pairs until none remain.
 
     The ops must replay legally from (state, circuit); an illegal op raises
-    IllegalOperationError. One forward pass keeps a stack of kept ops, each
-    with the state it starts from. An incoming op cancels the top of the
-    stack when the pair has a deletable shape (back-and-forth Translate,
-    Merge;Separate either way round, double Swap) and the two together
-    return to the top op's start state, junction locks included; otherwise
-    it is pushed. A cancelled pair is a state identity, so the kept ops
-    replay to the same states, the same final state and the same executed
-    gates, and no kept adjacent pair is deletable. Ops are never reordered
-    and Execute Gate lines survive.
+    IllegalOperationError. The pass is `optimize_replay`, which also
+    returns the state and circuit the ops end in.
+    """
+    return optimize_replay(ops, graph, circuit, state)[0]
+
+
+def optimize_replay(
+    ops: list[ShuttleOp] | tuple[ShuttleOp, ...],
+    graph: TrapGraph,
+    circuit: Circuit,
+    state: TrapState,
+) -> tuple[list[ShuttleOp], TrapState, Circuit]:
+    """The optimized ops, with the state and circuit that replaying them ends in.
+
+    One forward pass steps each op once, so it is also the validating
+    replay of the ops: an illegal op raises IllegalOperationError, an
+    out-of-order gate OrderViolationError. It keeps a stack of kept ops,
+    each with the state it starts from. An incoming shuttling op cancels
+    the top of the stack when the pair returns to the top op's start state,
+    junction locks included; otherwise it is pushed. Every shuttling op
+    changes the state and only its inverse undoes it, so such a pair is a
+    back-and-forth Translate, Merge;Separate either way round, or a double
+    Swap. A cancelled pair is a state identity, so the kept ops replay to
+    the same states, the same final state and the same executed gates, and
+    no kept adjacent pair is redundant. Ops are never reordered and
+    Execute Gate lines survive.
     """
     kept: list[tuple[ShuttleOp, TrapState]] = []
     for op in ops:
         after, circuit = step(graph, state, circuit, op)
-        if kept and _deletable_shape(kept[-1][0], op) and after == kept[-1][1]:
+        if kept and not isinstance(op, ExecuteGate) and after == kept[-1][1]:
             kept.pop()
         else:
             kept.append((op, state))
         state = after
-    return [op for op, _ in kept]
+    return [op for op, _ in kept], state, circuit
 
 
 def serialize_schedule(schedule: Schedule, trap_path: str, circuit_path: str) -> str:

@@ -57,13 +57,6 @@ class TrapState:
     def qubits(self) -> frozenset[int]:
         return frozenset(self.qubit_positions)
 
-    def digest(self) -> tuple:
-        """Canonical hashable key for visited-state sets."""
-        return (
-            tuple(sorted(self.chains.items())),
-            tuple(sorted(self.junction_locks.items())),
-        )
-
 
 def position_lines(state: TrapState) -> list[str]:
     """One `qubit <q> at [<v>, <p>]` line per qubit, sorted by qubit."""

@@ -73,9 +73,6 @@ class TrapGraph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def is_junction(self, v: int) -> bool:
         return self.vertices[v].kind is VertexKind.JUNCTION
 
@@ -91,9 +88,6 @@ class TrapGraph:
         if len(ns) == 2:
             return (ns[0], ns[1])
         return None
-
-    def storage_count(self) -> int:
-        return sum(1 for v in self.vertices.values() if v.kind is VertexKind.STORAGE)
 
     @cached_property
     def encoded(self) -> tuple:

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from shuttlekit import baseline, kernel, trap
+from shuttlekit import baseline, kernel, ops, trap
 from shuttlekit.circuit import Circuit, Gate
 from shuttlekit.errors import CompileError
 from shuttlekit.ops import decode_op, format_op
@@ -116,6 +116,60 @@ def test_every_slice_starts_with_junctions_empty(graph, qubits, seeds):
         for piece in decompose(schedule):
             occupied = [v for v in piece.state.chains if graph.is_junction(v)]
             assert occupied == [], (seed, piece.gate, occupied)
+
+
+def test_compile_steps_each_op_once(monkeypatch):
+    """The router takes kernel successors; optimize is the one replay of its ops.
+
+    Past the placement, every TrapState comes from an ops.apply of that
+    replay, so the router neither builds nor steps one.
+    """
+    applied, built, received = 0, 0, []
+    apply, check, optimize = ops.apply, TrapState.__post_init__, baseline.optimize
+
+    def counted(*args):
+        nonlocal applied
+        applied += 1
+        return apply(*args)
+
+    def counted_build(self):
+        nonlocal built
+        built += 1
+        check(self)
+
+    def recorded(op_list, *args):
+        received.append(len(op_list))
+        return optimize(op_list, *args)
+
+    monkeypatch.setattr(ops, "apply", counted)
+    monkeypatch.setattr(TrapState, "__post_init__", counted_build)
+    monkeypatch.setattr(baseline, "optimize", recorded)
+    baseline.compile(baseline.random_circuit(4, 6, 0), trap.build_eval_layout("ring", 4))
+    assert applied == received[0] > 0
+    assert built == 1 + applied
+
+
+class IllegalRoutes(dict):
+    """A route memo whose every lookup finds a Translate between unconnected vertices."""
+
+    def get(self, key, default=None):
+        return ((kernel.TRANSLATE, 0, 0),)
+
+
+def test_illegal_memo_route_is_a_router_defect(monkeypatch):
+    """A route the kernel rejects fails the compile with a message, not a traceback."""
+    class Batch(baseline._Batch):
+        def __init__(self, graph):
+            super().__init__(graph)
+            self.routes = IllegalRoutes()
+
+    monkeypatch.setattr(baseline, "_Batch", Batch)
+    with pytest.raises(CompileError) as failure:
+        baseline.compile(baseline.random_circuit(4, 6, 0), trap.build_eval_layout("ring", 4))
+    assert str(failure.value).startswith(
+        "the route to gate 3 takes Translate 0 -> 0, which is illegal in the router's "
+        "current state; this is a router defect"
+    )
 
 
 # The schedules of random_circuit(q, 6, seed), seeds 0-3, on three traps: ring
@@ -239,11 +293,11 @@ def test_search_estimate_matches_reference_on_random_walks(graph, qubits):
 # -- slice recovery, batches and the route memo ------------------------------
 
 
-def successor_op(enc, parent, child):
-    """The op between two search states as the first successor reaching the child."""
+def successor_code(enc, parent, child):
+    """The op code between two search states: the first successor reaching the child."""
     for code, chains, locks in kernel.successors(enc, *parent):
         if (chains, locks) == child:
-            return decode_op(code)
+            return code
     raise AssertionError("child is not a successor of parent")
 
 
@@ -253,7 +307,7 @@ def successor_op(enc, parent, child):
     ids=["ring4", "four_way5", "multi_linear4", "branched321", "linear3", "linear5"],
 )
 def test_op_between_matches_successor_recovery_on_random_walks(graph, qubits):
-    """Reading an op off the changed vertices gives the op the successors list has."""
+    """Reading an op code off the changed vertices gives the code the successors list has."""
     enc = graph.encoded
     kinds = set()
     for seed in range(6):
@@ -265,9 +319,9 @@ def test_op_between_matches_successor_recovery_on_random_walks(graph, qubits):
             if not moves:
                 break
             for _, chains, locks in moves:
-                op = baseline._op_between(state[0], chains)
-                assert op == successor_op(enc, state, (chains, locks))
-                kinds.add(type(op).__name__)
+                code = baseline._op_between(state[0], chains)
+                assert code == successor_code(enc, state, (chains, locks))
+                kinds.add(type(decode_op(code)).__name__)
             state = rng.choice(moves)[1:]
     assert kinds == {"Translate", "Separate", "Merge", "Swap"}
 
@@ -380,10 +434,10 @@ def test_search_is_invariant_under_qubit_relabelling(graph, qubits, seeds):
                 (piece.state, piece.circuit),
                 relabelled(piece.state, piece.circuit, perm, rng),
             ):
-                router = baseline._Router(batch, circuit, state)
                 chains, locks = kernel.encode_state(state, n)
+                router = baseline._Router(batch, circuit, chains, locks)
                 gates = kernel.encode_gates(circuit.first_layer)
-                routes.append(router._search_next(router.pick_gate(), chains, locks, gates))
+                routes.append(router._search_next(router.pick_gate(), gates))
             assert routes[0] == routes[1]
             searched += bool(routes[0])
     assert searched > 10

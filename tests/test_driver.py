@@ -2,7 +2,7 @@
 
 import pytest
 
-from shuttlekit import baseline, trap
+from shuttlekit import baseline, ops, trap
 from shuttlekit.baseline import random_circuit
 from shuttlekit.dataset import parse_output, render_instruction, render_output
 from shuttlekit.driver import (
@@ -74,6 +74,24 @@ def test_faulty_outputs_are_retried_and_redundancy_trimmed():
     assert stats.gates_executed == len(CIRCUIT.gates)
     rejected = tokens(UNPARSEABLE) + tokens(ILLEGAL) + tokens(NO_EXECUTE)
     assert stats.tokens_total - stats.tokens_final == rejected
+
+
+def test_accepted_slices_are_stepped_once(monkeypatch):
+    """The replay that accepts a slice is the one that trims it."""
+    script = [redundant(0)] + OUTPUTS[1:]
+    applied = 0
+    apply = ops.apply
+
+    def counted(*args):
+        nonlocal applied
+        applied += 1
+        return apply(*args)
+
+    monkeypatch.setattr(ops, "apply", counted)
+    schedule, stats = run(MockCompletionClient(script))
+    assert (stats.outcome, stats.retries) == ("complete", 0)
+    assert schedule.ops == COMPILED.ops
+    assert applied == sum(len(parse_output(text)) for text in script)
 
 
 def test_consecutive_invalid_outputs_fail_with_a_legal_partial_schedule():

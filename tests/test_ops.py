@@ -1,6 +1,6 @@
 """Semantics of the five operations.
 
-Most of these tests state the rule twice: once through the predicate and
+Most of these tests state the rule twice: once through violation() and
 once through apply, so the two can never drift apart. The identities at
 the bottom are the algebra the optimizer relies on.
 """
@@ -23,11 +23,6 @@ from shuttlekit.ops import (
     Translate,
     allowed_ops,
     apply,
-    can_execute,
-    can_merge,
-    can_separate,
-    can_swap,
-    can_translate,
     format_op,
     parse_op,
     violation,
@@ -55,6 +50,10 @@ def every_op(graph, circuit):
     return out
 
 
+def legal(state, graph, op, circuit=NO_GATES):
+    return violation(state, graph, circuit, op) is None
+
+
 # -- translate ---------------------------------------------------------------
 
 
@@ -66,16 +65,16 @@ def test_translate_moves_whole_chain_in_order():
 
 def test_translate_requires_edge_source_and_empty_target():
     state = TrapState({0: (0,), 1: (1,)})
-    assert not can_translate(state, LINEAR1, 0, 2)  # no edge 0-2
-    assert not can_translate(state, LINEAR1, 2, 1)  # empty source
-    assert not can_translate(state, LINEAR1, 0, 1)  # occupied target
-    assert can_translate(state, LINEAR1, 1, 2)
+    assert not legal(state, LINEAR1, Translate(0, 2))  # no edge 0-2
+    assert not legal(state, LINEAR1, Translate(2, 1))  # empty source
+    assert not legal(state, LINEAR1, Translate(0, 1))  # occupied target
+    assert legal(state, LINEAR1, Translate(1, 2))
 
 
 def test_translate_respects_capacity_implicitly():
     # target must be empty outright, so capacity can never be exceeded
     state = TrapState({0: (0, 1), 1: (2,)})
-    assert not can_translate(state, LINEAR1, 0, 1)
+    assert not legal(state, LINEAR1, Translate(0, 1))
 
 
 def test_junction_lock_blocks_immediate_reversal():
@@ -85,7 +84,7 @@ def test_junction_lock_blocks_immediate_reversal():
     assert state.junction_locks == {}  # entering sets no lock
     state = apply(state, BRANCHED, NO_GATES, Translate(1, 2))
     assert state.junction_locks == {1: 2}
-    assert not can_translate(state, BRANCHED, 2, 1)
+    assert not legal(state, BRANCHED, Translate(2, 1))
     msg = violation(state, BRANCHED, NO_GATES, Translate(2, 1))
     assert msg is not None and "junction" in msg
 
@@ -94,12 +93,12 @@ def test_junction_lock_cleared_by_exit_toward_other_neighbor():
     state = TrapState({0: (0,), 7: (1,)})
     for move in (Translate(0, 1), Translate(1, 2)):
         state = apply(state, BRANCHED, NO_GATES, move)
-    assert not can_translate(state, BRANCHED, 2, 1)
+    assert not legal(state, BRANCHED, Translate(2, 1))
     # helper chain traverses the junction from stack vertex 7 out to 0
     state = apply(state, BRANCHED, NO_GATES, Translate(7, 1))
     state = apply(state, BRANCHED, NO_GATES, Translate(1, 0))
     assert state.junction_locks == {1: 0}
-    assert can_translate(state, BRANCHED, 2, 1)
+    assert legal(state, BRANCHED, Translate(2, 1))
     state = apply(state, BRANCHED, NO_GATES, Translate(2, 1))
     assert state.chain_at(1) == (0,)
 
@@ -131,10 +130,10 @@ def test_separate_odd_chain_on_wider_capacity():
 
 
 def test_separate_requires_two_qubits_and_empty_laterals():
-    assert not can_separate(TrapState({1: (0,)}), LINEAR1, 1)
-    assert not can_separate(TrapState({1: (0, 1), 0: (2,)}), LINEAR1, 1)
-    assert not can_separate(TrapState({0: (0, 1)}), LINEAR1, 0)  # not eligible
-    assert can_separate(TrapState({1: (0, 1)}), LINEAR1, 1)
+    assert not legal(TrapState({1: (0,)}), LINEAR1, Separate(1))
+    assert not legal(TrapState({1: (0, 1), 0: (2,)}), LINEAR1, Separate(1))
+    assert not legal(TrapState({0: (0, 1)}), LINEAR1, Separate(0))  # not eligible
+    assert legal(TrapState({1: (0, 1)}), LINEAR1, Separate(1))
 
 
 def test_merge_concatenates_left_then_right():
@@ -147,18 +146,18 @@ def test_merge_requires_room_and_both_sides():
     graph = trap.build_linear(1, capacity=3)
     # 2 + 2 > 3
     state = TrapState({0: (0, 1), 2: (2, 3)})
-    assert not can_merge(state, graph, 1)
+    assert not legal(state, graph, Merge(1))
     state = TrapState({0: (0, 1), 2: (2,)})
-    assert can_merge(state, graph, 1)
+    assert legal(state, graph, Merge(1))
     # single side is a plain translate, not a merge
-    assert not can_merge(TrapState({0: (0,)}), LINEAR1, 1)
+    assert not legal(TrapState({0: (0,)}), LINEAR1, Merge(1))
     # target must be empty
-    assert not can_merge(TrapState({0: (0,), 1: (2,), 2: (1,)}), LINEAR1, 1)
+    assert not legal(TrapState({0: (0,), 1: (2,), 2: (1,)}), LINEAR1, Merge(1))
 
 
 def test_merge_respects_default_capacity():
     state = TrapState({0: (0, 1), 2: (2,)})
-    assert not can_merge(state, LINEAR1, 1)
+    assert not legal(state, LINEAR1, Merge(1))
 
 
 def test_swap_reverses_chain():
@@ -169,9 +168,9 @@ def test_swap_reverses_chain():
 
 
 def test_swap_needs_two_qubits_at_eligible_vertex():
-    assert not can_swap(TrapState({1: (0,)}), LINEAR1, 1)
-    assert not can_swap(TrapState({0: (0, 1)}), LINEAR1, 0)
-    assert can_swap(TrapState({1: (0, 1)}), LINEAR1, 1)
+    assert not legal(TrapState({1: (0,)}), LINEAR1, Swap(1))
+    assert not legal(TrapState({0: (0, 1)}), LINEAR1, Swap(0))
+    assert legal(TrapState({1: (0, 1)}), LINEAR1, Swap(1))
 
 
 def test_separate_blocked_by_junction_lateral():
@@ -185,8 +184,8 @@ def test_separate_blocked_by_junction_lateral():
             v["eligibility"] = ["separate", "merge", "swap"]
             v["lateral"] = [1, 3]
     graph = trap.parse_trap(json.dumps(data))
-    assert not can_separate(TrapState({2: (0, 1)}), graph, 2)
-    assert not can_merge(TrapState({1: (0,), 3: (1,)}), graph, 2)
+    assert not legal(TrapState({2: (0, 1)}), graph, Separate(2))
+    assert not legal(TrapState({1: (0,), 3: (1,)}), graph, Merge(2))
 
 
 # -- execute gate -------------------------------------------------------------
@@ -194,20 +193,20 @@ def test_separate_blocked_by_junction_lateral():
 
 def test_execute_needs_operands_alone_in_gate_segment():
     circuit = Circuit(3, (Gate(1, (0, 1)), Gate(2, (1, 2))))
-    assert can_execute(TrapState({2: (0, 1)}), LINEAR2, circuit, 1)
+    assert legal(TrapState({2: (0, 1)}), LINEAR2, ExecuteGate(1), circuit)
     # stranger in the segment
     graph3 = trap.build_linear(1, capacity=3)
-    assert not can_execute(TrapState({1: (0, 1, 2)}), graph3, circuit, 1)
+    assert not legal(TrapState({1: (0, 1, 2)}), graph3, ExecuteGate(1), circuit)
     # operand elsewhere
-    assert not can_execute(TrapState({2: (0,), 3: (1,)}), LINEAR2, circuit, 1)
+    assert not legal(TrapState({2: (0,), 3: (1,)}), LINEAR2, ExecuteGate(1), circuit)
     # deeper-layer gate
-    assert not can_execute(TrapState({2: (1, 2)}), LINEAR2, circuit, 2)
+    assert not legal(TrapState({2: (1, 2)}), LINEAR2, ExecuteGate(2), circuit)
 
 
 def test_execute_single_qubit_gate():
     circuit = Circuit(2, (Gate(1, (1,)), Gate(2, (0, 1))))
-    assert can_execute(TrapState({2: (1,), 0: (0,)}), LINEAR2, circuit, 1)
-    assert not can_execute(TrapState({2: (1, 0)}), LINEAR2, circuit, 1)
+    assert legal(TrapState({2: (1,), 0: (0,)}), LINEAR2, ExecuteGate(1), circuit)
+    assert not legal(TrapState({2: (1, 0)}), LINEAR2, ExecuteGate(1), circuit)
 
 
 def test_apply_execute_leaves_state_untouched():
@@ -309,6 +308,10 @@ def test_translate_round_trip_is_identity(src, chain):
 # -- qubit conservation under exhaustive exploration ----------------------------
 
 
+def visited_key(state):
+    return tuple(sorted(state.chains.items())), tuple(sorted(state.junction_locks.items()))
+
+
 def test_reachable_states_conserve_qubits():
     """Breadth-first soundness sweep on a small trap.
 
@@ -320,7 +323,7 @@ def test_reachable_states_conserve_qubits():
     graph = LINEAR2
     start = TrapState({2: (0, 1), 3: (2,)})
     frontier = [(start, circuit)]
-    seen = {(start.digest(), frozenset(circuit.executed))}
+    seen = {(visited_key(start), frozenset(circuit.executed))}
     for _ in range(4):
         nxt = []
         for state, circ in frontier:
@@ -338,7 +341,7 @@ def test_reachable_states_conserve_qubits():
                         if isinstance(op, ExecuteGate)
                         else circ
                     )
-                    key = (after.digest(), frozenset(circ2.executed))
+                    key = (visited_key(after), frozenset(circ2.executed))
                     if key not in seen:
                         seen.add(key)
                         nxt.append((after, circ2))

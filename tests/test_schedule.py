@@ -8,7 +8,7 @@ from shuttlekit import baseline, trap
 from shuttlekit.baseline import random_circuit
 from shuttlekit.circuit import Circuit, Gate
 from shuttlekit.errors import ScheduleError, ScheduleValidationError
-from shuttlekit.ops import ExecuteGate, Merge, Separate, Swap, Translate
+from shuttlekit.ops import ExecuteGate, Merge, Separate, Swap, Translate, allowed_ops
 from shuttlekit.schedule import (
     Schedule,
     decompose,
@@ -19,7 +19,7 @@ from shuttlekit.schedule import (
     step,
     validate,
 )
-from shuttlekit.state import TrapState
+from shuttlekit.state import TrapState, initial_placement
 
 
 LINEAR1 = trap.build_linear(1)
@@ -307,6 +307,90 @@ def test_optimize_removes_injected_redundancy():
             continue
         out = optimize(injected.ops, sched.graph, sched.circuit, sched.placement)
         assert tuple(out) == clean.ops
+
+
+# The pair shapes optimize first cancelled by, before it relied on every
+# shuttling op changing the state and only its inverse undoing it.
+PAIR_SHAPES = (
+    lambda a, b: isinstance(a, Translate) and isinstance(b, Translate)
+    and a.src == b.dst and a.dst == b.src,
+    lambda a, b: isinstance(a, Merge) and isinstance(b, Separate) and a.at == b.at,
+    lambda a, b: isinstance(a, Separate) and isinstance(b, Merge) and a.at == b.at,
+    lambda a, b: isinstance(a, Swap) and isinstance(b, Swap) and a.at == b.at,
+)
+
+
+def shape_rule_optimize(ops, graph, circuit, state):
+    """optimize with a pair cancelling only in one of PAIR_SHAPES."""
+    kept = []
+    for op in ops:
+        after, circuit = step(graph, state, circuit, op)
+        top = kept[-1] if kept else None
+        if top and any(shape(top[0], op) for shape in PAIR_SHAPES) and after == top[1]:
+            kept.pop()
+        else:
+            kept.append((op, state))
+        state = after
+    return [op for op, _ in kept]
+
+
+def inverse(op):
+    if isinstance(op, Translate):
+        return Translate(op.dst, op.src)
+    if isinstance(op, Merge):
+        return Separate(op.at)
+    if isinstance(op, Separate):
+        return Merge(op.at)
+    return op if isinstance(op, Swap) else None
+
+
+def undo_biased_walk(graph, circuit, rng, length):
+    """Random legal ops from the placement; 40% of the time, undo the last one if legal.
+
+    The walk stops early where no op is legal.
+    """
+    state = initial_placement(circuit, graph)
+    ops = []
+    for _ in range(length):
+        legal = allowed_ops(state, graph, circuit)
+        if not legal:
+            break
+        undo = inverse(ops[-1]) if ops and rng.random() < 0.4 else None
+        op = undo if undo in legal else rng.choice(legal)
+        ops.append(op)
+        state, circuit = step(graph, state, circuit, op)
+    return ops
+
+
+WALK_TRAPS = [
+    (trap.build_linear(2), 3),
+    (trap.build_linear(2, capacity=3), 4),
+    (trap.build_branched(2, 1, 1), 3),
+    (trap.build_branched(3, 2, 1), 4),
+    (trap.build_eval_layout("ring", 4), 4),
+    (trap.build_eval_layout("four_way", 4), 4),
+    (trap.build_eval_layout("multi_linear", 4), 4),
+]
+
+
+@pytest.mark.parametrize(
+    "graph,qubits",
+    WALK_TRAPS,
+    ids=["linear2", "linear2_cap3", "branched211", "branched321", "ring4", "four_way4",
+         "multi_linear4"],
+)
+def test_optimize_cancels_as_the_pair_shape_rule_did(graph, qubits):
+    """A pair that returns to its start is always one of the old deletable shapes."""
+    removed = 0
+    for seed in range(25):
+        rng = random.Random(seed)
+        circuit = random_circuit(qubits, 4, seed)
+        ops = undo_biased_walk(graph, circuit, rng, 60)
+        placement = initial_placement(circuit, graph)
+        out = optimize(ops, graph, circuit, placement)
+        assert out == shape_rule_optimize(ops, graph, circuit, placement)
+        removed += len(ops) - len(out)
+    assert removed > 0
 
 
 # -- files --------------------------------------------------------------------

@@ -37,12 +37,12 @@ def test_position_of_reads_chain_index():
         state.position_of(9)
 
 
-def test_digest_distinguishes_lock_history():
+def test_state_equality_distinguishes_lock_history():
     a = TrapState({2: (0,)}, {1: 0})
     b = TrapState({2: (0,)}, {1: 2})
     c = TrapState({2: (0,)}, {1: 0})
-    assert a.digest() != b.digest()
-    assert a.digest() == c.digest()
+    assert a != b
+    assert a == c
 
 
 def test_position_lines_format():
