@@ -2,9 +2,12 @@
 
 The compiler routes one first-layer gate at a time. A gate whose operands
 already fill a gate vertex executes at once. Otherwise one weighted
-best-first search over the kernel encoding finds a short op sequence from
-the current state to the next first-layer execution that leaves no chain
-on a junction, and the router commits it. Before that search a
+best-first search over the kernel encoding (kernel.route_search) finds a
+short op sequence from the current state to the next first-layer
+execution that leaves no chain on a junction, and the router commits it.
+The search dedups states by an exact integer key and works on the tuple
+encoding; this module supplies its estimate, its seal-penalty table, its
+goal mask and limits, and words its failures. Before that search a
 reachability check (kernel.reachable_gates) stops the compile at once when
 junction locks have sealed every first-layer gate's operands apart.
 
@@ -36,7 +39,6 @@ sequence to the next gate execution.
 
 from __future__ import annotations
 
-import heapq
 import random
 from collections.abc import Iterable
 from typing import NamedTuple
@@ -54,8 +56,17 @@ from .trap import TrapGraph, bfs_distances
 ORACLE_MAX_VERTICES = 9
 ORACLE_MAX_QUBITS = 4
 
-# Expansions one routing search may spend before the compile gives up.
+# Expansions one routing search may spend before the compile gives up, and
+# the stored states past which it gives up as well.
 _SEARCH_CAP = 250_000
+_MAX_STORED_STATES = 1_500_000
+
+# Extra cost of a Translate that leaves a junction with nothing behind it:
+# that locks the region away for good (re-entry from the exit side is
+# forbidden and no chain remains to tap it open). Permitted, since the last
+# chain out of a stack always does this, but expensive enough to prefer any
+# detour.
+_SEAL_PENALTY = 30
 
 _TWO_QUBIT_NAMES = ("cx", "cz")
 _ONE_QUBIT_NAMES = ("h", "x", "y", "z", "s", "t")
@@ -134,20 +145,10 @@ def _search_tables(graph: TrapGraph) -> _SearchTables:
     return _SearchTables(far, gate_tables, pair_min, corridor, seal_exits, junction_mask)
 
 
-def _positions(chains: tuple, qubit_count: int) -> tuple[list[int], int]:
-    """Qubit -> vertex list and occupancy bitmask of an encoded state."""
-    pos = [0] * qubit_count
-    occupied = 0
-    for v, chain in enumerate(chains):
-        if chain:
-            occupied |= 1 << v
-            for q in chain:
-                pos[q] = v
-    return pos, occupied
-
-
 def _estimate(tables: _SearchTables, gates: tuple, greedy: bool):
     """The search estimate for first-layer `gates`, as h(chains, pos, occupied).
+
+    `pos` and `occupied` are kernel.positions of `chains`.
 
     The minimum over gates and gate vertices of the operands' distance to
     that vertex, plus one for the execute, plus a stranger term per qubit
@@ -277,7 +278,7 @@ class _Router:
 
     def pick_gate(self) -> Gate:
         tables = self.batch.tables.gate_tables
-        pos = _positions(self.chains, self.circuit.qubit_count)[0]
+        pos = kernel.positions(self.chains, self.circuit.qubit_count)[0]
         return min(
             self.circuit.first_layer,
             key=lambda g: (min(sum(t[pos[q]] for q in g.qubits) for t in tables), g.id),
@@ -288,112 +289,51 @@ class _Router:
     def _search_next(self, gate: Gate, gates_enc: tuple) -> tuple[tuple[int, int, int], ...]:
         """Weighted best-first search to the nearest first-layer execution.
 
-        Expands exact states from the router's state through the kernel
-        successor function and returns the codes of the shuttling ops to
-        the first goal it pops; the caller takes them and the execute. On
-        oracle-sized traps the weight is 1 and the estimate stays a near
-        lower bound, so slices stay near shortest; bigger traps trade that
-        for stranger and corridor penalty terms that keep the frontier
-        narrow. A goal has a ready gate and no chain on a junction.
+        Runs kernel.route_search from the router's state and returns the
+        codes of the shuttling ops to the first goal it pops; the caller
+        takes them and the execute. On oracle-sized traps the weight is 1
+        and the estimate stays a near lower bound, so slices stay near
+        shortest; bigger traps trade that for stranger and corridor
+        penalty terms that keep the frontier narrow. A goal has a ready
+        gate and no chain on a junction: a slice may route through
+        junctions but must not end on one, since a chain resting there
+        when the gate fires can lock half the trap away for every later
+        gate. The estimate and the seal penalty read the batch's
+        `_SearchTables`; the ops of the path are read off the chains of
+        consecutive states (see `_op_between`).
 
         Raises CompileError when the frontier runs out, so that no op
         sequence from the current state reaches a goal, or when
-        `_SEARCH_CAP` expansions or 1.5M stored states are spent. `gate`
-        names the router's pick in those messages.
-
-        Node cost is kept low without changing which nodes are expanded or
-        in what order: the estimate and the seal penalty read the
-        batch's `_SearchTables`, positions and occupancy are computed
-        once per expanded node and patched per pushed child from the
-        vertices its op touches, and kernel.ready_gates runs only on nodes
-        whose estimate is 1, the only ones where a gate can be ready. Each
-        stored state keeps only its cost and parent, which bounds the
-        memory of a deep search; the ops of the path are read off the
-        parent links at the goal (see `_op_between`).
+        `_SEARCH_CAP` expansions or `_MAX_STORED_STATES` stored states are
+        spent. `gate` names the router's pick in those messages.
         """
-        trap = self.trap
         tables = self.batch.tables
-        n = trap[0]
-        greedy = n > ORACLE_MAX_VERTICES
-        weight = 2 if greedy else 1
-        heuristic = _estimate(tables, gates_enc, greedy)
-        lat_left, lat_right = trap[5], trap[6]
-        seal_exits = tables.seal_exits
-        junction_mask = tables.junction_mask
-        qubit_count = self.circuit.qubit_count
-
-        start = (self.chains, self.locks)
-        best: dict[tuple, tuple] = {start: (0, None)}
-        start_h = heuristic(self.chains, *_positions(self.chains, qubit_count))
-        heap: list[tuple[int, int, int, tuple]] = [(weight * start_h, 0, 0, start)]
-        counter = 0
-        expansions = 0
-        while heap:
-            f, g, _, node = heapq.heappop(heap)
-            if g > best[node][0]:
-                continue
-            chains, locks = node
-            pos, occupied = _positions(chains, qubit_count)
-            # A slice may route through junctions but must not end on one:
-            # a chain resting there when the gate fires can lock half the
-            # trap away for every later gate.
-            if f - g == weight and not occupied & junction_mask:
-                path = [node]
-                while best[path[-1]][1] is not None:
-                    path.append(best[path[-1]][1])
-                return tuple(
-                    _op_between(parent[0], child[0])
-                    for parent, child in zip(reversed(path), reversed(path[:-1]))
-                )
-            if expansions >= _SEARCH_CAP or len(best) > 1_500_000:
-                raise CompileError(
-                    f"the router gave up on gate {gate.id} after {expansions} search "
-                    f"expansions and {len(best)} stored states (limits {_SEARCH_CAP} and "
-                    "1500000) without executing any first-layer gate; this does not "
-                    "prove that the circuit has no schedule"
-                )
-            expansions += 1
-            for code, nxt_chains, nxt_locks in kernel.successors(trap, chains, locks):
-                ng = g + 1
-                kind, v, dst = code
-                if kind == TRANSLATE:
-                    exits = seal_exits[v]
-                    if exits is not None and not occupied & exits[dst]:
-                        # Leaving a junction with nothing behind it locks
-                        # that region away for good (re-entry from the exit
-                        # side is forbidden and no chain remains to tap it
-                        # open). Permitted, since the last chain out of a
-                        # stack always does this, but expensive enough to
-                        # prefer any detour.
-                        ng += 30
-                nxt = (nxt_chains, nxt_locks)
-                seen = best.get(nxt)
-                if seen is not None and seen[0] <= ng:
-                    continue
-                best[nxt] = (ng, node)
-                if kind == SWAP:
-                    nxt_pos, nxt_occupied = pos, occupied
-                else:
-                    if kind == TRANSLATE:
-                        touched: tuple[int, ...] = (dst,)
-                        flipped = (1 << v) | (1 << dst)
-                    else:
-                        left, right = lat_left[v], lat_right[v]
-                        touched = (v,) if kind == MERGE else (left, right)
-                        flipped = (1 << v) | (1 << left) | (1 << right)
-                    nxt_occupied = occupied ^ flipped
-                    nxt_pos = pos.copy()
-                    for w in touched:
-                        for q in nxt_chains[w]:
-                            nxt_pos[q] = w
-                counter += 1
-                heapq.heappush(
-                    heap,
-                    (ng + weight * heuristic(nxt_chains, nxt_pos, nxt_occupied), ng, counter, nxt),
-                )
+        greedy = self.trap[0] > ORACLE_MAX_VERTICES
+        path, spent, expansions, stored = kernel.route_search(
+            self.trap,
+            self.chains,
+            self.locks,
+            self.circuit.qubit_count,
+            estimate=_estimate(tables, gates_enc, greedy),
+            weight=2 if greedy else 1,
+            seal_exits=tables.seal_exits,
+            seal_penalty=_SEAL_PENALTY,
+            goal_mask=tables.junction_mask,
+            max_expansions=_SEARCH_CAP,
+            max_states=_MAX_STORED_STATES,
+        )
+        if path is not None:
+            return tuple(_op_between(before, after) for before, after in zip(path, path[1:]))
+        if spent:
+            raise CompileError(
+                f"the router gave up on gate {gate.id} after {expansions} search "
+                f"expansions and {stored} stored states (limits {_SEARCH_CAP} and "
+                f"{_MAX_STORED_STATES}) without executing any first-layer gate; this does "
+                "not prove that the circuit has no schedule"
+            )
         raise CompileError(
             f"no op sequence from the router's current state executes gate {gate.id} or "
-            f"any other first-layer gate with every junction empty: all {len(best)} "
+            f"any other first-layer gate with every junction empty: all {stored} "
             "states reachable from it were searched; the router boxed itself in, which "
             "does not prove that the circuit has no schedule"
         )

@@ -247,7 +247,8 @@ def generate_schedule(
     once: an accepted slice is kept peephole-optimized, and the run
     continues from the state the replay ended in. Invalid responses
     resubmit the identical instruction, and ten consecutive invalid
-    responses (or the time budget) abort the run with a partial schedule.
+    responses (or the time budget) abort the run with a partial schedule;
+    the failure reason then ends with the last rejection's text.
     A scripted or replayed client that cannot answer the instruction aborts
     it at once.
     """
@@ -278,13 +279,14 @@ def generate_schedule(
         try:
             ops = parse_output(result.text)
             ops, state, current = optimize_replay(ops, graph, current, state)
-        except (OutputParseError, IllegalOperationError, OrderViolationError):
+        except (OutputParseError, IllegalOperationError, OrderViolationError) as exc:
             retries += 1
             consecutive += 1
             if consecutive >= params.max_consecutive_invalid:
                 outcome, reason = (
                     "failed",
-                    f"{consecutive} consecutive invalid outputs for one instruction",
+                    f"{consecutive} consecutive invalid outputs for one instruction; "
+                    f"last: {exc}",
                 )
                 break
             continue

@@ -4,8 +4,9 @@ The kernel works on flat vertex-indexed tuples instead of the rich
 dataclasses so that states hash cheaply. `TrapGraph.encoded` flattens a
 trap once per graph, site tables included, so per-state calls test only
 occupancy, locks and capacity; `encode_state` and `encode_gates` below
-flatten a state and a gate list. The search functions are plain Python
-and live in `kernel.pure`; package code calls them through this module.
+flatten a state and a gate list. The search functions, the router's
+`route_search` among them, are plain Python and live in `kernel.pure`;
+package code calls them through this module.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from .pure import (
     SEPARATE,
     SWAP,
     TRANSLATE,
+    positions,
     reachable_gates,
     ready_gates,
+    route_search,
     shortest_route,
     successors,
 )

@@ -1,19 +1,26 @@
 """Legal transitions and route search over encoded states.
 
-The one implementation of the shuttling rules that the router, the oracle
-and ops.allowed_ops enumerate with; ops.violation words the same rules per
-op, and tests hold the two equal. Operates on the compact encodings: the
-trap as `TrapGraph.encoded`, chains as a vertex-indexed tuple of qubit
-tuples, locks as a vertex-indexed tuple with -1 for unset. The trap's
-static site tables settle every state-independent condition (flags,
-lateral pairs, junction sides) once per trap, so a call tests only
-occupancy, locks and capacity. Op codes are (kind, a, b) with kinds
-0=Translate(src, dst), 1=Separate(v), 2=Merge(v), 3=Swap(v),
-4=ExecuteGate(gate); ops.decode_op turns one into a ShuttleOp.
+The one module that states the shuttling rules. Two enumerators follow
+them: `successors`, which the oracle, ops.allowed_ops and the router's
+commits use, and the loop of `route_search`, the router's weighted
+best-first search, which enumerates the same transitions in the same
+order inline. ops.violation words the same rules per op.
+tests/test_ops.py holds successors equal to violation, and
+tests/test_baseline.py::test_route_search_matches_the_successor_loop holds
+route_search equal to a best-first loop over successors.
+
+Operates on the compact encodings: the trap as `TrapGraph.encoded`, chains
+as a vertex-indexed tuple of qubit tuples, locks as a vertex-indexed tuple
+with -1 for unset. The trap's static site tables settle every
+state-independent condition (flags, lateral pairs, junction sides) once
+per trap, so a call tests only occupancy, locks and capacity. Op codes are
+(kind, a, b) with kinds 0=Translate(src, dst), 1=Separate(v), 2=Merge(v),
+3=Swap(v), 4=ExecuteGate(gate); ops.decode_op turns one into a ShuttleOp.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 
 TRANSLATE, SEPARATE, MERGE, SWAP, EXECUTE = range(5)
@@ -174,3 +181,218 @@ def shortest_route(trap, chains, locks, gates):
                 return tuple(reversed(path))
             queue.append(nxt)
     return None
+
+
+def positions(chains, qubit_count):
+    """Qubit -> vertex list and occupancy bitmask of encoded chains."""
+    pos = [0] * qubit_count
+    occupied = 0
+    for v, chain in enumerate(chains):
+        if chain:
+            occupied |= 1 << v
+            for q in chain:
+                pos[q] = v
+    return pos, occupied
+
+
+def route_search(
+    trap,
+    chains,
+    locks,
+    qubit_count,
+    *,
+    estimate,
+    weight,
+    seal_exits,
+    seal_penalty,
+    goal_mask,
+    max_expansions,
+    max_states,
+):
+    """Weighted best-first search from (chains, locks) to a goal state.
+
+    The frontier is a heap on (g + weight * h, g, insertion count), with
+    h = estimate(chains, pos, occupied) and `pos, occupied` as `positions`
+    gives them. A popped state is a goal when h is 1 and no vertex of
+    `goal_mask` is occupied. Each op costs 1; a Translate out of junction
+    j to dst costs `seal_penalty` more when no vertex of seal_exits[j][dst]
+    is occupied (seal_exits[v] is None off junctions). Children come in
+    `successors` order, and one that reaches a state already stored at no
+    greater cost is dropped.
+
+    Returns (path, spent, expansions, stored). `path` lists the chains of
+    each state from the start to the first goal popped, or is None when
+    the search failed: `spent` is then True if it stopped because
+    `max_expansions` expansions were made or more than `max_states`
+    states were stored, and False if the frontier ran out.
+
+    Each state has an exact integer key, used only for deduplication; the
+    working state stays the tuple pair, which travels in the heap entry
+    and is dropped once popped. A chain's code is its qubits as base
+    (qubit_count + 1) digits q + 1, first qubit most significant, so the
+    empty chain is 0; vertex v's code sits in bit field v of width
+    (base ** capacity).bit_length(), and each vertex's lock + 1 in a field
+    above the chain fields. A child's key is its parent's plus the change
+    its op makes to the fields it touches, so a duplicate child is rejected
+    by one dict lookup before any tuple is built. `best` maps a key to
+    (cost, parent key), and the path's chains are decoded from their keys.
+    """
+    n, capacity, is_junction = trap[0], trap[1], trap[3]
+    adjacent, separate_sites, merge_sites, swap_sites = trap[7:11]
+    base = qubit_count + 1
+    width = (base ** capacity).bit_length()
+    field = (1 << width) - 1
+    shift = [v * width for v in range(n)]
+    unit = [1 << s for s in shift]
+    lock_unit = [1 << (n * width + v * n.bit_length()) for v in range(n)]
+    power = [base**k for k in range(capacity + 1)]
+    moves = [
+        tuple((dst, dst_is_junction, unit[dst] - unit[src]) for dst, dst_is_junction in adjacent[src])
+        for src in range(n)
+    ]
+    heappush, heappop = heapq.heappush, heapq.heappop
+
+    def code_of(chain):
+        code = 0
+        for q in chain:
+            code = code * base + q + 1
+        return code
+
+    def decode(key):
+        out = []
+        for s in shift:
+            code = key >> s & field
+            chain = []
+            while code:
+                code, digit = divmod(code, base)
+                chain.append(digit - 1)
+            out.append(tuple(reversed(chain)))
+        return tuple(out)
+
+    key = sum(code_of(chain) * unit[v] for v, chain in enumerate(chains))
+    key += sum((lock + 1) * lock_unit[v] for v, lock in enumerate(locks))
+    best = {key: (0, None)}
+    pos, occupied = positions(chains, qubit_count)
+    heap = [(weight * estimate(chains, pos, occupied), 0, 0, key, chains, locks)]
+    counter = 0
+    expansions = 0
+    while heap:
+        f, g, _, key, chains, locks = heappop(heap)
+        if g > best[key][0]:
+            continue
+        pos, occupied = positions(chains, qubit_count)
+        if f - g == weight and not occupied & goal_mask:
+            path = [key]
+            while (parent := best[path[-1]][1]) is not None:
+                path.append(parent)
+            return [decode(k) for k in reversed(path)], False, expansions, len(best)
+        if expansions >= max_expansions or len(best) > max_states:
+            return None, True, expansions, len(best)
+        expansions += 1
+        step = g + 1
+        for src, chain in enumerate(chains):
+            if not chain:
+                continue
+            code = key >> shift[src] & field
+            exits = seal_exits[src]
+            leaves_junction = is_junction[src]
+            for dst, dst_is_junction, move in moves[src]:
+                if chains[dst]:
+                    continue
+                if dst_is_junction and locks[dst] == src:
+                    continue
+                child = key + code * move
+                ng = step
+                if exits is not None and not occupied & exits[dst]:
+                    ng += seal_penalty
+                if leaves_junction:
+                    child += (dst - locks[src]) * lock_unit[src]
+                seen = best.get(child)
+                if seen is not None and seen[0] <= ng:
+                    continue
+                best[child] = (ng, key)
+                new_chains = list(chains)
+                new_chains[dst] = chain
+                new_chains[src] = ()
+                new_chains = tuple(new_chains)
+                if leaves_junction:
+                    new_locks = list(locks)
+                    new_locks[src] = dst
+                    new_locks = tuple(new_locks)
+                else:
+                    new_locks = locks
+                new_pos = pos.copy()
+                for q in chain:
+                    new_pos[q] = dst
+                new_occupied = occupied ^ ((1 << src) | (1 << dst))
+                counter += 1
+                h = estimate(new_chains, new_pos, new_occupied)
+                heappush(heap, (ng + weight * h, ng, counter, child, new_chains, new_locks))
+        for v, left, right in separate_sites:
+            chain = chains[v]
+            if len(chain) < 2 or chains[left] or chains[right]:
+                continue
+            code = key >> shift[v] & field
+            head_code, tail_code = divmod(code, power[len(chain) // 2])
+            child = key - code * unit[v] + head_code * unit[left] + tail_code * unit[right]
+            seen = best.get(child)
+            if seen is not None and seen[0] <= step:
+                continue
+            best[child] = (step, key)
+            head = (len(chain) + 1) // 2
+            new_chains = list(chains)
+            new_chains[left] = chain[:head]
+            new_chains[right] = chain[head:]
+            new_chains[v] = ()
+            new_chains = tuple(new_chains)
+            new_pos = pos.copy()
+            for q in new_chains[left]:
+                new_pos[q] = left
+            for q in new_chains[right]:
+                new_pos[q] = right
+            new_occupied = occupied ^ ((1 << v) | (1 << left) | (1 << right))
+            counter += 1
+            h = estimate(new_chains, new_pos, new_occupied)
+            heappush(heap, (step + weight * h, step, counter, child, new_chains, locks))
+        for v, left, right in merge_sites:
+            if chains[v] or not chains[left] or not chains[right]:
+                continue
+            if len(chains[left]) + len(chains[right]) > capacity:
+                continue
+            left_code = key >> shift[left] & field
+            right_code = key >> shift[right] & field
+            code = left_code * power[len(chains[right])] + right_code
+            child = key + code * unit[v] - left_code * unit[left] - right_code * unit[right]
+            seen = best.get(child)
+            if seen is not None and seen[0] <= step:
+                continue
+            best[child] = (step, key)
+            new_chains = list(chains)
+            new_chains[v] = chains[left] + chains[right]
+            new_chains[left] = ()
+            new_chains[right] = ()
+            new_chains = tuple(new_chains)
+            new_pos = pos.copy()
+            for q in new_chains[v]:
+                new_pos[q] = v
+            new_occupied = occupied ^ ((1 << v) | (1 << left) | (1 << right))
+            counter += 1
+            h = estimate(new_chains, new_pos, new_occupied)
+            heappush(heap, (step + weight * h, step, counter, child, new_chains, locks))
+        for v in swap_sites:
+            chain = chains[v]
+            if len(chain) < 2:
+                continue
+            reversed_chain = chain[::-1]
+            child = key + (code_of(reversed_chain) - (key >> shift[v] & field)) * unit[v]
+            seen = best.get(child)
+            if seen is not None and seen[0] <= step:
+                continue
+            best[child] = (step, key)
+            new_chains = list(chains)
+            new_chains[v] = reversed_chain
+            new_chains = tuple(new_chains)
+            counter += 1
+            h = estimate(new_chains, pos, occupied)
+            heappush(heap, (step + weight * h, step, counter, child, new_chains, locks))
+    return None, False, expansions, len(best)

@@ -6,10 +6,13 @@ updating the table or the digest. The search estimate is checked against
 its defining formula on random walk states. The router's failure messages
 say which way it failed, and its slices never end on a junction. A batch
 compiles each circuit as its own compile does, and the search it shares
-between circuits is blind to qubit labels.
+between circuits is blind to qubit labels. The router's search,
+kernel.route_search with its integer dedup key, finds what a tuple-keyed
+best-first loop over kernel.successors finds.
 """
 
 import hashlib
+import heapq
 import random
 
 import pytest
@@ -20,6 +23,7 @@ from shuttlekit.errors import CompileError
 from shuttlekit.ops import decode_op, format_op
 from shuttlekit.schedule import decompose, validate
 from shuttlekit.state import TrapState, initial_placement
+from test_ops import WALK_TRAPS
 
 # (layout, qubits) -> op counts of random_circuit(qubits, 4, seed) for seeds 0, 1, 2.
 EVAL_OPS = {
@@ -47,21 +51,13 @@ def test_compile_on_eval_layouts(kind, qubits, seed):
 def test_sealed_router_fails_before_searching(monkeypatch):
     """Junction locks box the router in at gate 22; it must stop there at once.
 
-    Counted in kernel successor calls, not seconds: searching from the
-    sealed state spends its whole budget, over 258,000 calls, for nothing.
+    Counted in search expansions, not seconds: searching from the sealed
+    state spends its whole budget, 250,000 expansions, for nothing.
     """
-    calls = 0
-    successors = kernel.successors
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return successors(*args)
-
-    monkeypatch.setattr(kernel, "successors", counted)
+    work = counting_searches(monkeypatch)
     with pytest.raises(CompileError, match="junction locks seal gate 22's operands"):
         baseline.compile(baseline.random_circuit(6, 6, 1), trap.build_branched(6, 2, 2))
-    assert 0 < calls < 10_000
+    assert 0 < work.expansions < 10_000
 
 
 def test_exhausted_search_says_so_with_the_states_searched():
@@ -273,7 +269,7 @@ def test_search_estimate_matches_reference_on_random_walks(graph, qubits):
             gates = kernel.encode_gates(circuit.first_layer)
             if not gates:
                 break
-            pos, occupied = baseline._positions(chains, qubits)
+            pos, occupied = kernel.positions(chains, qubits)
             ready = kernel.ready_gates(enc, chains, gates)
             ready_states += bool(ready)
             for greedy in (False, True):
@@ -337,16 +333,25 @@ BATCH_CELLS = [
 ]
 
 
-def counting_successors(monkeypatch) -> list[int]:
-    calls = [0]
-    successors = kernel.successors
+class SearchWork:
+    """Routing searches run and expansions they spent, counted at kernel.route_search."""
 
-    def counted(*args):
-        calls[0] += 1
-        return successors(*args)
+    searches = 0
+    expansions = 0
 
-    monkeypatch.setattr(kernel, "successors", counted)
-    return calls
+
+def counting_searches(monkeypatch) -> SearchWork:
+    work = SearchWork()
+    route_search = kernel.route_search
+
+    def counted(*args, **kwargs):
+        result = route_search(*args, **kwargs)
+        work.searches += 1
+        work.expansions += result[2]
+        return result
+
+    monkeypatch.setattr(kernel, "route_search", counted)
+    return work
 
 
 def compile_each(circuits, graph):
@@ -367,13 +372,13 @@ def compile_each(circuits, graph):
 )
 def test_batch_compiles_like_single_compiles(graph, qubits, monkeypatch):
     """compile_many gives each circuit its own compile's ops, with fewer searches."""
-    calls = counting_successors(monkeypatch)
+    work = counting_searches(monkeypatch)
     circuits = [baseline.random_circuit(qubits, 6, seed) for seed in range(40)]
     singles = compile_each(circuits, graph)
-    single_calls, calls[0] = calls[0], 0
+    single_searches, work.searches = work.searches, 0
     batch = baseline.compile_many(circuits, graph)
     assert [schedule.ops for schedule in batch] == singles
-    assert calls[0] < single_calls
+    assert work.searches < single_searches
 
 
 def test_batch_raises_the_first_failing_circuits_error():
@@ -445,12 +450,131 @@ def test_search_is_invariant_under_qubit_relabelling(graph, qubits, seeds):
 
 def test_no_route_memo_outlives_a_compile(monkeypatch):
     """A second compile of the same circuit on the same graph searches as much."""
-    calls = counting_successors(monkeypatch)
+    work = counting_searches(monkeypatch)
     graph = trap.build_eval_layout("ring", 4)
     circuit = baseline.random_circuit(4, 6, 0)
     counts = []
     for _ in range(2):
-        calls[0] = 0
+        work.searches = 0
         baseline.compile(circuit, graph)
-        counts.append(calls[0])
+        counts.append(work.searches)
     assert counts[0] == counts[1] > 0
+
+
+# -- the fused search against a best-first loop over kernel.successors ---------
+
+
+def reference_search(router, gate, gates):
+    """`_Router._search_next` as a tuple-keyed best-first loop over kernel.successors.
+
+    The same heap key, successor order, dedup rule, estimate, seal penalty,
+    goal test, limits and messages, with each stored state keyed by its
+    (chains, locks) tuple pair.
+    """
+    tables = router.batch.tables
+    enc = router.trap
+    greedy = enc[0] > baseline.ORACLE_MAX_VERTICES
+    weight = 2 if greedy else 1
+    heuristic = baseline._estimate(tables, gates, greedy)
+    qubit_count = router.circuit.qubit_count
+    start = (router.chains, router.locks)
+    best = {start: (0, None)}
+    heap = [(weight * heuristic(router.chains, *kernel.positions(router.chains, qubit_count)),
+             0, 0, start)]
+    counter = expansions = 0
+    while heap:
+        f, g, _, node = heapq.heappop(heap)
+        if g > best[node][0]:
+            continue
+        occupied = kernel.positions(node[0], qubit_count)[1]
+        if f - g == weight and not occupied & tables.junction_mask:
+            path = [node]
+            while best[path[-1]][1] is not None:
+                path.append(best[path[-1]][1])
+            path.reverse()
+            return tuple(baseline._op_between(a[0], b[0]) for a, b in zip(path, path[1:]))
+        if expansions >= baseline._SEARCH_CAP or len(best) > 1_500_000:
+            raise CompileError(
+                f"the router gave up on gate {gate.id} after {expansions} search "
+                f"expansions and {len(best)} stored states (limits {baseline._SEARCH_CAP} "
+                "and 1500000) without executing any first-layer gate; this does not "
+                "prove that the circuit has no schedule"
+            )
+        expansions += 1
+        for (kind, v, dst), chains, locks in kernel.successors(enc, *node):
+            ng = g + 1
+            exits = tables.seal_exits[v] if kind == kernel.TRANSLATE else None
+            if exits is not None and not occupied & exits[dst]:
+                ng += 30
+            seen = best.get((chains, locks))
+            if seen is not None and seen[0] <= ng:
+                continue
+            best[chains, locks] = (ng, node)
+            counter += 1
+            h = heuristic(chains, *kernel.positions(chains, qubit_count))
+            heapq.heappush(heap, (ng + weight * h, ng, counter, (chains, locks)))
+    raise CompileError(
+        f"no op sequence from the router's current state executes gate {gate.id} or "
+        f"any other first-layer gate with every junction empty: all {len(best)} "
+        "states reachable from it were searched; the router boxed itself in, which "
+        "does not prove that the circuit has no schedule"
+    )
+
+
+def search_outcome(search, *args):
+    try:
+        return search(*args)
+    except CompileError as exc:
+        return str(exc)
+
+
+# The kernel walk traps, a capacity-3 trap whose three-ion chains split
+# unevenly, and a linear trap whose ten qubits widen every key field.
+SEARCH_TRAPS = WALK_TRAPS + [
+    (trap.build_linear(2, capacity=3), 4),
+    (trap.build_linear(5), 10),
+]
+
+
+@pytest.mark.parametrize(
+    "graph,qubits",
+    SEARCH_TRAPS,
+    ids=["linear1", "linear2", "linear4", "branched111", "branched622",
+         "ring4", "ring6", "multi_linear4", "multi_linear6", "four_way8",
+         "junction_lateral", "linear2_cap3", "linear5_q10"],
+)
+def test_route_search_matches_the_successor_loop(graph, qubits, monkeypatch):
+    """kernel.route_search finds what the tuple-keyed reference loop finds.
+
+    From seeded walk states: the same op codes, or the same CompileError
+    text. Under a low cap the messages' expansion and stored-state counts
+    must agree too, which checks the deduplication state by state.
+    """
+    enc = graph.encoded
+    batch = baseline._Batch(graph)
+    outcomes = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        circuit = baseline.random_circuit(qubits, 4, seed)
+        chains, locks = kernel.encode_state(initial_placement(circuit, graph), enc[0])
+        for step in range(60):
+            gates = kernel.encode_gates(circuit.first_layer)
+            if not gates:
+                break
+            if step % 2 == 0:
+                router = baseline._Router(batch, circuit, chains, locks)
+                gate = router.pick_gate()
+                for cap in (baseline._SEARCH_CAP, 7):
+                    monkeypatch.setattr(baseline, "_SEARCH_CAP", cap)
+                    found = search_outcome(router._search_next, gate, gates)
+                    assert found == search_outcome(reference_search, router, gate, gates)
+                    outcomes.add(type(found))
+            ready = kernel.ready_gates(enc, chains, gates)
+            if ready and rng.random() < 0.5:
+                circuit = circuit.mark_executed(min(ready))
+                continue
+            moves = kernel.successors(enc, chains, locks)
+            if not moves:
+                break
+            _, chains, locks = rng.choice(moves)
+    assert tuple in outcomes

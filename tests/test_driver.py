@@ -99,7 +99,10 @@ def test_consecutive_invalid_outputs_fail_with_a_legal_partial_schedule():
     script = OUTPUTS[:kept] + [ILLEGAL] * 10
     schedule, stats = run(MockCompletionClient(script))
     assert stats.outcome == "failed"
-    assert stats.failure_reason == "10 consecutive invalid outputs for one instruction"
+    assert stats.failure_reason == (
+        "10 consecutive invalid outputs for one instruction; "
+        "last: Translate 0 -> 4: vertices 0 and 4 are not adjacent"
+    )
     assert stats.retries == 10
     assert stats.gates_executed == kept
     assert schedule.ops == tuple(op for piece in SLICES[:kept] for op in piece.ops)

@@ -1,0 +1,49 @@
+"""Print one sha256 over every compile-grid outcome for a workload seed.
+
+Builds the compile-grid cases of the benchmark (perfbench/workloads.py,
+imported read-only) and compiles each one. The digest covers every
+compiled op list and every CompileError text, in case order, so it
+changes when any schedule or failure message of the grid does.
+
+    python tools/grid_digest.py --seed 1
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import CompileGrid, load_package  # noqa: E402
+
+
+def grid_digest(seed: int) -> str:
+    lib = load_package()
+    grid = CompileGrid()
+    grid.setup(lib, seed)
+    digest = hashlib.sha256()
+    for label, graph, circuit in grid.cases:
+        try:
+            ops = lib.baseline.compile(circuit, graph).ops
+            text = "\n".join(map(lib.ops.format_op, ops))
+        except lib.errors.CompileError as exc:
+            text = f"CompileError: {exc}"
+        digest.update(f"{label}\n{text}\n\n".encode())
+    return digest.hexdigest()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1, help="compile-grid workload seed")
+    args = parser.parse_args(argv)
+    print(grid_digest(args.seed))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
