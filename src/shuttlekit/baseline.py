@@ -45,8 +45,8 @@ from typing import NamedTuple
 
 from . import kernel
 from . import ops as op_mod
-from .circuit import Circuit, Gate
-from .errors import CompileError, NoRouteError, OracleLimitError, PlacementError
+from .circuit import MAX_QUBITS, Circuit, Gate
+from .errors import CircuitError, CompileError, NoRouteError, OracleLimitError, PlacementError
 from .kernel import EXECUTE, MERGE, SEPARATE, SWAP, TRANSLATE
 from .ops import ShuttleOp
 from .schedule import Schedule, optimize
@@ -444,7 +444,7 @@ def compile_many(circuits: Iterable[Circuit], graph: TrapGraph) -> list[Schedule
             placement = initial_placement(circuit, graph)
         except PlacementError as exc:
             raise CompileError(str(exc)) from exc
-        router = _Router(batch, circuit, *kernel.encode_state(placement, graph.encoded[0]))
+        router = _Router(batch, circuit, placement.chains, placement.locks)
         while not router.circuit.is_complete:
             router.route_next()
         ops = [op_mod.decode_op(code) for code in router.codes]
@@ -472,9 +472,7 @@ def bfs_next_gate(
     gates = kernel.encode_gates(circuit.first_layer)
     if not gates:
         return ()
-    trap = graph.encoded
-    chains, locks = kernel.encode_state(state, trap[0])
-    route = kernel.shortest_route(trap, chains, locks, gates)
+    route = kernel.shortest_route(graph.encoded, state.chains, state.locks, gates)
     if route is None:
         raise NoRouteError("no operation sequence reaches a gate execution")
     return tuple(op_mod.decode_op(code) for code in route)
@@ -491,6 +489,8 @@ def random_circuit(qubits: int, depth: int, seed: int) -> Circuit:
         raise ValueError("qubits must be at least 1")
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if qubits > MAX_QUBITS:
+        raise CircuitError(f"{qubits} qubits exceed the limit of {MAX_QUBITS}")
     rng = random.Random(seed)
     gates: list[Gate] = []
     for _ in range(depth):

@@ -28,6 +28,10 @@ _OPERAND_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
 
 _IGNORED_STATEMENTS = ("OPENQASM", "include", "creg", "barrier", "measure")
 
+# The largest register a circuit may declare: per-qubit tables are allocated
+# up front, so a size read from a file is bounded first. The paper uses 16.
+MAX_QUBITS = 4096
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -69,6 +73,8 @@ class Circuit:
     _cursors: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.qubit_count > MAX_QUBITS:
+            raise CircuitError(f"{self.qubit_count} qubits exceed the limit of {MAX_QUBITS}")
         for expected, gate in enumerate(self.gates, start=1):
             if gate.id != expected:
                 raise CircuitError(f"gate {gate.id} out of sequence, expected {expected}")

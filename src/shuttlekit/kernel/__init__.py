@@ -1,19 +1,16 @@
-"""Compact state encodings and the search kernel behind allowed_ops and the router.
+"""The shuttling rules and the search kernel, on the encoding TrapState holds.
 
-The kernel works on flat vertex-indexed tuples instead of the rich
-dataclasses so that states hash cheaply. `TrapGraph.encoded` flattens a
-trap once per graph, site tables included, so per-state calls test only
-occupancy, locks and capacity; `encode_state` and `encode_gates` below
-flatten a state and a gate list. The search functions, the router's
-`route_search` among them, are plain Python and live in `kernel.pure`;
-package code calls them through this module.
+A TrapState keeps its chains and locks as the vertex-indexed tuples the
+kernel reads, and `TrapGraph.encoded` flattens a trap once per graph, so no
+call converts a state; `encode_gates` below flattens a gate list. The
+functions are plain Python in `kernel.pure`, and package code calls them
+through this module.
 """
 
 from __future__ import annotations
 
 from types import ModuleType
 
-from ..state import TrapState
 from . import pure
 from .pure import (
     EXECUTE,
@@ -27,6 +24,7 @@ from .pure import (
     route_search,
     shortest_route,
     successors,
+    transition,
 )
 
 BACKEND = "pure"
@@ -35,18 +33,6 @@ BACKEND = "pure"
 def get_backend() -> ModuleType:
     """The module that implements the kernel functions, for tools that wrap them."""
     return pure
-
-
-def encode_state(
-    state: TrapState, n: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Encode occupancy and junction locks as fixed-length tuples.
-
-    Empty vertices become empty tuples; an unset lock is -1.
-    """
-    chains = tuple(state.chains.get(v, ()) for v in range(n))
-    locks = tuple(state.junction_locks.get(v, -1) for v in range(n))
-    return chains, locks
 
 
 def encode_gates(gates) -> tuple[tuple[int, tuple[int, ...]], ...]:

@@ -1,21 +1,22 @@
 """Legal transitions and route search over encoded states.
 
-The one module that states the shuttling rules. Two enumerators follow
-them: `successors`, which the oracle, ops.allowed_ops and the router's
-commits use, and the loop of `route_search`, the router's weighted
-best-first search, which enumerates the same transitions in the same
-order inline. ops.violation words the same rules per op.
-tests/test_ops.py holds successors equal to violation, and
+The one module that states the shuttling rules. `transition` states what
+each op does, and ops.apply steps one op through it. `successors`, which
+the oracle, ops.allowed_ops and the router's commits use, enumerates
+candidate ops through it; the loop of `route_search`, the router's
+weighted best-first search, is a fused copy of that enumeration.
+ops.violation words the same rules per op. tests/test_ops.py holds
+transition, successors and violation equal, and
 tests/test_baseline.py::test_route_search_matches_the_successor_loop holds
 route_search equal to a best-first loop over successors.
 
-Operates on the compact encodings: the trap as `TrapGraph.encoded`, chains
-as a vertex-indexed tuple of qubit tuples, locks as a vertex-indexed tuple
-with -1 for unset. The trap's static site tables settle every
-state-independent condition (flags, lateral pairs, junction sides) once
-per trap, so a call tests only occupancy, locks and capacity. Op codes are
+States come as TrapState holds them: chains a vertex-indexed tuple of qubit
+tuples, locks a vertex-indexed tuple with -1 for unset. The trap comes as
+`TrapGraph.encoded`, whose static site tables settle every state-independent
+condition (flags, lateral pairs, junction sides) once per trap. Op codes are
 (kind, a, b) with kinds 0=Translate(src, dst), 1=Separate(v), 2=Merge(v),
-3=Swap(v), 4=ExecuteGate(gate); ops.decode_op turns one into a ShuttleOp.
+3=Swap(v), 4=ExecuteGate(gate), b = -1 for one operand; ops.decode_op
+turns one into a ShuttleOp.
 """
 
 from __future__ import annotations
@@ -26,54 +27,67 @@ from collections import deque
 TRANSLATE, SEPARATE, MERGE, SWAP, EXECUTE = range(5)
 
 
-def successors(trap, chains, locks):
-    """All legal shuttling transitions from a state, in canonical op order."""
-    capacity, is_junction = trap[1], trap[3]
-    adjacent, separate_sites, merge_sites, swap_sites = trap[7:11]
-    out = []
-    for src, chain in enumerate(chains):
-        if not chain:
-            continue
-        for dst, dst_is_junction in adjacent[src]:
-            if chains[dst]:
-                continue
-            if dst_is_junction and locks[dst] == src:
-                continue
-            new_chains = list(chains)
-            new_chains[dst] = chain
-            new_chains[src] = ()
-            if is_junction[src]:
-                new_locks = list(locks)
-                new_locks[src] = dst
-                out.append(((TRANSLATE, src, dst), tuple(new_chains), tuple(new_locks)))
-            else:
-                out.append(((TRANSLATE, src, dst), tuple(new_chains), locks))
-    for v, left, right in separate_sites:
-        chain = chains[v]
-        if len(chain) < 2 or chains[left] or chains[right]:
-            continue
+def transition(trap, chains, locks, code):
+    """The (chains, locks) that shuttling op `code` leads to, or None if it is illegal.
+
+    Every vertex id is bounds-checked, since op text can come from a model.
+    An execute code, which changes no chain, or an unknown kind gives None.
+    """
+    kind, a, b = code
+    n = trap[0]
+    if not 0 <= a < n:
+        return None
+    chain = chains[a]
+    if kind == TRANSLATE:
+        if not chain or not 0 <= b < n or chains[b] or b not in trap[2][a]:
+            return None
+        if locks[b] == a and trap[3][b]:  # re-entering a junction from its lock side
+            return None
+        new_chains = list(chains)
+        new_chains[b] = chain
+        new_chains[a] = ()
+        if trap[3][a]:
+            locks = locks[:a] + (b,) + locks[a + 1 :]
+        return tuple(new_chains), locks
+    if kind == SEPARATE:
+        pair = trap[5][a]
+        if pair is None or len(chain) < 2 or chains[pair[0]] or chains[pair[1]]:
+            return None
         head = (len(chain) + 1) // 2
         new_chains = list(chains)
-        new_chains[left] = chain[:head]
-        new_chains[right] = chain[head:]
-        new_chains[v] = ()
-        out.append(((SEPARATE, v, -1), tuple(new_chains), locks))
-    for v, left, right in merge_sites:
-        if chains[v] or not chains[left] or not chains[right]:
-            continue
-        if len(chains[left]) + len(chains[right]) > capacity:
-            continue
+        new_chains[pair[0]] = chain[:head]
+        new_chains[pair[1]] = chain[head:]
+        new_chains[a] = ()
+        return tuple(new_chains), locks
+    if kind == MERGE:
+        pair = trap[6][a]
+        if pair is None or chain:
+            return None
+        left, right = chains[pair[0]], chains[pair[1]]
+        if not left or not right or len(left) + len(right) > trap[1]:
+            return None
         new_chains = list(chains)
-        new_chains[v] = chains[left] + chains[right]
-        new_chains[left] = ()
-        new_chains[right] = ()
-        out.append(((MERGE, v, -1), tuple(new_chains), locks))
-    for v in swap_sites:
-        if len(chains[v]) >= 2:
-            new_chains = list(chains)
-            new_chains[v] = chains[v][::-1]
-            out.append(((SWAP, v, -1), tuple(new_chains), locks))
-    return out
+        new_chains[a] = left + right
+        new_chains[pair[0]] = new_chains[pair[1]] = ()
+        return tuple(new_chains), locks
+    if kind == SWAP and len(chain) >= 2 and a in trap[9]:
+        return chains[:a] + (chain[::-1],) + chains[a + 1 :], locks
+    return None
+
+
+def successors(trap, chains, locks):
+    """All legal shuttling transitions from a state, in canonical op order.
+
+    The candidates are Translates from occupied vertices by (src, dst),
+    then Separate, Merge and Swap at their sites by vertex; each is kept,
+    as a (code, chains, locks) triple, when `transition` accepts it.
+    """
+    neighbors = trap[2]
+    codes = [(TRANSLATE, v, w) for v, chain in enumerate(chains) if chain for w in neighbors[v]]
+    codes += [(SEPARATE, v, -1) for v, _, _ in trap[7]] + [(MERGE, v, -1) for v, _, _ in trap[8]]
+    codes += [(SWAP, v, -1) for v in trap[9]]
+    steps = ((code, transition(trap, chains, locks, code)) for code in codes)
+    return [(code, *after) for code, after in steps if after is not None]
 
 
 def ready_gates(trap, chains, gates):
@@ -237,8 +251,8 @@ def route_search(
     by one dict lookup before any tuple is built. `best` maps a key to
     (cost, parent key), and the path's chains are decoded from their keys.
     """
-    n, capacity, is_junction = trap[0], trap[1], trap[3]
-    adjacent, separate_sites, merge_sites, swap_sites = trap[7:11]
+    n, capacity, neighbors, is_junction = trap[0], trap[1], trap[2], trap[3]
+    separate_sites, merge_sites, swap_sites = trap[7:10]
     base = qubit_count + 1
     width = (base ** capacity).bit_length()
     field = (1 << width) - 1
@@ -247,7 +261,7 @@ def route_search(
     lock_unit = [1 << (n * width + v * n.bit_length()) for v in range(n)]
     power = [base**k for k in range(capacity + 1)]
     moves = [
-        tuple((dst, dst_is_junction, unit[dst] - unit[src]) for dst, dst_is_junction in adjacent[src])
+        tuple((dst, is_junction[dst], unit[dst] - unit[src]) for dst in neighbors[src])
         for src in range(n)
     ]
     heappush, heappop = heapq.heappush, heapq.heappop

@@ -1,16 +1,15 @@
-"""The five schedule operations: legality checks, effects, enumeration, text.
+"""The five schedule operations: legality reasons, stepping, enumeration, text.
 
-Apply functions are pure: they check the operation's precondition against
-the given state and return a new state, raising IllegalOperationError with
-the violated condition otherwise. Executing a gate leaves the chain state
-untouched; callers advance the circuit separately. The enumeration of legal
-ops comes from the kernel; violation() states the same rules for one op
-with a reason, and tests hold the two equal.
+The kernel states what the ops do: `apply` steps a shuttling op through
+kernel.transition on the state's own encoding, and `allowed_ops` lists what
+kernel.successors and kernel.ready_gates give. violation() words the same
+rules for one op, so that a rejection names the condition it failed, and
+tests hold the three equal. Executing a gate leaves the chain state
+untouched; callers advance the circuit separately.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -49,6 +48,9 @@ class ExecuteGate:
 
 ShuttleOp = Translate | Separate | Merge | Swap | ExecuteGate
 
+# The op type of each kernel op kind (kernel.TRANSLATE .. kernel.EXECUTE), by kind.
+_OP_TYPES: tuple[type, ...] = (Translate, Separate, Merge, Swap, ExecuteGate)
+
 
 def _translate_violation(state: TrapState, graph: TrapGraph, src: int, dst: int) -> str | None:
     if src not in graph.vertices or dst not in graph.vertices:
@@ -59,7 +61,7 @@ def _translate_violation(state: TrapState, graph: TrapGraph, src: int, dst: int)
         return f"vertex {src} is empty"
     if state.occupied(dst):
         return f"vertex {dst} is occupied"
-    if graph.is_junction(dst) and state.junction_locks.get(dst) == src:
+    if graph.is_junction(dst) and state.locks[dst] == src:
         return f"junction {dst} was left toward {src} and cannot be re-entered from there"
     return None
 
@@ -156,30 +158,21 @@ def violation(
 
 
 def apply(state: TrapState, graph: TrapGraph, circuit: Circuit, op: ShuttleOp) -> TrapState:
-    """New state after op; raises IllegalOperationError naming the failed condition."""
-    reason = violation(state, graph, circuit, op)
-    if reason is not None:
-        raise IllegalOperationError(f"{format_op(op)}: {reason}")
-    chains = dict(state.chains)
-    locks = state.junction_locks
-    if isinstance(op, Translate):
-        chains[op.dst] = chains.pop(op.src)
-        if graph.is_junction(op.src):
-            locks = dict(locks)
-            locks[op.src] = op.dst
-    elif isinstance(op, Separate):
-        left, right = graph.lateral_pair(op.at)
-        chain = chains.pop(op.at)
-        head = math.ceil(len(chain) / 2)
-        chains[left] = chain[:head]
-        chains[right] = chain[head:]
-    elif isinstance(op, Merge):
-        left, right = graph.lateral_pair(op.at)
-        chains[op.at] = chains.pop(left) + chains.pop(right)
-    elif isinstance(op, Swap):
-        chains[op.at] = chains[op.at][::-1]
-    # ExecuteGate leaves chains and locks untouched.
-    return TrapState(chains, locks)
+    """The state after op; raises IllegalOperationError naming the failed condition.
+
+    A shuttling op steps through kernel.transition; violation() only words
+    a rejection. Executing a gate returns the state unchanged.
+    """
+    if isinstance(op, ExecuteGate):
+        if _execute_violation(state, graph, circuit, op.gate) is None:
+            return state
+    else:
+        kind = _OP_TYPES.index(type(op))
+        code = (kind, op.src, op.dst) if kind == kernel.TRANSLATE else (kind, op.at, -1)
+        after = kernel.transition(graph.encoded, state.chains, state.locks, code)
+        if after is not None:
+            return TrapState(*after)
+    raise IllegalOperationError(f"{format_op(op)}: {violation(state, graph, circuit, op)}")
 
 
 def allowed_ops(state: TrapState, graph: TrapGraph, circuit: Circuit) -> list[ShuttleOp]:
@@ -190,27 +183,18 @@ def allowed_ops(state: TrapState, graph: TrapGraph, circuit: Circuit) -> list[Sh
     gives the executable first-layer gates, as Execute Gate by gate number.
     """
     trap = graph.encoded
-    chains, locks = kernel.encode_state(state, trap[0])
-    out = [decode_op(code) for code, _, _ in kernel.successors(trap, chains, locks)]
+    out = [decode_op(code) for code, _, _ in kernel.successors(trap, state.chains, state.locks)]
     gates = kernel.encode_gates(circuit.first_layer)
-    out.extend(ExecuteGate(g) for g in kernel.ready_gates(trap, chains, gates))
+    out.extend(ExecuteGate(g) for g in kernel.ready_gates(trap, state.chains, gates))
     return out
 
 
 def decode_op(code: tuple[int, int, int]) -> ShuttleOp:
     """The operation a kernel op code (kind, a, b) stands for."""
     kind, a, b = code
-    if kind == kernel.TRANSLATE:
-        return Translate(a, b)
-    if kind == kernel.SEPARATE:
-        return Separate(a)
-    if kind == kernel.MERGE:
-        return Merge(a)
-    if kind == kernel.SWAP:
-        return Swap(a)
-    if kind == kernel.EXECUTE:
-        return ExecuteGate(a)
-    raise ValueError(f"unknown kernel op code {kind}")
+    if not 0 <= kind < len(_OP_TYPES):
+        raise ValueError(f"unknown kernel op code {kind}")
+    return Translate(a, b) if kind == kernel.TRANSLATE else _OP_TYPES[kind](a)
 
 
 def format_op(op: ShuttleOp) -> str:

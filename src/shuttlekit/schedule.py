@@ -110,8 +110,8 @@ def _replay(schedule: Schedule) -> tuple[ValidationReport, list[EntrySlice]]:
     if last_gate_index != len(schedule.ops) - 1:
         reason = "trailing operations after the final gate"
         return ValidationReport(False, last_gate_index + 1, reason, executed, state), slices
-    for vertex in state.chains:
-        if schedule.graph.is_junction(vertex):
+    for vertex, chain in enumerate(state.chains):
+        if chain and schedule.graph.is_junction(vertex):
             reason = f"junction {vertex} occupied at the end"
             return ValidationReport(False, None, reason, executed, state), slices
     return ValidationReport(True, None, None, executed, state), slices
@@ -265,4 +265,4 @@ def _placement_from_entries(
         if len(slots) > graph.capacity:
             raise ScheduleError(f"chain at vertex {vertex} exceeds capacity {graph.capacity}")
         chains[vertex] = tuple(slots[p] for p in range(len(slots)))
-    return TrapState(chains)
+    return TrapState.from_dicts(graph, chains)

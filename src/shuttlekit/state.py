@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .circuit import Circuit
@@ -18,37 +18,54 @@ class QubitPos:
 
 @dataclass(frozen=True)
 class TrapState:
-    """Occupied vertices mapped to ordered qubit chains.
+    """Chains and junction re-entry locks as vertex-indexed tuples, the kernel's encoding.
 
-    Treated as a value: operations return new states instead of mutating.
-    Vertices never map to empty chains. junction_locks[j] records the
-    neighbor the last chain leaving junction j moved to; re-entering j from
-    that neighbor is forbidden until j is traversed toward another one.
+    chains[v] is the qubit chain at vertex v, () when v is empty. locks[j] is
+    the neighbor the last chain leaving junction j moved to, -1 when unset;
+    re-entering j from that neighbor is forbidden until j is left toward
+    another one. Operations return new states; `from_dicts` builds a checked one.
     """
 
-    chains: dict[int, tuple[int, ...]]
-    junction_locks: dict[int, int] = field(default_factory=dict)
+    chains: tuple[tuple[int, ...], ...]
+    locks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for vertex, chain in self.chains.items():
-            if not chain:
+    @classmethod
+    def from_dicts(cls, graph: TrapGraph, chains: dict, locks: dict | None = None) -> TrapState:
+        """The state on `graph` with these vertex -> chain and junction -> lock maps.
+
+        Raises ValueError for a vertex outside the trap, an empty chain or
+        a qubit placed twice.
+        """
+        locks = locks or {}
+        n = len(graph.vertices)
+        for vertex in (*chains, *locks):
+            if not 0 <= vertex < n:
+                raise ValueError(f"vertex {vertex} is not in the trap")
+            if vertex in chains and not chains[vertex]:
                 raise ValueError(f"vertex {vertex} mapped to an empty chain")
+        placed: set[int] = set()
+        for qubit in (q for chain in chains.values() for q in chain):
+            if qubit in placed:
+                raise ValueError(f"qubit {qubit} appears twice")
+            placed.add(qubit)
+        return cls(
+            tuple(tuple(chains.get(v, ())) for v in range(n)),
+            tuple(locks.get(v, -1) for v in range(n)),
+        )
 
     def chain_at(self, vertex: int) -> tuple[int, ...]:
-        return self.chains.get(vertex, ())
+        return self.chains[vertex]
 
     def occupied(self, vertex: int) -> bool:
-        return vertex in self.chains
+        return bool(self.chains[vertex])
 
     @cached_property
     def qubit_positions(self) -> dict[int, QubitPos]:
-        positions: dict[int, QubitPos] = {}
-        for vertex, chain in self.chains.items():
-            for index, qubit in enumerate(chain):
-                if qubit in positions:
-                    raise ValueError(f"qubit {qubit} appears twice")
-                positions[qubit] = QubitPos(vertex, index)
-        return positions
+        return {
+            qubit: QubitPos(vertex, index)
+            for vertex, chain in enumerate(self.chains)
+            for index, qubit in enumerate(chain)
+        }
 
     def position_of(self, qubit: int) -> QubitPos:
         return self.qubit_positions[qubit]
@@ -60,11 +77,8 @@ class TrapState:
 
 def position_lines(state: TrapState) -> list[str]:
     """One `qubit <q> at [<v>, <p>]` line per qubit, sorted by qubit."""
-    lines = []
-    for qubit in sorted(state.qubit_positions):
-        pos = state.position_of(qubit)
-        lines.append(f"qubit {qubit} at [{pos.vertex}, {pos.position}]")
-    return lines
+    items = sorted(state.qubit_positions.items())
+    return [f"qubit {qubit} at [{pos.vertex}, {pos.position}]" for qubit, pos in items]
 
 
 def initial_placement(circuit: Circuit, graph: TrapGraph) -> TrapState:
@@ -130,4 +144,4 @@ def initial_placement(circuit: Circuit, graph: TrapGraph) -> TrapState:
         chains[vertex] = chain
         placed.update(chain)
 
-    return TrapState(chains)
+    return TrapState.from_dicts(graph, chains)

@@ -93,43 +93,38 @@ class TrapGraph:
     def encoded(self) -> tuple:
         """The trap as the flat vertex-indexed tuples the kernel iterates over.
 
-        (n, capacity, neighbors, is_junction, can_gate, lateral_left,
-        lateral_right, adjacent, separate_sites, merge_sites, swap_sites).
-        Each per-vertex field is a length-n tuple indexed by vertex id (ids
-        run 0..n-1, which construction checks); a missing lateral pair is
-        -1 on both sides. The last four are the static site tables:
-        `adjacent[v]` holds v's (neighbor, neighbor_is_junction) pairs in
-        neighbor order; the separate and merge sites are the
-        (v, left, right) triples, in vertex order, whose vertex allows the
-        op and has a lateral pair with no junction on either side, the
-        only ones any state can split or merge at; the swap sites are the
-        vertices allowing swap.
+        (n, capacity, neighbors, is_junction, can_gate, separate_at,
+        merge_at, separate_sites, merge_sites, swap_sites). Each per-vertex
+        field is a length-n tuple indexed by vertex id (ids run 0..n-1,
+        which construction checks). `separate_at[v]` and `merge_at[v]` are
+        v's (left, right) lateral pair when v allows the op and neither side
+        is a junction, the only vertices any state can split or merge at,
+        and None elsewhere. The last three are the static site tables the
+        enumerators loop over: the non-None entries of separate_at and
+        merge_at as (v, left, right) triples, and the vertices allowing
+        swap, each in vertex order.
         """
         ids = range(len(self.vertices))
-        lateral = [self.lateral_pair(v) or (-1, -1) for v in ids]
         is_junction = tuple(self.is_junction(v) for v in ids)
 
-        def lateral_sites(flag: str) -> tuple[tuple[int, int, int], ...]:
+        def lateral_at(flag: str) -> tuple[tuple[int, int] | None, ...]:
+            pairs = (self.lateral_pair(v) if self.allows(v, flag) else None for v in ids)
             return tuple(
-                (v, left, right)
-                for v, (left, right) in zip(ids, lateral)
-                if self.allows(v, flag)
-                and left >= 0
-                and not is_junction[left]
-                and not is_junction[right]
+                None if pair is None or is_junction[pair[0]] or is_junction[pair[1]] else pair
+                for pair in pairs
             )
 
+        separate_at, merge_at = lateral_at("separate"), lateral_at("merge")
         return (
             len(ids),
             self.capacity,
             tuple(self.neighbors(v) for v in ids),
             is_junction,
             tuple(self.allows(v, "gate") for v in ids),
-            tuple(left for left, _ in lateral),
-            tuple(right for _, right in lateral),
-            tuple(tuple((w, is_junction[w]) for w in self.neighbors(v)) for v in ids),
-            lateral_sites("separate"),
-            lateral_sites("merge"),
+            separate_at,
+            merge_at,
+            tuple((v, *pair) for v, pair in enumerate(separate_at) if pair is not None),
+            tuple((v, *pair) for v, pair in enumerate(merge_at) if pair is not None),
             tuple(v for v in ids if self.allows(v, "swap")),
         )
 

@@ -110,7 +110,9 @@ def test_every_slice_starts_with_junctions_empty(graph, qubits, seeds):
     for seed in seeds:
         schedule = baseline.compile(baseline.random_circuit(qubits, 6, seed), graph)
         for piece in decompose(schedule):
-            occupied = [v for v in piece.state.chains if graph.is_junction(v)]
+            occupied = [
+                v for v, chain in enumerate(piece.state.chains) if chain and graph.is_junction(v)
+            ]
             assert occupied == [], (seed, piece.gate, occupied)
 
 
@@ -118,31 +120,33 @@ def test_compile_steps_each_op_once(monkeypatch):
     """The router takes kernel successors; optimize is the one replay of its ops.
 
     Past the placement, every TrapState comes from an ops.apply of that
-    replay, so the router neither builds nor steps one.
+    replay, so the router neither builds nor steps one. An Execute Gate
+    returns the state it is given, so each shuttling op builds one state.
     """
-    applied, built, received = 0, 0, []
-    apply, check, optimize = ops.apply, TrapState.__post_init__, baseline.optimize
+    applied, shuttled, built, received = 0, 0, 0, []
+    apply, init, optimize = ops.apply, TrapState.__init__, baseline.optimize
 
     def counted(*args):
-        nonlocal applied
+        nonlocal applied, shuttled
         applied += 1
+        shuttled += not isinstance(args[-1], ops.ExecuteGate)
         return apply(*args)
 
-    def counted_build(self):
+    def counted_build(self, *args):
         nonlocal built
         built += 1
-        check(self)
+        init(self, *args)
 
     def recorded(op_list, *args):
         received.append(len(op_list))
         return optimize(op_list, *args)
 
     monkeypatch.setattr(ops, "apply", counted)
-    monkeypatch.setattr(TrapState, "__post_init__", counted_build)
+    monkeypatch.setattr(TrapState, "__init__", counted_build)
     monkeypatch.setattr(baseline, "optimize", recorded)
     baseline.compile(baseline.random_circuit(4, 6, 0), trap.build_eval_layout("ring", 4))
     assert applied == received[0] > 0
-    assert built == 1 + applied
+    assert built == 1 + shuttled
 
 
 class IllegalRoutes(dict):
@@ -264,7 +268,8 @@ def test_search_estimate_matches_reference_on_random_walks(graph, qubits):
     for seed in range(6):
         rng = random.Random(seed)
         circuit = baseline.random_circuit(qubits, 4, seed)
-        chains, locks = kernel.encode_state(initial_placement(circuit, graph), enc[0])
+        placement = initial_placement(circuit, graph)
+        chains, locks = placement.chains, placement.locks
         for _ in range(80):
             gates = kernel.encode_gates(circuit.first_layer)
             if not gates:
@@ -309,7 +314,8 @@ def test_op_between_matches_successor_recovery_on_random_walks(graph, qubits):
     for seed in range(6):
         rng = random.Random(seed)
         circuit = baseline.random_circuit(qubits, 4, seed)
-        state = kernel.encode_state(initial_placement(circuit, graph), enc[0])
+        placement = initial_placement(circuit, graph)
+        state = placement.chains, placement.locks
         for _ in range(80):
             moves = kernel.successors(enc, *state)
             if not moves:
@@ -400,7 +406,7 @@ def test_batch_raises_the_first_failing_circuits_error():
 
 def relabelled(state, circuit, perm, rng):
     """State and circuit with qubit q renamed perm[q]; two-qubit operands may swap order."""
-    chains = {v: tuple(perm[q] for q in chain) for v, chain in state.chains.items()}
+    chains = tuple(tuple(perm[q] for q in chain) for chain in state.chains)
     gates = []
     for gate in circuit.gates:
         qs = tuple(perm[q] for q in gate.qubits)
@@ -408,7 +414,7 @@ def relabelled(state, circuit, perm, rng):
     image = Circuit(circuit.qubit_count, tuple(gates))
     for gate_id in sorted(circuit.executed):
         image = image.mark_executed(gate_id)
-    return TrapState(chains, dict(state.junction_locks)), image
+    return TrapState(chains, state.locks), image
 
 
 @pytest.mark.parametrize(
@@ -427,7 +433,6 @@ def test_search_is_invariant_under_qubit_relabelling(graph, qubits, seeds):
     would show.
     """
     batch = baseline._Batch(graph)
-    n = graph.encoded[0]
     searched = 0
     for seed in seeds:
         rng = random.Random(seed)
@@ -439,8 +444,7 @@ def test_search_is_invariant_under_qubit_relabelling(graph, qubits, seeds):
                 (piece.state, piece.circuit),
                 relabelled(piece.state, piece.circuit, perm, rng),
             ):
-                chains, locks = kernel.encode_state(state, n)
-                router = baseline._Router(batch, circuit, chains, locks)
+                router = baseline._Router(batch, circuit, state.chains, state.locks)
                 gates = kernel.encode_gates(circuit.first_layer)
                 routes.append(router._search_next(router.pick_gate(), gates))
             assert routes[0] == routes[1]
@@ -556,7 +560,8 @@ def test_route_search_matches_the_successor_loop(graph, qubits, monkeypatch):
     for seed in range(12):
         rng = random.Random(seed)
         circuit = baseline.random_circuit(qubits, 4, seed)
-        chains, locks = kernel.encode_state(initial_placement(circuit, graph), enc[0])
+        placement = initial_placement(circuit, graph)
+        chains, locks = placement.chains, placement.locks
         for step in range(60):
             gates = kernel.encode_gates(circuit.first_layer)
             if not gates:

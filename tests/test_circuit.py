@@ -11,6 +11,7 @@ import pytest
 
 from shuttlekit import baseline, trap
 from shuttlekit.circuit import (
+    MAX_QUBITS,
     Circuit,
     Gate,
     QASM_HEADER,
@@ -165,6 +166,17 @@ def test_circuit_rejects_duplicate_operand():
 def test_circuit_rejects_unknown_qubit():
     with pytest.raises(CircuitError):
         Circuit(2, (Gate(1, (0, 2)),))
+
+
+def test_huge_register_is_rejected_before_any_per_qubit_allocation():
+    message = f"99999999999 qubits exceed the limit of {MAX_QUBITS}"
+    with pytest.raises(CircuitError, match=message):
+        parse_circuit(QASM_HEADER + "qreg q[99999999999];\nh q[0];\n")
+    with pytest.raises(CircuitError, match=message):
+        Circuit(99999999999, ())
+    with pytest.raises(CircuitError, match=message):
+        baseline.random_circuit(99999999999, 1, 0)
+    assert Circuit(MAX_QUBITS, ()).qubit_count == MAX_QUBITS
 
 
 # -- layering ---------------------------------------------------------------

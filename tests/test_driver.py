@@ -15,6 +15,7 @@ from shuttlekit.driver import (
 from shuttlekit.errors import IllegalOperationError, OutputParseError, TransportError
 from shuttlekit.ops import Translate, format_op
 from shuttlekit.schedule import decompose, step, validate
+from test_ops import OUT_OF_RANGE
 
 GRAPH = trap.build_linear(2)
 CIRCUIT = random_circuit(3, 3, 0)
@@ -34,7 +35,7 @@ def tokens(text):
 def redundant(index):
     """OUTPUTS[index] led by a legal back-and-forth Translate."""
     state = SLICES[index].state
-    for vertex in sorted(state.chains):
+    for vertex in (v for v, chain in enumerate(state.chains) if chain):
         for n in GRAPH.neighbors(vertex):
             if not state.occupied(n):
                 pair = (Translate(vertex, n), Translate(n, vertex))
@@ -109,6 +110,14 @@ def test_consecutive_invalid_outputs_fail_with_a_legal_partial_schedule():
     report = validate(schedule)
     assert report.failure_index is None
     assert report.reason == f"unexecuted gates remain ({kept} of {len(CIRCUIT.gates)})"
+    # Vertex ids far outside the trap are illegal ops too, each one a retry.
+    for line, reason in OUT_OF_RANGE:
+        script = OUTPUTS[:kept] + [f"{line}\nExecute Gate 1\n"] * 10
+        schedule, stats = run(MockCompletionClient(script))
+        assert (stats.outcome, stats.retries, stats.gates_executed) == ("failed", 10, kept)
+        assert stats.failure_reason == (
+            f"10 consecutive invalid outputs for one instruction; last: {line}: {reason}"
+        )
 
 
 def test_record_then_replay_reproduces_the_run(tmp_path):

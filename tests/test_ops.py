@@ -58,13 +58,13 @@ def legal(state, graph, op, circuit=NO_GATES):
 
 
 def test_translate_moves_whole_chain_in_order():
-    state = TrapState({1: (0, 1)})
+    state = TrapState.from_dicts(LINEAR1, {1: (0, 1)})
     after = apply(state, LINEAR1, NO_GATES, Translate(1, 0))
-    assert after.chains == {0: (0, 1)}
+    assert after == TrapState.from_dicts(LINEAR1, {0: (0, 1)})
 
 
 def test_translate_requires_edge_source_and_empty_target():
-    state = TrapState({0: (0,), 1: (1,)})
+    state = TrapState.from_dicts(LINEAR1, {0: (0,), 1: (1,)})
     assert not legal(state, LINEAR1, Translate(0, 2))  # no edge 0-2
     assert not legal(state, LINEAR1, Translate(2, 1))  # empty source
     assert not legal(state, LINEAR1, Translate(0, 1))  # occupied target
@@ -73,31 +73,31 @@ def test_translate_requires_edge_source_and_empty_target():
 
 def test_translate_respects_capacity_implicitly():
     # target must be empty outright, so capacity can never be exceeded
-    state = TrapState({0: (0, 1), 1: (2,)})
+    state = TrapState.from_dicts(LINEAR1, {0: (0, 1), 1: (2,)})
     assert not legal(state, LINEAR1, Translate(0, 1))
 
 
 def test_junction_lock_blocks_immediate_reversal():
     # walk 0 -> junction 1 -> 2, then try to re-enter the junction from 2
-    state = TrapState({0: (0,)})
+    state = TrapState.from_dicts(BRANCHED, {0: (0,)})
     state = apply(state, BRANCHED, NO_GATES, Translate(0, 1))
-    assert state.junction_locks == {}  # entering sets no lock
+    assert state == TrapState.from_dicts(BRANCHED, {1: (0,)})  # entering sets no lock
     state = apply(state, BRANCHED, NO_GATES, Translate(1, 2))
-    assert state.junction_locks == {1: 2}
+    assert state == TrapState.from_dicts(BRANCHED, {2: (0,)}, {1: 2})
     assert not legal(state, BRANCHED, Translate(2, 1))
     msg = violation(state, BRANCHED, NO_GATES, Translate(2, 1))
     assert msg is not None and "junction" in msg
 
 
 def test_junction_lock_cleared_by_exit_toward_other_neighbor():
-    state = TrapState({0: (0,), 7: (1,)})
+    state = TrapState.from_dicts(BRANCHED, {0: (0,), 7: (1,)})
     for move in (Translate(0, 1), Translate(1, 2)):
         state = apply(state, BRANCHED, NO_GATES, move)
     assert not legal(state, BRANCHED, Translate(2, 1))
     # helper chain traverses the junction from stack vertex 7 out to 0
     state = apply(state, BRANCHED, NO_GATES, Translate(7, 1))
     state = apply(state, BRANCHED, NO_GATES, Translate(1, 0))
-    assert state.junction_locks == {1: 0}
+    assert state == TrapState.from_dicts(BRANCHED, {0: (1,), 2: (0,)}, {1: 0})
     assert legal(state, BRANCHED, Translate(2, 1))
     state = apply(state, BRANCHED, NO_GATES, Translate(2, 1))
     assert state.chain_at(1) == (0,)
@@ -107,7 +107,7 @@ def test_translate_order_preserved_exhaustively():
     # every 2-qubit arrangement on the 3-vertex path keeps chain order
     for chain in itertools.permutations((0, 1)):
         for src in (0, 1, 2):
-            state = TrapState({src: chain})
+            state = TrapState.from_dicts(LINEAR1, {src: chain})
             for dst in LINEAR1.neighbors(src):
                 after = apply(state, LINEAR1, NO_GATES, Translate(src, dst))
                 assert after.chain_at(dst) == chain
@@ -117,60 +117,61 @@ def test_translate_order_preserved_exhaustively():
 
 
 def test_separate_splits_first_half_left():
-    state = TrapState({1: (0, 1)})
+    state = TrapState.from_dicts(LINEAR1, {1: (0, 1)})
     after = apply(state, LINEAR1, TWO_QUBIT, Separate(1))
-    assert after.chains == {0: (0,), 2: (1,)}
+    assert after == TrapState.from_dicts(LINEAR1, {0: (0,), 2: (1,)})
 
 
 def test_separate_odd_chain_on_wider_capacity():
     graph = trap.build_linear(1, capacity=3)
-    state = TrapState({1: (2, 0, 1)})
+    state = TrapState.from_dicts(graph, {1: (2, 0, 1)})
     after = apply(state, graph, NO_GATES, Separate(1))
-    assert after.chains == {0: (2, 0), 2: (1,)}
+    assert after == TrapState.from_dicts(graph, {0: (2, 0), 2: (1,)})
 
 
 def test_separate_requires_two_qubits_and_empty_laterals():
-    assert not legal(TrapState({1: (0,)}), LINEAR1, Separate(1))
-    assert not legal(TrapState({1: (0, 1), 0: (2,)}), LINEAR1, Separate(1))
-    assert not legal(TrapState({0: (0, 1)}), LINEAR1, Separate(0))  # not eligible
-    assert legal(TrapState({1: (0, 1)}), LINEAR1, Separate(1))
+    assert not legal(TrapState.from_dicts(LINEAR1, {1: (0,)}), LINEAR1, Separate(1))
+    assert not legal(TrapState.from_dicts(LINEAR1, {1: (0, 1), 0: (2,)}), LINEAR1, Separate(1))
+    # not eligible
+    assert not legal(TrapState.from_dicts(LINEAR1, {0: (0, 1)}), LINEAR1, Separate(0))
+    assert legal(TrapState.from_dicts(LINEAR1, {1: (0, 1)}), LINEAR1, Separate(1))
 
 
 def test_merge_concatenates_left_then_right():
-    state = TrapState({0: (0,), 2: (1,)})
+    state = TrapState.from_dicts(LINEAR1, {0: (0,), 2: (1,)})
     after = apply(state, LINEAR1, TWO_QUBIT, Merge(1))
-    assert after.chains == {1: (0, 1)}
+    assert after == TrapState.from_dicts(LINEAR1, {1: (0, 1)})
 
 
 def test_merge_requires_room_and_both_sides():
     graph = trap.build_linear(1, capacity=3)
     # 2 + 2 > 3
-    state = TrapState({0: (0, 1), 2: (2, 3)})
+    state = TrapState.from_dicts(graph, {0: (0, 1), 2: (2, 3)})
     assert not legal(state, graph, Merge(1))
-    state = TrapState({0: (0, 1), 2: (2,)})
+    state = TrapState.from_dicts(graph, {0: (0, 1), 2: (2,)})
     assert legal(state, graph, Merge(1))
     # single side is a plain translate, not a merge
-    assert not legal(TrapState({0: (0,)}), LINEAR1, Merge(1))
+    assert not legal(TrapState.from_dicts(LINEAR1, {0: (0,)}), LINEAR1, Merge(1))
     # target must be empty
-    assert not legal(TrapState({0: (0,), 1: (2,), 2: (1,)}), LINEAR1, Merge(1))
+    assert not legal(TrapState.from_dicts(LINEAR1, {0: (0,), 1: (2,), 2: (1,)}), LINEAR1, Merge(1))
 
 
 def test_merge_respects_default_capacity():
-    state = TrapState({0: (0, 1), 2: (2,)})
+    state = TrapState.from_dicts(LINEAR1, {0: (0, 1), 2: (2,)})
     assert not legal(state, LINEAR1, Merge(1))
 
 
 def test_swap_reverses_chain():
-    state = TrapState({1: (0, 1)})
+    state = TrapState.from_dicts(LINEAR1, {1: (0, 1)})
     after = apply(state, LINEAR1, TWO_QUBIT, Swap(1))
-    assert after.chains == {1: (1, 0)}
+    assert after == TrapState.from_dicts(LINEAR1, {1: (1, 0)})
     assert (after.position_of(0).vertex, after.position_of(0).position) == (1, 1)
 
 
 def test_swap_needs_two_qubits_at_eligible_vertex():
-    assert not legal(TrapState({1: (0,)}), LINEAR1, Swap(1))
-    assert not legal(TrapState({0: (0, 1)}), LINEAR1, Swap(0))
-    assert legal(TrapState({1: (0, 1)}), LINEAR1, Swap(1))
+    assert not legal(TrapState.from_dicts(LINEAR1, {1: (0,)}), LINEAR1, Swap(1))
+    assert not legal(TrapState.from_dicts(LINEAR1, {0: (0, 1)}), LINEAR1, Swap(0))
+    assert legal(TrapState.from_dicts(LINEAR1, {1: (0, 1)}), LINEAR1, Swap(1))
 
 
 def test_separate_blocked_by_junction_lateral():
@@ -184,8 +185,8 @@ def test_separate_blocked_by_junction_lateral():
             v["eligibility"] = ["separate", "merge", "swap"]
             v["lateral"] = [1, 3]
     graph = trap.parse_trap(json.dumps(data))
-    assert not legal(TrapState({2: (0, 1)}), graph, Separate(2))
-    assert not legal(TrapState({1: (0,), 3: (1,)}), graph, Merge(2))
+    assert not legal(TrapState.from_dicts(graph, {2: (0, 1)}), graph, Separate(2))
+    assert not legal(TrapState.from_dicts(graph, {1: (0,), 3: (1,)}), graph, Merge(2))
 
 
 # -- execute gate -------------------------------------------------------------
@@ -193,32 +194,47 @@ def test_separate_blocked_by_junction_lateral():
 
 def test_execute_needs_operands_alone_in_gate_segment():
     circuit = Circuit(3, (Gate(1, (0, 1)), Gate(2, (1, 2))))
-    assert legal(TrapState({2: (0, 1)}), LINEAR2, ExecuteGate(1), circuit)
+    assert legal(TrapState.from_dicts(LINEAR2, {2: (0, 1)}), LINEAR2, ExecuteGate(1), circuit)
     # stranger in the segment
     graph3 = trap.build_linear(1, capacity=3)
-    assert not legal(TrapState({1: (0, 1, 2)}), graph3, ExecuteGate(1), circuit)
+    assert not legal(TrapState.from_dicts(graph3, {1: (0, 1, 2)}), graph3, ExecuteGate(1), circuit)
     # operand elsewhere
-    assert not legal(TrapState({2: (0,), 3: (1,)}), LINEAR2, ExecuteGate(1), circuit)
+    state = TrapState.from_dicts(LINEAR2, {2: (0,), 3: (1,)})
+    assert not legal(state, LINEAR2, ExecuteGate(1), circuit)
     # deeper-layer gate
-    assert not legal(TrapState({2: (1, 2)}), LINEAR2, ExecuteGate(2), circuit)
+    assert not legal(TrapState.from_dicts(LINEAR2, {2: (1, 2)}), LINEAR2, ExecuteGate(2), circuit)
 
 
 def test_execute_single_qubit_gate():
     circuit = Circuit(2, (Gate(1, (1,)), Gate(2, (0, 1))))
-    assert legal(TrapState({2: (1,), 0: (0,)}), LINEAR2, ExecuteGate(1), circuit)
-    assert not legal(TrapState({2: (1, 0)}), LINEAR2, ExecuteGate(1), circuit)
+    state = TrapState.from_dicts(LINEAR2, {2: (1,), 0: (0,)})
+    assert legal(state, LINEAR2, ExecuteGate(1), circuit)
+    assert not legal(TrapState.from_dicts(LINEAR2, {2: (1, 0)}), LINEAR2, ExecuteGate(1), circuit)
 
 
 def test_apply_execute_leaves_state_untouched():
-    state = TrapState({1: (0, 1)})
+    state = TrapState.from_dicts(LINEAR1, {1: (0, 1)})
     after = apply(state, LINEAR1, TWO_QUBIT, ExecuteGate(1))
-    assert after.chains == state.chains
+    assert after == state
+
+
+# Op lines naming vertex ids far outside any trap, as a schedule file or a
+# model's output may carry them, with the reason each one is rejected for.
+OUT_OF_RANGE = [
+    ("Translate 99999999999999999999 -> 1", "no vertex pair (99999999999999999999, 1)"),
+    ("Swap 123456789012345678901234567890", "no vertex 123456789012345678901234567890"),
+    ("Merge 77777777777", "no vertex 77777777777"),
+]
 
 
 def test_apply_names_the_violated_condition():
-    state = TrapState({1: (0,)})
+    state = TrapState.from_dicts(LINEAR1, {1: (0,)})
     with pytest.raises(IllegalOperationError, match="Swap 1"):
         apply(state, LINEAR1, TWO_QUBIT, Swap(1))
+    for line, reason in OUT_OF_RANGE:
+        with pytest.raises(IllegalOperationError) as rejected:
+            apply(state, LINEAR1, TWO_QUBIT, parse_op(line))
+        assert str(rejected.value) == f"{line}: {reason}"
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -226,7 +242,7 @@ def test_apply_names_the_violated_condition():
 
 def test_allowed_ops_on_three_segment_instance():
     # both qubits of the only gate share the gate segment of a 3-vertex trap
-    state = TrapState({1: (0, 1)})
+    state = TrapState.from_dicts(LINEAR1, {1: (0, 1)})
     listed = allowed_ops(state, LINEAR1, TWO_QUBIT)
     assert listed == [
         Translate(1, 0),
@@ -238,19 +254,23 @@ def test_allowed_ops_on_three_segment_instance():
 
 
 def test_allowed_ops_empty_cases():
-    assert allowed_ops(TrapState({}), LINEAR1, NO_GATES) == []
+    assert allowed_ops(TrapState.from_dicts(LINEAR1, {}), LINEAR1, NO_GATES) == []
     # lone qubit in a corner with its only neighbor occupied
-    state = TrapState({0: (0,), 1: (1,)})
+    state = TrapState.from_dicts(LINEAR1, {0: (0,), 1: (1,)})
     moves = allowed_ops(state, LINEAR1, NO_GATES)
     assert Translate(0, 1) not in moves
 
 
 def test_allowed_ops_is_sound_and_complete():
     cases = [
-        (TrapState({1: (0, 1)}), LINEAR1, TWO_QUBIT),
-        (TrapState({0: (0,), 2: (1,)}), LINEAR1, TWO_QUBIT),
-        (TrapState({2: (1, 0), 4: (2,)}), LINEAR2, Circuit(3, (Gate(1, (0, 1)), Gate(2, (1, 2))))),
-        (TrapState({0: (0,), 7: (1,)}, {1: 0}), BRANCHED, TWO_QUBIT),
+        (TrapState.from_dicts(LINEAR1, {1: (0, 1)}), LINEAR1, TWO_QUBIT),
+        (TrapState.from_dicts(LINEAR1, {0: (0,), 2: (1,)}), LINEAR1, TWO_QUBIT),
+        (
+            TrapState.from_dicts(LINEAR2, {2: (1, 0), 4: (2,)}),
+            LINEAR2,
+            Circuit(3, (Gate(1, (0, 1)), Gate(2, (1, 2)))),
+        ),
+        (TrapState.from_dicts(BRANCHED, {0: (0,), 7: (1,)}, {1: 0}), BRANCHED, TWO_QUBIT),
     ]
     for state, graph, circuit in cases:
         listed = allowed_ops(state, graph, circuit)
@@ -268,7 +288,7 @@ def test_allowed_ops_is_sound_and_complete():
 
 def chain_states(draw_chain):
     return st.builds(
-        lambda chain: TrapState({2: chain}),
+        lambda chain: TrapState.from_dicts(LINEAR2, {2: chain}),
         draw_chain,
     )
 
@@ -278,18 +298,18 @@ two_chains = st.permutations(range(2)).map(tuple)
 
 @given(chain=two_chains)
 def test_swap_twice_is_identity(chain):
-    state = TrapState({2: chain})
+    state = TrapState.from_dicts(LINEAR2, {2: chain})
     once = apply(state, LINEAR2, NO_GATES, Swap(2))
     twice = apply(once, LINEAR2, NO_GATES, Swap(2))
-    assert twice.chains == state.chains
+    assert twice == state
 
 
 @given(chain=two_chains)
 def test_separate_then_merge_is_identity(chain):
-    state = TrapState({2: chain})
+    state = TrapState.from_dicts(LINEAR2, {2: chain})
     split = apply(state, LINEAR2, NO_GATES, Separate(2))
     joined = apply(split, LINEAR2, NO_GATES, Merge(2))
-    assert joined.chains == state.chains
+    assert joined == state
 
 
 @given(
@@ -298,18 +318,18 @@ def test_separate_then_merge_is_identity(chain):
 )
 @settings(max_examples=60)
 def test_translate_round_trip_is_identity(src, chain):
-    state = TrapState({src: chain})
+    state = TrapState.from_dicts(LINEAR2, {src: chain})
     for dst in LINEAR2.neighbors(src):
         there = apply(state, LINEAR2, NO_GATES, Translate(src, dst))
         back = apply(there, LINEAR2, NO_GATES, Translate(dst, src))
-        assert back.chains == state.chains
+        assert back == state
 
 
 # -- qubit conservation under exhaustive exploration ----------------------------
 
 
 def visited_key(state):
-    return tuple(sorted(state.chains.items())), tuple(sorted(state.junction_locks.items()))
+    return state.chains, state.locks
 
 
 def test_reachable_states_conserve_qubits():
@@ -321,7 +341,7 @@ def test_reachable_states_conserve_qubits():
     """
     circuit = Circuit(3, (Gate(1, (0, 1)), Gate(2, (1, 2))))
     graph = LINEAR2
-    start = TrapState({2: (0, 1), 3: (2,)})
+    start = TrapState.from_dicts(LINEAR2, {2: (0, 1), 3: (2,)})
     frontier = [(start, circuit)]
     seen = {(visited_key(start), frozenset(circuit.executed))}
     for _ in range(4):
@@ -334,8 +354,8 @@ def test_reachable_states_conserve_qubits():
                     assert op in listed
                     after = apply(state, graph, circ, op)
                     assert after.qubits == state.qubits
-                    for vertex, chain in after.chains.items():
-                        assert 0 < len(chain) <= graph.capacity
+                    for chain in after.chains:
+                        assert len(chain) <= graph.capacity
                     circ2 = (
                         circ.mark_executed(op.gate)
                         if isinstance(op, ExecuteGate)
@@ -354,6 +374,23 @@ def test_reachable_states_conserve_qubits():
 
 
 # -- kernel against the per-op rules ----------------------------------------------
+
+
+def kernel_code(op):
+    """The kernel op code (kind, a, b) of a shuttling op."""
+    if isinstance(op, Translate):
+        return (kernel.TRANSLATE, op.src, op.dst)
+    kinds = {Separate: kernel.SEPARATE, Merge: kernel.MERGE, Swap: kernel.SWAP}
+    return (kinds[type(op)], op.at, -1)
+
+
+def beyond_the_trap(n):
+    """Shuttling ops that name a vertex id outside 0..n-1."""
+    huge = 99999999999999999999
+    return [
+        Translate(n, 0), Translate(0, n), Translate(n, n + 1), Translate(huge, 1),
+        Translate(1, huge), Separate(n), Merge(n), Swap(n), Swap(huge), Merge(77777777777),
+    ]
 
 
 def canonical_key(op):
@@ -410,7 +447,10 @@ def test_kernel_matches_violation_on_random_walks(graph, qubits):
 
     On every visited state: allowed_ops is exactly the ops violation()
     accepts, in canonical order; each kernel successor decodes to an op
-    whose apply lands on that successor's encoding; and on oracle-sized
+    whose apply lands on that successor's encoding; for every shuttling op
+    of every_op and ops naming vertex ids beyond the trap,
+    kernel.transition returns exactly the successor with that code, and
+    None exactly when violation() gives a reason; and on oracle-sized
     instances the bfs_next_gate route replays and ends in a gate execution.
     """
     oracle = len(graph.vertices) <= ORACLE_MAX_VERTICES and qubits <= 4
@@ -427,10 +467,19 @@ def test_kernel_matches_violation_on_random_walks(graph, qubits):
             ]
             listed = allowed_ops(state, graph, circuit)
             assert listed == sorted(legal, key=canonical_key)
-            chains, locks = kernel.encode_state(state, trap_enc[0])
-            for code, next_chains, next_locks in kernel.successors(trap_enc, chains, locks):
+            successors = kernel.successors(trap_enc, state.chains, state.locks)
+            for code, next_chains, next_locks in successors:
                 after = apply(state, graph, circuit, ops.decode_op(code))
-                assert kernel.encode_state(after, trap_enc[0]) == (next_chains, next_locks)
+                assert after == TrapState(next_chains, next_locks)
+            by_code = {code: (c, locks) for code, c, locks in successors}
+            for op in every_op(graph, circuit) + beyond_the_trap(trap_enc[0]):
+                if isinstance(op, ExecuteGate):
+                    continue
+                code = kernel_code(op)
+                assert ops.decode_op(code) == op
+                after = kernel.transition(trap_enc, state.chains, state.locks, code)
+                assert after == by_code.get(code)
+                assert (after is None) == (violation(state, graph, circuit, op) is not None)
             if oracle and step % 10 == 0 and circuit.first_layer:
                 try:
                     route = bfs_next_gate(state, graph, circuit)
@@ -514,12 +563,12 @@ def test_reachable_gates_leave_out_only_unroutable_gates():
         states = []
         if graph is SEAL_BRANCHED and qubits == 3:
             for chains, locks in SEALED_BY_HAND:
-                states.append(kernel.encode_state(TrapState(chains, locks), enc[0]))
+                state = TrapState.from_dicts(graph, chains, locks)
+                states.append((state.chains, state.locks))
         for seed in range(8):
             rng = random.Random(seed)
-            chains, locks = kernel.encode_state(
-                initial_placement(random_circuit(qubits, 4, seed), graph), enc[0]
-            )
+            placement = initial_placement(random_circuit(qubits, 4, seed), graph)
+            chains, locks = placement.chains, placement.locks
             for _ in range(100):
                 states.append((chains, locks))
                 moves = kernel.successors(enc, chains, locks)
@@ -546,11 +595,12 @@ def test_shortest_route_returns_none_at_once_when_sealed(monkeypatch):
     kernel successor calls, since a breadth-first search of that state's
     whole reachable space takes tens of seconds.
     """
-    enc = trap.build_branched(6, 2, 2).encoded
-    chains, locks = kernel.encode_state(
-        TrapState({16: (4, 2), 0: (5,), 8: (3,), 5: (1,), 7: (0,)}, {1: 0, 3: 4, 9: 8}),
-        enc[0],
+    graph = trap.build_branched(6, 2, 2)
+    enc = graph.encoded
+    state = TrapState.from_dicts(
+        graph, {16: (4, 2), 0: (5,), 8: (3,), 5: (1,), 7: (0,)}, {1: 0, 3: 4, 9: 8}
     )
+    chains, locks = state.chains, state.locks
     gates = ((22, (3, 5)),)
     assert kernel.reachable_gates(enc, chains, locks, gates) == []
     calls = 0

@@ -20,6 +20,7 @@ from shuttlekit.schedule import (
     validate,
 )
 from shuttlekit.state import TrapState, initial_placement
+from test_ops import OUT_OF_RANGE
 
 
 LINEAR1 = trap.build_linear(1)
@@ -28,7 +29,7 @@ BRANCHED = trap.build_branched(1, 1, 1)
 
 
 def make_schedule(graph, circuit, placement, ops):
-    return Schedule(graph, circuit, TrapState(placement), tuple(ops))
+    return Schedule(graph, circuit, TrapState.from_dicts(graph, placement), tuple(ops))
 
 
 def simple_instance():
@@ -44,7 +45,7 @@ def test_validate_accepts_direct_execution():
     assert report.ok
     assert report.gates_executed == 1
     assert report.failure_index is None
-    assert report.final_state.chains == {1: (0, 1)}
+    assert report.final_state == TrapState.from_dicts(LINEAR1, {1: (0, 1)})
 
 
 def illegal_op_schedule():
@@ -158,7 +159,7 @@ def test_decompose_slice_states_chain_together():
     slices = decompose(sched)
     state, circuit = sched.placement, sched.circuit
     for entry in slices:
-        assert entry.state.chains == state.chains
+        assert entry.state == state
         assert entry.circuit.executed == circuit.executed
         for op in entry.ops:
             state, circuit = step(sched.graph, state, circuit, op)
@@ -203,7 +204,7 @@ def test_optimize_removes_back_and_forth():
 
 def test_optimize_collapses_pair_stack_to_nothing():
     ops = (Separate(1), Merge(1), Swap(1), Swap(1))
-    out = optimize(ops, LINEAR1, Circuit(2, ()), TrapState({1: (0, 1)}))
+    out = optimize(ops, LINEAR1, Circuit(2, ()), TrapState.from_dicts(LINEAR1, {1: (0, 1)}))
     assert tuple(out) == ()
 
 
@@ -212,7 +213,7 @@ def test_optimize_keeps_noncancelling_merge_separate():
     # which is not the partition we started from, so the pair must stay.
     graph = trap.build_linear(1, capacity=3)
     circuit = Circuit(3, ())
-    state = TrapState({0: (0,), 2: (1, 2)})
+    state = TrapState.from_dicts(graph, {0: (0,), 2: (1, 2)})
     ops = (Merge(1), Separate(1))
     assert tuple(optimize(ops, graph, circuit, state)) == ops
 
@@ -221,12 +222,12 @@ def test_optimize_keeps_junction_bounce():
     # translating into a junction and back rewrites the junction lock, so
     # the pair is not state-neutral and must survive
     circuit = Circuit(1, ())
-    state = TrapState({2: (0,)})
+    state = TrapState.from_dicts(BRANCHED, {2: (0,)})
     ops = (Translate(2, 1), Translate(1, 2))
     assert tuple(optimize(ops, BRANCHED, circuit, state)) == ops
     # even with a pre-existing lock elsewhere the exit rewrites it, so the
     # bounce is never state-neutral
-    state2 = TrapState({2: (0,)}, {1: 0})
+    state2 = TrapState.from_dicts(BRANCHED, {2: (0,)}, {1: 0})
     assert tuple(optimize(ops, BRANCHED, circuit, state2)) == ops
 
 
@@ -262,7 +263,7 @@ def test_optimize_preserves_execute_subsequence_and_final_state():
         before, after = validate(sched), validate(slim)
         assert after.ok
         assert after.final_state == before.final_state
-        locked += bool(after.final_state.junction_locks)
+        locked += any(lock != -1 for lock in after.final_state.locks)
     assert locked >= 2 * 4
 
 
@@ -278,7 +279,9 @@ def inject_pairs(sched, rng):
     # execute gates, and translate/swap legality is circuit-independent
     spots = []
     for index, state in enumerate(states):
-        for vertex, chain in sorted(state.chains.items()):
+        for vertex, chain in enumerate(state.chains):
+            if not chain:
+                continue
             if sched.graph.allows(vertex, "swap") and len(chain) >= 2:
                 spots.append((index, (Swap(vertex), Swap(vertex))))
             for n in sorted(sched.graph.neighbors(vertex)):
@@ -402,7 +405,7 @@ def test_serialize_parse_round_trip():
     assert schedule_paths(text) == ("trap.json", "circ.qasm")
     back = parse_schedule(text, sched.graph, sched.circuit)
     assert back.ops == sched.ops
-    assert back.placement.chains == sched.placement.chains
+    assert back.placement == sched.placement
     assert serialize_schedule(back, "trap.json", "circ.qasm") == text
 
 
@@ -431,6 +434,13 @@ def test_parse_schedule_surfaces_replay_failure():
     with pytest.raises(ScheduleValidationError) as exc:
         parse_schedule(hacked, sched.graph, sched.circuit)
     assert exc.value.report.failure_index == 0
+    # Vertex ids far outside the trap are rejected by replay with a reason.
+    for line, reason in OUT_OF_RANGE:
+        hacked = text.replace("Execute Gate 1", f"{line}\nExecute Gate 1")
+        with pytest.raises(ScheduleValidationError) as exc:
+            parse_schedule(hacked, sched.graph, sched.circuit)
+        report = exc.value.report
+        assert (report.failure_index, report.reason) == (0, f"{line}: {reason}")
 
 
 def test_parse_schedule_replay_can_be_deferred():

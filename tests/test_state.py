@@ -7,20 +7,22 @@ from shuttlekit.circuit import Circuit, Gate
 from shuttlekit.errors import PlacementError
 from shuttlekit.state import TrapState, initial_placement, position_lines
 
+LINEAR4 = trap.build_linear(4)  # vertices 0..8
+BRANCHED = trap.build_branched(1, 1, 1)  # junction 1
+
 
 def test_state_rejects_empty_chain():
     with pytest.raises(ValueError):
-        TrapState({3: ()})
+        TrapState.from_dicts(LINEAR4, {3: ()})
 
 
 def test_state_rejects_duplicate_qubit():
-    state = TrapState({0: (1,), 2: (1,)})
     with pytest.raises(ValueError):
-        state.qubit_positions  # noqa: B018  - the cached property validates
+        TrapState.from_dicts(LINEAR4, {0: (1,), 2: (1,)})
 
 
 def test_chain_lookup_and_occupancy():
-    state = TrapState({4: (0, 2)})
+    state = TrapState.from_dicts(LINEAR4, {4: (0, 2)})
     assert state.chain_at(4) == (0, 2)
     assert state.chain_at(5) == ()
     assert state.occupied(4)
@@ -29,7 +31,7 @@ def test_chain_lookup_and_occupancy():
 
 
 def test_position_of_reads_chain_index():
-    state = TrapState({1: (0, 1), 7: (3,)})
+    state = TrapState.from_dicts(LINEAR4, {1: (0, 1), 7: (3,)})
     assert (state.position_of(0).vertex, state.position_of(0).position) == (1, 0)
     assert (state.position_of(1).vertex, state.position_of(1).position) == (1, 1)
     assert (state.position_of(3).vertex, state.position_of(3).position) == (7, 0)
@@ -38,15 +40,15 @@ def test_position_of_reads_chain_index():
 
 
 def test_state_equality_distinguishes_lock_history():
-    a = TrapState({2: (0,)}, {1: 0})
-    b = TrapState({2: (0,)}, {1: 2})
-    c = TrapState({2: (0,)}, {1: 0})
+    a = TrapState.from_dicts(BRANCHED, {2: (0,)}, {1: 0})
+    b = TrapState.from_dicts(BRANCHED, {2: (0,)}, {1: 2})
+    c = TrapState.from_dicts(BRANCHED, {2: (0,)}, {1: 0})
     assert a != b
     assert a == c
 
 
 def test_position_lines_format():
-    state = TrapState({1: (1, 0), 5: (2,)})
+    state = TrapState.from_dicts(LINEAR4, {1: (1, 0), 5: (2,)})
     assert position_lines(state) == [
         "qubit 0 at [1, 1]",
         "qubit 1 at [1, 0]",
@@ -59,23 +61,25 @@ def test_position_lines_format():
 
 def test_two_qubit_circuit_starts_in_gate_segment():
     circuit = Circuit(2, (Gate(1, (0, 1)),))
-    placement = initial_placement(circuit, trap.build_linear(1))
-    assert placement.chains == {1: (0, 1)}
-    assert placement.junction_locks == {}
+    graph = trap.build_linear(1)
+    placement = initial_placement(circuit, graph)
+    assert placement == TrapState.from_dicts(graph, {1: (0, 1)})
+    assert set(placement.locks) == {-1}
 
 
 def test_single_qubit_starts_in_gate_segment():
     circuit = Circuit(1, (Gate(1, (0,)),))
-    placement = initial_placement(circuit, trap.build_linear(1))
-    assert placement.chains == {1: (0,)}
+    graph = trap.build_linear(1)
+    placement = initial_placement(circuit, graph)
+    assert placement == TrapState.from_dicts(graph, {1: (0,)})
 
 
 def test_first_two_qubit_gate_operands_take_the_gate_segment():
     # First gate is on (q2, q3); the heuristic seeds them in operand order
     # and pairs the leftover gate-2 partners in the nearest storage. Frozen.
     circuit = Circuit(4, (Gate(1, (2, 3)), Gate(2, (0, 1)), Gate(3, (1, 2))))
-    placement = initial_placement(circuit, trap.build_linear(4))
-    assert dict(sorted(placement.chains.items())) == {3: (0, 1), 4: (2, 3)}
+    placement = initial_placement(circuit, LINEAR4)
+    assert placement == TrapState.from_dicts(LINEAR4, {3: (0, 1), 4: (2, 3)})
 
 
 def test_placement_is_deterministic():
@@ -83,8 +87,8 @@ def test_placement_is_deterministic():
     graph = trap.build_branched(5, 2, 3)
     first = initial_placement(circuit, graph)
     second = initial_placement(circuit, graph)
-    assert first.chains == second.chains
-    assert not any(graph.is_junction(v) for v in first.chains)
+    assert first == second
+    assert not any(graph.is_junction(v) for v, chain in enumerate(first.chains) if chain)
 
 
 def test_placement_spreads_over_storage_by_distance():
@@ -92,7 +96,9 @@ def test_placement_spreads_over_storage_by_distance():
     graph = trap.build_linear(6)
     placement = initial_placement(circuit, graph)
     assert set(placement.qubit_positions) == set(range(6))
-    for vertex, chain in placement.chains.items():
+    for vertex, chain in enumerate(placement.chains):
+        if not chain:
+            continue
         assert len(chain) <= graph.capacity
         assert not graph.is_junction(vertex)
 
