@@ -6,6 +6,12 @@ output lists the ops with a state echo after each one and stops at the
 `Execute Gate` line. All echoes are rendered from simulation, never taken
 from any external text. Wording lives in a versioned template file so the
 golden snapshots survive refactors.
+
+The text that depends only on the encoded state, its qubit positions and
+its shuttling ops, can come from a render memo: a dict keyed by the state's
+`(chains, locks)` on one graph. `generate_dataset` keeps one per graph for
+the length of one call, so each distinct state is rendered once; the gate
+lines, which depend on the circuit as well, are built for every echo.
 """
 
 from __future__ import annotations
@@ -17,11 +23,12 @@ from functools import lru_cache
 from importlib.resources import files
 from string import Template
 
+from . import kernel
 from . import ops as op_mod
 from .circuit import Circuit, Gate
 from .errors import OutputParseError, RenderError, ScheduleValidationError
 from .ops import ExecuteGate, ShuttleOp
-from .schedule import EntrySlice, Schedule, decompose, step
+from .schedule import EntrySlice, Schedule, decompose
 from .state import TrapState, position_lines
 from .trap import ELIGIBILITY_FLAGS, TrapGraph, VertexKind
 
@@ -68,24 +75,57 @@ def _gate_line(gate: Gate, state: TrapState) -> str:
     return f"gate {gate.id}: " + ", ".join(spots)
 
 
-def render_instruction(graph: TrapGraph, state: TrapState, circuit: Circuit) -> str:
+# A render memo maps an encoded state (chains, locks) on one graph to what
+# its echoes share: the state, its bulleted "Qubit positions" block, and the
+# formatted lines of its shuttling ops.
+RenderMemo = dict[tuple, tuple[TrapState, str, list[str]]]
+
+
+def _state_text(
+    graph: TrapGraph, chains: tuple, locks: tuple, memo: RenderMemo, state: TrapState | None = None
+) -> tuple[TrapState, str, list[str]]:
+    """The memo entry of state (chains, locks), rendered and stored on a miss.
+
+    `state` is that state when the caller holds one.
+    """
+    entry = memo.get((chains, locks))
+    if entry is None:
+        if state is None:
+            state = TrapState(chains, locks)
+        shuttles = [op_mod.format_op(op) for op in op_mod.shuttle_ops(state, graph)]
+        entry = memo[chains, locks] = (state, _bullets(position_lines(state)), shuttles)
+    return entry
+
+
+def _allowed_block(shuttles: list[str], graph: TrapGraph, chains: tuple, gates: tuple) -> str:
+    """The "Allowed operations" bullets: the shuttling lines, then the ready gates."""
+    executes = [op_mod.format_op(op) for op in op_mod.execute_ops(graph, chains, gates)]
+    return _bullets(shuttles + executes)
+
+
+def render_instruction(
+    graph: TrapGraph, state: TrapState, circuit: Circuit, *, memo: RenderMemo | None = None
+) -> str:
     """Deterministic instruction text for one generation step.
 
     Contains the trap layout, the operation rules, the goal, and four
     enumerations: qubit positions, first-layer gates, the gates one
-    execution away, and the currently allowed operations.
+    execution away, and the currently allowed operations. `memo`, a render
+    memo for `graph`, supplies and keeps the state's own text.
     """
     if state.qubits != frozenset(range(circuit.qubit_count)):
         raise RenderError(
             f"state holds qubits {sorted(state.qubits)}, "
             f"circuit expects 0..{circuit.qubit_count - 1}"
         )
+    memo = {} if memo is None else memo
+    state, positions, shuttles = _state_text(graph, state.chains, state.locks, memo, state)
     first_layer = circuit.first_layer
     return _template().substitute(
         capacity=graph.capacity,
         vertex_block=_bullets(_vertex_lines(graph)),
         edge_block=_bullets(_edge_lines(graph)),
-        position_block=_bullets(position_lines(state)),
+        position_block=positions,
         first_layer_block=_bullets([_gate_line(g, state) for g in first_layer]),
         next_layer_block=_bullets(
             [
@@ -93,36 +133,47 @@ def render_instruction(graph: TrapGraph, state: TrapState, circuit: Circuit) -> 
                 for g in circuit.next_executable
             ]
         ),
-        allowed_block=_bullets(
-            [op_mod.format_op(op) for op in op_mod.allowed_ops(state, graph, circuit)]
+        allowed_block=_allowed_block(
+            shuttles, graph, state.chains, kernel.encode_gates(first_layer)
         ),
     )
 
 
-def render_output(slice: EntrySlice, graph: TrapGraph, circuit: Circuit) -> str:
+def render_output(
+    slice: EntrySlice, graph: TrapGraph, circuit: Circuit, *, memo: RenderMemo | None = None
+) -> str:
     """Expected model output for one slice: op lines with per-op state echoes.
 
     Every op except the final `Execute Gate` is followed by the new qubit
     positions, the first-layer gates, and the operations allowed next.
     circuit must reflect the executions before the slice, i.e. slice.circuit.
+    The shuttling ops are walked through kernel.transition on the state's
+    encoding, and the final `Execute Gate` is checked by ops.apply; an
+    illegal op raises IllegalOperationError naming the failed condition.
+    `memo`, a render memo for `graph`, supplies and keeps each echoed
+    state's text.
     """
+    memo = {} if memo is None else memo
+    trap = graph.encoded
+    first_layer = circuit.first_layer
+    gates = kernel.encode_gates(first_layer)
     state = slice.state
-    current = circuit
+    chains, locks = state.chains, state.locks
     blocks: list[str] = []
     for op in slice.ops:
-        state, current = step(graph, state, current, op)
         if isinstance(op, ExecuteGate):
+            op_mod.apply(state, graph, circuit, op)
             blocks.append(op_mod.format_op(op))
             break
-        lines = [op_mod.format_op(op)]
-        lines.append("Qubit positions:")
-        lines.append(_bullets(position_lines(state)))
-        lines.append("First-layer gates:")
-        lines.append(_bullets([_gate_line(g, state) for g in current.first_layer]))
+        after = kernel.transition(trap, chains, locks, op_mod.encode_op(op))
+        if after is None:
+            raise op_mod.rejection(state, graph, circuit, op)
+        chains, locks = after
+        state, positions, shuttles = _state_text(graph, chains, locks, memo)
+        lines = [op_mod.format_op(op), "Qubit positions:", positions, "First-layer gates:"]
+        lines.append(_bullets([_gate_line(g, state) for g in first_layer]))
         lines.append("Allowed operations:")
-        lines.append(
-            _bullets([op_mod.format_op(o) for o in op_mod.allowed_ops(state, graph, current)])
-        )
+        lines.append(_allowed_block(shuttles, graph, chains, gates))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 
@@ -196,22 +247,26 @@ def generate_dataset(schedules: list[Schedule], eval_fraction: float) -> Dataset
     The split is assigned per whole schedule, the last round(fraction * n)
     valid schedules becoming evaluation data, so no trap state from an
     evaluation schedule ever appears in training. Invalid schedules are
-    skipped and recorded, not fatal.
+    skipped and recorded, not fatal. Schedules on the same graph object
+    share one render memo, which lives for this call only.
     """
     if not 0 <= eval_fraction <= 1:
         raise ValueError(f"eval_fraction must be within [0, 1], got {eval_fraction}")
     per_schedule: list[list[DataEntry]] = []
     skipped: list[str] = []
+    memos: dict[int, RenderMemo] = {}
     for index, schedule in enumerate(schedules):
         try:
             slices = decompose(schedule)
         except ScheduleValidationError as exc:
             skipped.append(f"schedule {index}: {exc}")
             continue
+        graph = schedule.graph
+        memo = memos.setdefault(id(graph), {})
         entries = []
         for piece in slices:
-            instruction = render_instruction(schedule.graph, piece.state, piece.circuit)
-            output = render_output(piece, schedule.graph, piece.circuit)
+            instruction = render_instruction(graph, piece.state, piece.circuit, memo=memo)
+            output = render_output(piece, graph, piece.circuit, memo=memo)
             entries.append(DataEntry(instruction, output))
         per_schedule.append(entries)
     eval_count = round(eval_fraction * len(per_schedule))

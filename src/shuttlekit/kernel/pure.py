@@ -1,10 +1,10 @@
 """Legal transitions and route search over encoded states.
 
 The one module that states the shuttling rules. `transition` states what
-each op does, and ops.apply steps one op through it. `successors`, which
-the oracle, ops.allowed_ops and the router's commits use, enumerates
-candidate ops through it; the loop of `route_search`, the router's
-weighted best-first search, is a fused copy of that enumeration.
+each op does; ops.apply and dataset rendering step ops through it.
+`successors`, which the oracle, ops.shuttle_ops and the router's commits
+use, enumerates candidate ops through it; the loop of `route_search`, the
+router's weighted best-first search, is a fused copy of that enumeration.
 ops.violation words the same rules per op. tests/test_ops.py holds
 transition, successors and violation equal, and
 tests/test_baseline.py::test_route_search_matches_the_successor_loop holds

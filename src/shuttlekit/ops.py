@@ -1,11 +1,13 @@
 """The five schedule operations: legality reasons, stepping, enumeration, text.
 
 The kernel states what the ops do: `apply` steps a shuttling op through
-kernel.transition on the state's own encoding, and `allowed_ops` lists what
-kernel.successors and kernel.ready_gates give. violation() words the same
-rules for one op, so that a rejection names the condition it failed, and
-tests hold the three equal. Executing a gate leaves the chain state
-untouched; callers advance the circuit separately.
+kernel.transition on the state's own encoding, `shuttle_ops` lists the ops
+kernel.successors gives, `execute_ops` the Execute Gates that
+kernel.ready_gates gives, and `allowed_ops` joins the two. violation()
+words the same rules for one op, so that a rejection names the condition
+it failed, and tests hold the three equal. `encode_op` and `decode_op`
+convert between ops and kernel op codes. Executing a gate leaves the chain
+state untouched; callers advance the circuit separately.
 """
 
 from __future__ import annotations
@@ -167,30 +169,59 @@ def apply(state: TrapState, graph: TrapGraph, circuit: Circuit, op: ShuttleOp) -
         if _execute_violation(state, graph, circuit, op.gate) is None:
             return state
     else:
-        kind = _OP_TYPES.index(type(op))
-        code = (kind, op.src, op.dst) if kind == kernel.TRANSLATE else (kind, op.at, -1)
-        after = kernel.transition(graph.encoded, state.chains, state.locks, code)
+        after = kernel.transition(graph.encoded, state.chains, state.locks, encode_op(op))
         if after is not None:
             return TrapState(*after)
-    raise IllegalOperationError(f"{format_op(op)}: {violation(state, graph, circuit, op)}")
+    raise rejection(state, graph, circuit, op)
+
+
+def rejection(
+    state: TrapState, graph: TrapGraph, circuit: Circuit, op: ShuttleOp
+) -> IllegalOperationError:
+    """The error for an op that is illegal in this state, naming the failed condition."""
+    return IllegalOperationError(f"{format_op(op)}: {violation(state, graph, circuit, op)}")
+
+
+def shuttle_ops(state: TrapState, graph: TrapGraph) -> list[ShuttleOp]:
+    """Every legal shuttling op, in the order kernel.successors gives them.
+
+    Translates sorted by (src, dst), then Separate, Merge, and Swap by vertex.
+    """
+    successors = kernel.successors(graph.encoded, state.chains, state.locks)
+    return [decode_op(code) for code, _, _ in successors]
+
+
+def execute_ops(graph: TrapGraph, chains: tuple, gates: tuple) -> list[ExecuteGate]:
+    """The Execute Gates that kernel.ready_gates allows, by gate number.
+
+    `chains` is the state's encoding and `gates` the first layer as
+    kernel.encode_gates gives it.
+    """
+    return [ExecuteGate(g) for g in kernel.ready_gates(graph.encoded, chains, gates)]
 
 
 def allowed_ops(state: TrapState, graph: TrapGraph, circuit: Circuit) -> list[ShuttleOp]:
-    """Every legal operation, in canonical order, as the kernel enumerates them.
-
-    kernel.successors gives the shuttling ops: Translates sorted by
-    (src, dst), then Separate, Merge, and Swap by vertex. kernel.ready_gates
-    gives the executable first-layer gates, as Execute Gate by gate number.
-    """
-    trap = graph.encoded
-    out = [decode_op(code) for code, _, _ in kernel.successors(trap, state.chains, state.locks)]
+    """Every legal operation, in canonical order: `shuttle_ops`, then `execute_ops`."""
     gates = kernel.encode_gates(circuit.first_layer)
-    out.extend(ExecuteGate(g) for g in kernel.ready_gates(trap, state.chains, gates))
-    return out
+    return shuttle_ops(state, graph) + execute_ops(graph, state.chains, gates)
+
+
+def encode_op(op: ShuttleOp) -> tuple[int, int, int]:
+    """The kernel op code (kind, a, b) of an operation; the inverse of `decode_op`.
+
+    Ids are not checked here: kernel.transition bounds-checks every vertex.
+    """
+    if isinstance(op, Translate):
+        return (kernel.TRANSLATE, op.src, op.dst)
+    if isinstance(op, ExecuteGate):
+        return (kernel.EXECUTE, op.gate, -1)
+    if isinstance(op, (Separate, Merge, Swap)):
+        return (_OP_TYPES.index(type(op)), op.at, -1)
+    raise TypeError(f"not an operation: {op!r}")
 
 
 def decode_op(code: tuple[int, int, int]) -> ShuttleOp:
-    """The operation a kernel op code (kind, a, b) stands for."""
+    """The operation a kernel op code (kind, a, b) stands for; the inverse of `encode_op`."""
     kind, a, b = code
     if not 0 <= kind < len(_OP_TYPES):
         raise ValueError(f"unknown kernel op code {kind}")

@@ -3,10 +3,14 @@
 import hashlib
 from pathlib import Path
 
-from shuttlekit import baseline, cli, trap
-from shuttlekit.circuit import parse_circuit
-from shuttlekit.dataset import render_instruction, render_output
-from shuttlekit.schedule import decompose, parse_schedule, schedule_paths
+import pytest
+
+from shuttlekit import baseline, cli, kernel, ops, trap
+from shuttlekit.circuit import Circuit, Gate, parse_circuit
+from shuttlekit.dataset import DataEntry, generate_dataset, render_instruction, render_output
+from shuttlekit.errors import IllegalOperationError
+from shuttlekit.schedule import EntrySlice, decompose, parse_schedule, schedule_paths, step
+from shuttlekit.state import TrapState
 
 INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
@@ -41,7 +45,8 @@ def test_gen_dataset_matches_golden_snapshot(tmp_path, capsys):
 RENDER_SHA256 = "b3c4f83c2902d96ff6a4f2619a9014ae7ef157a47ea0076a2cf45240f9d3622a"
 
 
-def test_rendered_slices_with_junction_locks_match_golden_digest():
+def render_corpus():
+    """The schedules RENDER_SHA256 covers, in digest order."""
     schedules = []
     for name in ("schedule_d200.txt", "schedule_d400.txt"):
         text = (INPUTS / name).read_text(encoding="utf-8")
@@ -52,6 +57,11 @@ def test_rendered_slices_with_junction_locks_match_golden_digest():
     ring = trap.build_eval_layout("ring", 4)
     for seed in range(3):
         schedules.append(baseline.compile(baseline.random_circuit(4, 6, seed), ring))
+    return schedules
+
+
+def test_rendered_slices_with_junction_locks_match_golden_digest():
+    schedules = render_corpus()
     digest = hashlib.sha256()
     locked = 0
     for schedule in schedules:
@@ -61,3 +71,136 @@ def test_rendered_slices_with_junction_locks_match_golden_digest():
             digest.update(render_output(piece, schedule.graph, piece.circuit).encode())
     assert locked == 40
     assert digest.hexdigest() == RENDER_SHA256
+
+
+# sha256 of the files written by
+#   gen-dataset --schedule perfbench/inputs/schedule_d200.txt
+#               --schedule perfbench/inputs/schedule_d400.txt
+# which renders long schedules through generate_dataset's render memo.
+SCHEDULE_GOLDEN = {
+    "train.jsonl": "ff25fc88c1a8518fc8660a2bbd7b435144c4145b19b6538a5fdf0704231c1cf5",
+    "eval.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+
+
+def test_gen_dataset_from_schedule_files_matches_golden_snapshot(tmp_path, capsys):
+    argv = ["gen-dataset", "--out-dir", str(tmp_path)]
+    for name in ("schedule_d200.txt", "schedule_d400.txt"):
+        argv += ["--schedule", str(INPUTS / name)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "train entries: 1736\neval entries: 0\n"
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in SCHEDULE_GOLDEN
+    }
+    assert digests == SCHEDULE_GOLDEN
+
+
+def _allowed_text(state, graph, circuit):
+    lines = [f"- {ops.format_op(op)}" for op in ops.allowed_ops(state, graph, circuit)]
+    return "\n".join(lines) or "- none"
+
+
+def test_rendered_allowed_operations_equal_allowed_ops():
+    """Every "Allowed operations" block, memo or none, is ops.allowed_ops formatted."""
+    schedules = render_corpus()
+    entries = iter(generate_dataset(schedules, 0).entries)
+    echoes = 0
+    for schedule in schedules:
+        graph = schedule.graph
+        for piece in decompose(schedule):
+            entry = next(entries)
+            assert entry == DataEntry(
+                render_instruction(graph, piece.state, piece.circuit),
+                render_output(piece, graph, piece.circuit),
+            )
+            allowed = entry.instruction.split("Allowed operations:\n")[1]
+            assert allowed.split("\nProduce operations")[0] == _allowed_text(
+                piece.state, graph, piece.circuit
+            )
+            state = piece.state
+            blocks = entry.output.rstrip("\n").split("\n\n")
+            assert len(blocks) == len(piece.ops)
+            for op, block in zip(piece.ops[:-1], blocks):
+                state = ops.apply(state, graph, piece.circuit, op)
+                assert block.split("Allowed operations:\n")[1] == _allowed_text(
+                    state, graph, piece.circuit
+                )
+                echoes += 1
+    assert next(entries, None) is None
+    assert echoes > 5_000
+
+
+# Linear(2) is 0 - 1 - [2] - 3 - 4, Merge allowed at 2; branched(1, 1, 1)
+# has junctions 1 and 5, and junction 1's lock below bars re-entry from 0.
+LINEAR2 = trap.build_linear(2)
+BRANCHED = trap.build_branched(1, 1, 1)
+ONE_GATE = Circuit(2, (Gate(1, (0, 1)),))
+ROUTE = ("Translate 0 -> 1", "Translate 4 -> 3", "Merge 2", "Execute Gate 1")
+
+
+@pytest.mark.parametrize(
+    "graph,chains,locks,lines,message",
+    [
+        (LINEAR2, {0: (0,), 4: (1,)}, {}, ("Translate 1 -> 2", *ROUTE[1:]),
+         "Translate 1 -> 2: vertex 1 is empty"),
+        (LINEAR2, {0: (0,), 4: (1,)}, {}, ("Separate 99", *ROUTE[1:]),
+         "Separate 99: no vertex 99"),
+        (LINEAR2, {0: (0,), 4: (1,)}, {}, (ROUTE[0], "Merge 2", *ROUTE[2:]),
+         "Merge 2: lateral vertex 3 is empty"),
+        (LINEAR2, {0: (0,), 4: (1,)}, {}, (*ROUTE[:2], "Swap 2", ROUTE[3]),
+         "Swap 2: vertex 2 holds fewer than two qubits"),
+        (LINEAR2, {0: (0,), 4: (1,)}, {}, (*ROUTE[:2], "Translate 3 -> 1", *ROUTE[2:]),
+         "Translate 3 -> 1: vertices 3 and 1 are not adjacent"),
+        (BRANCHED, {0: (0,), 7: (1,)}, {1: 0}, ("Translate 0 -> 1", "Execute Gate 1"),
+         "Translate 0 -> 1: junction 1 was left toward 0 and cannot be re-entered from there"),
+        (LINEAR2, {0: (0,), 4: (1,)}, {}, (ROUTE[0], "Execute Gate 1"),
+         "Execute Gate 1: qubits of gate 1 sit in different vertices"),
+        (LINEAR2, {0: (0,), 4: (1,)}, {}, (*ROUTE[:3], "Execute Gate 7"),
+         "Execute Gate 7: unknown gate 7"),
+    ],
+)
+def test_illegal_slice_fails_render_with_the_replay_error(graph, chains, locks, lines, message):
+    """An illegal op at any index raises the text that replaying the slice raises."""
+    state = TrapState.from_dicts(graph, chains, locks)
+    piece = EntrySlice(state, ONE_GATE, tuple(ops.parse_op(line) for line in lines))
+    with pytest.raises(IllegalOperationError) as replayed:
+        current = ONE_GATE
+        for op in piece.ops:
+            state, current = step(graph, state, current, op)
+    assert str(replayed.value) == message
+    with pytest.raises(IllegalOperationError) as rendered:
+        render_output(piece, graph, ONE_GATE)
+    assert str(rendered.value) == message
+
+
+def test_generate_dataset_renders_each_distinct_state_once(monkeypatch):
+    """One kernel.successors call per distinct (graph, chains, locks), per call."""
+    linear, ring = trap.build_linear(3), trap.build_eval_layout("ring", 4)
+    schedules = baseline.compile_many(
+        [baseline.random_circuit(3, 6, seed) for seed in range(4)], linear
+    ) + baseline.compile_many([baseline.random_circuit(4, 6, seed) for seed in range(2)], ring)
+    distinct, echoes = set(), 0
+    for schedule in schedules:
+        graph = schedule.graph
+        for piece in decompose(schedule):
+            state = piece.state
+            distinct.add((id(graph), state.chains, state.locks))
+            for op in piece.ops[:-1]:
+                state = ops.apply(state, graph, piece.circuit, op)
+                distinct.add((id(graph), state.chains, state.locks))
+                echoes += 1
+    assert len(distinct) < echoes
+    calls = 0
+    successors = kernel.successors
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return successors(*args)
+
+    monkeypatch.setattr(kernel, "successors", counted)
+    first = generate_dataset(schedules, 0.5)
+    assert calls == len(distinct)
+    assert generate_dataset(schedules, 0.5) == first
+    assert calls == 2 * len(distinct)

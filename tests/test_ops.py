@@ -23,6 +23,8 @@ from shuttlekit.ops import (
     Translate,
     allowed_ops,
     apply,
+    decode_op,
+    encode_op,
     format_op,
     parse_op,
     violation,
@@ -634,6 +636,35 @@ def test_shortest_route_returns_none_at_once_when_sealed(monkeypatch):
 def test_op_text_round_trip(op, line):
     assert format_op(op) == line
     assert parse_op(line) == op
+
+
+@pytest.mark.parametrize(
+    "op,code",
+    [
+        (Translate(3, 4), (kernel.TRANSLATE, 3, 4)),
+        (Separate(7), (kernel.SEPARATE, 7, -1)),
+        (Merge(0), (kernel.MERGE, 0, -1)),
+        (Swap(12), (kernel.SWAP, 12, -1)),
+        (ExecuteGate(5), (kernel.EXECUTE, 5, -1)),
+        (Translate(-1, 10**30), (kernel.TRANSLATE, -1, 10**30)),
+        (Separate(-3), (kernel.SEPARATE, -3, -1)),
+        (Merge(77777777777), (kernel.MERGE, 77777777777, -1)),
+        (Swap(-1), (kernel.SWAP, -1, -1)),
+        (ExecuteGate(-2), (kernel.EXECUTE, -2, -1)),
+    ],
+)
+def test_op_code_round_trip(op, code):
+    """encode_op and decode_op are inverses on every kind, ids unchecked."""
+    assert encode_op(op) == code
+    assert decode_op(code) == op
+
+
+def test_op_codes_reject_what_is_no_op():
+    with pytest.raises(TypeError):
+        encode_op("Swap 1")
+    for kind in (-1, 5):
+        with pytest.raises(ValueError):
+            decode_op((kind, 0, -1))
 
 
 @pytest.mark.parametrize(
