@@ -1,15 +1,17 @@
 """Heuristic schedule compiler and the exhaustive shortest-route oracle.
 
-The compiler routes one first-layer gate at a time. A gate whose operands
-already fill a gate vertex executes at once. Otherwise one weighted
-best-first search over the kernel encoding (kernel.route_search) finds a
-short op sequence from the current state to the next first-layer
-execution that leaves no chain on a junction, and the router commits it.
-The search dedups states by an exact integer key and works on the tuple
-encoding; this module supplies its estimate, its seal-penalty table, its
-goal mask and limits, and words its failures. Before that search a
-reachability check (kernel.reachable_gates) stops the compile at once when
-junction locks have sealed every first-layer gate's operands apart.
+The compiler executes one first-layer gate at a time: the lowest-numbered
+ready one, whose operands alone fill a gate vertex. When no first-layer
+gate is ready, one weighted best-first search over the kernel encoding
+(kernel.route_search) finds a short op sequence from the current state to
+a state where one is and no chain rests on a junction, and the router
+commits it and executes the lowest-numbered ready gate there. The search
+dedups states by an exact integer key, works on the tuple encoding and
+returns the op codes it applied; this module supplies its estimate, its
+seal-penalty table, its goal mask and limits, and words its failures.
+Before that search a reachability check (kernel.reachable_gates) stops the
+compile at once when junction locks have sealed every first-layer gate's
+operands apart. `_Router.pick_gate` only names a gate in those failures.
 
 The router holds only the kernel encoding of its state and the circuit. It
 commits a shuttling op by taking the kernel successor with that op's code,
@@ -47,7 +49,7 @@ from . import kernel
 from . import ops as op_mod
 from .circuit import MAX_QUBITS, Circuit, Gate
 from .errors import CircuitError, CompileError, NoRouteError, OracleLimitError, PlacementError
-from .kernel import EXECUTE, MERGE, SEPARATE, SWAP, TRANSLATE
+from .kernel import EXECUTE, SEPARATE
 from .ops import ShuttleOp
 from .schedule import Schedule, optimize
 from .state import TrapState, initial_placement
@@ -223,26 +225,6 @@ def _route_key(chains: tuple, locks: tuple, gates: tuple) -> tuple:
     )
 
 
-def _op_between(before: tuple, after: tuple) -> tuple[int, int, int]:
-    """The kernel op code that turns encoded chains `before` into `after`.
-
-    A Swap changes one vertex, a Translate two (its source is the one
-    occupied before), a Separate or a Merge three: a Separate empties the
-    one vertex of the three that was occupied, a Merge fills the one that
-    was empty.
-    """
-    changed = [v for v, (a, b) in enumerate(zip(before, after)) if a != b]
-    if len(changed) == 1:
-        return (SWAP, changed[0], -1)
-    if len(changed) == 2:
-        src, dst = changed if before[changed[0]] else changed[::-1]
-        return (TRANSLATE, src, dst)
-    occupied = [v for v in changed if before[v]]
-    if len(occupied) == 1:
-        return (SEPARATE, occupied[0], -1)
-    return (MERGE, next(v for v in changed if not before[v]), -1)
-
-
 class _Batch:
     """What the compiles of one compile_many call share on their trap.
 
@@ -277,6 +259,7 @@ class _Router:
         return False
 
     def pick_gate(self) -> Gate:
+        """The first-layer gate nearest a gate vertex, ties to the lowest id; failures name it."""
         tables = self.batch.tables.gate_tables
         pos = kernel.positions(self.chains, self.circuit.qubit_count)[0]
         return min(
@@ -299,8 +282,7 @@ class _Router:
         junctions but must not end on one, since a chain resting there
         when the gate fires can lock half the trap away for every later
         gate. The estimate and the seal penalty read the batch's
-        `_SearchTables`; the ops of the path are read off the chains of
-        consecutive states (see `_op_between`).
+        `_SearchTables`.
 
         Raises CompileError when the frontier runs out, so that no op
         sequence from the current state reaches a goal, or when
@@ -309,7 +291,7 @@ class _Router:
         """
         tables = self.batch.tables
         greedy = self.trap[0] > ORACLE_MAX_VERTICES
-        path, spent, expansions, stored = kernel.route_search(
+        codes, spent, expansions, stored = kernel.route_search(
             self.trap,
             self.chains,
             self.locks,
@@ -322,8 +304,8 @@ class _Router:
             max_expansions=_SEARCH_CAP,
             max_states=_MAX_STORED_STATES,
         )
-        if path is not None:
-            return tuple(_op_between(before, after) for before, after in zip(path, path[1:]))
+        if codes is not None:
+            return codes
         if spent:
             raise CompileError(
                 f"the router gave up on gate {gate.id} after {expansions} search "
@@ -341,11 +323,11 @@ class _Router:
     # -- per-gate routing -----------------------------------------------------
 
     def route_next(self) -> None:
-        """Execute one first-layer gate, searching for its route if needed."""
-        gate = self.pick_gate()
-        gate_id = gate.id
-        if not kernel.ready_gates(self.trap, self.chains, ((gate.id, gate.qubits),)):
-            first_layer = kernel.encode_gates(self.circuit.first_layer)
+        """Execute the lowest ready first-layer gate, searching for a route if none is."""
+        first_layer = kernel.encode_gates(self.circuit.first_layer)
+        ready = kernel.ready_gates(self.trap, self.chains, first_layer)
+        if not ready:
+            gate = self.pick_gate()
             key = _route_key(self.chains, self.locks, first_layer)
             route = self.batch.routes.get(key)
             if route is None:
@@ -368,7 +350,8 @@ class _Router:
                         "the router's current state; this is a router defect, which does "
                         "not prove that the circuit has no schedule"
                     )
-            gate_id = min(kernel.ready_gates(self.trap, self.chains, first_layer))
+            ready = kernel.ready_gates(self.trap, self.chains, first_layer)
+        gate_id = min(ready)
         self.circuit = self.circuit.mark_executed(gate_id)
         self.codes.append((EXECUTE, gate_id, -1))
         self._tidy_after_execute(self.circuit.gate_by_id[gate_id])
@@ -408,10 +391,10 @@ def compile(circuit: Circuit, graph: TrapGraph) -> Schedule:
 def compile_many(circuits: Iterable[Circuit], graph: TrapGraph) -> list[Schedule]:
     """Compile circuits on one trap into valid schedules, in order.
 
-    Each gate that cannot execute at once gets one weighted best-first
-    search for a short slice to the next first-layer execution.
-    Deterministic: gate choice ties break on the lowest gate id and the
-    search orders its frontier by cost, then by insertion.
+    The lowest-numbered ready first-layer gate executes; when none is
+    ready, one weighted best-first search finds a short slice to the next
+    first-layer execution. Deterministic: the search orders its frontier
+    by cost, then by insertion.
 
     The compiles share the trap's search tables and a route memo. A search
     whose start state and first-layer operand sets equal an earlier

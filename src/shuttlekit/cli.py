@@ -175,6 +175,8 @@ def _cmd_gen_dataset(args) -> int:
     eval_entries: list[dataset.DataEntry] = []
     skipped: list[str] = []
     if args.schedule:
+        if not 0.0 <= args.eval_fraction <= 1.0:
+            raise _UsageError("--eval-fraction must be within [0, 1]")
         schedules = []
         for path in args.schedule:
             text = _read(path)
@@ -187,6 +189,10 @@ def _cmd_gen_dataset(args) -> int:
         eval_entries.extend(built.split["eval"])
         skipped.extend(built.skipped)
     elif args.seed is not None:
+        if args.depth < 1:
+            raise _UsageError("--depth must be at least 1")
+        if args.train_per_qubit < 0 or args.eval_per_qubit < 0:
+            raise _UsageError("--train-per-qubit and --eval-per-qubit must not be negative")
         total = args.train_per_qubit + args.eval_per_qubit
         fraction = args.eval_per_qubit / total if total else 0.0
         for qubits in _parse_qubit_range(args.qubits):
@@ -276,6 +282,8 @@ def _split_ints(text: str, flag: str) -> list[int]:
 
 
 def _cmd_bench(args) -> int:
+    if args.runs < 1:
+        raise _UsageError("--runs must be at least 1")
     circuits = [(os.path.basename(path), _load_circuit(path)) for path in args.circuit]
     graphs: list[tuple[str, TrapGraph]] = []
     for path in args.trap or []:
@@ -299,11 +307,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    rows = []
-    with open(args.records, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                rows.append(json.loads(line))
+    rows = [row for _, row in driver.read_json_objects(args.records, "records")]
     sys.stdout.write(driver.format_benchmark_rows(rows))
     if args.jsonl:
         _write(args.jsonl, "".join(json.dumps(row) + "\n" for row in rows))

@@ -25,6 +25,7 @@ from .errors import (
     OutputParseError,
     PlacementError,
     ReplayMismatchError,
+    ShuttleError,
     TransportError,
 )
 from .schedule import Schedule, optimize_replay
@@ -79,6 +80,32 @@ def request_digest(instruction: str, max_tokens: int, temperature: float) -> str
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def read_json_objects(path: str, label: str, error=ShuttleError) -> list[tuple[int, dict]]:
+    """A JSONL file's (line number, object) pairs, blank lines skipped.
+
+    A line that is not a JSON object raises `error`, naming `label` and the line.
+    """
+    objects = []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"{label} line {lineno}: {exc}") from exc
+            if not isinstance(value, dict):
+                raise error(f"{label} line {lineno}: not a JSON object")
+            objects.append((lineno, value))
+    return objects
+
+
+def _response_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise TransportError(f"endpoint response {what} is not an object")
+    return value
+
+
 def http_complete(
     endpoint: str,
     model: str,
@@ -91,7 +118,7 @@ def http_complete(
 
     Reads choices[0].text (or .message.content) and the server-reported
     usage.completion_tokens, estimating by whitespace split when the server
-    omits usage.
+    omits usage. A body of any other shape raises TransportError.
     """
     payload = {
         "model": model,
@@ -113,12 +140,13 @@ def http_complete(
         choice = body["choices"][0]
     except (KeyError, IndexError, TypeError) as exc:
         raise TransportError("endpoint response has no choices") from exc
+    choice = _response_object(choice, "choices[0]")
     text = choice.get("text")
     if text is None:
-        text = choice.get("message", {}).get("content")
+        text = _response_object(choice.get("message", {}), "message").get("content")
     if not isinstance(text, str):
         raise TransportError("endpoint response carries no completion text")
-    usage = body.get("usage") or {}
+    usage = _response_object(body.get("usage") or {}, "usage")
     tokens = usage.get("completion_tokens")
     if not isinstance(tokens, int):
         tokens = len(text.split())
@@ -199,21 +227,22 @@ class RecordingClient:
 class ReplayCompletionClient:
     """Replays a recorded exchange file in order, verifying request digests.
 
-    A request whose digest differs from the next record's, or that comes
-    after the last record, raises ReplayMismatchError.
+    A record that is not an object with a string `digest`, a string `text`
+    and an integer `token_count` raises TransportError at load. A request
+    whose digest differs from the next record's, or that comes after the
+    last record, raises ReplayMismatchError.
     """
 
     def __init__(self, path: str) -> None:
         self.records = []
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise TransportError(f"replay file line {lineno}: {exc}") from exc
-                self.records.append(record)
+        for lineno, record in read_json_objects(path, "replay file", TransportError):
+            fields = (record.get("digest"), record.get("text"), record.get("token_count"))
+            if tuple(map(type, fields)) != (str, str, int):
+                raise TransportError(
+                    f"replay file line {lineno}: a record needs a string digest, "
+                    "a string text and an integer token_count"
+                )
+            self.records.append(record)
         self.cursor = 0
 
     def reset(self) -> None:
@@ -224,12 +253,12 @@ class ReplayCompletionClient:
             raise ReplayMismatchError("replay file exhausted")
         record = self.records[self.cursor]
         expected = request_digest(instruction, max_tokens, temperature)
-        if record.get("digest") != expected:
+        if record["digest"] != expected:
             raise ReplayMismatchError(
                 f"replay mismatch at record {self.cursor}: request digest differs"
             )
         self.cursor += 1
-        return CompletionResult(record["text"], int(record["token_count"]))
+        return CompletionResult(record["text"], record["token_count"])
 
 
 def generate_schedule(

@@ -1,30 +1,47 @@
-"""Legal transitions and route search over encoded states.
+"""The shuttling rules and the routing search, on the encoding TrapState holds.
 
 The one module that states the shuttling rules. `transition` states what
 each op does; ops.apply and dataset rendering step ops through it.
-`successors`, which the oracle, ops.shuttle_ops and the router's commits
-use, enumerates candidate ops through it; the loop of `route_search`, the
-router's weighted best-first search, is a fused copy of that enumeration.
-ops.violation words the same rules per op. tests/test_ops.py holds
-transition, successors and violation equal, and
-tests/test_baseline.py::test_route_search_matches_the_successor_loop holds
+`successors` enumerates candidate ops through it for ops.shuttle_ops, the
+oracle's `shortest_route` and the router's commits. The loop of
+`route_search`, the router's weighted best-first search, is a fused copy
+of that enumeration and returns the op codes it applied. ops.violation
+words the same rules per op. tests/test_ops.py holds transition,
+successors and violation equal, and tests/test_baseline.py holds
 route_search equal to a best-first loop over successors.
 
-States come as TrapState holds them: chains a vertex-indexed tuple of qubit
-tuples, locks a vertex-indexed tuple with -1 for unset. The trap comes as
-`TrapGraph.encoded`, whose static site tables settle every state-independent
-condition (flags, lateral pairs, junction sides) once per trap. Op codes are
-(kind, a, b) with kinds 0=Translate(src, dst), 1=Separate(v), 2=Merge(v),
-3=Swap(v), 4=ExecuteGate(gate), b = -1 for one operand; ops.decode_op
-turns one into a ShuttleOp.
+States come as TrapState holds them, so no call converts one: chains a
+vertex-indexed tuple of qubit tuples, locks a vertex-indexed tuple with -1
+for unset. The trap comes as `TrapGraph.encoded`, flattened once per
+graph, whose static site tables settle every state-independent condition
+(flags, lateral pairs, junction sides); `encode_gates` flattens a gate
+list. Op codes are (kind, a, b) with kinds 0=Translate(src, dst),
+1=Separate(v), 2=Merge(v), 3=Swap(v), 4=ExecuteGate(gate), b = -1 for one
+operand; ops.decode_op turns one into a ShuttleOp.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import deque
+from types import ModuleType
 
 TRANSLATE, SEPARATE, MERGE, SWAP, EXECUTE = range(5)
+
+# The benchmark harness records BACKEND and wraps the kernel functions on
+# the module get_backend() returns; both go once it stops reading them.
+BACKEND = "pure"
+
+
+def get_backend() -> ModuleType:
+    """This module, for tools that wrap the kernel functions where they are defined."""
+    return sys.modules[__name__]
+
+
+def encode_gates(gates) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Encode gates as (id, operands) pairs, preserving order."""
+    return tuple((g.id, g.qubits) for g in gates)
 
 
 def transition(trap, chains, locks, code):
@@ -234,11 +251,11 @@ def route_search(
     `successors` order, and one that reaches a state already stored at no
     greater cost is dropped.
 
-    Returns (path, spent, expansions, stored). `path` lists the chains of
-    each state from the start to the first goal popped, or is None when
-    the search failed: `spent` is then True if it stopped because
-    `max_expansions` expansions were made or more than `max_states`
-    states were stored, and False if the frontier ran out.
+    Returns (codes, spent, expansions, stored). `codes` is the tuple of op
+    codes from the start to the first goal popped, or None when the search
+    failed: `spent` is then True if it stopped because `max_expansions`
+    expansions were made or more than `max_states` states were stored, and
+    False if the frontier ran out.
 
     Each state has an exact integer key, used only for deduplication; the
     working state stays the tuple pair, which travels in the heap entry
@@ -249,10 +266,10 @@ def route_search(
     above the chain fields. A child's key is its parent's plus the change
     its op makes to the fields it touches, so a duplicate child is rejected
     by one dict lookup before any tuple is built. `best` maps a key to
-    (cost, parent key), and the path's chains are decoded from their keys.
+    (cost, parent key, code of the op from the parent); each code is built
+    once per call, in the move and site tables, so a stored state shares it.
     """
     n, capacity, neighbors, is_junction = trap[0], trap[1], trap[2], trap[3]
-    separate_sites, merge_sites, swap_sites = trap[7:10]
     base = qubit_count + 1
     width = (base ** capacity).bit_length()
     field = (1 << width) - 1
@@ -261,9 +278,12 @@ def route_search(
     lock_unit = [1 << (n * width + v * n.bit_length()) for v in range(n)]
     power = [base**k for k in range(capacity + 1)]
     moves = [
-        tuple((dst, is_junction[dst], unit[dst] - unit[src]) for dst in neighbors[src])
-        for src in range(n)
+        [(dst, is_junction[dst], unit[dst] - unit[src], (TRANSLATE, src, dst)) for dst in nbrs]
+        for src, nbrs in enumerate(neighbors)
     ]
+    separate_sites = [(v, left, right, (SEPARATE, v, -1)) for v, left, right in trap[7]]
+    merge_sites = [(v, left, right, (MERGE, v, -1)) for v, left, right in trap[8]]
+    swap_sites = [(v, (SWAP, v, -1)) for v in trap[9]]
     heappush, heappop = heapq.heappush, heapq.heappop
 
     def code_of(chain):
@@ -272,20 +292,9 @@ def route_search(
             code = code * base + q + 1
         return code
 
-    def decode(key):
-        out = []
-        for s in shift:
-            code = key >> s & field
-            chain = []
-            while code:
-                code, digit = divmod(code, base)
-                chain.append(digit - 1)
-            out.append(tuple(reversed(chain)))
-        return tuple(out)
-
     key = sum(code_of(chain) * unit[v] for v, chain in enumerate(chains))
     key += sum((lock + 1) * lock_unit[v] for v, lock in enumerate(locks))
-    best = {key: (0, None)}
+    best = {key: (0, None, None)}
     pos, occupied = positions(chains, qubit_count)
     heap = [(weight * estimate(chains, pos, occupied), 0, 0, key, chains, locks)]
     counter = 0
@@ -296,10 +305,12 @@ def route_search(
             continue
         pos, occupied = positions(chains, qubit_count)
         if f - g == weight and not occupied & goal_mask:
-            path = [key]
-            while (parent := best[path[-1]][1]) is not None:
-                path.append(parent)
-            return [decode(k) for k in reversed(path)], False, expansions, len(best)
+            codes = []
+            _, key, op = best[key]
+            while key is not None:
+                codes.append(op)
+                _, key, op = best[key]
+            return tuple(reversed(codes)), False, expansions, len(best)
         if expansions >= max_expansions or len(best) > max_states:
             return None, True, expansions, len(best)
         expansions += 1
@@ -310,7 +321,7 @@ def route_search(
             code = key >> shift[src] & field
             exits = seal_exits[src]
             leaves_junction = is_junction[src]
-            for dst, dst_is_junction, move in moves[src]:
+            for dst, dst_is_junction, move, op in moves[src]:
                 if chains[dst]:
                     continue
                 if dst_is_junction and locks[dst] == src:
@@ -324,7 +335,7 @@ def route_search(
                 seen = best.get(child)
                 if seen is not None and seen[0] <= ng:
                     continue
-                best[child] = (ng, key)
+                best[child] = (ng, key, op)
                 new_chains = list(chains)
                 new_chains[dst] = chain
                 new_chains[src] = ()
@@ -342,7 +353,7 @@ def route_search(
                 counter += 1
                 h = estimate(new_chains, new_pos, new_occupied)
                 heappush(heap, (ng + weight * h, ng, counter, child, new_chains, new_locks))
-        for v, left, right in separate_sites:
+        for v, left, right, op in separate_sites:
             chain = chains[v]
             if len(chain) < 2 or chains[left] or chains[right]:
                 continue
@@ -352,7 +363,7 @@ def route_search(
             seen = best.get(child)
             if seen is not None and seen[0] <= step:
                 continue
-            best[child] = (step, key)
+            best[child] = (step, key, op)
             head = (len(chain) + 1) // 2
             new_chains = list(chains)
             new_chains[left] = chain[:head]
@@ -368,7 +379,7 @@ def route_search(
             counter += 1
             h = estimate(new_chains, new_pos, new_occupied)
             heappush(heap, (step + weight * h, step, counter, child, new_chains, locks))
-        for v, left, right in merge_sites:
+        for v, left, right, op in merge_sites:
             if chains[v] or not chains[left] or not chains[right]:
                 continue
             if len(chains[left]) + len(chains[right]) > capacity:
@@ -380,7 +391,7 @@ def route_search(
             seen = best.get(child)
             if seen is not None and seen[0] <= step:
                 continue
-            best[child] = (step, key)
+            best[child] = (step, key, op)
             new_chains = list(chains)
             new_chains[v] = chains[left] + chains[right]
             new_chains[left] = ()
@@ -393,7 +404,7 @@ def route_search(
             counter += 1
             h = estimate(new_chains, new_pos, new_occupied)
             heappush(heap, (step + weight * h, step, counter, child, new_chains, locks))
-        for v in swap_sites:
+        for v, op in swap_sites:
             chain = chains[v]
             if len(chain) < 2:
                 continue
@@ -402,7 +413,7 @@ def route_search(
             seen = best.get(child)
             if seen is not None and seen[0] <= step:
                 continue
-            best[child] = (step, key)
+            best[child] = (step, key, op)
             new_chains = list(chains)
             new_chains[v] = reversed_chain
             new_chains = tuple(new_chains)

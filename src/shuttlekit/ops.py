@@ -1,13 +1,14 @@
 """The five schedule operations: legality reasons, stepping, enumeration, text.
 
-The kernel states what the ops do: `apply` steps a shuttling op through
-kernel.transition on the state's own encoding, `shuttle_ops` lists the ops
-kernel.successors gives, `execute_ops` the Execute Gates that
-kernel.ready_gates gives, and `allowed_ops` joins the two. violation()
-words the same rules for one op, so that a rejection names the condition
-it failed, and tests hold the three equal. `encode_op` and `decode_op`
-convert between ops and kernel op codes. Executing a gate leaves the chain
-state untouched; callers advance the circuit separately.
+The kernel alone states what the ops do: `apply` steps a shuttling op
+through kernel.transition on the state's own encoding, `shuttle_ops` lists
+the ops kernel.successors gives, `execute_ops` the Execute Gates that
+kernel.ready_gates gives, and `allowed_ops` joins the two; the router takes
+the op codes kernel.route_search applied. violation() words the same rules
+for one op, so that a rejection names the condition it failed, and tests
+hold the three equal. `encode_op` and `decode_op` convert between ops and
+kernel op codes. Executing a gate leaves the chain state untouched;
+callers advance the circuit separately.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ The op counts and the schedule digest are the compiler's output when the
 tests were written; a change to the router that moves one must say so by
 updating the table or the digest. The search estimate is checked against
 its defining formula on random walk states. The router's failure messages
-say which way it failed, and its slices never end on a junction. A batch
+say which way it failed, its slices never end on a junction, and each
+slice executes the lowest-numbered ready first-layer gate. A batch
 compiles each circuit as its own compile does, and the search it shares
 between circuits is blind to qubit labels. The router's search,
 kernel.route_search with its integer dedup key, finds what a tuple-keyed
@@ -20,7 +21,7 @@ import pytest
 from shuttlekit import baseline, kernel, ops, trap
 from shuttlekit.circuit import Circuit, Gate
 from shuttlekit.errors import CompileError
-from shuttlekit.ops import decode_op, format_op
+from shuttlekit.ops import format_op
 from shuttlekit.schedule import decompose, validate
 from shuttlekit.state import TrapState, initial_placement
 from test_ops import WALK_TRAPS
@@ -291,41 +292,7 @@ def test_search_estimate_matches_reference_on_random_walks(graph, qubits):
     assert ready_states > 0
 
 
-# -- slice recovery, batches and the route memo ------------------------------
-
-
-def successor_code(enc, parent, child):
-    """The op code between two search states: the first successor reaching the child."""
-    for code, chains, locks in kernel.successors(enc, *parent):
-        if (chains, locks) == child:
-            return code
-    raise AssertionError("child is not a successor of parent")
-
-
-@pytest.mark.parametrize(
-    "graph,qubits",
-    HEURISTIC_TRAPS + [(trap.build_linear(5), 5)],
-    ids=["ring4", "four_way5", "multi_linear4", "branched321", "linear3", "linear5"],
-)
-def test_op_between_matches_successor_recovery_on_random_walks(graph, qubits):
-    """Reading an op code off the changed vertices gives the code the successors list has."""
-    enc = graph.encoded
-    kinds = set()
-    for seed in range(6):
-        rng = random.Random(seed)
-        circuit = baseline.random_circuit(qubits, 4, seed)
-        placement = initial_placement(circuit, graph)
-        state = placement.chains, placement.locks
-        for _ in range(80):
-            moves = kernel.successors(enc, *state)
-            if not moves:
-                break
-            for _, chains, locks in moves:
-                code = baseline._op_between(state[0], chains)
-                assert code == successor_code(enc, state, (chains, locks))
-                kinds.add(type(decode_op(code)).__name__)
-            state = rng.choice(moves)[1:]
-    assert kinds == {"Translate", "Separate", "Merge", "Swap"}
+# -- gate choice, batches and the route memo ----------------------------------
 
 
 BATCH_CELLS = [
@@ -336,6 +303,9 @@ BATCH_CELLS = [
     (trap.build_eval_layout("multi_linear", 4), 4),
     (trap.build_branched(3, 2, 1), 4),
     (trap.build_linear(5), 5),
+]
+BATCH_CELL_IDS = [
+    "linear2", "linear3", "linear4", "ring4", "multi_linear4", "branched321", "linear5"
 ]
 
 
@@ -371,11 +341,7 @@ def compile_each(circuits, graph):
     return outcomes
 
 
-@pytest.mark.parametrize(
-    "graph,qubits",
-    BATCH_CELLS,
-    ids=["linear2", "linear3", "linear4", "ring4", "multi_linear4", "branched321", "linear5"],
-)
+@pytest.mark.parametrize("graph,qubits", BATCH_CELLS, ids=BATCH_CELL_IDS)
 def test_batch_compiles_like_single_compiles(graph, qubits, monkeypatch):
     """compile_many gives each circuit its own compile's ops, with fewer searches."""
     work = counting_searches(monkeypatch)
@@ -385,6 +351,48 @@ def test_batch_compiles_like_single_compiles(graph, qubits, monkeypatch):
     batch = baseline.compile_many(circuits, graph)
     assert [schedule.ops for schedule in batch] == singles
     assert work.searches < single_searches
+
+
+# Every built-in trap family has one gate vertex, so one gate at most is ready
+# at a time. Here three are in a row and several gates can be ready at once:
+#   0 - [1] - [2] - [3] - 4
+THREE_GATES = trap.TrapGraph(
+    {
+        v: trap.Vertex(v, trap.VertexKind.GATE, frozenset(trap.ELIGIBILITY_FLAGS), (v - 1, v + 1))
+        if v in (1, 2, 3)
+        else trap.Vertex(v, trap.VertexKind.STORAGE)
+        for v in range(5)
+    },
+    frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}),
+)
+
+
+@pytest.mark.parametrize(
+    "graph,qubits", BATCH_CELLS + [(THREE_GATES, 4)], ids=BATCH_CELL_IDS + ["three_gates"]
+)
+def test_router_executes_the_lowest_ready_first_layer_gate(graph, qubits):
+    """Each slice executes min(ready_gates) of its first layer, in the state before it.
+
+    The rule the router follows, with or without a search; `pick_gate`
+    only names a gate in CompileError messages.
+    """
+    enc = graph.encoded
+    slices = 0
+    for seed in range(10):
+        circuit = baseline.random_circuit(qubits, 6, seed)
+        try:
+            schedule = baseline.compile(circuit, graph)
+        except CompileError:
+            continue
+        for piece in decompose(schedule):
+            state = piece.state
+            for op in piece.ops[:-1]:
+                state = ops.apply(state, graph, piece.circuit, op)
+            gates = kernel.encode_gates(piece.circuit.first_layer)
+            ready = kernel.ready_gates(enc, state.chains, gates)
+            assert piece.ops[-1] == ops.ExecuteGate(min(ready)), (seed, piece.gate)
+            slices += 1
+    assert slices > 0
 
 
 def test_batch_raises_the_first_failing_circuits_error():
@@ -482,7 +490,7 @@ def reference_search(router, gate, gates):
     heuristic = baseline._estimate(tables, gates, greedy)
     qubit_count = router.circuit.qubit_count
     start = (router.chains, router.locks)
-    best = {start: (0, None)}
+    best = {start: (0, None, None)}
     heap = [(weight * heuristic(router.chains, *kernel.positions(router.chains, qubit_count)),
              0, 0, start)]
     counter = expansions = 0
@@ -492,11 +500,11 @@ def reference_search(router, gate, gates):
             continue
         occupied = kernel.positions(node[0], qubit_count)[1]
         if f - g == weight and not occupied & tables.junction_mask:
-            path = [node]
-            while best[path[-1]][1] is not None:
-                path.append(best[path[-1]][1])
-            path.reverse()
-            return tuple(baseline._op_between(a[0], b[0]) for a, b in zip(path, path[1:]))
+            codes = []
+            while best[node][1] is not None:
+                codes.append(best[node][2])
+                node = best[node][1]
+            return tuple(reversed(codes))
         if expansions >= baseline._SEARCH_CAP or len(best) > 1_500_000:
             raise CompileError(
                 f"the router gave up on gate {gate.id} after {expansions} search "
@@ -505,7 +513,8 @@ def reference_search(router, gate, gates):
                 "prove that the circuit has no schedule"
             )
         expansions += 1
-        for (kind, v, dst), chains, locks in kernel.successors(enc, *node):
+        for code, chains, locks in kernel.successors(enc, *node):
+            kind, v, dst = code
             ng = g + 1
             exits = tables.seal_exits[v] if kind == kernel.TRANSLATE else None
             if exits is not None and not occupied & exits[dst]:
@@ -513,7 +522,7 @@ def reference_search(router, gate, gates):
             seen = best.get((chains, locks))
             if seen is not None and seen[0] <= ng:
                 continue
-            best[chains, locks] = (ng, node)
+            best[chains, locks] = (ng, node, code)
             counter += 1
             h = heuristic(chains, *kernel.positions(chains, qubit_count))
             heapq.heappush(heap, (ng + weight * h, ng, counter, (chains, locks)))

@@ -1,5 +1,7 @@
 """The command line end to end: exit codes, messages and files."""
 
+import pytest
+
 from shuttlekit import cli
 from shuttlekit.baseline import random_circuit
 from shuttlekit.circuit import serialize_circuit
@@ -59,3 +61,47 @@ def test_validate_names_the_tampered_op(tmp_path, capsys):
     assert capsys.readouterr().out == (
         f"invalid at op {index}: Translate 0 -> 4: vertices 0 and 4 are not adjacent\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--seed", "1", "--qubits", "2", "--depth", "0"], "--depth must be at least 1"),
+        (["--seed", "1", "--eval-per-qubit", "-3"], "--train-per-qubit and --eval-per-qubit"),
+        (["--seed", "1", "--train-per-qubit", "-1"], "--train-per-qubit and --eval-per-qubit"),
+        (["--schedule", "SCHEDULE", "--eval-fraction", "2"], "--eval-fraction must be within"),
+    ],
+    ids=["depth0", "negative_eval", "negative_train", "eval_fraction2"],
+)
+def test_gen_dataset_rejects_bad_counts_as_usage_errors(tmp_path, capsys, argv, message):
+    schedule = compile_small(tmp_path)
+    argv = [str(schedule) if arg == "SCHEDULE" else arg for arg in argv]
+    capsys.readouterr()
+    assert cli.main(["gen-dataset", *argv, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"usage error: {message}")
+
+
+def test_bench_with_no_runs_is_a_usage_error(tmp_path, capsys):
+    trap_file, circuit_file = write_inputs(
+        tmp_path, ["--family", "linear", "--per-side", "2"], random_circuit(3, 3, 0)
+    )
+    replay = tmp_path / "exchanges.jsonl"
+    replay.write_text("", encoding="utf-8")
+    argv = ["bench", "--circuit", circuit_file, "--trap", trap_file, "--replay", str(replay)]
+    capsys.readouterr()
+    assert cli.main([*argv, "--runs", "0"]) == 2
+    assert capsys.readouterr().err == "usage error: --runs must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "line,reason",
+    [("[1, 2]", "not a JSON object"), ("{oops", "Expecting property name")],
+    ids=["list", "not_json"],
+)
+def test_report_names_a_malformed_records_line(tmp_path, capsys, line, reason):
+    records = tmp_path / "records.jsonl"
+    records.write_text('{"circuit": "c", "result": "5"}\n\n' + line + "\n", encoding="utf-8")
+    assert cli.main(["report", "--records", str(records)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: records line 3: {reason}")

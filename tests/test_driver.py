@@ -1,8 +1,10 @@
 """Generate–validate–retry driver against scripted and replayed clients."""
 
+import json
+
 import pytest
 
-from shuttlekit import baseline, ops, trap
+from shuttlekit import baseline, driver, ops, trap
 from shuttlekit.baseline import random_circuit
 from shuttlekit.dataset import parse_output, render_instruction, render_output
 from shuttlekit.driver import (
@@ -160,3 +162,57 @@ def test_replay_that_cannot_answer_fails_at_once(tmp_path):
     assert (stats.outcome, stats.retries, stats.gates_executed) == ("failed", 1, kept)
     assert stats.failure_reason == "transport: replay file exhausted"
     assert schedule.ops == recorded[0].ops
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        [1, 2],
+        {"text": "Execute Gate 1", "token_count": 3},
+        {"digest": "d", "token_count": 3},
+        {"digest": "d", "text": "Execute Gate 1"},
+        {"digest": "d", "text": "Execute Gate 1", "token_count": "3"},
+        {"digest": "d", "text": None, "token_count": 3},
+    ],
+    ids=["list", "no_digest", "no_text", "no_token_count", "string_count", "null_text"],
+)
+def test_replay_rejects_a_malformed_record_at_load(tmp_path, record):
+    path = tmp_path / "exchanges.jsonl"
+    good = {"digest": "d", "text": "Execute Gate 1", "token_count": 3}
+    path.write_text(f"{json.dumps(good)}\n\n{json.dumps(record)}\n", encoding="utf-8")
+    with pytest.raises(TransportError, match="^replay file line 3: "):
+        ReplayCompletionClient(str(path))
+
+
+class Response:
+    status_code = 200
+
+    def __init__(self, body):
+        self.body = body
+
+    def json(self):
+        return self.body
+
+
+@pytest.mark.parametrize(
+    "body,what",
+    [
+        ({"choices": ["str"]}, "choices\\[0\\]"),
+        ({"choices": [{"message": "str"}]}, "message"),
+        ({"choices": [{"message": None}]}, "message"),
+        ({"choices": [{"text": "ok"}], "usage": ["str"]}, "usage"),
+        ({"choices": [{"text": "ok"}], "usage": 7}, "usage"),
+    ],
+    ids=["choice_str", "message_str", "message_null", "usage_list", "usage_int"],
+)
+def test_http_complete_rejects_a_hostile_body(monkeypatch, body, what):
+    monkeypatch.setattr(driver.requests, "post", lambda *args, **kwargs: Response(body))
+    with pytest.raises(TransportError, match=f"endpoint response {what} is not an object"):
+        driver.http_complete("http://localhost:1/v1/completions", "m", "prompt", 8, 0.0)
+
+
+def test_http_complete_reads_a_well_formed_body(monkeypatch):
+    body = {"choices": [{"message": {"content": "a b c"}}], "usage": {"completion_tokens": 5}}
+    monkeypatch.setattr(driver.requests, "post", lambda *args, **kwargs: Response(body))
+    result = driver.http_complete("http://localhost:1/v1/completions", "m", "prompt", 8, 0.0)
+    assert (result.text, result.token_count) == ("a b c", 5)

@@ -3,7 +3,9 @@
 The package declares requires-python >= 3.10. This catches syntax newer
 than 3.10 (such as `except*`) on any interpreter; it cannot catch a
 standard-library name that 3.10 lacks. Every package module also reads
-each name it imports, so an import that a change leaves unused shows.
+each name it imports, and some package module reads each private name a
+package module defines, so an import or a helper that a change leaves
+unused shows.
 """
 
 import ast
@@ -53,3 +55,48 @@ def unused_imports(path):
 def test_package_modules_use_every_name_they_import():
     package = [p for p in FILES if "src" in p.relative_to(ROOT).parts]
     assert [entry for path in package for entry in unused_imports(path)] == []
+
+
+def private_definitions(path):
+    """Module-level `_name` functions, classes and constants, as name -> line."""
+    defined = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [
+                leaf.id
+                for target in targets
+                for leaf in ast.walk(target)
+                if isinstance(leaf, ast.Name)
+            ]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def loaded_names(path):
+    """Every name a module reads: a bare name or an attribute, in a Load context."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_package_reads_every_private_name_it_defines():
+    package = [p for p in FILES if "src" in p.relative_to(ROOT).parts]
+    read = set().union(*(loaded_names(path) for path in package))
+    dead = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in package
+        for name, line in private_definitions(path).items()
+        if name not in read
+    ]
+    assert dead == []

@@ -606,7 +606,7 @@ def test_shortest_route_returns_none_at_once_when_sealed(monkeypatch):
     gates = ((22, (3, 5)),)
     assert kernel.reachable_gates(enc, chains, locks, gates) == []
     calls = 0
-    successors = kernel.get_backend().successors
+    successors = kernel.successors
 
     def counted(*args):
         nonlocal calls
@@ -615,7 +615,7 @@ def test_shortest_route_returns_none_at_once_when_sealed(monkeypatch):
             raise AssertionError("shortest_route searched a sealed state")
         return successors(*args)
 
-    monkeypatch.setattr(kernel.get_backend(), "successors", counted)
+    monkeypatch.setattr(kernel, "successors", counted)
     assert kernel.shortest_route(enc, chains, locks, gates) is None
     assert calls == 0
 
