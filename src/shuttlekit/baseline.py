@@ -33,14 +33,17 @@ A compile fails in one of two ways past placement, both reported as
 CompileError and neither a proof that the circuit has no schedule: the
 router is stuck, because locks seal it in or the search exhausts every
 state reachable from where it stands, or the search spends its cap
-(`_SEARCH_CAP` expansions, or 1.5M stored states) first. The oracle is an
-independent check: plain breadth-first search over the kernel encoding,
-feasible only on small instances, returning a provably shortest op
-sequence to the next gate execution.
+(`_SEARCH_CAP` expansions, or 1.5M stored states) first. The oracle runs
+the same kernel.route_search at uniform cost, feasible only on small
+instances, for a provably shortest op sequence to the next gate execution.
+Its independence from the router rests on tests: a digest of its answers
+pinned from a breadth-first search, and route_search held equal to a
+best-first loop over kernel.successors.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterable
 from typing import NamedTuple
@@ -101,14 +104,11 @@ def _search_tables(graph: TrapGraph) -> _SearchTables:
     """Build the search tables of one trap, once per compile_many call."""
     n = len(graph.vertices)
     far = 4 * n + 8
-    gate_tables = []
-    for g in graph.gate_vertices:
-        d = bfs_distances(graph, g)
-        gate_tables.append([d.get(v, far) for v in range(n)])
     apd = []
     for v in range(n):
         d = bfs_distances(graph, v)
         apd.append([d.get(w, far) for w in range(n)])
+    gate_tables = [apd[g] for g in graph.gate_vertices]
     pair_min = [
         [
             min((t[va] + (t[vb] if vb != va else 0) for t in gate_tables), default=far)
@@ -441,8 +441,11 @@ def bfs_next_gate(
 ) -> tuple[ShuttleOp, ...]:
     """Provably shortest op sequence ending in some first-layer gate execution.
 
-    Exhaustive breadth-first search, so the instance must be small; the
-    guards are hard limits, not tuning knobs.
+    kernel.route_search at uniform cost, with estimate 1 where a gate is
+    ready and 2 elsewhere: consistent, so the first goal popped is the first
+    one breadth-first search over kernel.successors generates. Exhaustive,
+    so the instance must be small; the guards are hard limits, not tuning
+    knobs. NoRouteError when no gate can execute.
     """
     if len(graph.vertices) > ORACLE_MAX_VERTICES:
         raise OracleLimitError(
@@ -455,10 +458,32 @@ def bfs_next_gate(
     gates = kernel.encode_gates(circuit.first_layer)
     if not gates:
         return ()
-    route = kernel.shortest_route(graph.encoded, state.chains, state.locks, gates)
-    if route is None:
+    trap, chains, locks = graph.encoded, state.chains, state.locks
+
+    def estimate(chains: tuple, pos: list[int], occupied: int) -> int:
+        return 1 if kernel.ready_gates(trap, chains, gates) else 2
+
+    codes = None
+    if kernel.reachable_gates(trap, chains, locks, gates):
+        codes = kernel.route_search(
+            trap,
+            chains,
+            locks,
+            circuit.qubit_count,
+            estimate=estimate,
+            weight=1,
+            seal_exits=[None] * trap[0],
+            seal_penalty=0,
+            goal_mask=0,
+            max_expansions=math.inf,
+            max_states=math.inf,
+        )[0]
+    if codes is None:
         raise NoRouteError("no operation sequence reaches a gate execution")
-    return tuple(op_mod.decode_op(code) for code in route)
+    for code in codes:
+        chains, locks = kernel.transition(trap, chains, locks, code)
+    execute = (EXECUTE, min(kernel.ready_gates(trap, chains, gates)), -1)
+    return tuple(op_mod.decode_op(code) for code in (*codes, execute))
 
 
 def random_circuit(qubits: int, depth: int, seed: int) -> Circuit:

@@ -175,7 +175,8 @@ def _cmd_gen_dataset(args) -> int:
     eval_entries: list[dataset.DataEntry] = []
     skipped: list[str] = []
     if args.schedule:
-        if not 0.0 <= args.eval_fraction <= 1.0:
+        fraction = 0.2 if args.eval_fraction is None else args.eval_fraction
+        if not 0.0 <= fraction <= 1.0:
             raise _UsageError("--eval-fraction must be within [0, 1]")
         schedules = []
         for path in args.schedule:
@@ -184,11 +185,13 @@ def _cmd_gen_dataset(args) -> int:
             graph = _load_trap(_resolve(path, trap_path))
             circuit = _load_circuit(_resolve(path, circuit_path))
             schedules.append(parse_schedule(text, graph, circuit, replay=False))
-        built = dataset.generate_dataset(schedules, args.eval_fraction)
+        built = dataset.generate_dataset(schedules, fraction)
         train.extend(built.split["train"])
         eval_entries.extend(built.split["eval"])
         skipped.extend(built.skipped)
     elif args.seed is not None:
+        if args.eval_fraction is not None:
+            raise _UsageError("--eval-fraction applies only to --schedule files")
         if args.depth < 1:
             raise _UsageError("--depth must be at least 1")
         if args.train_per_qubit < 0 or args.eval_per_qubit < 0:
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = subs.add_parser("gen-dataset", help="build Alpaca JSONL files")
     gen.add_argument("--schedule", action="append", help="schedule file (repeatable)")
-    gen.add_argument("--eval-fraction", type=float, default=0.2)
+    gen.add_argument("--eval-fraction", type=float, help="--schedule eval share (default 0.2)")
     gen.add_argument("--seed", type=int, help="random-circuit mode seed")
     gen.add_argument("--qubits", default="2-4", help="qubit range LO-HI for random mode")
     gen.add_argument("--depth", type=int, default=5)

@@ -2,13 +2,14 @@
 
 The one module that states the shuttling rules. `transition` states what
 each op does; ops.apply and dataset rendering step ops through it.
-`successors` enumerates candidate ops through it for ops.shuttle_ops, the
-oracle's `shortest_route` and the router's commits. The loop of
-`route_search`, the router's weighted best-first search, is a fused copy
-of that enumeration and returns the op codes it applied. ops.violation
-words the same rules per op. tests/test_ops.py holds transition,
-successors and violation equal, and tests/test_baseline.py holds
-route_search equal to a best-first loop over successors.
+`successors` enumerates candidate ops through it for ops.shuttle_ops and
+the router's commits. `route_search` is the package's one state-space
+search: the router runs it as a weighted best-first search, and the
+next-gate oracle at uniform cost. Its loop is a fused copy of the
+`successors` enumeration and returns the op codes it applied.
+ops.violation words the same rules per op. tests/test_ops.py holds
+transition, successors and violation equal, and tests/test_baseline.py
+holds route_search equal to a best-first loop over successors.
 
 States come as TrapState holds them, so no call converts one: chains a
 vertex-indexed tuple of qubit tuples, locks a vertex-indexed tuple with -1
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 import sys
-from collections import deque
 from types import ModuleType
 
 TRANSLATE, SEPARATE, MERGE, SWAP, EXECUTE = range(5)
@@ -180,40 +180,6 @@ def reachable_gates(trap, chains, locks, gates):
     return out
 
 
-def shortest_route(trap, chains, locks, gates):
-    """Shortest op sequence ending in an ExecuteGate, or None if unreachable.
-
-    Breadth-first over successors; ties resolve by canonical op order, so
-    the result is deterministic. When reachable_gates already rules every
-    gate out, it returns None without searching.
-    """
-    ready = ready_gates(trap, chains, gates)
-    if ready:
-        return ((EXECUTE, min(ready), -1),)
-    if not reachable_gates(trap, chains, locks, gates):
-        return None
-    start = (chains, locks)
-    parents: dict[tuple, tuple | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for op, next_chains, next_locks in successors(trap, current[0], current[1]):
-            nxt = (next_chains, next_locks)
-            if nxt in parents:
-                continue
-            parents[nxt] = (current, op)
-            ready = ready_gates(trap, next_chains, gates)
-            if ready:
-                path = [(EXECUTE, min(ready), -1)]
-                node: tuple | None = nxt
-                while parents[node] is not None:
-                    node, op_code = parents[node]
-                    path.append(op_code)
-                return tuple(reversed(path))
-            queue.append(nxt)
-    return None
-
-
 def positions(chains, qubit_count):
     """Qubit -> vertex list and occupancy bitmask of encoded chains."""
     pos = [0] * qubit_count
@@ -262,14 +228,16 @@ def route_search(
     and is dropped once popped. A chain's code is its qubits as base
     (qubit_count + 1) digits q + 1, first qubit most significant, so the
     empty chain is 0; vertex v's code sits in bit field v of width
-    (base ** capacity).bit_length(), and each vertex's lock + 1 in a field
-    above the chain fields. A child's key is its parent's plus the change
+    (base ** capacity).bit_length(), with capacity capped at qubit_count,
+    which no chain exceeds; each vertex's lock + 1 sits in a field above
+    the chain fields. A child's key is its parent's plus the change
     its op makes to the fields it touches, so a duplicate child is rejected
     by one dict lookup before any tuple is built. `best` maps a key to
     (cost, parent key, code of the op from the parent); each code is built
     once per call, in the move and site tables, so a stored state shares it.
     """
-    n, capacity, neighbors, is_junction = trap[0], trap[1], trap[2], trap[3]
+    n, neighbors, is_junction = trap[0], trap[2], trap[3]
+    capacity = min(trap[1], qubit_count)
     base = qubit_count + 1
     width = (base ** capacity).bit_length()
     field = (1 << width) - 1

@@ -9,7 +9,8 @@ slice executes the lowest-numbered ready first-layer gate. A batch
 compiles each circuit as its own compile does, and the search it shares
 between circuits is blind to qubit labels. The router's search,
 kernel.route_search with its integer dedup key, finds what a tuple-keyed
-best-first loop over kernel.successors finds.
+best-first loop over kernel.successors finds, and the next-gate oracle,
+route_search at uniform cost, answers as breadth-first search did.
 """
 
 import hashlib
@@ -20,7 +21,7 @@ import pytest
 
 from shuttlekit import baseline, kernel, ops, trap
 from shuttlekit.circuit import Circuit, Gate
-from shuttlekit.errors import CompileError
+from shuttlekit.errors import CompileError, NoRouteError
 from shuttlekit.ops import format_op
 from shuttlekit.schedule import decompose, validate
 from shuttlekit.state import TrapState, initial_placement
@@ -290,6 +291,17 @@ def test_search_estimate_matches_reference_on_random_walks(graph, qubits):
                 break
             _, chains, locks = rng.choice(moves)
     assert ready_states > 0
+
+
+def test_huge_capacity_compiles_like_capacity_equal_to_qubit_count():
+    """A chain never holds more than every qubit, so capacity past that changes nothing.
+
+    The search's key fields are sized by the smaller of the two; sized by
+    a capacity of a million, one search would never finish.
+    """
+    circuit = baseline.random_circuit(3, 6, 0)
+    huge = baseline.compile(circuit, trap.build_linear(2, capacity=10**6))
+    assert huge.ops == baseline.compile(circuit, trap.build_linear(2, capacity=3)).ops
 
 
 # -- gate choice, batches and the route memo ----------------------------------
@@ -592,3 +604,62 @@ def test_route_search_matches_the_successor_loop(graph, qubits, monkeypatch):
                 break
             _, chains, locks = rng.choice(moves)
     assert tuple in outcomes
+
+
+# -- the next-gate oracle -------------------------------------------------------
+
+ORACLE_TRAPS = [
+    (graph, qubits)
+    for graph, qubits in WALK_TRAPS
+    if len(graph.vertices) <= baseline.ORACLE_MAX_VERTICES and qubits <= baseline.ORACLE_MAX_QUBITS
+]
+
+# sha256 over every oracle answer of test_oracle_answers_match_the_pinned_digest.
+ORACLE_SHA256 = "652c96943222d282768379305cfe72af7bb2068a2137bd747cb7f6caff53f5d3"
+
+
+def oracle_answer(state, graph, circuit):
+    """The oracle's route as op lines, or its NoRouteError text."""
+    try:
+        route = baseline.bfs_next_gate(state, graph, circuit)
+    except NoRouteError as exc:
+        return f"NoRouteError: {exc}"
+    return "; ".join(format_op(op) for op in route)
+
+
+def test_oracle_answers_match_the_pinned_digest():
+    """bfs_next_gate gives the pinned route, or NoRouteError, on every walk state.
+
+    The states are seeded random walks over kernel successors, which
+    execute a ready gate half the time, on the oracle-sized walk traps.
+    The pin was computed with a breadth-first search over kernel.successors,
+    so it holds the oracle to provably shortest routes, ties broken by the
+    first goal that search generates.
+    """
+    digest = hashlib.sha256()
+    answers = refused = 0
+    for graph, qubits in ORACLE_TRAPS:
+        enc = graph.encoded
+        for seed in range(12):
+            rng = random.Random(seed)
+            circuit = baseline.random_circuit(qubits, 4, seed)
+            placement = initial_placement(circuit, graph)
+            chains, locks = placement.chains, placement.locks
+            for _ in range(40):
+                gates = kernel.encode_gates(circuit.first_layer)
+                if not gates:
+                    break
+                answer = oracle_answer(TrapState(chains, locks), graph, circuit)
+                digest.update(answer.encode() + b"\n")
+                answers += 1
+                refused += answer.startswith("NoRouteError")
+                ready = kernel.ready_gates(enc, chains, gates)
+                if ready and rng.random() < 0.5:
+                    circuit = circuit.mark_executed(min(ready))
+                    continue
+                moves = kernel.successors(enc, chains, locks)
+                if not moves:
+                    break
+                _, chains, locks = rng.choice(moves)
+    assert 0 < refused < answers
+    assert digest.hexdigest() == ORACLE_SHA256

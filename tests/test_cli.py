@@ -70,8 +70,13 @@ def test_validate_names_the_tampered_op(tmp_path, capsys):
         (["--seed", "1", "--eval-per-qubit", "-3"], "--train-per-qubit and --eval-per-qubit"),
         (["--seed", "1", "--train-per-qubit", "-1"], "--train-per-qubit and --eval-per-qubit"),
         (["--schedule", "SCHEDULE", "--eval-fraction", "2"], "--eval-fraction must be within"),
+        (
+            ["--seed", "1", "--qubits", "2", "--train-per-qubit", "4", "--eval-per-qubit", "1",
+             "--eval-fraction", "2"],
+            "--eval-fraction applies only to --schedule",
+        ),
     ],
-    ids=["depth0", "negative_eval", "negative_train", "eval_fraction2"],
+    ids=["depth0", "negative_eval", "negative_train", "eval_fraction2", "seed_eval_fraction"],
 )
 def test_gen_dataset_rejects_bad_counts_as_usage_errors(tmp_path, capsys, argv, message):
     schedule = compile_small(tmp_path)

@@ -5,15 +5,18 @@ than 3.10 (such as `except*`) on any interpreter; it cannot catch a
 standard-library name that 3.10 lacks. Every package module also reads
 each name it imports, and some package module reads each private name a
 package module defines, so an import or a helper that a change leaves
-unused shows.
+unused shows. A public function or class must have a reader outside the
+tests too, so product code that only tests call shows as well.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+TOOLING = sorted((ROOT / "perfbench").rglob("*.py")) + sorted((ROOT / "tools").rglob("*.py"))
 FILES = sorted((ROOT / "src" / "shuttlekit").rglob("*.py")) + sorted(
     (ROOT / "tests").rglob("*.py")
 )
@@ -100,3 +103,44 @@ def test_package_reads_every_private_name_it_defines():
         if name not in read
     ]
     assert dead == []
+
+
+def public_definitions(path):
+    """Module-level public functions and classes, as name -> line."""
+    return {
+        node.name: node.lineno
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def imported_names(path):
+    """Every name a module binds by import."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+def test_every_public_definition_has_a_reader_outside_the_tests():
+    """A public function or class is read by the package, re-exported, or named by tooling.
+
+    Tooling is the benchmark harness under perfbench/ and the scripts
+    under tools/; the harness's tracer names its targets in strings, so
+    any word of those files counts.
+    """
+    package = [p for p in FILES if "src" in p.relative_to(ROOT).parts]
+    read = set().union(*(loaded_names(path) for path in package))
+    read |= imported_names(ROOT / "src" / "shuttlekit" / "__init__.py")
+    for path in TOOLING:
+        read |= set(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    unread = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in package
+        for name, line in public_definitions(path).items()
+        if name not in read
+    ]
+    assert unread == []

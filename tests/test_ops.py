@@ -589,35 +589,26 @@ def test_reachable_gates_leave_out_only_unroutable_gates():
     assert left_out > left_out_moving
 
 
-def test_shortest_route_returns_none_at_once_when_sealed(monkeypatch):
-    """shortest_route answers None without searching when no gate is reachable.
+def test_bfs_next_gate_raises_at_once_when_sealed(monkeypatch):
+    """The oracle raises NoRouteError without searching when no gate is reachable.
 
-    The state is where the router seals itself in on branched(6,2,2): no op
-    sequence executes gate 22, and reachable_gates proves it. Counted in
-    kernel successor calls, since a breadth-first search of that state's
-    whole reachable space takes tens of seconds.
+    On branched(1,1,1), junction 1 was left toward its stack vertex 7,
+    where qubit 1 sits, and junction 5 toward 8, where qubits 0 and 2 sit.
+    Neither stack has another exit, so reachable_gates rules both
+    first-layer gates out, and the search must not run.
     """
-    graph = trap.build_branched(6, 2, 2)
-    enc = graph.encoded
-    state = TrapState.from_dicts(
-        graph, {16: (4, 2), 0: (5,), 8: (3,), 5: (1,), 7: (0,)}, {1: 0, 3: 4, 9: 8}
-    )
-    chains, locks = state.chains, state.locks
-    gates = ((22, (3, 5)),)
-    assert kernel.reachable_gates(enc, chains, locks, gates) == []
-    calls = 0
-    successors = kernel.successors
+    graph = trap.build_branched(1, 1, 1)
+    state = TrapState.from_dicts(graph, {7: (1,), 8: (0, 2)}, {1: 7, 5: 8})
+    circuit = Circuit(3, (Gate(1, (0,)), Gate(2, (2, 1))))
+    gates = kernel.encode_gates(circuit.first_layer)
+    assert kernel.reachable_gates(graph.encoded, state.chains, state.locks, gates) == []
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        if calls > 1_000:
-            raise AssertionError("shortest_route searched a sealed state")
-        return successors(*args)
+    def refuse(*args, **kwargs):
+        raise AssertionError("bfs_next_gate searched a sealed state")
 
-    monkeypatch.setattr(kernel, "successors", counted)
-    assert kernel.shortest_route(enc, chains, locks, gates) is None
-    assert calls == 0
+    monkeypatch.setattr(kernel, "route_search", refuse)
+    with pytest.raises(NoRouteError, match="no operation sequence reaches a gate execution"):
+        bfs_next_gate(state, graph, circuit)
 
 
 # -- text form -------------------------------------------------------------------

@@ -276,9 +276,11 @@ def inject_pairs(sched, rng):
         state, circuit = step(sched.graph, states[-1], circuit, op)
         states.append(state)
     # circuit references per index are not needed: injected pairs never
-    # execute gates, and translate/swap legality is circuit-independent
+    # execute gates, and translate/swap legality is circuit-independent.
+    # A spot is the state before some op: a pair after the last op would
+    # trail the final gate execution.
     spots = []
-    for index, state in enumerate(states):
+    for index, state in enumerate(states[:-1]):
         for vertex, chain in enumerate(state.chains):
             if not chain:
                 continue
