@@ -8,10 +8,10 @@ a state where one is and no chain rests on a junction, and the router
 commits it and executes the lowest-numbered ready gate there. The search
 dedups states by an exact integer key, works on the tuple encoding and
 returns the op codes it applied; this module supplies its estimate, its
-seal-penalty table, its goal mask and limits, and words its failures.
+seal-penalty table, its goal mask and cap, and words its failures.
 Before that search a reachability check (kernel.reachable_gates) stops the
 compile at once when junction locks have sealed every first-layer gate's
-operands apart. `_Router.pick_gate` only names a gate in those failures.
+operands apart. Each failure names the lowest-numbered first-layer gate.
 
 The router holds only the kernel encoding of its state and the circuit. It
 commits a shuttling op by taking the kernel successor with that op's code,
@@ -32,10 +32,10 @@ order. The memo holds successful searches only and lives for one call.
 A compile fails in one of two ways past placement, both reported as
 CompileError and neither a proof that the circuit has no schedule: the
 router is stuck, because locks seal it in or the search exhausts every
-state reachable from where it stands, or the search spends its cap
-(`_SEARCH_CAP` expansions, or 1.5M stored states) first. The oracle runs
-the same kernel.route_search at uniform cost, feasible only on small
-instances, for a provably shortest op sequence to the next gate execution.
+state reachable from where it stands, or the search spends its cap of
+`_SEARCH_CAP` expansions first. The oracle runs the same
+kernel.route_search at uniform cost, feasible only on small instances, for
+a provably shortest op sequence to the next gate execution.
 Its independence from the router rests on tests: a digest of its answers
 pinned from a breadth-first search, and route_search held equal to a
 best-first loop over kernel.successors.
@@ -61,10 +61,8 @@ from .trap import TrapGraph, bfs_distances
 ORACLE_MAX_VERTICES = 9
 ORACLE_MAX_QUBITS = 4
 
-# Expansions one routing search may spend before the compile gives up, and
-# the stored states past which it gives up as well.
+# Expansions one routing search may spend before the compile gives up.
 _SEARCH_CAP = 250_000
-_MAX_STORED_STATES = 1_500_000
 
 # Extra cost of a Translate that leaves a junction with nothing behind it:
 # that locks the region away for good (re-entry from the exit side is
@@ -160,7 +158,7 @@ def _estimate(tables: _SearchTables, gates: tuple, greedy: bool):
     some gate is ready: its operands alone fill a gate vertex's chain.
     """
     far = tables.far
-    operands = [qs for _, qs in gates]
+    operands = [gate.qubits for gate in gates]
     if not greedy:
         pair_min = tables.pair_min
 
@@ -221,7 +219,7 @@ def _route_key(chains: tuple, locks: tuple, gates: tuple) -> tuple:
     return (
         tuple(tuple(relabel[q] for q in chain) for chain in chains),
         locks,
-        tuple(sorted(tuple(sorted(relabel[q] for q in qs)) for _, qs in gates)),
+        tuple(sorted(tuple(sorted(relabel[q] for q in gate.qubits)) for gate in gates)),
     )
 
 
@@ -258,18 +256,9 @@ class _Router:
                 return True
         return False
 
-    def pick_gate(self) -> Gate:
-        """The first-layer gate nearest a gate vertex, ties to the lowest id; failures name it."""
-        tables = self.batch.tables.gate_tables
-        pos = kernel.positions(self.chains, self.circuit.qubit_count)[0]
-        return min(
-            self.circuit.first_layer,
-            key=lambda g: (min(sum(t[pos[q]] for q in g.qubits) for t in tables), g.id),
-        )
-
     # -- state-space search -------------------------------------------------
 
-    def _search_next(self, gate: Gate, gates_enc: tuple) -> tuple[tuple[int, int, int], ...]:
+    def _search_next(self) -> tuple[tuple[int, int, int], ...]:
         """Weighted best-first search to the nearest first-layer execution.
 
         Runs kernel.route_search from the router's state and returns the
@@ -284,11 +273,11 @@ class _Router:
         gate. The estimate and the seal penalty read the batch's
         `_SearchTables`.
 
-        Raises CompileError when the frontier runs out, so that no op
-        sequence from the current state reaches a goal, or when
-        `_SEARCH_CAP` expansions or `_MAX_STORED_STATES` stored states are
-        spent. `gate` names the router's pick in those messages.
+        Raises CompileError, naming the lowest-numbered first-layer gate,
+        when the frontier runs out, so that no op sequence from the current
+        state reaches a goal, or when `_SEARCH_CAP` expansions are spent.
         """
+        gates = self.circuit.first_layer
         tables = self.batch.tables
         greedy = self.trap[0] > ORACLE_MAX_VERTICES
         codes, spent, expansions, stored = kernel.route_search(
@@ -296,25 +285,24 @@ class _Router:
             self.chains,
             self.locks,
             self.circuit.qubit_count,
-            estimate=_estimate(tables, gates_enc, greedy),
+            estimate=_estimate(tables, gates, greedy),
             weight=2 if greedy else 1,
             seal_exits=tables.seal_exits,
             seal_penalty=_SEAL_PENALTY,
             goal_mask=tables.junction_mask,
             max_expansions=_SEARCH_CAP,
-            max_states=_MAX_STORED_STATES,
         )
         if codes is not None:
             return codes
         if spent:
             raise CompileError(
-                f"the router gave up on gate {gate.id} after {expansions} search "
-                f"expansions and {stored} stored states (limits {_SEARCH_CAP} and "
-                f"{_MAX_STORED_STATES}) without executing any first-layer gate; this does "
-                "not prove that the circuit has no schedule"
+                f"the router gave up on gate {gates[0].id} after {expansions} search "
+                f"expansions (limit {_SEARCH_CAP}) and {stored} stored states without "
+                "executing any first-layer gate; this does not prove that the circuit "
+                "has no schedule"
             )
         raise CompileError(
-            f"no op sequence from the router's current state executes gate {gate.id} or "
+            f"no op sequence from the router's current state executes gate {gates[0].id} or "
             f"any other first-layer gate with every junction empty: all {stored} "
             "states reachable from it were searched; the router boxed itself in, which "
             "does not prove that the circuit has no schedule"
@@ -324,10 +312,10 @@ class _Router:
 
     def route_next(self) -> None:
         """Execute the lowest ready first-layer gate, searching for a route if none is."""
-        first_layer = kernel.encode_gates(self.circuit.first_layer)
+        first_layer = self.circuit.first_layer
         ready = kernel.ready_gates(self.trap, self.chains, first_layer)
         if not ready:
-            gate = self.pick_gate()
+            gate = first_layer[0]
             key = _route_key(self.chains, self.locks, first_layer)
             route = self.batch.routes.get(key)
             if route is None:
@@ -339,7 +327,7 @@ class _Router:
                         "meet; the router boxed itself in, which does not prove that the "
                         "circuit has no schedule"
                     )
-                route = self._search_next(gate, first_layer)
+                route = self._search_next()
                 self.batch.routes[key] = route
             # The kernel checks each op against the real state, memo hit or not.
             for code in route:
@@ -455,7 +443,7 @@ def bfs_next_gate(
         raise OracleLimitError(
             f"{circuit.qubit_count} qubits exceed the oracle limit of {ORACLE_MAX_QUBITS}"
         )
-    gates = kernel.encode_gates(circuit.first_layer)
+    gates = circuit.first_layer
     if not gates:
         return ()
     trap, chains, locks = graph.encoded, state.chains, state.locks
@@ -476,7 +464,6 @@ def bfs_next_gate(
             seal_penalty=0,
             goal_mask=0,
             max_expansions=math.inf,
-            max_states=math.inf,
         )[0]
     if codes is None:
         raise NoRouteError("no operation sequence reaches a gate execution")

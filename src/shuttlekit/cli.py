@@ -38,11 +38,6 @@ class _UsageError(Exception):
     pass
 
 
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _write(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -52,11 +47,11 @@ def _write(path: str, text: str) -> None:
 
 
 def _load_trap(path: str) -> TrapGraph:
-    return parse_trap(_read(path))
+    return parse_trap(driver.read_text(path))
 
 
 def _load_circuit(path: str) -> Circuit:
-    return parse_circuit(_read(path))
+    return parse_circuit(driver.read_text(path))
 
 
 def _resolve(base_file: str, path: str) -> str:
@@ -67,7 +62,7 @@ def _resolve(base_file: str, path: str) -> str:
 
 def _load_schedule_inputs(args) -> tuple[str, TrapGraph, Circuit]:
     """Schedule text plus its trap and circuit, honoring --trap/--circuit overrides."""
-    text = _read(args.schedule)
+    text = driver.read_text(args.schedule)
     trap_path, circuit_path = schedule_paths(text)
     trap_file = args.trap or _resolve(args.schedule, trap_path)
     circuit_file = args.circuit or _resolve(args.schedule, circuit_path)
@@ -180,7 +175,7 @@ def _cmd_gen_dataset(args) -> int:
             raise _UsageError("--eval-fraction must be within [0, 1]")
         schedules = []
         for path in args.schedule:
-            text = _read(path)
+            text = driver.read_text(path)
             trap_path, circuit_path = schedule_paths(text)
             graph = _load_trap(_resolve(path, trap_path))
             circuit = _load_circuit(_resolve(path, circuit_path))

@@ -133,9 +133,7 @@ def render_instruction(
                 for g in circuit.next_executable
             ]
         ),
-        allowed_block=_allowed_block(
-            shuttles, graph, state.chains, kernel.encode_gates(first_layer)
-        ),
+        allowed_block=_allowed_block(shuttles, graph, state.chains, first_layer),
     )
 
 
@@ -156,7 +154,6 @@ def render_output(
     memo = {} if memo is None else memo
     trap = graph.encoded
     first_layer = circuit.first_layer
-    gates = kernel.encode_gates(first_layer)
     state = slice.state
     chains, locks = state.chains, state.locks
     blocks: list[str] = []
@@ -173,7 +170,7 @@ def render_output(
         lines = [op_mod.format_op(op), "Qubit positions:", positions, "First-layer gates:"]
         lines.append(_bullets([_gate_line(g, state) for g in first_layer]))
         lines.append("Allowed operations:")
-        lines.append(_allowed_block(shuttles, graph, chains, gates))
+        lines.append(_allowed_block(shuttles, graph, chains, first_layer))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 

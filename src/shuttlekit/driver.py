@@ -80,23 +80,32 @@ def request_digest(instruction: str, max_tokens: int, temperature: float) -> str
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def read_text(path: str, error=ShuttleError) -> str:
+    """A UTF-8 text file's contents; bytes that do not decode raise `error` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def read_json_objects(path: str, label: str, error=ShuttleError) -> list[tuple[int, dict]]:
     """A JSONL file's (line number, object) pairs, blank lines skipped.
 
-    A line that is not a JSON object raises `error`, naming `label` and the line.
+    A line that is not a JSON object raises `error`, naming `label` and the
+    line; a file that is not UTF-8 raises it naming the file.
     """
     objects = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                value = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{label} line {lineno}: {exc}") from exc
-            if not isinstance(value, dict):
-                raise error(f"{label} line {lineno}: not a JSON object")
-            objects.append((lineno, value))
+    for lineno, line in enumerate(read_text(path, error).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise error(f"{label} line {lineno}: {exc}") from exc
+        if not isinstance(value, dict):
+            raise error(f"{label} line {lineno}: not a JSON object")
+        objects.append((lineno, value))
     return objects
 
 
@@ -168,17 +177,12 @@ class HttpCompletionClient:
 class MockCompletionClient:
     """Scripted client: returns canned responses in order; reset() rewinds.
 
-    Token counts default to the whitespace estimate so scripts stay terse.
-    A request after the last response raises ReplayMismatchError.
+    A response's token count is its whitespace-separated word count. A
+    request after the last response raises ReplayMismatchError.
     """
 
-    def __init__(
-        self, script: Sequence[str], token_counts: Sequence[int] | None = None
-    ) -> None:
+    def __init__(self, script: Sequence[str]) -> None:
         self.script = list(script)
-        if token_counts is not None and len(token_counts) != len(self.script):
-            raise ValueError("token_counts must match the script length")
-        self.token_counts = list(token_counts) if token_counts is not None else None
         self.cursor = 0
         self.calls: list[str] = []
 
@@ -190,14 +194,9 @@ class MockCompletionClient:
         if self.cursor >= len(self.script):
             raise ReplayMismatchError("mock script exhausted")
         text = self.script[self.cursor]
-        tokens = (
-            self.token_counts[self.cursor]
-            if self.token_counts is not None
-            else len(text.split())
-        )
         self.cursor += 1
         self.calls.append(instruction)
-        return CompletionResult(text, tokens)
+        return CompletionResult(text, len(text.split()))
 
 
 class RecordingClient:

@@ -43,8 +43,9 @@ class CompileError(ShuttleError):
     Either the initial placement does not fit, or the router is stuck at
     some gate: junction locks seal every first-layer gate's operands apart,
     its search exhausted every state reachable from where it stands, or the
-    search spent its cap. The message says which. None of these is proof
-    that no schedule exists.
+    search spent its expansion cap. The message says which, and names the
+    lowest-numbered first-layer gate. None of these is proof that no
+    schedule exists.
     """
 
 

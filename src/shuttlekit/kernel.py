@@ -15,10 +15,11 @@ States come as TrapState holds them, so no call converts one: chains a
 vertex-indexed tuple of qubit tuples, locks a vertex-indexed tuple with -1
 for unset. The trap comes as `TrapGraph.encoded`, flattened once per
 graph, whose static site tables settle every state-independent condition
-(flags, lateral pairs, junction sides); `encode_gates` flattens a gate
-list. Op codes are (kind, a, b) with kinds 0=Translate(src, dst),
-1=Separate(v), 2=Merge(v), 3=Swap(v), 4=ExecuteGate(gate), b = -1 for one
-operand; ops.decode_op turns one into a ShuttleOp.
+(flags, lateral pairs, junction sides). Gates come as Circuit.first_layer
+gives them; only their `id` and `qubits` are read. Op codes are
+(kind, a, b) with kinds 0=Translate(src, dst), 1=Separate(v), 2=Merge(v),
+3=Swap(v), 4=ExecuteGate(gate), b = -1 for one operand; ops.decode_op
+turns one into a ShuttleOp.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ BACKEND = "pure"
 def get_backend() -> ModuleType:
     """This module, for tools that wrap the kernel functions where they are defined."""
     return sys.modules[__name__]
-
-
-def encode_gates(gates) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Encode gates as (id, operands) pairs, preserving order."""
-    return tuple((g.id, g.qubits) for g in gates)
 
 
 def transition(trap, chains, locks, code):
@@ -112,7 +108,8 @@ def ready_gates(trap, chains, gates):
     n = trap[0]
     can_gate = trap[4]
     out = []
-    for gate_id, operands in gates:
+    for gate in gates:
+        operands = gate.qubits
         first = operands[0]
         vertex = -1
         for v in range(n):
@@ -124,7 +121,7 @@ def ready_gates(trap, chains, gates):
         if len(chains[vertex]) != len(operands):
             continue
         if all(q in chains[vertex] for q in operands):
-            out.append(gate_id)
+            out.append(gate.id)
     return out
 
 
@@ -143,7 +140,7 @@ def reachable_gates(trap, chains, locks, gates):
     connected.
     """
     if max(locks) < 0:
-        return [gate_id for gate_id, _ in gates]
+        return [gate.id for gate in gates]
     n, neighbors, is_junction, can_gate = trap[0], trap[2], trap[3], trap[4]
     opened: set[int] = set()
 
@@ -168,15 +165,15 @@ def reachable_gates(trap, chains, locks, gates):
     vertex_of = {q: v for v in occupied for q in chains[v]}
     targets: dict[int, set[int]] = {}
     out = []
-    for gate_id, operands in gates:
+    for gate in gates:
         common = None
-        for q in operands:
+        for q in gate.qubits:
             v = vertex_of[q]
             if v not in targets:
                 targets[v] = {w for w in reach([v]) if can_gate[w]}
             common = targets[v] if common is None else common & targets[v]
         if common:
-            out.append(gate_id)
+            out.append(gate.id)
     return out
 
 
@@ -204,7 +201,6 @@ def route_search(
     seal_penalty,
     goal_mask,
     max_expansions,
-    max_states,
 ):
     """Weighted best-first search from (chains, locks) to a goal state.
 
@@ -219,9 +215,9 @@ def route_search(
 
     Returns (codes, spent, expansions, stored). `codes` is the tuple of op
     codes from the start to the first goal popped, or None when the search
-    failed: `spent` is then True if it stopped because `max_expansions`
-    expansions were made or more than `max_states` states were stored, and
-    False if the frontier ran out.
+    failed: `spent` is then True if it stopped with states left on the
+    frontier because `max_expansions` expansions were made, and False if the
+    frontier ran out.
 
     Each state has an exact integer key, used only for deduplication; the
     working state stays the tuple pair, which travels in the heap entry
@@ -279,7 +275,7 @@ def route_search(
                 codes.append(op)
                 _, key, op = best[key]
             return tuple(reversed(codes)), False, expansions, len(best)
-        if expansions >= max_expansions or len(best) > max_states:
+        if expansions >= max_expansions:
             return None, True, expansions, len(best)
         expansions += 1
         step = g + 1

@@ -196,15 +196,14 @@ def execute_ops(graph: TrapGraph, chains: tuple, gates: tuple) -> list[ExecuteGa
     """The Execute Gates that kernel.ready_gates allows, by gate number.
 
     `chains` is the state's encoding and `gates` the first layer as
-    kernel.encode_gates gives it.
+    Circuit.first_layer gives it.
     """
     return [ExecuteGate(g) for g in kernel.ready_gates(graph.encoded, chains, gates)]
 
 
 def allowed_ops(state: TrapState, graph: TrapGraph, circuit: Circuit) -> list[ShuttleOp]:
     """Every legal operation, in canonical order: `shuttle_ops`, then `execute_ops`."""
-    gates = kernel.encode_gates(circuit.first_layer)
-    return shuttle_ops(state, graph) + execute_ops(graph, state.chains, gates)
+    return shuttle_ops(state, graph) + execute_ops(graph, state.chains, circuit.first_layer)
 
 
 def encode_op(op: ShuttleOp) -> tuple[int, int, int]:

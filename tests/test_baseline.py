@@ -82,8 +82,34 @@ def test_spent_cap_says_the_router_gave_up(monkeypatch):
         baseline.compile(baseline.random_circuit(6, 6, 0), trap.build_linear(6))
     message = str(failure.value)
     assert "the router gave up on gate" in message
-    assert "after 3 search expansions" in message
+    assert "after 3 search expansions (limit 3) and" in message
     assert "does not prove that the circuit has no schedule" in message
+
+
+def test_a_frontier_that_runs_out_at_the_cap_was_searched_not_spent(monkeypatch):
+    """linear(1) q3 circuit 0: its last search empties its frontier in exactly 6 expansions.
+
+    With the cap at 6 that search is exhausted, not spent, and says every
+    state was searched; at 5 it stops with states left, which is a spent
+    cap. The compile's one earlier search takes 3 expansions.
+    """
+    results = []
+    route_search = kernel.route_search
+
+    def recorded(*args, **kwargs):
+        results.append(route_search(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(kernel, "route_search", recorded)
+    circuit, graph = baseline.random_circuit(3, 6, 0), trap.build_linear(1)
+    for cap, spent, message in (
+        (6, False, "all 6 states reachable from it were searched"),
+        (5, True, r"the router gave up on gate 5 after 5 search expansions \(limit 5\)"),
+    ):
+        monkeypatch.setattr(baseline, "_SEARCH_CAP", cap)
+        with pytest.raises(CompileError, match=message):
+            baseline.compile(circuit, graph)
+        assert results[-1][:3] == (None, spent, cap)
 
 
 def test_occupancy_deadlock_on_branched_8_compiles():
@@ -169,7 +195,7 @@ def test_illegal_memo_route_is_a_router_defect(monkeypatch):
     with pytest.raises(CompileError) as failure:
         baseline.compile(baseline.random_circuit(4, 6, 0), trap.build_eval_layout("ring", 4))
     assert str(failure.value).startswith(
-        "the route to gate 3 takes Translate 0 -> 0, which is illegal in the router's "
+        "the route to gate 2 takes Translate 0 -> 0, which is illegal in the router's "
         "current state; this is a router defect"
     )
 
@@ -228,7 +254,8 @@ def reference_heuristic(graph, gates, chains, greedy):
             for q in chain:
                 pos[q] = v
     best = far
-    for _, qs in gates:
+    for gate in gates:
+        qs = gate.qubits
         if len(qs) == 1:
             va = vb = pos[qs[0]]
             dirt = stranger_w * (len(chains[va]) - 1)
@@ -273,7 +300,7 @@ def test_search_estimate_matches_reference_on_random_walks(graph, qubits):
         placement = initial_placement(circuit, graph)
         chains, locks = placement.chains, placement.locks
         for _ in range(80):
-            gates = kernel.encode_gates(circuit.first_layer)
+            gates = circuit.first_layer
             if not gates:
                 break
             pos, occupied = kernel.positions(chains, qubits)
@@ -385,8 +412,7 @@ THREE_GATES = trap.TrapGraph(
 def test_router_executes_the_lowest_ready_first_layer_gate(graph, qubits):
     """Each slice executes min(ready_gates) of its first layer, in the state before it.
 
-    The rule the router follows, with or without a search; `pick_gate`
-    only names a gate in CompileError messages.
+    The rule the router follows, with or without a search.
     """
     enc = graph.encoded
     slices = 0
@@ -400,8 +426,7 @@ def test_router_executes_the_lowest_ready_first_layer_gate(graph, qubits):
             state = piece.state
             for op in piece.ops[:-1]:
                 state = ops.apply(state, graph, piece.circuit, op)
-            gates = kernel.encode_gates(piece.circuit.first_layer)
-            ready = kernel.ready_gates(enc, state.chains, gates)
+            ready = kernel.ready_gates(enc, state.chains, piece.circuit.first_layer)
             assert piece.ops[-1] == ops.ExecuteGate(min(ready)), (seed, piece.gate)
             slices += 1
     assert slices > 0
@@ -465,8 +490,7 @@ def test_search_is_invariant_under_qubit_relabelling(graph, qubits, seeds):
                 relabelled(piece.state, piece.circuit, perm, rng),
             ):
                 router = baseline._Router(batch, circuit, state.chains, state.locks)
-                gates = kernel.encode_gates(circuit.first_layer)
-                routes.append(router._search_next(router.pick_gate(), gates))
+                routes.append(router._search_next())
             assert routes[0] == routes[1]
             searched += bool(routes[0])
     assert searched > 10
@@ -488,13 +512,15 @@ def test_no_route_memo_outlives_a_compile(monkeypatch):
 # -- the fused search against a best-first loop over kernel.successors ---------
 
 
-def reference_search(router, gate, gates):
+def reference_search(router):
     """`_Router._search_next` as a tuple-keyed best-first loop over kernel.successors.
 
     The same heap key, successor order, dedup rule, estimate, seal penalty,
-    goal test, limits and messages, with each stored state keyed by its
+    goal test, cap and messages, with each stored state keyed by its
     (chains, locks) tuple pair.
     """
+    gates = router.circuit.first_layer
+    gate = gates[0]
     tables = router.batch.tables
     enc = router.trap
     greedy = enc[0] > baseline.ORACLE_MAX_VERTICES
@@ -517,12 +543,12 @@ def reference_search(router, gate, gates):
                 codes.append(best[node][2])
                 node = best[node][1]
             return tuple(reversed(codes))
-        if expansions >= baseline._SEARCH_CAP or len(best) > 1_500_000:
+        if expansions >= baseline._SEARCH_CAP:
             raise CompileError(
                 f"the router gave up on gate {gate.id} after {expansions} search "
-                f"expansions and {len(best)} stored states (limits {baseline._SEARCH_CAP} "
-                "and 1500000) without executing any first-layer gate; this does not "
-                "prove that the circuit has no schedule"
+                f"expansions (limit {baseline._SEARCH_CAP}) and {len(best)} stored states "
+                "without executing any first-layer gate; this does not prove that the "
+                "circuit has no schedule"
             )
         expansions += 1
         for code, chains, locks in kernel.successors(enc, *node):
@@ -584,16 +610,15 @@ def test_route_search_matches_the_successor_loop(graph, qubits, monkeypatch):
         placement = initial_placement(circuit, graph)
         chains, locks = placement.chains, placement.locks
         for step in range(60):
-            gates = kernel.encode_gates(circuit.first_layer)
+            gates = circuit.first_layer
             if not gates:
                 break
             if step % 2 == 0:
                 router = baseline._Router(batch, circuit, chains, locks)
-                gate = router.pick_gate()
                 for cap in (baseline._SEARCH_CAP, 7):
                     monkeypatch.setattr(baseline, "_SEARCH_CAP", cap)
-                    found = search_outcome(router._search_next, gate, gates)
-                    assert found == search_outcome(reference_search, router, gate, gates)
+                    found = search_outcome(router._search_next)
+                    assert found == search_outcome(reference_search, router)
                     outcomes.add(type(found))
             ready = kernel.ready_gates(enc, chains, gates)
             if ready and rng.random() < 0.5:
@@ -646,7 +671,7 @@ def test_oracle_answers_match_the_pinned_digest():
             placement = initial_placement(circuit, graph)
             chains, locks = placement.chains, placement.locks
             for _ in range(40):
-                gates = kernel.encode_gates(circuit.first_layer)
+                gates = circuit.first_layer
                 if not gates:
                     break
                 answer = oracle_answer(TrapState(chains, locks), graph, circuit)

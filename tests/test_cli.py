@@ -110,3 +110,24 @@ def test_report_names_a_malformed_records_line(tmp_path, capsys, line, reason):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: records line 3: {reason}")
+
+
+@pytest.mark.parametrize("which", ["trap", "circuit", "schedule", "records"])
+def test_a_file_that_is_not_utf8_is_named_without_traceback(tmp_path, capsys, which):
+    trap_file, circuit_file = write_inputs(
+        tmp_path, ["--family", "linear", "--per-side", "2"], random_circuit(3, 3, 0)
+    )
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe bad")
+    argv = {
+        "trap": compile_argv(str(bad), circuit_file, tmp_path / "schedule.txt"),
+        "circuit": compile_argv(trap_file, str(bad), tmp_path / "schedule.txt"),
+        "schedule": ["validate", "--schedule", str(bad)],
+        "records": ["report", "--records", str(bad)],
+    }[which]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad} is not UTF-8 text: ")
+    assert captured.err.count("\n") == 1

@@ -184,6 +184,13 @@ def test_replay_rejects_a_malformed_record_at_load(tmp_path, record):
         ReplayCompletionClient(str(path))
 
 
+def test_replay_file_that_is_not_utf8_fails_at_load(tmp_path):
+    path = tmp_path / "exchanges.jsonl"
+    path.write_bytes(b"\xff\xfe bad")
+    with pytest.raises(TransportError, match=f"^{path} is not UTF-8 text: "):
+        ReplayCompletionClient(str(path))
+
+
 class Response:
     status_code = 200
 

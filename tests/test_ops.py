@@ -532,9 +532,9 @@ SEALED_BY_HAND = [
 
 
 def every_gate(qubits):
-    """Every one- and two-qubit gate on these qubits, as kernel (id, operands) pairs."""
+    """Every one- and two-qubit gate on these qubits, numbered from 1."""
     operands = [(q,) for q in range(qubits)] + list(itertools.combinations(range(qubits), 2))
-    return [(gate_id, qs) for gate_id, qs in enumerate(operands, start=1)]
+    return [Gate(gate_id, qs) for gate_id, qs in enumerate(operands, start=1)]
 
 
 def routable(enc, chains, locks, gate):
@@ -580,7 +580,7 @@ def test_reachable_gates_leave_out_only_unroutable_gates():
         for chains, locks in states:
             kept = kernel.reachable_gates(enc, chains, locks, gates)
             for gate in gates:
-                if gate[0] in kept:
+                if gate.id in kept:
                     continue
                 assert not routable(enc, chains, locks, gate), (graph, chains, locks, gate)
                 left_out += 1
@@ -600,7 +600,7 @@ def test_bfs_next_gate_raises_at_once_when_sealed(monkeypatch):
     graph = trap.build_branched(1, 1, 1)
     state = TrapState.from_dicts(graph, {7: (1,), 8: (0, 2)}, {1: 7, 5: 8})
     circuit = Circuit(3, (Gate(1, (0,)), Gate(2, (2, 1))))
-    gates = kernel.encode_gates(circuit.first_layer)
+    gates = circuit.first_layer
     assert kernel.reachable_gates(graph.encoded, state.chains, state.locks, gates) == []
 
     def refuse(*args, **kwargs):

@@ -3,7 +3,10 @@
 Builds the compile-grid cases of the benchmark (perfbench/workloads.py,
 imported read-only) and compiles each one. The digest covers every
 compiled op list and every CompileError text, in case order, so it
-changes when any schedule or failure message of the grid does.
+changes when any schedule or failure message of the grid does. Stdout
+holds the digest alone; stderr gets one line per case, its label and then
+its op count or CompileError text, so a changed digest can be traced to
+the cases that moved.
 
     python tools/grid_digest.py --seed 1
 """
@@ -31,8 +34,10 @@ def grid_digest(seed: int) -> str:
         try:
             ops = lib.baseline.compile(circuit, graph).ops
             text = "\n".join(map(lib.ops.format_op, ops))
+            outcome = f"{len(ops)} ops"
         except lib.errors.CompileError as exc:
-            text = f"CompileError: {exc}"
+            text = outcome = f"CompileError: {exc}"
+        print(f"{label}: {outcome}", file=sys.stderr, flush=True)
         digest.update(f"{label}\n{text}\n\n".encode())
     return digest.hexdigest()
 
