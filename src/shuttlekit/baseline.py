@@ -14,7 +14,7 @@ compile at once when junction locks have sealed every first-layer gate's
 operands apart. Each failure names the lowest-numbered first-layer gate.
 
 The router holds only the kernel encoding of its state and the circuit. It
-commits a shuttling op by taking the kernel successor with that op's code,
+commits a shuttling op with one kernel.transition call on that op's code,
 so the kernel checks every op against the real state, and it emits op
 codes. Each compile decodes them once, and `optimize` is the one
 validating replay of the schedule.
@@ -248,13 +248,13 @@ class _Router:
         self.codes: list[tuple[int, int, int]] = []
 
     def shuttle(self, code: tuple[int, int, int]) -> bool:
-        """Take the kernel successor that `code` names; False, changing nothing, if none."""
-        for successor, chains, locks in kernel.successors(self.trap, self.chains, self.locks):
-            if successor == code:
-                self.chains, self.locks = chains, locks
-                self.codes.append(code)
-                return True
-        return False
+        """Commit `code` through kernel.transition; False, changing nothing, if it is illegal."""
+        after = kernel.transition(self.trap, self.chains, self.locks, code)
+        if after is None:
+            return False
+        self.chains, self.locks = after
+        self.codes.append(code)
+        return True
 
     # -- state-space search -------------------------------------------------
 
@@ -387,10 +387,11 @@ def compile_many(circuits: Iterable[Circuit], graph: TrapGraph) -> list[Schedule
     The compiles share the trap's search tables and a route memo. A search
     whose start state and first-layer operand sets equal an earlier
     successful one's up to a renumbering of qubits reuses that slice: each
-    of its ops is taken as a kernel successor of the real state, and the
-    lowest ready gate id of the real first layer executes. An op that is no
-    successor raises CompileError naming a router defect. The router's op
-    codes are decoded once per circuit and replayed once, by `optimize`.
+    of its ops is committed through kernel.transition on the real state,
+    and the lowest ready gate id of the real first layer executes. An op
+    that transition rejects raises CompileError naming a router defect.
+    The router's op codes are decoded once per circuit and replayed once,
+    by `optimize`.
     The slice is the one a fresh search would find, because the search
     reads qubit labels only through operand positions and chain lengths,
     its estimate is symmetric in a pair's two operands, and its heap order

@@ -7,11 +7,11 @@ output lists the ops with a state echo after each one and stops at the
 from any external text. Wording lives in a versioned template file so the
 golden snapshots survive refactors.
 
-The text that depends only on the encoded state, its qubit positions and
-its shuttling ops, can come from a render memo: a dict keyed by the state's
-`(chains, locks)` on one graph. `generate_dataset` keeps one per graph for
-the length of one call, so each distinct state is rendered once; the gate
-lines, which depend on the circuit as well, are built for every echo.
+The text that depends only on the graph or on the encoded state can come
+from a render memo (`RenderMemo`). `generate_dataset` keeps one per graph
+for the length of one call, so the layout blocks are built once and each
+distinct state is rendered once; the gate lines, which depend on the
+circuit as well, join the state's cached per-qubit strings for every echo.
 """
 
 from __future__ import annotations
@@ -63,38 +63,40 @@ def _vertex_lines(graph: TrapGraph) -> list[str]:
     return lines
 
 
-def _edge_lines(graph: TrapGraph) -> list[str]:
-    return [f"{a} -- {b}" for a, b in sorted(graph.edges)]
+class RenderMemo:
+    """The text the renders on one graph share, kept for the length of one call.
 
+    `layout` holds the graph's bulleted "Trap layout" and "Connections"
+    blocks, built on first use. `states` maps an encoded state (chains,
+    locks) to its TrapState, its `qubit q at [v, p]` string per qubit, its
+    "Qubit positions" block and the formatted lines of its shuttling ops.
+    """
 
-def _gate_line(gate: Gate, state: TrapState) -> str:
-    spots = []
-    for qubit in gate.qubits:
-        pos = state.position_of(qubit)
-        spots.append(f"qubit {qubit} at [{pos.vertex}, {pos.position}]")
-    return f"gate {gate.id}: " + ", ".join(spots)
-
-
-# A render memo maps an encoded state (chains, locks) on one graph to what
-# its echoes share: the state, its bulleted "Qubit positions" block, and the
-# formatted lines of its shuttling ops.
-RenderMemo = dict[tuple, tuple[TrapState, str, list[str]]]
+    def __init__(self) -> None:
+        self.layout: tuple[str, str] | None = None
+        self.states: dict[tuple, tuple[TrapState, dict[int, str], str, list[str]]] = {}
 
 
 def _state_text(
     graph: TrapGraph, chains: tuple, locks: tuple, memo: RenderMemo, state: TrapState | None = None
-) -> tuple[TrapState, str, list[str]]:
+) -> tuple[TrapState, dict[int, str], str, list[str]]:
     """The memo entry of state (chains, locks), rendered and stored on a miss.
 
     `state` is that state when the caller holds one.
     """
-    entry = memo.get((chains, locks))
+    entry = memo.states.get((chains, locks))
     if entry is None:
         if state is None:
             state = TrapState(chains, locks)
+        lines = position_lines(state)
+        spots = dict(zip(sorted(state.qubit_positions), lines))
         shuttles = [op_mod.format_op(op) for op in op_mod.shuttle_ops(state, graph)]
-        entry = memo[chains, locks] = (state, _bullets(position_lines(state)), shuttles)
+        entry = memo.states[chains, locks] = (state, spots, _bullets(lines), shuttles)
     return entry
+
+
+def _gate_lines(gates: tuple[Gate, ...], spots: dict[int, str]) -> str:
+    return _bullets([f"gate {g.id}: " + ", ".join(spots[q] for q in g.qubits) for g in gates])
 
 
 def _allowed_block(shuttles: list[str], graph: TrapGraph, chains: tuple, gates: tuple) -> str:
@@ -111,22 +113,25 @@ def render_instruction(
     Contains the trap layout, the operation rules, the goal, and four
     enumerations: qubit positions, first-layer gates, the gates one
     execution away, and the currently allowed operations. `memo`, a render
-    memo for `graph`, supplies and keeps the state's own text.
+    memo for `graph`, supplies and keeps the layout and the state's text.
     """
     if state.qubits != frozenset(range(circuit.qubit_count)):
         raise RenderError(
             f"state holds qubits {sorted(state.qubits)}, "
             f"circuit expects 0..{circuit.qubit_count - 1}"
         )
-    memo = {} if memo is None else memo
-    state, positions, shuttles = _state_text(graph, state.chains, state.locks, memo, state)
+    memo = RenderMemo() if memo is None else memo
+    if memo.layout is None:
+        edges = [f"{a} -- {b}" for a, b in sorted(graph.edges)]
+        memo.layout = (_bullets(_vertex_lines(graph)), _bullets(edges))
+    state, spots, positions, shuttles = _state_text(graph, state.chains, state.locks, memo, state)
     first_layer = circuit.first_layer
     return _template().substitute(
         capacity=graph.capacity,
-        vertex_block=_bullets(_vertex_lines(graph)),
-        edge_block=_bullets(_edge_lines(graph)),
+        vertex_block=memo.layout[0],
+        edge_block=memo.layout[1],
         position_block=positions,
-        first_layer_block=_bullets([_gate_line(g, state) for g in first_layer]),
+        first_layer_block=_gate_lines(first_layer, spots),
         next_layer_block=_bullets(
             [
                 f"gate {g.id} on qubits " + ", ".join(str(q) for q in g.qubits)
@@ -146,12 +151,12 @@ def render_output(
     positions, the first-layer gates, and the operations allowed next.
     circuit must reflect the executions before the slice, i.e. slice.circuit.
     The shuttling ops are walked through kernel.transition on the state's
-    encoding, and the final `Execute Gate` is checked by ops.apply; an
-    illegal op raises IllegalOperationError naming the failed condition.
-    `memo`, a render memo for `graph`, supplies and keeps each echoed
-    state's text.
+    encoding, and the final `Execute Gate` is checked by ops.apply in the
+    state the last of them left; an illegal op raises IllegalOperationError
+    naming the failed condition. `memo`, a render memo for `graph`,
+    supplies and keeps each echoed state's text.
     """
-    memo = {} if memo is None else memo
+    memo = RenderMemo() if memo is None else memo
     trap = graph.encoded
     first_layer = circuit.first_layer
     state = slice.state
@@ -166,9 +171,9 @@ def render_output(
         if after is None:
             raise op_mod.rejection(state, graph, circuit, op)
         chains, locks = after
-        state, positions, shuttles = _state_text(graph, chains, locks, memo)
+        state, spots, positions, shuttles = _state_text(graph, chains, locks, memo)
         lines = [op_mod.format_op(op), "Qubit positions:", positions, "First-layer gates:"]
-        lines.append(_bullets([_gate_line(g, state) for g in first_layer]))
+        lines.append(_gate_lines(first_layer, spots))
         lines.append("Allowed operations:")
         lines.append(_allowed_block(shuttles, graph, chains, first_layer))
         blocks.append("\n".join(lines))
@@ -259,7 +264,7 @@ def generate_dataset(schedules: list[Schedule], eval_fraction: float) -> Dataset
             skipped.append(f"schedule {index}: {exc}")
             continue
         graph = schedule.graph
-        memo = memos.setdefault(id(graph), {})
+        memo = memos.setdefault(id(graph), RenderMemo())
         entries = []
         for piece in slices:
             instruction = render_instruction(graph, piece.state, piece.circuit, memo=memo)

@@ -1,9 +1,9 @@
 """The shuttling rules and the routing search, on the encoding TrapState holds.
 
 The one module that states the shuttling rules. `transition` states what
-each op does; ops.apply and dataset rendering step ops through it.
-`successors` enumerates candidate ops through it for ops.shuttle_ops and
-the router's commits. `route_search` is the package's one state-space
+each op does; ops.apply, dataset rendering and the router's commits step
+ops through it. `successors` enumerates candidate ops through it for
+ops.shuttle_ops. `route_search` is the package's one state-space
 search: the router runs it as a weighted best-first search, and the
 next-gate oracle at uniform cost. Its loop is a fused copy of the
 `successors` enumeration and returns the op codes it applied.

@@ -1,10 +1,10 @@
 """The five schedule operations: legality reasons, stepping, enumeration, text.
 
 The kernel alone states what the ops do: `apply` steps a shuttling op
-through kernel.transition on the state's own encoding, `shuttle_ops` lists
-the ops kernel.successors gives, `execute_ops` the Execute Gates that
-kernel.ready_gates gives, and `allowed_ops` joins the two; the router takes
-the op codes kernel.route_search applied. violation() words the same rules
+through kernel.transition on the state's own encoding and checks an Execute
+Gate through kernel.ready_gates; `shuttle_ops` and `execute_ops` list the
+ops kernel.successors and kernel.ready_gates give, and `allowed_ops` joins
+the two. violation() words the same rules
 for one op, so that a rejection names the condition it failed, and tests
 hold the three equal. `encode_op` and `decode_op` convert between ops and
 kernel op codes. Executing a gate leaves the chain state untouched;
@@ -163,11 +163,15 @@ def violation(
 def apply(state: TrapState, graph: TrapGraph, circuit: Circuit, op: ShuttleOp) -> TrapState:
     """The state after op; raises IllegalOperationError naming the failed condition.
 
-    A shuttling op steps through kernel.transition; violation() only words
-    a rejection. Executing a gate returns the state unchanged.
+    A shuttling op steps through kernel.transition, and an Execute Gate of the
+    first layer is legal when kernel.ready_gates lists it; executing returns
+    the state unchanged. violation() only words a rejection.
     """
     if isinstance(op, ExecuteGate):
-        if _execute_violation(state, graph, circuit, op.gate) is None:
+        gate = circuit.gate_by_id.get(op.gate)
+        if gate is not None and circuit.in_first_layer(op.gate) and kernel.ready_gates(
+            graph.encoded, state.chains, (gate,)
+        ):
             return state
     else:
         after = kernel.transition(graph.encoded, state.chains, state.locks, encode_op(op))

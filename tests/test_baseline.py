@@ -145,7 +145,7 @@ def test_every_slice_starts_with_junctions_empty(graph, qubits, seeds):
 
 
 def test_compile_steps_each_op_once(monkeypatch):
-    """The router takes kernel successors; optimize is the one replay of its ops.
+    """The router commits through kernel.transition; optimize is the one replay of its ops.
 
     Past the placement, every TrapState comes from an ops.apply of that
     replay, so the router neither builds nor steps one. An Execute Gate
@@ -175,6 +175,43 @@ def test_compile_steps_each_op_once(monkeypatch):
     baseline.compile(baseline.random_circuit(4, 6, 0), trap.build_eval_layout("ring", 4))
     assert applied == received[0] > 0
     assert built == 1 + shuttled
+
+
+@pytest.mark.parametrize(
+    "code",
+    [(kernel.TRANSLATE, 0, 2), (kernel.TRANSLATE, 5, 4), (kernel.SEPARATE, 99, -1),
+     (kernel.EXECUTE, 1, -1)],
+    ids=["not_adjacent", "beyond_the_trap", "separate_beyond_the_trap", "execute"],
+)
+def test_router_rejects_an_illegal_code_and_changes_nothing(code):
+    """_Router.shuttle returns False and leaves its state and codes as they were."""
+    graph = trap.build_linear(2)  # 0 - 1 - [2] - 3 - 4
+    state = TrapState.from_dicts(graph, {0: (0,), 4: (1,)})
+    router = baseline._Router(
+        baseline._Batch(graph), baseline.random_circuit(2, 2, 0), state.chains, state.locks
+    )
+    assert router.shuttle((kernel.TRANSLATE, 0, 1))
+    chains, locks, codes = router.chains, router.locks, list(router.codes)
+    assert not router.shuttle(code)
+    assert (router.chains, router.locks, router.codes) == (chains, locks, codes)
+
+
+def test_compile_makes_no_successor_scan(monkeypatch):
+    """compile and compile_many commit each op through kernel.transition alone."""
+    calls = 0
+    successors = kernel.successors
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return successors(*args)
+
+    monkeypatch.setattr(kernel, "successors", counted)
+    ring = trap.build_eval_layout("ring", 4)
+    baseline.compile(baseline.random_circuit(4, 6, 0), ring)
+    baseline.compile_many([baseline.random_circuit(4, 6, seed) for seed in range(3)], ring)
+    baseline.compile_many([baseline.random_circuit(5, 6, 0)], trap.build_linear(5))
+    assert calls == 0
 
 
 class IllegalRoutes(dict):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from shuttlekit import baseline, cli, kernel, ops, trap
+from shuttlekit import baseline, cli, dataset, kernel, ops, trap
 from shuttlekit.circuit import Circuit, Gate, parse_circuit
 from shuttlekit.dataset import DataEntry, generate_dataset, render_instruction, render_output
 from shuttlekit.errors import IllegalOperationError
@@ -158,6 +158,9 @@ ROUTE = ("Translate 0 -> 1", "Translate 4 -> 3", "Merge 2", "Execute Gate 1")
          "Execute Gate 1: qubits of gate 1 sit in different vertices"),
         (LINEAR2, {0: (0,), 4: (1,)}, {}, (*ROUTE[:3], "Execute Gate 7"),
          "Execute Gate 7: unknown gate 7"),
+        # Ready in the slice's first state, not in the state its last shuttle leaves.
+        (LINEAR2, {2: (0, 1)}, {}, ("Separate 2", "Execute Gate 1"),
+         "Execute Gate 1: qubits of gate 1 sit in different vertices"),
     ],
 )
 def test_illegal_slice_fails_render_with_the_replay_error(graph, chains, locks, lines, message):
@@ -204,3 +207,26 @@ def test_generate_dataset_renders_each_distinct_state_once(monkeypatch):
     assert calls == len(distinct)
     assert generate_dataset(schedules, 0.5) == first
     assert calls == 2 * len(distinct)
+
+
+def test_generate_dataset_builds_the_layout_once_per_graph(monkeypatch):
+    """The "Trap layout" block is built once per distinct graph object, per call."""
+    linear, ring = trap.build_linear(3), trap.build_eval_layout("ring", 4)
+    schedules = [
+        *baseline.compile_many([baseline.random_circuit(3, 6, seed) for seed in range(3)], linear),
+        *baseline.compile_many([baseline.random_circuit(4, 6, seed) for seed in range(2)], ring),
+        *baseline.compile_many([baseline.random_circuit(3, 6, 3)], linear),
+    ]
+    built = []
+    vertex_lines = dataset._vertex_lines
+
+    def counted(graph):
+        built.append(graph)
+        return vertex_lines(graph)
+
+    monkeypatch.setattr(dataset, "_vertex_lines", counted)
+    first = generate_dataset(schedules, 0.5)
+    assert len(first.entries) > len(schedules)
+    assert built == [linear, ring]
+    assert generate_dataset(schedules, 0.5) == first
+    assert built == [linear, ring, linear, ring]

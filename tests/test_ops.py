@@ -452,7 +452,9 @@ def test_kernel_matches_violation_on_random_walks(graph, qubits):
     whose apply lands on that successor's encoding; for every shuttling op
     of every_op and ops naming vertex ids beyond the trap,
     kernel.transition returns exactly the successor with that code, and
-    None exactly when violation() gives a reason; and on oracle-sized
+    None exactly when violation() gives a reason; for every Execute Gate of
+    every_op and one unknown gate id, apply raises exactly when violation()
+    gives a reason, with that reason in its text; and on oracle-sized
     instances the bfs_next_gate route replays and ends in a gate execution.
     """
     oracle = len(graph.vertices) <= ORACLE_MAX_VERTICES and qubits <= 4
@@ -482,6 +484,15 @@ def test_kernel_matches_violation_on_random_walks(graph, qubits):
                 after = kernel.transition(trap_enc, state.chains, state.locks, code)
                 assert after == by_code.get(code)
                 assert (after is None) == (violation(state, graph, circuit, op) is not None)
+            executes = [op for op in every_op(graph, circuit) if isinstance(op, ExecuteGate)]
+            for op in executes + [ExecuteGate(len(circuit.gates) + 1)]:
+                reason = violation(state, graph, circuit, op)
+                if reason is None:
+                    assert apply(state, graph, circuit, op) is state
+                    continue
+                with pytest.raises(IllegalOperationError) as rejected:
+                    apply(state, graph, circuit, op)
+                assert str(rejected.value) == f"{format_op(op)}: {reason}"
             if oracle and step % 10 == 0 and circuit.first_layer:
                 try:
                     route = bfs_next_gate(state, graph, circuit)
