@@ -16,8 +16,8 @@ from .errors import ShuttleError
 from .ops import format_op
 from .schedule import (
     Schedule,
-    optimize,
     parse_schedule,
+    replay,
     schedule_paths,
     serialize_schedule,
     validate,
@@ -129,11 +129,10 @@ def _cmd_validate(args) -> int:
 def _cmd_optimize(args) -> int:
     text, graph, circuit = _load_schedule_inputs(args)
     schedule = parse_schedule(text, graph, circuit, replay=False)
-    report = validate(schedule)
+    report, _, trimmed, _ = replay(graph, schedule.placement, circuit, schedule.ops)
     if not report.ok:
         print(f"invalid schedule: {report.reason}", file=sys.stderr)
         return 1
-    trimmed = optimize(schedule.ops, graph, circuit, schedule.placement)
     out = Schedule(graph, circuit, schedule.placement, tuple(trimmed))
     trap_path, circuit_path = schedule_paths(text)
     _write(args.out, serialize_schedule(out, trap_path, circuit_path))

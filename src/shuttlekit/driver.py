@@ -20,15 +20,14 @@ import requests
 from .circuit import Circuit
 from .dataset import parse_output, render_instruction
 from .errors import (
-    IllegalOperationError,
-    OrderViolationError,
     OutputParseError,
     PlacementError,
     ReplayMismatchError,
+    ScheduleValidationError,
     ShuttleError,
     TransportError,
 )
-from .schedule import Schedule, optimize_replay
+from .schedule import Schedule, replay
 from .state import initial_placement
 from .trap import TrapGraph
 
@@ -270,15 +269,15 @@ def generate_schedule(
     """Build a schedule one gate execution at a time via the client.
 
     Each step submits one instruction and accepts the response only if it
-    parses, replays cleanly from the current state, and executes a
-    first-layer gate. The replay is `optimize_replay`, which steps each op
-    once: an accepted slice is kept peephole-optimized, and the run
-    continues from the state the replay ended in. Invalid responses
-    resubmit the identical instruction, and ten consecutive invalid
-    responses (or the time budget) abort the run with a partial schedule;
-    the failure reason then ends with the last rejection's text.
-    A scripted or replayed client that cannot answer the instruction aborts
-    it at once.
+    parses and `replay` steps each op legally from the current state; the
+    slice that executes the last gate must also leave a schedule `validate`
+    accepts, so a complete run is a valid schedule. The accepted slice is
+    kept peephole-optimized, and the run continues from the state and
+    circuit the replay ended in. Invalid responses resubmit the identical
+    instruction, and ten consecutive invalid responses (or the time budget)
+    abort the run with a partial schedule; the failure reason then ends
+    with the last rejection's text. A scripted or replayed client that
+    cannot answer the instruction aborts it at once.
     """
     placement = initial_placement(circuit, graph)
     state = placement
@@ -305,9 +304,10 @@ def generate_schedule(
             continue
         tokens_total += result.token_count
         try:
-            ops = parse_output(result.text)
-            ops, state, current = optimize_replay(ops, graph, current, state)
-        except (OutputParseError, IllegalOperationError, OrderViolationError) as exc:
+            report, _, ops, reached = replay(graph, state, current, parse_output(result.text))
+            if report.final_state is None or (reached.is_complete and not report.ok):
+                raise ScheduleValidationError(report)
+        except (OutputParseError, ScheduleValidationError) as exc:
             retries += 1
             consecutive += 1
             if consecutive >= params.max_consecutive_invalid:
@@ -318,11 +318,9 @@ def generate_schedule(
                 )
                 break
             continue
-        # The replay was clean and parse_output guarantees a final
-        # ExecuteGate, so at least one first-layer gate was executed. The
-        # optimizer deletes only pairs that return to their start state,
-        # junction locks included, so the trimmed slice ends in the state
-        # the run continues from.
+        # Cancelled pairs are state identities, so the kept ops end in the
+        # state the replay ended in.
+        state, current = report.final_state, reached
         all_ops.extend(ops)
         tokens_final += result.token_count
         consecutive = 0

@@ -1,13 +1,17 @@
 """Schedules: placement plus op list, validated by replay.
 
 A schedule is complete when replay executes every gate, ends with no
-occupied junction, and contains no shuttling after the final gate. Replay
-is `step` applied op by op; each consumer makes one pass: `validate` and
-`decompose` share one, and `optimize_replay` is both the optimizer and the
-validating replay of a compiled schedule or an accepted generated slice.
-The optimizer deletes adjacent op pairs that provably return to the state
-they started from, junction locks included, so removal can never invalidate
-a later op or change the final state.
+occupied junction, and contains no shuttling after the final gate. There
+is one replay loop, `replay`, which applies `step` op by op and returns the
+validation report, the per-gate slices, the optimizer's kept ops and the
+circuit reached. Each consumer makes one pass and reads what it needs:
+`validate` the report, `decompose` the slices, `optimize` the kept ops, and
+the generation driver the report, kept ops and circuit of each slice it
+accepts, so a generated schedule is complete only if `validate` accepts
+it. The optimizer deletes adjacent op pairs
+that provably return to the state they started from, junction locks
+included, so removal can never invalidate a later op or change the final
+state.
 """
 
 from __future__ import annotations
@@ -68,53 +72,78 @@ def step(
     return state, circuit
 
 
+def replay(
+    graph: TrapGraph,
+    state: TrapState,
+    circuit: Circuit,
+    ops: list[ShuttleOp] | tuple[ShuttleOp, ...],
+) -> tuple[ValidationReport, list[EntrySlice], list[ShuttleOp], Circuit]:
+    """Step the ops once from (state, circuit): report, slices, kept ops, circuit reached.
+
+    An illegal op stops the replay with `failure_index` set and
+    `final_state=None`. Otherwise the report checks the end conditions:
+    every gate executed, no op after the final gate, no chain on a junction.
+    The slices are cut at each Execute Gate from the ops as given.
+
+    The kept ops are the optimizer's. A stack holds each kept op with the
+    state it starts from; an incoming shuttling op cancels the top when the
+    pair returns to the top op's start state, junction locks included.
+    Every shuttling op changes the state and only its inverse undoes it, so
+    such a pair is a back-and-forth Translate, Merge;Separate either way
+    round, or a double Swap. A cancelled pair is a state identity, so the
+    kept ops replay to the same states, final state and executed gates, and
+    no kept adjacent pair is redundant. Ops are never reordered and Execute
+    Gate lines survive.
+    """
+    slices: list[EntrySlice] = []
+    kept: list[tuple[ShuttleOp, TrapState]] = []
+    slice_state, slice_circuit = state, circuit
+    start = 0
+    for index, op in enumerate(ops):
+        try:
+            after, circuit = step(graph, state, circuit, op)
+        except IllegalOperationError as exc:
+            report = ValidationReport(False, index, str(exc), len(slices), None)
+            return report, slices, [op for op, _ in kept], circuit
+        if isinstance(op, ExecuteGate):
+            slices.append(EntrySlice(slice_state, slice_circuit, tuple(ops[start : index + 1])))
+            slice_state, slice_circuit, start = after, circuit, index + 1
+            kept.append((op, state))
+        elif kept and after == kept[-1][1]:
+            kept.pop()
+        else:
+            kept.append((op, state))
+        state = after
+    executed = len(slices)
+    failure_index = reason = None
+    if not circuit.is_complete:
+        reason = f"unexecuted gates remain ({executed} of {len(circuit.gates)})"
+    elif start != len(ops):
+        failure_index, reason = start, "trailing operations after the final gate"
+    else:
+        for vertex, chain in enumerate(state.chains):
+            if chain and graph.is_junction(vertex):
+                reason = f"junction {vertex} occupied at the end"
+                break
+    report = ValidationReport(reason is None, failure_index, reason, executed, state)
+    return report, slices, [op for op, _ in kept], circuit
+
+
 def validate(schedule: Schedule) -> ValidationReport:
     """Replay the schedule and report the first violated condition, if any."""
-    return _replay(schedule)[0]
+    return replay(schedule.graph, schedule.placement, schedule.circuit, schedule.ops)[0]
 
 
 def decompose(schedule: Schedule) -> list[EntrySlice]:
     """Split a valid schedule into per-gate slices; concatenating them restores it.
 
-    The slices are cut during the one validating replay. An invalid schedule
-    raises ScheduleValidationError carrying the report `validate` returns.
+    An invalid schedule raises ScheduleValidationError carrying the report
+    `validate` returns.
     """
-    report, slices = _replay(schedule)
+    report, slices, *_ = replay(schedule.graph, schedule.placement, schedule.circuit, schedule.ops)
     if not report.ok:
         raise ScheduleValidationError(report)
     return slices
-
-
-def _replay(schedule: Schedule) -> tuple[ValidationReport, list[EntrySlice]]:
-    """One replay pass: the validation report and the per-gate slices cut so far."""
-    state = schedule.placement
-    circuit = schedule.circuit
-    slices: list[EntrySlice] = []
-    slice_state, slice_circuit = state, circuit
-    last_gate_index = -1
-    for index, op in enumerate(schedule.ops):
-        try:
-            state, circuit = step(schedule.graph, state, circuit, op)
-        except IllegalOperationError as exc:
-            return ValidationReport(False, index, str(exc), len(slices), None), slices
-        if isinstance(op, ExecuteGate):
-            piece = schedule.ops[last_gate_index + 1 : index + 1]
-            slices.append(EntrySlice(slice_state, slice_circuit, piece))
-            slice_state, slice_circuit = state, circuit
-            last_gate_index = index
-    executed = len(slices)
-    if not circuit.is_complete:
-        total = len(circuit.gates)
-        reason = f"unexecuted gates remain ({executed} of {total})"
-        return ValidationReport(False, None, reason, executed, state), slices
-    if last_gate_index != len(schedule.ops) - 1:
-        reason = "trailing operations after the final gate"
-        return ValidationReport(False, last_gate_index + 1, reason, executed, state), slices
-    for vertex, chain in enumerate(state.chains):
-        if chain and schedule.graph.is_junction(vertex):
-            reason = f"junction {vertex} occupied at the end"
-            return ValidationReport(False, None, reason, executed, state), slices
-    return ValidationReport(True, None, None, executed, state), slices
 
 
 def optimize(
@@ -123,45 +152,15 @@ def optimize(
     circuit: Circuit,
     state: TrapState,
 ) -> list[ShuttleOp]:
-    """Remove redundant adjacent pairs until none remain.
+    """Remove redundant adjacent pairs until none remain (the kept ops of `replay`).
 
     The ops must replay legally from (state, circuit); an illegal op raises
-    IllegalOperationError. The pass is `optimize_replay`, which also
-    returns the state and circuit the ops end in.
+    IllegalOperationError. They need not complete the circuit.
     """
-    return optimize_replay(ops, graph, circuit, state)[0]
-
-
-def optimize_replay(
-    ops: list[ShuttleOp] | tuple[ShuttleOp, ...],
-    graph: TrapGraph,
-    circuit: Circuit,
-    state: TrapState,
-) -> tuple[list[ShuttleOp], TrapState, Circuit]:
-    """The optimized ops, with the state and circuit that replaying them ends in.
-
-    One forward pass steps each op once, so it is also the validating
-    replay of the ops: an illegal op raises IllegalOperationError, an
-    out-of-order gate OrderViolationError. It keeps a stack of kept ops,
-    each with the state it starts from. An incoming shuttling op cancels
-    the top of the stack when the pair returns to the top op's start state,
-    junction locks included; otherwise it is pushed. Every shuttling op
-    changes the state and only its inverse undoes it, so such a pair is a
-    back-and-forth Translate, Merge;Separate either way round, or a double
-    Swap. A cancelled pair is a state identity, so the kept ops replay to
-    the same states, the same final state and the same executed gates, and
-    no kept adjacent pair is redundant. Ops are never reordered and
-    Execute Gate lines survive.
-    """
-    kept: list[tuple[ShuttleOp, TrapState]] = []
-    for op in ops:
-        after, circuit = step(graph, state, circuit, op)
-        if kept and not isinstance(op, ExecuteGate) and after == kept[-1][1]:
-            kept.pop()
-        else:
-            kept.append((op, state))
-        state = after
-    return [op for op, _ in kept], state, circuit
+    report, _, kept, _ = replay(graph, state, circuit, ops)
+    if report.final_state is None:
+        raise IllegalOperationError(report.reason)
+    return kept
 
 
 def serialize_schedule(schedule: Schedule, trap_path: str, circuit_path: str) -> str:

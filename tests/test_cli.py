@@ -2,9 +2,12 @@
 
 import pytest
 
-from shuttlekit import cli
+from shuttlekit import cli, driver
 from shuttlekit.baseline import random_circuit
-from shuttlekit.circuit import serialize_circuit
+from shuttlekit.circuit import Circuit, Gate, parse_circuit, serialize_circuit
+from shuttlekit.ops import Translate, format_op
+from shuttlekit.schedule import parse_schedule, schedule_paths
+from shuttlekit.trap import parse_trap
 
 
 def write_inputs(tmp_path, trap_argv, circuit):
@@ -61,6 +64,63 @@ def test_validate_names_the_tampered_op(tmp_path, capsys):
     assert capsys.readouterr().out == (
         f"invalid at op {index}: Translate 0 -> 4: vertices 0 and 4 are not adjacent\n"
     )
+
+
+def test_optimize_refuses_an_invalid_schedule(tmp_path, capsys):
+    schedule = compile_small(tmp_path)
+    lines = schedule.read_text(encoding="utf-8").splitlines()
+    schedule.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")  # drop the last gate
+    out = tmp_path / "optimized.txt"
+    capsys.readouterr()
+    assert cli.main(["optimize", "--schedule", str(schedule), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid schedule: unexecuted gates remain (")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_optimize_removes_an_injected_back_and_forth(tmp_path, capsys):
+    schedule = compile_small(tmp_path)
+    original = schedule.read_bytes()
+    text = original.decode("utf-8")
+    trap_path, circuit_path = (tmp_path / name for name in schedule_paths(text))
+    graph = parse_trap(trap_path.read_text(encoding="utf-8"))
+    circuit = parse_circuit(circuit_path.read_text(encoding="utf-8"))
+    state = parse_schedule(text, graph, circuit).placement
+    vertex = next(v for v, chain in enumerate(state.chains) if chain)
+    free = next(n for n in graph.neighbors(vertex) if not state.occupied(n))
+    bounce = [format_op(Translate(vertex, free)), format_op(Translate(free, vertex))]
+    lines = text.splitlines()
+    first_op = sum(line.startswith(("trap ", "circuit ", "placement: ")) for line in lines)
+    lines[first_op:first_op] = bounce
+    injected = tmp_path / "injected.txt"
+    injected.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "optimized.txt"
+    capsys.readouterr()
+    assert cli.main(["optimize", "--schedule", str(injected), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "removed 2 operations\n"
+    assert out.read_bytes() == original
+
+
+def test_run_llm_that_leaves_a_junction_occupied_is_not_complete(tmp_path, capsys):
+    """A final slice of legal ops that parks a chain on a junction fails the run."""
+    circuit = Circuit(3, (Gate(1, (0, 1)),))
+    trap_argv = ["--family", "branched", "--per-side", "2", "--stack-depth", "1",
+                 "--junction-distance", "1"]
+    trap_file, circuit_file = write_inputs(tmp_path, trap_argv, circuit)
+    replay = tmp_path / "exchanges.jsonl"
+    parked = "Translate 2 -> 1\n\nExecute Gate 1\n"  # qubit 2 onto junction 1
+    client = driver.RecordingClient(driver.MockCompletionClient([parked] * 10), str(replay))
+    graph = parse_trap((tmp_path / "trap.json").read_text(encoding="utf-8"))
+    driver.generate_schedule(circuit, graph, client)
+    argv = ["run-llm", "--trap", trap_file, "--circuit", circuit_file, "--replay", str(replay)]
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(tmp_path / "schedule.txt")]) == 1
+    captured = capsys.readouterr()
+    assert "outcome: complete" not in captured.out
+    assert "outcome: failed" in captured.out
+    assert "junction 1 occupied at the end" in captured.out
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

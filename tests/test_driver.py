@@ -6,6 +6,7 @@ import pytest
 
 from shuttlekit import baseline, driver, ops, trap
 from shuttlekit.baseline import random_circuit
+from shuttlekit.circuit import Circuit, Gate
 from shuttlekit.dataset import parse_output, render_instruction, render_output
 from shuttlekit.driver import (
     GenerationParams,
@@ -34,14 +35,17 @@ def tokens(text):
     return len(text.split())
 
 
-def redundant(index):
-    """OUTPUTS[index] led by a legal back-and-forth Translate."""
-    state = SLICES[index].state
+def redundant(index, graph=GRAPH, slices=SLICES, outputs=OUTPUTS):
+    """outputs[index] led by a legal back-and-forth Translate the optimizer cancels.
+
+    A bounce through a junction rewrites its lock, so it is not redundant.
+    """
+    state = slices[index].state
     for vertex in (v for v, chain in enumerate(state.chains) if chain):
-        for n in GRAPH.neighbors(vertex):
-            if not state.occupied(n):
+        for n in graph.neighbors(vertex):
+            if not state.occupied(n) and not graph.is_junction(n):
                 pair = (Translate(vertex, n), Translate(n, vertex))
-                return "".join(format_op(op) + "\n" for op in pair) + "\n" + OUTPUTS[index]
+                return "".join(format_op(op) + "\n" for op in pair) + "\n" + outputs[index]
     raise AssertionError("no free neighbor to bounce into")
 
 
@@ -120,6 +124,86 @@ def test_consecutive_invalid_outputs_fail_with_a_legal_partial_schedule():
         assert stats.failure_reason == (
             f"10 consecutive invalid outputs for one instruction; last: {line}: {reason}"
         )
+
+
+# On branched(2, 1, 1) the placement puts qubit 2 on vertex 2, next to
+# junction 1; the lone gate acts on qubits 0 and 1, which share vertex 3.
+JUNCTION_GRAPH = trap.build_branched(2, 1, 1)
+JUNCTION_CIRCUIT = Circuit(3, (Gate(1, (0, 1)),))
+PARKED = "Translate 2 -> 1\n\nExecute Gate 1\n"
+
+
+def test_a_final_slice_that_leaves_a_junction_occupied_is_retried():
+    """Every op is legal, but the schedule the slice completes fails validate."""
+    client = MockCompletionClient([PARKED] * 10)
+    schedule, stats = generate_schedule(
+        JUNCTION_CIRCUIT, JUNCTION_GRAPH, client, clock=lambda: 0.0
+    )
+    assert (stats.outcome, stats.retries, stats.gates_executed) == ("failed", 10, 0)
+    assert stats.failure_reason.endswith("; last: junction 1 occupied at the end")
+    assert schedule.ops == ()
+
+
+def test_a_gate_executed_again_is_an_illegal_op():
+    done = SLICES[0].gate
+    again = f"Execute Gate {done}\n"
+    schedule, stats = run(MockCompletionClient([OUTPUTS[0], again, *OUTPUTS[1:]]))
+    assert (stats.outcome, stats.retries) == ("complete", 1)
+    assert schedule.ops == COMPILED.ops
+    _, stats = run(MockCompletionClient([OUTPUTS[0]] + [again] * 10))
+    assert (stats.outcome, stats.retries, stats.gates_executed) == ("failed", 10, 1)
+    assert stats.failure_reason.endswith(
+        f"; last: Execute Gate {done}: gate {done} is not in the first layer"
+    )
+
+
+def parked(graph, piece):
+    """The slice's output with a bystander chain moved onto a junction before its gate."""
+    state, circuit = piece.state, piece.circuit
+    for op in piece.ops[:-1]:
+        state, circuit = step(graph, state, circuit, op)
+    for vertex in (v for v, chain in enumerate(state.chains) if chain):
+        for junction in filter(graph.is_junction, graph.neighbors(vertex)):
+            park = Translate(vertex, junction)
+            try:
+                step(graph, step(graph, state, circuit, park)[0], circuit, piece.ops[-1])
+            except IllegalOperationError:
+                continue
+            return "".join(format_op(op) + "\n" for op in (*piece.ops[:-1], park, piece.ops[-1]))
+    raise AssertionError("no chain can park on a junction")
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [trap.build_linear(2), trap.build_branched(1, 1, 1), trap.build_eval_layout("ring", 4)],
+    ids=["linear2", "branched111", "ring4"],
+)
+def test_a_complete_run_is_always_a_valid_schedule(graph):
+    slices = decompose(baseline.compile(CIRCUIT, graph))
+    outputs = [render_output(piece, graph, piece.circuit) for piece in slices]
+    rejected = [UNPARSEABLE, NO_EXECUTE] + [f"{line}\nExecute Gate 1\n" for line, _ in OUT_OF_RANGE]
+    faulty = []
+    for index, output in enumerate(outputs):
+        faulty += [rejected[index % len(rejected)], output]
+    scripts = {
+        "faulty": faulty,
+        "redundant": [redundant(i, graph, slices, outputs) for i in range(len(outputs))],
+        "out_of_range": outputs[:-1] + [rejected[-1]] * 10,
+    }
+    if any(map(graph.is_junction, graph.vertices)):
+        last = parked(graph, slices[-1])
+        scripts["parked_then_clean"] = outputs[:-1] + [last, outputs[-1]]
+        scripts["parked"] = outputs[:-1] + [last] * 10
+    outcomes = {}
+    for name, script in scripts.items():
+        schedule, stats = generate_schedule(
+            CIRCUIT, graph, MockCompletionClient(script), clock=lambda: 0.0
+        )
+        assert validate(schedule).ok == (stats.outcome == "complete"), name
+        outcomes[name] = stats.outcome
+    assert outcomes["faulty"] == outcomes["redundant"] == "complete"
+    assert outcomes["out_of_range"] == outcomes.get("parked", "failed") == "failed"
+    assert outcomes.get("parked_then_clean", "complete") == "complete"
 
 
 def test_record_then_replay_reproduces_the_run(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from shuttlekit import baseline, trap
 from shuttlekit.baseline import random_circuit
 from shuttlekit.circuit import Circuit, Gate
-from shuttlekit.errors import ScheduleError, ScheduleValidationError
+from shuttlekit.errors import IllegalOperationError, ScheduleError, ScheduleValidationError
 from shuttlekit.ops import ExecuteGate, Merge, Separate, Swap, Translate, allowed_ops
 from shuttlekit.schedule import (
     Schedule,
@@ -188,6 +188,19 @@ def test_decompose_raises_the_validate_report(build):
 
 
 # -- optimize -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build", INVALID_SCHEDULES, ids=lambda build: build.__name__)
+def test_optimize_raises_only_on_an_illegal_op(build):
+    """optimize needs legal ops, not a complete schedule: the end conditions are validate's."""
+    sched = build()
+    report = validate(sched)
+    if report.final_state is None:
+        with pytest.raises(IllegalOperationError) as exc:
+            run_optimize(sched)
+        assert str(exc.value) == report.reason
+    else:
+        assert run_optimize(sched) == sched.ops
 
 
 def run_optimize(sched):
