@@ -7,10 +7,12 @@ output lists the ops with a state echo after each one and stops at the
 from any external text. Wording lives in a versioned template file so the
 golden snapshots survive refactors.
 
-The text that depends only on the graph or on the encoded state can come
-from a render memo (`RenderMemo`). `generate_dataset` keeps one per graph
-for the length of one call, so the layout blocks are built once and each
-distinct state is rendered once; the gate lines, which depend on the
+A state renders straight from its encoding: positions off the chains, op
+lines off kernel op codes. A render memo (`RenderMemo`) keeps the text that
+depends only on the graph, an op code or the encoded state.
+`generate_dataset` keeps one per graph for one call, and
+`driver.generate_schedule` one for one run, so the layout is built once and
+each distinct state is rendered once; the gate lines, which depend on the
 circuit as well, join the state's cached per-qubit strings for every echo.
 """
 
@@ -64,45 +66,65 @@ def _vertex_lines(graph: TrapGraph) -> list[str]:
 
 
 class RenderMemo:
-    """The text the renders on one graph share, kept for the length of one call.
+    """The text the renders on one graph share, kept for one call or one driver run.
 
     `layout` holds the graph's bulleted "Trap layout" and "Connections"
-    blocks, built on first use. `states` maps an encoded state (chains,
-    locks) to its TrapState, its `qubit q at [v, p]` string per qubit, its
-    "Qubit positions" block and the formatted lines of its shuttling ops.
+    blocks, built on first use. `op_lines` maps a kernel op code to its
+    line, filled through ops.format_op on a miss. `states` maps an encoded
+    state (chains, locks) to its `qubit q at [v, p]` lines (qubit q's at
+    index q), its "Qubit positions" block and its shuttling-op lines.
     """
 
     def __init__(self) -> None:
         self.layout: tuple[str, str] | None = None
-        self.states: dict[tuple, tuple[TrapState, dict[int, str], str, list[str]]] = {}
+        self.op_lines: dict[tuple[int, int, int], str] = {}
+        self.states: dict[tuple, tuple[list[str], str, list[str]]] = {}
+
+
+def _op_lines(memo: RenderMemo, codes) -> list[str]:
+    """The op line of each kernel op code, through the memo's table."""
+    table = memo.op_lines
+    lines = []
+    for code in codes:
+        line = table.get(code)
+        if line is None:
+            line = table[code] = op_mod.format_op(op_mod.decode_op(code))
+        lines.append(line)
+    return lines
 
 
 def _state_text(
-    graph: TrapGraph, chains: tuple, locks: tuple, memo: RenderMemo, state: TrapState | None = None
-) -> tuple[TrapState, dict[int, str], str, list[str]]:
-    """The memo entry of state (chains, locks), rendered and stored on a miss.
-
-    `state` is that state when the caller holds one.
-    """
+    graph: TrapGraph, chains: tuple, locks: tuple, memo: RenderMemo
+) -> tuple[list[str], str, list[str]]:
+    """The memo entry of state (chains, locks), rendered and stored on a miss."""
     entry = memo.states.get((chains, locks))
     if entry is None:
-        if state is None:
-            state = TrapState(chains, locks)
-        lines = position_lines(state)
-        spots = dict(zip(sorted(state.qubit_positions), lines))
-        shuttles = [op_mod.format_op(op) for op in op_mod.shuttle_ops(state, graph)]
-        entry = memo.states[chains, locks] = (state, spots, _bullets(lines), shuttles)
+        lines = position_lines(TrapState(chains, locks))
+        successors = kernel.successors(graph.encoded, chains, locks)
+        shuttles = _op_lines(memo, [code for code, _, _ in successors])
+        entry = memo.states[chains, locks] = (lines, _bullets(lines), shuttles)
     return entry
 
 
-def _gate_lines(gates: tuple[Gate, ...], spots: dict[int, str]) -> str:
+def _check_qubits(chains: tuple, circuit: Circuit) -> None:
+    """Raise RenderError unless the chains hold exactly the circuit's qubits 0..n-1."""
+    qubits = sorted(q for chain in chains for q in chain)
+    if qubits != list(range(circuit.qubit_count)):
+        raise RenderError(
+            f"state holds qubits {qubits}, circuit expects 0..{circuit.qubit_count - 1}"
+        )
+
+
+def _gate_lines(gates: tuple[Gate, ...], spots: list[str]) -> str:
     return _bullets([f"gate {g.id}: " + ", ".join(spots[q] for q in g.qubits) for g in gates])
 
 
-def _allowed_block(shuttles: list[str], graph: TrapGraph, chains: tuple, gates: tuple) -> str:
+def _allowed_block(
+    memo: RenderMemo, shuttles: list[str], graph: TrapGraph, chains: tuple, gates: tuple
+) -> str:
     """The "Allowed operations" bullets: the shuttling lines, then the ready gates."""
-    executes = [op_mod.format_op(op) for op in op_mod.execute_ops(graph, chains, gates)]
-    return _bullets(shuttles + executes)
+    ready = kernel.ready_gates(graph.encoded, chains, gates)
+    return _bullets(shuttles + _op_lines(memo, [(kernel.EXECUTE, g, -1) for g in ready]))
 
 
 def render_instruction(
@@ -113,18 +135,16 @@ def render_instruction(
     Contains the trap layout, the operation rules, the goal, and four
     enumerations: qubit positions, first-layer gates, the gates one
     execution away, and the currently allowed operations. `memo`, a render
-    memo for `graph`, supplies and keeps the layout and the state's text.
+    memo for `graph`, supplies and keeps the layout, the op lines and the
+    state's text.
     """
-    if state.qubits != frozenset(range(circuit.qubit_count)):
-        raise RenderError(
-            f"state holds qubits {sorted(state.qubits)}, "
-            f"circuit expects 0..{circuit.qubit_count - 1}"
-        )
+    chains = state.chains
+    _check_qubits(chains, circuit)
     memo = RenderMemo() if memo is None else memo
     if memo.layout is None:
         edges = [f"{a} -- {b}" for a, b in sorted(graph.edges)]
         memo.layout = (_bullets(_vertex_lines(graph)), _bullets(edges))
-    state, spots, positions, shuttles = _state_text(graph, state.chains, state.locks, memo, state)
+    spots, positions, shuttles = _state_text(graph, chains, state.locks, memo)
     first_layer = circuit.first_layer
     return _template().substitute(
         capacity=graph.capacity,
@@ -138,7 +158,7 @@ def render_instruction(
                 for g in circuit.next_executable
             ]
         ),
-        allowed_block=_allowed_block(shuttles, graph, state.chains, first_layer),
+        allowed_block=_allowed_block(memo, shuttles, graph, chains, first_layer),
     )
 
 
@@ -150,33 +170,40 @@ def render_output(
     Every op except the final `Execute Gate` is followed by the new qubit
     positions, the first-layer gates, and the operations allowed next.
     circuit must reflect the executions before the slice, i.e. slice.circuit.
-    The shuttling ops are walked through kernel.transition on the state's
+    A slice whose only `Execute Gate` is not its last op, or whose state
+    does not hold exactly the circuit's qubits, raises RenderError. The
+    shuttling ops are walked through kernel.transition on the state's
     encoding, and the final `Execute Gate` is checked by ops.apply in the
     state the last of them left; an illegal op raises IllegalOperationError
     naming the failed condition. `memo`, a render memo for `graph`,
-    supplies and keeps each echoed state's text.
+    supplies and keeps the op lines and each echoed state's text.
     """
+    executes = [i for i, op in enumerate(slice.ops) if isinstance(op, ExecuteGate)]
+    if executes != [len(slice.ops) - 1]:
+        raise RenderError(
+            f"a slice must end in its only Execute Gate; this one has {len(slice.ops)} ops "
+            f"with Execute Gates at indices {executes}"
+        )
+    *moves, last = slice.ops
+    chains, locks = slice.state.chains, slice.state.locks
+    _check_qubits(chains, circuit)
     memo = RenderMemo() if memo is None else memo
     trap = graph.encoded
     first_layer = circuit.first_layer
-    state = slice.state
-    chains, locks = state.chains, state.locks
     blocks: list[str] = []
-    for op in slice.ops:
-        if isinstance(op, ExecuteGate):
-            op_mod.apply(state, graph, circuit, op)
-            blocks.append(op_mod.format_op(op))
-            break
+    for op in moves:
         after = kernel.transition(trap, chains, locks, op_mod.encode_op(op))
         if after is None:
-            raise op_mod.rejection(state, graph, circuit, op)
+            raise op_mod.rejection(TrapState(chains, locks), graph, circuit, op)
         chains, locks = after
-        state, spots, positions, shuttles = _state_text(graph, chains, locks, memo)
+        spots, positions, shuttles = _state_text(graph, chains, locks, memo)
         lines = [op_mod.format_op(op), "Qubit positions:", positions, "First-layer gates:"]
         lines.append(_gate_lines(first_layer, spots))
         lines.append("Allowed operations:")
-        lines.append(_allowed_block(shuttles, graph, chains, first_layer))
+        lines.append(_allowed_block(memo, shuttles, graph, chains, first_layer))
         blocks.append("\n".join(lines))
+    op_mod.apply(TrapState(chains, locks), graph, circuit, last)
+    blocks.append(op_mod.format_op(last))
     return "\n\n".join(blocks) + "\n"
 
 

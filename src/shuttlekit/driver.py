@@ -1,7 +1,7 @@
 """Generate–validate–retry loop against a completion server, plus clients.
 
 One schedule is built gate by gate: render the instruction for the current
-state, request exactly one completion, parse and replay it, and either
+state once, request exactly one completion, parse and replay it, and either
 apply the slice or resubmit the identical instruction. Clients share one
 small interface so the loop runs unchanged against HTTP, a scripted mock,
 or a recorded replay file.
@@ -18,7 +18,7 @@ from typing import Callable, Protocol, Sequence
 import requests
 
 from .circuit import Circuit
-from .dataset import parse_output, render_instruction
+from .dataset import RenderMemo, parse_output, render_instruction
 from .errors import (
     OutputParseError,
     PlacementError,
@@ -273,15 +273,19 @@ def generate_schedule(
     slice that executes the last gate must also leave a schedule `validate`
     accepts, so a complete run is a valid schedule. The accepted slice is
     kept peephole-optimized, and the run continues from the state and
-    circuit the replay ended in. Invalid responses resubmit the identical
-    instruction, and ten consecutive invalid responses (or the time budget)
-    abort the run with a partial schedule; the failure reason then ends
-    with the last rejection's text. A scripted or replayed client that
-    cannot answer the instruction aborts it at once.
+    circuit the replay ended in. The instruction is rendered once per
+    state, through one render memo that lives for this run, and invalid
+    responses resubmit that identical string. Ten consecutive invalid
+    responses (or the time budget) abort the run with a partial schedule;
+    the failure reason then ends with the last rejection's text. A
+    scripted or replayed client that cannot answer the instruction aborts
+    it at once.
     """
     placement = initial_placement(circuit, graph)
     state = placement
     current = circuit
+    memo = RenderMemo()
+    instruction = None
     all_ops = []
     retries = tokens_final = tokens_total = 0
     consecutive = 0
@@ -291,7 +295,8 @@ def generate_schedule(
         if clock() - start > params.budget_seconds:
             outcome, reason = "failed", "time budget exhausted"
             break
-        instruction = render_instruction(graph, state, current)
+        if instruction is None:
+            instruction = render_instruction(graph, state, current, memo=memo)
         try:
             result = client.complete(instruction, params.max_tokens, params.temperature)
         except TransportError as exc:
@@ -320,7 +325,7 @@ def generate_schedule(
             continue
         # Cancelled pairs are state identities, so the kept ops end in the
         # state the replay ended in.
-        state, current = report.final_state, reached
+        state, current, instruction = report.final_state, reached, None
         all_ops.extend(ops)
         tokens_final += result.token_count
         consecutive = 0

@@ -3,13 +3,14 @@
 The one module that states the shuttling rules. `transition` states what
 each op does; ops.apply, dataset rendering and the router's commits step
 ops through it. `successors` enumerates candidate ops through it for
-ops.shuttle_ops. `route_search` is the package's one state-space
-search: the router runs it as a weighted best-first search, and the
-next-gate oracle at uniform cost. Its loop is a fused copy of the
-`successors` enumeration and returns the op codes it applied.
-ops.violation words the same rules per op. tests/test_ops.py holds
-transition, successors and violation equal, and tests/test_baseline.py
-holds route_search equal to a best-first loop over successors.
+ops.shuttle_ops and the dataset renderer. `route_search` is the
+package's one state-space search: the router runs it as a weighted
+best-first search, and the next-gate oracle at uniform cost. Its loop
+is a fused copy of the `successors` enumeration and returns the op codes
+it applied. ops.violation words the same rules per op. tests/test_ops.py
+holds transition, successors and violation equal, and
+tests/test_baseline.py holds route_search equal to a best-first loop over
+successors.
 
 States come as TrapState holds them, so no call converts one: chains a
 vertex-indexed tuple of qubit tuples, locks a vertex-indexed tuple with -1

@@ -2,13 +2,15 @@
 
 The kernel alone states what the ops do: `apply` steps a shuttling op
 through kernel.transition on the state's own encoding and checks an Execute
-Gate through kernel.ready_gates; `shuttle_ops` and `execute_ops` list the
-ops kernel.successors and kernel.ready_gates give, and `allowed_ops` joins
-the two. violation() words the same rules
-for one op, so that a rejection names the condition it failed, and tests
-hold the three equal. `encode_op` and `decode_op` convert between ops and
-kernel op codes. Executing a gate leaves the chain state untouched;
-callers advance the circuit separately.
+Gate through kernel.ready_gates; `shuttle_ops` lists the ops
+kernel.successors gives, and `allowed_ops` adds those kernel.ready_gates
+gives. violation() words the same rules for one op, so that a rejection
+names the condition it failed, and tests hold the three equal. `encode_op`
+and `decode_op` convert between ops and kernel op codes, and `format_op` is
+the one op formatter: the dataset renderer formats each kernel op code it
+lists as `format_op(decode_op(code))`, once per render memo. Executing a
+gate leaves the chain state untouched; callers advance the circuit
+separately.
 """
 
 from __future__ import annotations
@@ -196,18 +198,13 @@ def shuttle_ops(state: TrapState, graph: TrapGraph) -> list[ShuttleOp]:
     return [decode_op(code) for code, _, _ in successors]
 
 
-def execute_ops(graph: TrapGraph, chains: tuple, gates: tuple) -> list[ExecuteGate]:
-    """The Execute Gates that kernel.ready_gates allows, by gate number.
-
-    `chains` is the state's encoding and `gates` the first layer as
-    Circuit.first_layer gives it.
-    """
-    return [ExecuteGate(g) for g in kernel.ready_gates(graph.encoded, chains, gates)]
-
-
 def allowed_ops(state: TrapState, graph: TrapGraph, circuit: Circuit) -> list[ShuttleOp]:
-    """Every legal operation, in canonical order: `shuttle_ops`, then `execute_ops`."""
-    return shuttle_ops(state, graph) + execute_ops(graph, state.chains, circuit.first_layer)
+    """Every legal operation, in canonical order.
+
+    `shuttle_ops`, then the Execute Gates kernel.ready_gates allows, by gate number.
+    """
+    ready = kernel.ready_gates(graph.encoded, state.chains, circuit.first_layer)
+    return shuttle_ops(state, graph) + [ExecuteGate(g) for g in ready]
 
 
 def encode_op(op: ShuttleOp) -> tuple[int, int, int]:

@@ -76,9 +76,12 @@ class TrapState:
 
 
 def position_lines(state: TrapState) -> list[str]:
-    """One `qubit <q> at [<v>, <p>]` line per qubit, sorted by qubit."""
-    items = sorted(state.qubit_positions.items())
-    return [f"qubit {qubit} at [{pos.vertex}, {pos.position}]" for qubit, pos in items]
+    """One `qubit <q> at [<v>, <p>]` line per qubit, sorted by qubit.
+
+    The lines are read straight off `state.chains`, so no QubitPos is built.
+    """
+    spots = sorted((q, v, p) for v, chain in enumerate(state.chains) for p, q in enumerate(chain))
+    return [f"qubit {q} at [{v}, {p}]" for q, v, p in spots]
 
 
 def initial_placement(circuit: Circuit, graph: TrapGraph) -> TrapState:

@@ -8,7 +8,7 @@ import pytest
 from shuttlekit import baseline, cli, dataset, kernel, ops, trap
 from shuttlekit.circuit import Circuit, Gate, parse_circuit
 from shuttlekit.dataset import DataEntry, generate_dataset, render_instruction, render_output
-from shuttlekit.errors import IllegalOperationError
+from shuttlekit.errors import IllegalOperationError, RenderError
 from shuttlekit.schedule import EntrySlice, decompose, parse_schedule, schedule_paths, step
 from shuttlekit.state import TrapState
 
@@ -175,6 +175,42 @@ def test_illegal_slice_fails_render_with_the_replay_error(graph, chains, locks, 
     with pytest.raises(IllegalOperationError) as rendered:
         render_output(piece, graph, ONE_GATE)
     assert str(rendered.value) == message
+
+
+TWO_GATES = Circuit(2, (Gate(1, (0, 1)), Gate(2, (0, 1))))
+
+
+@pytest.mark.parametrize(
+    "chains,lines,found",
+    [
+        ({0: (0,), 4: (1,)}, (), "0 ops with Execute Gates at indices []"),
+        ({0: (0,), 4: (1,)}, ROUTE[:3], "3 ops with Execute Gates at indices []"),
+        ({2: (0, 1)}, ("Execute Gate 1", "Translate 0 -> 1", "Execute Gate 2"),
+         "3 ops with Execute Gates at indices [0, 2]"),
+    ],
+    ids=["empty", "no_execute", "execute_not_last"],
+)
+def test_render_output_rejects_a_slice_not_ended_by_its_only_execute(chains, lines, found):
+    piece = EntrySlice(
+        TrapState.from_dicts(LINEAR2, chains), TWO_GATES, tuple(map(ops.parse_op, lines))
+    )
+    with pytest.raises(RenderError) as rejected:
+        render_output(piece, LINEAR2, TWO_GATES)
+    assert str(rejected.value) == f"a slice must end in its only Execute Gate; this one has {found}"
+
+
+@pytest.mark.parametrize("chains", [{0: (0,), 4: (2,)}, {0: (0,)}, {0: (0,), 3: (2,), 4: (1,)}])
+def test_rendering_a_state_without_the_circuits_qubits_is_an_error(chains):
+    state = TrapState.from_dicts(LINEAR2, chains)
+    """Both renders reject a state that does not hold qubits 0..n-1, with one text."""
+    held = sorted(q for chain in chains.values() for q in chain)
+    piece = EntrySlice(state, ONE_GATE, tuple(map(ops.parse_op, ROUTE)))
+    with pytest.raises(RenderError) as instruction:
+        render_instruction(LINEAR2, state, ONE_GATE)
+    with pytest.raises(RenderError) as output:
+        render_output(piece, LINEAR2, ONE_GATE)
+    message = f"state holds qubits {held}, circuit expects 0..1"
+    assert str(instruction.value) == str(output.value) == message
 
 
 def test_generate_dataset_renders_each_distinct_state_once(monkeypatch):

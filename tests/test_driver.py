@@ -83,6 +83,24 @@ def test_faulty_outputs_are_retried_and_redundancy_trimmed():
     assert stats.tokens_total - stats.tokens_final == rejected
 
 
+def test_each_state_is_rendered_once_and_retries_resend_it(monkeypatch):
+    """One render per executed gate; every instruction equals a memo-free render."""
+    renders = 0
+
+    def counted(*args, **kwargs):
+        nonlocal renders
+        renders += 1
+        return render_instruction(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "render_instruction", counted)
+    client = MockCompletionClient(faulty_script())
+    _, stats = run(client)
+    assert (stats.outcome, stats.retries) == ("complete", 3)
+    assert renders == stats.gates_executed == len(SLICES)
+    fresh = [render_instruction(GRAPH, piece.state, piece.circuit) for piece in SLICES]
+    assert client.calls == [fresh[i] for i in (0, 0, 1, 1, 2, 2)] + fresh[3:]
+
+
 def test_accepted_slices_are_stepped_once(monkeypatch):
     """The replay that accepts a slice is the one that trims it."""
     script = [redundant(0)] + OUTPUTS[1:]

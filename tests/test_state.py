@@ -1,8 +1,11 @@
 """Trap state values, qubit positions, and the initial placement heuristic."""
 
+import random
+
 import pytest
 
-from shuttlekit import trap
+from shuttlekit import kernel, trap
+from shuttlekit.baseline import random_circuit
 from shuttlekit.circuit import Circuit, Gate
 from shuttlekit.errors import PlacementError
 from shuttlekit.state import TrapState, initial_placement, position_lines
@@ -54,6 +57,41 @@ def test_position_lines_format():
         "qubit 1 at [1, 0]",
         "qubit 2 at [5, 0]",
     ]
+
+
+FAMILIES = [
+    (trap.build_linear(1), 3),
+    (trap.build_linear(4), 6),
+    (trap.build_branched(3, 2, 2), 5),
+    (trap.build_eval_layout("ring", 5), 5),
+    (trap.build_eval_layout("multi_linear", 6), 6),
+    (trap.build_eval_layout("four_way", 6), 6),
+]
+
+
+@pytest.mark.parametrize(
+    "graph,qubits", FAMILIES, ids=["linear1", "linear4", "branched", "ring", "multi_linear", "four_way"]
+)
+def test_position_lines_equal_the_qubit_positions_text(graph, qubits):
+    """The chain-read lines equal the QubitPos-based text on seeded random walks."""
+
+    def from_positions(state):
+        items = sorted(state.qubit_positions.items())
+        return [f"qubit {q} at [{pos.vertex}, {pos.position}]" for q, pos in items]
+
+    states = [TrapState.from_dicts(graph, {})]
+    for seed in range(3):
+        rng = random.Random(seed)
+        state = initial_placement(random_circuit(qubits, 4, seed), graph)
+        for _ in range(40):
+            states.append(state)
+            successors = kernel.successors(graph.encoded, state.chains, state.locks)
+            if not successors:
+                break
+            state = TrapState(*rng.choice(successors)[1:])
+    assert position_lines(states[0]) == []
+    for state in states:
+        assert position_lines(state) == from_positions(state)
 
 
 # -- initial placement ------------------------------------------------------
