@@ -38,7 +38,7 @@ kernel.route_search at uniform cost, feasible only on small instances, for
 a provably shortest op sequence to the next gate execution.
 Its independence from the router rests on tests: a digest of its answers
 pinned from a breadth-first search, and route_search held equal to a
-best-first loop over kernel.successors.
+best-first loop over kernel.successors and kernel.transition.
 """
 
 from __future__ import annotations

@@ -100,8 +100,7 @@ def _state_text(
     entry = memo.states.get((chains, locks))
     if entry is None:
         lines = position_lines(TrapState(chains, locks))
-        successors = kernel.successors(graph.encoded, chains, locks)
-        shuttles = _op_lines(memo, [code for code, _, _ in successors])
+        shuttles = _op_lines(memo, kernel.successors(graph.encoded, chains, locks))
         entry = memo.states[chains, locks] = (lines, _bullets(lines), shuttles)
     return entry
 

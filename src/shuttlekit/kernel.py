@@ -1,16 +1,18 @@
 """The shuttling rules and the routing search, on the encoding TrapState holds.
 
-The one module that states the shuttling rules. `transition` states what
-each op does; ops.apply, dataset rendering and the router's commits step
-ops through it. `successors` enumerates candidate ops through it for
-ops.shuttle_ops and the dataset renderer. `route_search` is the
-package's one state-space search: the router runs it as a weighted
-best-first search, and the next-gate oracle at uniform cost. Its loop
-is a fused copy of the `successors` enumeration and returns the op codes
-it applied. ops.violation words the same rules per op. tests/test_ops.py
-holds transition, successors and violation equal, and
-tests/test_baseline.py holds route_search equal to a best-first loop over
-successors.
+The one module that states when an op is legal, and words the rule an
+illegal one breaks. `illegal` checks a shuttling op and `unready` an
+Execute Gate's operands, each returning the first rule broken as a constant
+template that ops.violation fills in; `transition` applies an op's effect
+once `illegal` passes it, and `successors` and `ready_gates` filter
+candidates by the two checks. ops.apply, dataset rendering and the router's
+commits step ops through `transition`. TrapGraph.site_violation words the
+state-independent site rules, which reach `illegal` through the encoded
+trap. `route_search` is the package's one state-space search: the router
+runs it as a weighted best-first search, and the next-gate oracle at
+uniform cost. Its loop is a fused copy of the `successors` enumeration
+and returns the op codes it applied; tests/test_baseline.py holds it equal
+to a best-first loop over `successors` and `transition`.
 
 States come as TrapState holds them, so no call converts one: chains a
 vertex-indexed tuple of qubit tuples, locks a vertex-indexed tuple with -1
@@ -41,89 +43,130 @@ def get_backend() -> ModuleType:
     return sys.modules[__name__]
 
 
-def transition(trap, chains, locks, code):
-    """The (chains, locks) that shuttling op `code` leads to, or None if it is illegal.
+def illegal(trap, chains, locks, code):
+    """None if shuttling op `code` is legal in (chains, locks), else the first rule it breaks.
 
-    Every vertex id is bounds-checked, since op text can come from a model.
-    An execute code, which changes no chain, or an unknown kind gives None.
+    The rule comes as a constant str.format template, which ops.violation
+    fills in: {a} and {b} are the code's operands, {pair} the lateral pair
+    of a Separate or Merge site, {combined} the length of the chain a Merge
+    would build and {capacity} the trap's. A vertex where no state can do
+    the op gives TrapGraph.site_violation's reason, worded in full. Every
+    vertex id is bounds-checked, since op text can come from a model. An
+    execute code, which changes no chain, or an unknown kind is illegal.
     """
     kind, a, b = code
     n = trap[0]
-    if not 0 <= a < n:
-        return None
-    chain = chains[a]
     if kind == TRANSLATE:
-        if not chain or not 0 <= b < n or chains[b] or b not in trap[2][a]:
-            return None
-        if locks[b] == a and trap[3][b]:  # re-entering a junction from its lock side
-            return None
-        new_chains = list(chains)
+        if not (0 <= a < n and 0 <= b < n):
+            return "no vertex pair ({a}, {b})"
+        if b not in trap[2][a]:
+            return "vertices {a} and {b} are not adjacent"
+        if not chains[a]:
+            return "vertex {a} is empty"
+        if chains[b]:
+            return "vertex {b} is occupied"
+        if locks[b] == a and trap[3][b]:
+            return "junction {b} was left toward {a} and cannot be re-entered from there"
+        return None
+    if not SEPARATE <= kind <= SWAP:
+        return "not a shuttling op"
+    if not 0 <= a < n:
+        return "no vertex {a}"
+    reason = trap[6][kind - SEPARATE][a]
+    if reason is not None:
+        return reason
+    chain = chains[a]
+    if kind == MERGE:
+        left, right = trap[5][a]
+        if chain:
+            return "vertex {a} is occupied"
+        if not chains[left]:
+            return "lateral vertex {pair[0]} is empty"
+        if not chains[right]:
+            return "lateral vertex {pair[1]} is empty"
+        if len(chains[left]) + len(chains[right]) > trap[1]:
+            return "combined chain of {combined} exceeds capacity {capacity}"
+        return None
+    if len(chain) < 2:
+        return "vertex {a} holds fewer than two qubits"
+    if kind == SEPARATE:
+        left, right = trap[5][a]
+        if chains[left]:
+            return "lateral vertex {pair[0]} is occupied"
+        if chains[right]:
+            return "lateral vertex {pair[1]} is occupied"
+    return None
+
+
+def transition(trap, chains, locks, code):
+    """The (chains, locks) that shuttling op `code` leads to, or None if it is illegal.
+
+    `illegal` decides; this only states each op's effect.
+    """
+    if illegal(trap, chains, locks, code) is not None:
+        return None
+    kind, a, b = code
+    chain = chains[a]
+    new_chains = list(chains)
+    if kind == TRANSLATE:
         new_chains[b] = chain
         new_chains[a] = ()
         if trap[3][a]:
             locks = locks[:a] + (b,) + locks[a + 1 :]
-        return tuple(new_chains), locks
-    if kind == SEPARATE:
-        pair = trap[5][a]
-        if pair is None or len(chain) < 2 or chains[pair[0]] or chains[pair[1]]:
-            return None
+    elif kind == SEPARATE:
+        left, right = trap[5][a]
         head = (len(chain) + 1) // 2
-        new_chains = list(chains)
-        new_chains[pair[0]] = chain[:head]
-        new_chains[pair[1]] = chain[head:]
-        new_chains[a] = ()
-        return tuple(new_chains), locks
-    if kind == MERGE:
-        pair = trap[6][a]
-        if pair is None or chain:
-            return None
-        left, right = chains[pair[0]], chains[pair[1]]
-        if not left or not right or len(left) + len(right) > trap[1]:
-            return None
-        new_chains = list(chains)
-        new_chains[a] = left + right
-        new_chains[pair[0]] = new_chains[pair[1]] = ()
-        return tuple(new_chains), locks
-    if kind == SWAP and len(chain) >= 2 and a in trap[9]:
-        return chains[:a] + (chain[::-1],) + chains[a + 1 :], locks
-    return None
+        new_chains[left], new_chains[right], new_chains[a] = chain[:head], chain[head:], ()
+    elif kind == MERGE:
+        left, right = trap[5][a]
+        new_chains[a] = chains[left] + chains[right]
+        new_chains[left] = new_chains[right] = ()
+    else:
+        new_chains[a] = chain[::-1]
+    return tuple(new_chains), locks
 
 
 def successors(trap, chains, locks):
-    """All legal shuttling transitions from a state, in canonical op order.
+    """The codes of all legal shuttling ops from a state, in canonical op order.
 
     The candidates are Translates from occupied vertices by (src, dst),
-    then Separate, Merge and Swap at their sites by vertex; each is kept,
-    as a (code, chains, locks) triple, when `transition` accepts it.
+    then Separate, Merge and Swap at their sites by vertex; each is kept
+    when `illegal` finds no rule it breaks. No successor state is built.
     """
     neighbors = trap[2]
     codes = [(TRANSLATE, v, w) for v, chain in enumerate(chains) if chain for w in neighbors[v]]
     codes += [(SEPARATE, v, -1) for v, _, _ in trap[7]] + [(MERGE, v, -1) for v, _, _ in trap[8]]
     codes += [(SWAP, v, -1) for v in trap[9]]
-    steps = ((code, transition(trap, chains, locks, code)) for code in codes)
-    return [(code, *after) for code, after in steps if after is not None]
+    return [code for code in codes if illegal(trap, chains, locks, code) is None]
+
+
+def unready(trap, chains, qubits):
+    """None if a gate on `qubits` can execute in `chains`, else the first rule it breaks.
+
+    Its one or two operands must sit alone together in a gate-capable
+    vertex. The rule comes as a template like `illegal`'s, over {a}, the
+    gate id, {qubits}, the operands, and {vertex}, where the first one sits.
+    """
+    first = qubits[0]
+    for vertex, chain in enumerate(chains):
+        if first in chain:
+            break
+    else:
+        return "qubit {qubits[0]} is not placed"
+    if len(qubits) > 1 and qubits[1] not in chain:
+        if any(qubits[1] in other for other in chains):
+            return "qubits of gate {a} sit in different vertices"
+        return "qubit {qubits[1]} is not placed"
+    if not trap[4][vertex]:
+        return "vertex {vertex} does not allow gate execution"
+    if len(chain) != len(qubits):
+        return "vertex {vertex} holds qubits besides those of gate {a}"
+    return None
 
 
 def ready_gates(trap, chains, gates):
-    """Gate ids whose operands sit alone together in a gate-capable vertex."""
-    n = trap[0]
-    can_gate = trap[4]
-    out = []
-    for gate in gates:
-        operands = gate.qubits
-        first = operands[0]
-        vertex = -1
-        for v in range(n):
-            if first in chains[v]:
-                vertex = v
-                break
-        if vertex < 0 or not can_gate[vertex]:
-            continue
-        if len(chains[vertex]) != len(operands):
-            continue
-        if all(q in chains[vertex] for q in operands):
-            out.append(gate.id)
-    return out
+    """Ids of the gates `unready` finds no rule against, in the order given."""
+    return [gate.id for gate in gates if unready(trap, chains, gate.qubits) is None]
 
 
 def reachable_gates(trap, chains, locks, gates):

@@ -1,11 +1,10 @@
-"""The five schedule operations: legality reasons, stepping, enumeration, text.
+"""The five schedule operations: stepping, enumeration, rejection text, op text.
 
-The kernel alone states what the ops do: `apply` steps a shuttling op
-through kernel.transition on the state's own encoding and checks an Execute
-Gate through kernel.ready_gates; `shuttle_ops` lists the ops
-kernel.successors gives, and `allowed_ops` adds those kernel.ready_gates
-gives. violation() words the same rules for one op, so that a rejection
-names the condition it failed, and tests hold the three equal. `encode_op`
+The kernel states every rule: `apply` steps a shuttling op through
+kernel.transition, and `allowed_ops` lists the codes kernel.successors
+gives and the gates kernel.ready_gates gives. violation() only checks that
+an Execute Gate names a first-layer gate, and otherwise fills in the
+template of the rule kernel.illegal or kernel.unready names. `encode_op`
 and `decode_op` convert between ops and kernel op codes, and `format_op` is
 the one op formatter: the dataset renderer formats each kernel op code it
 lists as `format_op(decode_op(code))`, once per render memo. Executing a
@@ -57,123 +56,53 @@ ShuttleOp = Translate | Separate | Merge | Swap | ExecuteGate
 _OP_TYPES: tuple[type, ...] = (Translate, Separate, Merge, Swap, ExecuteGate)
 
 
-def _translate_violation(state: TrapState, graph: TrapGraph, src: int, dst: int) -> str | None:
-    if src not in graph.vertices or dst not in graph.vertices:
-        return f"no vertex pair ({src}, {dst})"
-    if tuple(sorted((src, dst))) not in graph.edges:
-        return f"vertices {src} and {dst} are not adjacent"
-    if not state.occupied(src):
-        return f"vertex {src} is empty"
-    if state.occupied(dst):
-        return f"vertex {dst} is occupied"
-    if graph.is_junction(dst) and state.locks[dst] == src:
-        return f"junction {dst} was left toward {src} and cannot be re-entered from there"
-    return None
-
-
-def _lateral_violation(graph: TrapGraph, at: int, flag: str) -> str | None:
-    if at not in graph.vertices:
-        return f"no vertex {at}"
-    if not graph.allows(at, flag):
-        return f"vertex {at} does not allow {flag}"
-    pair = graph.lateral_pair(at)
-    if pair is None:
-        return f"vertex {at} has no lateral pair"
-    for side in pair:
-        if graph.is_junction(side):
-            return f"lateral vertex {side} is a junction"
-    return None
-
-
-def _separate_violation(state: TrapState, graph: TrapGraph, at: int) -> str | None:
-    violation = _lateral_violation(graph, at, "separate")
-    if violation:
-        return violation
-    if len(state.chain_at(at)) < 2:
-        return f"vertex {at} holds fewer than two qubits"
-    for side in graph.lateral_pair(at):
-        if state.occupied(side):
-            return f"lateral vertex {side} is occupied"
-    return None
-
-
-def _merge_violation(state: TrapState, graph: TrapGraph, at: int) -> str | None:
-    violation = _lateral_violation(graph, at, "merge")
-    if violation:
-        return violation
-    if state.occupied(at):
-        return f"vertex {at} is occupied"
-    left, right = graph.lateral_pair(at)
-    for side in (left, right):
-        if not state.occupied(side):
-            return f"lateral vertex {side} is empty"
-    combined = len(state.chain_at(left)) + len(state.chain_at(right))
-    if combined > graph.capacity:
-        return f"combined chain of {combined} exceeds capacity {graph.capacity}"
-    return None
-
-
-def _swap_violation(state: TrapState, graph: TrapGraph, at: int) -> str | None:
-    if at not in graph.vertices:
-        return f"no vertex {at}"
-    if not graph.allows(at, "swap"):
-        return f"vertex {at} does not allow swap"
-    if len(state.chain_at(at)) < 2:
-        return f"vertex {at} holds fewer than two qubits"
-    return None
-
-
-def _execute_violation(
-    state: TrapState, graph: TrapGraph, circuit: Circuit, gate_id: int
-) -> str | None:
-    gate = circuit.gate_by_id.get(gate_id)
-    if gate is None:
-        return f"unknown gate {gate_id}"
-    if not circuit.in_first_layer(gate_id):
-        return f"gate {gate_id} is not in the first layer"
-    positions = state.qubit_positions
-    for qubit in gate.qubits:
-        if qubit not in positions:
-            return f"qubit {qubit} is not placed"
-    vertex = positions[gate.qubits[0]].vertex
-    if any(positions[q].vertex != vertex for q in gate.qubits):
-        return f"qubits of gate {gate_id} sit in different vertices"
-    if not graph.allows(vertex, "gate"):
-        return f"vertex {vertex} does not allow gate execution"
-    if len(state.chain_at(vertex)) != len(gate.qubits):
-        return f"vertex {vertex} holds qubits besides those of gate {gate_id}"
-    return None
-
-
 def violation(
     state: TrapState, graph: TrapGraph, circuit: Circuit, op: ShuttleOp
 ) -> str | None:
-    """The violated condition for op in this state, or None when legal."""
-    if isinstance(op, Translate):
-        return _translate_violation(state, graph, op.src, op.dst)
-    if isinstance(op, Separate):
-        return _separate_violation(state, graph, op.at)
-    if isinstance(op, Merge):
-        return _merge_violation(state, graph, op.at)
-    if isinstance(op, Swap):
-        return _swap_violation(state, graph, op.at)
-    if isinstance(op, ExecuteGate):
-        return _execute_violation(state, graph, circuit, op.gate)
-    raise TypeError(f"not an operation: {op!r}")
+    """The first rule op breaks in this state, or None when it is legal.
+
+    An Execute Gate must name a gate of the circuit's first layer. Past
+    that, the kernel words the rule as a template, kernel.illegal for a
+    shuttling op and kernel.unready for a gate, and this fills in its numbers.
+    """
+    kind, a, b = code = encode_op(op)
+    trap, chains = graph.encoded, state.chains
+    qubits, pair = (), None
+    if kind == kernel.EXECUTE:
+        gate = circuit.gate_by_id.get(a)
+        if gate is None:
+            template = "unknown gate {a}"
+        elif not circuit.in_first_layer(a):
+            template = "gate {a} is not in the first layer"
+        else:
+            qubits = gate.qubits
+            template = kernel.unready(trap, chains, qubits)
+    else:
+        template = kernel.illegal(trap, chains, state.locks, code)
+        pair = trap[5][a] if 0 <= a < trap[0] else None
+    if template is None:
+        return None
+    first = state.qubit_positions.get(qubits[0]) if qubits else None
+    return template.format(
+        a=a,
+        b=b,
+        pair=pair,
+        combined=sum(len(chains[side]) for side in pair or ()),
+        capacity=trap[1],
+        qubits=qubits,
+        vertex=first and first.vertex,
+    )
 
 
 def apply(state: TrapState, graph: TrapGraph, circuit: Circuit, op: ShuttleOp) -> TrapState:
-    """The state after op; raises IllegalOperationError naming the failed condition.
+    """The state after op; raises IllegalOperationError naming the rule it breaks.
 
-    A shuttling op steps through kernel.transition, and an Execute Gate of the
-    first layer is legal when kernel.ready_gates lists it; executing returns
-    the state unchanged. violation() only words a rejection.
+    A shuttling op steps through kernel.transition. An Execute Gate is
+    legal when violation() finds no rule it breaks, and returns the state
+    unchanged.
     """
     if isinstance(op, ExecuteGate):
-        gate = circuit.gate_by_id.get(op.gate)
-        if gate is not None and circuit.in_first_layer(op.gate) and kernel.ready_gates(
-            graph.encoded, state.chains, (gate,)
-        ):
+        if violation(state, graph, circuit, op) is None:
             return state
     else:
         after = kernel.transition(graph.encoded, state.chains, state.locks, encode_op(op))
@@ -185,26 +114,21 @@ def apply(state: TrapState, graph: TrapGraph, circuit: Circuit, op: ShuttleOp) -
 def rejection(
     state: TrapState, graph: TrapGraph, circuit: Circuit, op: ShuttleOp
 ) -> IllegalOperationError:
-    """The error for an op that is illegal in this state, naming the failed condition."""
+    """The error for an op that is illegal in this state, naming the rule it breaks."""
     return IllegalOperationError(f"{format_op(op)}: {violation(state, graph, circuit, op)}")
-
-
-def shuttle_ops(state: TrapState, graph: TrapGraph) -> list[ShuttleOp]:
-    """Every legal shuttling op, in the order kernel.successors gives them.
-
-    Translates sorted by (src, dst), then Separate, Merge, and Swap by vertex.
-    """
-    successors = kernel.successors(graph.encoded, state.chains, state.locks)
-    return [decode_op(code) for code, _, _ in successors]
 
 
 def allowed_ops(state: TrapState, graph: TrapGraph, circuit: Circuit) -> list[ShuttleOp]:
     """Every legal operation, in canonical order.
 
-    `shuttle_ops`, then the Execute Gates kernel.ready_gates allows, by gate number.
+    The shuttling ops kernel.successors gives: Translates by (src, dst),
+    then Separate, Merge and Swap by vertex. Then the Execute Gates
+    kernel.ready_gates allows, by gate number.
     """
-    ready = kernel.ready_gates(graph.encoded, state.chains, circuit.first_layer)
-    return shuttle_ops(state, graph) + [ExecuteGate(g) for g in ready]
+    trap = graph.encoded
+    codes = kernel.successors(trap, state.chains, state.locks)
+    ready = kernel.ready_gates(trap, state.chains, circuit.first_layer)
+    return [decode_op(code) for code in codes] + [ExecuteGate(g) for g in ready]
 
 
 def encode_op(op: ShuttleOp) -> tuple[int, int, int]:

@@ -53,12 +53,6 @@ class TrapState:
             tuple(locks.get(v, -1) for v in range(n)),
         )
 
-    def chain_at(self, vertex: int) -> tuple[int, ...]:
-        return self.chains[vertex]
-
-    def occupied(self, vertex: int) -> bool:
-        return bool(self.chains[vertex])
-
     @cached_property
     def qubit_positions(self) -> dict[int, QubitPos]:
         return {
@@ -69,10 +63,6 @@ class TrapState:
 
     def position_of(self, qubit: int) -> QubitPos:
         return self.qubit_positions[qubit]
-
-    @property
-    def qubits(self) -> frozenset[int]:
-        return frozenset(self.qubit_positions)
 
 
 def position_lines(state: TrapState) -> list[str]:

@@ -89,43 +89,53 @@ class TrapGraph:
             return (ns[0], ns[1])
         return None
 
+    def site_violation(self, v: int, flag: str) -> str | None:
+        """Why no state can separate, merge or swap (`flag`) at vertex v, or None if some can.
+
+        Separate and Merge also need a lateral pair with no junction in it.
+        """
+        if not self.allows(v, flag):
+            return f"vertex {v} does not allow {flag}"
+        if flag == "swap":
+            return None
+        pair = self.lateral_pair(v)
+        if pair is None:
+            return f"vertex {v} has no lateral pair"
+        for side in pair:
+            if self.is_junction(side):
+                return f"lateral vertex {side} is a junction"
+        return None
+
     @cached_property
     def encoded(self) -> tuple:
         """The trap as the flat vertex-indexed tuples the kernel iterates over.
 
-        (n, capacity, neighbors, is_junction, can_gate, separate_at,
-        merge_at, separate_sites, merge_sites, swap_sites). Each per-vertex
-        field is a length-n tuple indexed by vertex id (ids run 0..n-1,
-        which construction checks). `separate_at[v]` and `merge_at[v]` are
-        v's (left, right) lateral pair when v allows the op and neither side
-        is a junction, the only vertices any state can split or merge at,
-        and None elsewhere. The last three are the static site tables the
-        enumerators loop over: the non-None entries of separate_at and
-        merge_at as (v, left, right) triples, and the vertices allowing
-        swap, each in vertex order.
+        (n, capacity, neighbors, is_junction, can_gate, lateral, site_reasons,
+        separate_sites, merge_sites, swap_sites). Each per-vertex field is a
+        length-n tuple indexed by vertex id (ids run 0..n-1, which
+        construction checks); `lateral[v]` is `lateral_pair(v)`.
+        `site_reasons` holds, for Separate, Merge and Swap in turn, each
+        vertex's `site_violation`. The last three are the static site tables
+        the enumerators loop over, the vertices where that reason is None, in
+        vertex order: (v, left, right) triples for Separate and Merge, and
+        plain vertices for Swap.
         """
         ids = range(len(self.vertices))
-        is_junction = tuple(self.is_junction(v) for v in ids)
-
-        def lateral_at(flag: str) -> tuple[tuple[int, int] | None, ...]:
-            pairs = (self.lateral_pair(v) if self.allows(v, flag) else None for v in ids)
-            return tuple(
-                None if pair is None or is_junction[pair[0]] or is_junction[pair[1]] else pair
-                for pair in pairs
-            )
-
-        separate_at, merge_at = lateral_at("separate"), lateral_at("merge")
+        lateral = tuple(self.lateral_pair(v) for v in ids)
+        separate, merge, swap = (
+            tuple(self.site_violation(v, flag) for v in ids) for flag in ("separate", "merge", "swap")
+        )
         return (
             len(ids),
             self.capacity,
             tuple(self.neighbors(v) for v in ids),
-            is_junction,
+            tuple(self.is_junction(v) for v in ids),
             tuple(self.allows(v, "gate") for v in ids),
-            separate_at,
-            merge_at,
-            tuple((v, *pair) for v, pair in enumerate(separate_at) if pair is not None),
-            tuple((v, *pair) for v, pair in enumerate(merge_at) if pair is not None),
-            tuple(v for v in ids if self.allows(v, "swap")),
+            lateral,
+            (separate, merge, swap),
+            tuple((v, *lateral[v]) for v in ids if separate[v] is None),
+            tuple((v, *lateral[v]) for v in ids if merge[v] is None),
+            tuple(v for v in ids if swap[v] is None),
         )
 
 

@@ -9,8 +9,9 @@ slice executes the lowest-numbered ready first-layer gate. A batch
 compiles each circuit as its own compile does, and the search it shares
 between circuits is blind to qubit labels. The router's search,
 kernel.route_search with its integer dedup key, finds what a tuple-keyed
-best-first loop over kernel.successors finds, and the next-gate oracle,
-route_search at uniform cost, answers as breadth-first search did.
+best-first loop over kernel.successors and kernel.transition finds, and
+the next-gate oracle, route_search at uniform cost, answers as
+breadth-first search did.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ from shuttlekit.errors import CompileError, NoRouteError
 from shuttlekit.ops import format_op
 from shuttlekit.schedule import decompose, validate
 from shuttlekit.state import TrapState, initial_placement
-from test_ops import WALK_TRAPS
+from test_ops import WALK_TRAPS, successor_states
 
 # (layout, qubits) -> op counts of random_circuit(qubits, 4, seed) for seeds 0, 1, 2.
 EVAL_OPS = {
@@ -350,7 +351,7 @@ def test_search_estimate_matches_reference_on_random_walks(graph, qubits):
             if ready and rng.random() < 0.5:
                 circuit = circuit.mark_executed(min(ready))
                 continue
-            moves = kernel.successors(enc, chains, locks)
+            moves = successor_states(enc, chains, locks)
             if not moves:
                 break
             _, chains, locks = rng.choice(moves)
@@ -546,11 +547,11 @@ def test_no_route_memo_outlives_a_compile(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-# -- the fused search against a best-first loop over kernel.successors ---------
+# -- the fused search against a best-first loop over kernel successor states ---
 
 
 def reference_search(router):
-    """`_Router._search_next` as a tuple-keyed best-first loop over kernel.successors.
+    """`_Router._search_next` as a tuple-keyed best-first loop over successor_states.
 
     The same heap key, successor order, dedup rule, estimate, seal penalty,
     goal test, cap and messages, with each stored state keyed by its
@@ -588,7 +589,7 @@ def reference_search(router):
                 "circuit has no schedule"
             )
         expansions += 1
-        for code, chains, locks in kernel.successors(enc, *node):
+        for code, chains, locks in successor_states(enc, *node):
             kind, v, dst = code
             ng = g + 1
             exits = tables.seal_exits[v] if kind == kernel.TRANSLATE else None
@@ -661,7 +662,7 @@ def test_route_search_matches_the_successor_loop(graph, qubits, monkeypatch):
             if ready and rng.random() < 0.5:
                 circuit = circuit.mark_executed(min(ready))
                 continue
-            moves = kernel.successors(enc, chains, locks)
+            moves = successor_states(enc, chains, locks)
             if not moves:
                 break
             _, chains, locks = rng.choice(moves)
@@ -719,7 +720,7 @@ def test_oracle_answers_match_the_pinned_digest():
                 if ready and rng.random() < 0.5:
                     circuit = circuit.mark_executed(min(ready))
                     continue
-                moves = kernel.successors(enc, chains, locks)
+                moves = successor_states(enc, chains, locks)
                 if not moves:
                     break
                 _, chains, locks = rng.choice(moves)

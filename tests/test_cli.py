@@ -88,7 +88,7 @@ def test_optimize_removes_an_injected_back_and_forth(tmp_path, capsys):
     circuit = parse_circuit(circuit_path.read_text(encoding="utf-8"))
     state = parse_schedule(text, graph, circuit).placement
     vertex = next(v for v, chain in enumerate(state.chains) if chain)
-    free = next(n for n in graph.neighbors(vertex) if not state.occupied(n))
+    free = next(n for n in graph.neighbors(vertex) if not state.chains[n])
     bounce = [format_op(Translate(vertex, free)), format_op(Translate(free, vertex))]
     lines = text.splitlines()
     first_op = sum(line.startswith(("trap ", "circuit ", "placement: ")) for line in lines)

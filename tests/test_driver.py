@@ -43,7 +43,7 @@ def redundant(index, graph=GRAPH, slices=SLICES, outputs=OUTPUTS):
     state = slices[index].state
     for vertex in (v for v, chain in enumerate(state.chains) if chain):
         for n in graph.neighbors(vertex):
-            if not state.occupied(n) and not graph.is_junction(n):
+            if not state.chains[n] and not graph.is_junction(n):
                 pair = (Translate(vertex, n), Translate(n, vertex))
                 return "".join(format_op(op) + "\n" for op in pair) + "\n" + outputs[index]
     raise AssertionError("no free neighbor to bounce into")

@@ -1,12 +1,19 @@
 """Semantics of the five operations.
 
-Most of these tests state the rule twice: once through violation() and
-once through apply, so the two can never drift apart. The identities at
-the bottom are the algebra the optimizer relies on.
+The kernel states each rule once: apply steps through kernel.transition,
+and violation() fills in the template of the rule kernel.illegal or
+kernel.unready names. Most of these tests ask both apply and violation(),
+which must agree on whether an op is legal, and a pinned rejection digest
+holds every reason's text. The identities at the bottom are the algebra
+the optimizer relies on.
 """
 
+import hashlib
 import itertools
 import random
+import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,7 +109,7 @@ def test_junction_lock_cleared_by_exit_toward_other_neighbor():
     assert state == TrapState.from_dicts(BRANCHED, {0: (1,), 2: (0,)}, {1: 0})
     assert legal(state, BRANCHED, Translate(2, 1))
     state = apply(state, BRANCHED, NO_GATES, Translate(2, 1))
-    assert state.chain_at(1) == (0,)
+    assert state.chains[1] == (0,)
 
 
 def test_translate_order_preserved_exhaustively():
@@ -112,7 +119,7 @@ def test_translate_order_preserved_exhaustively():
             state = TrapState.from_dicts(LINEAR1, {src: chain})
             for dst in LINEAR1.neighbors(src):
                 after = apply(state, LINEAR1, NO_GATES, Translate(src, dst))
-                assert after.chain_at(dst) == chain
+                assert after.chains[dst] == chain
 
 
 # -- separate / merge / swap ---------------------------------------------------
@@ -355,7 +362,8 @@ def test_reachable_states_conserve_qubits():
                 if reason is None:
                     assert op in listed
                     after = apply(state, graph, circ, op)
-                    assert after.qubits == state.qubits
+                    held = sorted(q for chain in after.chains for q in chain)
+                    assert held == sorted(q for chain in state.chains for q in chain)
                     for chain in after.chains:
                         assert len(chain) <= graph.capacity
                     circ2 = (
@@ -384,6 +392,14 @@ def kernel_code(op):
         return (kernel.TRANSLATE, op.src, op.dst)
     kinds = {Separate: kernel.SEPARATE, Merge: kernel.MERGE, Swap: kernel.SWAP}
     return (kinds[type(op)], op.at, -1)
+
+
+def successor_states(enc, chains, locks):
+    """(code, chains, locks) per kernel.successors code, each state built by kernel.transition."""
+    return [
+        (code, *kernel.transition(enc, chains, locks, code))
+        for code in kernel.successors(enc, chains, locks)
+    ]
 
 
 def beyond_the_trap(n):
@@ -448,14 +464,15 @@ def test_kernel_matches_violation_on_random_walks(graph, qubits):
     """Seeded random walks from the initial placement of random circuits.
 
     On every visited state: allowed_ops is exactly the ops violation()
-    accepts, in canonical order; each kernel successor decodes to an op
-    whose apply lands on that successor's encoding; for every shuttling op
-    of every_op and ops naming vertex ids beyond the trap,
-    kernel.transition returns exactly the successor with that code, and
-    None exactly when violation() gives a reason; for every Execute Gate of
-    every_op and one unknown gate id, apply raises exactly when violation()
-    gives a reason, with that reason in its text; and on oracle-sized
-    instances the bfs_next_gate route replays and ends in a gate execution.
+    accepts, in canonical order; for every shuttling op of every_op and ops
+    naming vertex ids beyond the trap, kernel.transition returns None
+    exactly when violation() gives a reason, apply lands on the state
+    transition returns or raises with that reason in its text, and
+    kernel.successors gives exactly the codes transition accepts, in
+    canonical order; for every Execute Gate of every_op and one unknown
+    gate id, apply raises exactly when violation() gives a reason, with
+    that reason in its text; and on oracle-sized instances the
+    bfs_next_gate route replays and ends in a gate execution.
     """
     oracle = len(graph.vertices) <= ORACLE_MAX_VERTICES and qubits <= 4
     trap_enc = graph.encoded
@@ -471,19 +488,23 @@ def test_kernel_matches_violation_on_random_walks(graph, qubits):
             ]
             listed = allowed_ops(state, graph, circuit)
             assert listed == sorted(legal, key=canonical_key)
-            successors = kernel.successors(trap_enc, state.chains, state.locks)
-            for code, next_chains, next_locks in successors:
-                after = apply(state, graph, circuit, ops.decode_op(code))
-                assert after == TrapState(next_chains, next_locks)
-            by_code = {code: (c, locks) for code, c, locks in successors}
+            accepted = []
             for op in every_op(graph, circuit) + beyond_the_trap(trap_enc[0]):
                 if isinstance(op, ExecuteGate):
                     continue
                 code = kernel_code(op)
                 assert ops.decode_op(code) == op
                 after = kernel.transition(trap_enc, state.chains, state.locks, code)
-                assert after == by_code.get(code)
-                assert (after is None) == (violation(state, graph, circuit, op) is not None)
+                reason = violation(state, graph, circuit, op)
+                assert (after is None) == (reason is not None)
+                if after is not None:
+                    accepted.append(code)
+                    assert apply(state, graph, circuit, op) == TrapState(*after)
+                    continue
+                with pytest.raises(IllegalOperationError) as rejected:
+                    apply(state, graph, circuit, op)
+                assert str(rejected.value) == f"{format_op(op)}: {reason}"
+            assert kernel.successors(trap_enc, state.chains, state.locks) == sorted(accepted)
             executes = [op for op in every_op(graph, circuit) if isinstance(op, ExecuteGate)]
             for op in executes + [ExecuteGate(len(circuit.gates) + 1)]:
                 reason = violation(state, graph, circuit, op)
@@ -514,6 +535,51 @@ def test_kernel_matches_violation_on_random_walks(graph, qubits):
             if isinstance(op, ExecuteGate):
                 circuit = circuit.mark_executed(op.gate)
     assert not oracle or routes > 0
+
+
+# The digest of tools/rejection_digest.py run at 2 walks of 30 states and 15
+# arbitrary states per walk: 171,872 probes. The script's default run, which
+# CI pins, probes about 2.1 million.
+REJECTION_SHA256 = "857a31f1817fdbbb4e82c6abefd7e25414462d6738f990a1e26b9392578a5f26"
+
+# Every reason violation() gives, with each number written N.
+REASON_SHAPES = {
+    "no vertex pair (N, N)",
+    "vertices N and N are not adjacent",
+    "vertex N is empty",
+    "vertex N is occupied",
+    "junction N was left toward N and cannot be re-entered from there",
+    "no vertex N",
+    "vertex N does not allow separate",
+    "vertex N does not allow merge",
+    "vertex N does not allow swap",
+    "vertex N has no lateral pair",
+    "lateral vertex N is a junction",
+    "vertex N holds fewer than two qubits",
+    "lateral vertex N is occupied",
+    "lateral vertex N is empty",
+    "combined chain of N exceeds capacity N",
+    "unknown gate N",
+    "gate N is not in the first layer",
+    "qubit N is not placed",
+    "qubits of gate N sit in different vertices",
+    "vertex N does not allow gate execution",
+    "vertex N holds qubits besides those of gate N",
+}
+
+
+def test_rejection_texts_are_pinned():
+    """Every probe of a trimmed rejection-digest run words its op as before, all 21 reasons."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+    from rejection_digest import probe_lines
+
+    digest = hashlib.sha256()
+    shapes = set()
+    for line in probe_lines(2, 30, 15):
+        digest.update(line.encode() + b"\n")
+        shapes.add(re.sub(r"\d+", "N", line.split("|", 1)[1]))
+    assert shapes == REASON_SHAPES | {"None"}
+    assert digest.hexdigest() == REJECTION_SHA256
 
 
 # -- reachability over-approximation ---------------------------------------------------
@@ -556,7 +622,7 @@ def routable(enc, chains, locks, gate):
         chains, locks = stack.pop()
         if kernel.ready_gates(enc, chains, (gate,)):
             return True
-        for _, next_chains, next_locks in kernel.successors(enc, chains, locks):
+        for _, next_chains, next_locks in successor_states(enc, chains, locks):
             if (next_chains, next_locks) not in seen:
                 seen.add((next_chains, next_locks))
                 stack.append((next_chains, next_locks))
@@ -584,7 +650,7 @@ def test_reachable_gates_leave_out_only_unroutable_gates():
             chains, locks = placement.chains, placement.locks
             for _ in range(100):
                 states.append((chains, locks))
-                moves = kernel.successors(enc, chains, locks)
+                moves = successor_states(enc, chains, locks)
                 if not moves:
                     break
                 _, chains, locks = rng.choice(moves)

@@ -300,7 +300,7 @@ def inject_pairs(sched, rng):
             if sched.graph.allows(vertex, "swap") and len(chain) >= 2:
                 spots.append((index, (Swap(vertex), Swap(vertex))))
             for n in sorted(sched.graph.neighbors(vertex)):
-                if state.occupied(n) or sched.graph.is_junction(n):
+                if state.chains[n] or sched.graph.is_junction(n):
                     continue
                 if sched.graph.is_junction(vertex):
                     continue

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from shuttlekit import kernel, trap
+from shuttlekit import trap
 from shuttlekit.baseline import random_circuit
 from shuttlekit.circuit import Circuit, Gate
 from shuttlekit.errors import PlacementError
 from shuttlekit.state import TrapState, initial_placement, position_lines
+from test_ops import successor_states
 
 LINEAR4 = trap.build_linear(4)  # vertices 0..8
 BRANCHED = trap.build_branched(1, 1, 1)  # junction 1
@@ -26,11 +27,9 @@ def test_state_rejects_duplicate_qubit():
 
 def test_chain_lookup_and_occupancy():
     state = TrapState.from_dicts(LINEAR4, {4: (0, 2)})
-    assert state.chain_at(4) == (0, 2)
-    assert state.chain_at(5) == ()
-    assert state.occupied(4)
-    assert not state.occupied(5)
-    assert state.qubits == frozenset({0, 2})
+    assert state.chains[4] == (0, 2)
+    assert state.chains[5] == ()
+    assert {q for chain in state.chains for q in chain} == {0, 2}
 
 
 def test_position_of_reads_chain_index():
@@ -85,7 +84,7 @@ def test_position_lines_equal_the_qubit_positions_text(graph, qubits):
         state = initial_placement(random_circuit(qubits, 4, seed), graph)
         for _ in range(40):
             states.append(state)
-            successors = kernel.successors(graph.encoded, state.chains, state.locks)
+            successors = successor_states(graph.encoded, state.chains, state.locks)
             if not successors:
                 break
             state = TrapState(*rng.choice(successors)[1:])
