@@ -16,8 +16,9 @@ operands apart. Each failure names the lowest-numbered first-layer gate.
 The router holds only the kernel encoding of its state and the circuit. It
 commits a shuttling op with one kernel.transition call on that op's code,
 so the kernel checks every op against the real state, and it emits op
-codes. Each compile decodes them once, and `optimize` is the one
-validating replay of the schedule.
+codes. Each compile decodes them once, and schedule.replay is the one
+validating replay of the schedule: a compile returns the ops replay kept,
+and only when replay accepts them.
 
 `compile_many` compiles a batch of circuits on one trap and `compile` is a
 batch of one. The compiles of a batch share the trap's search tables and a
@@ -54,7 +55,7 @@ from .circuit import MAX_QUBITS, Circuit, Gate
 from .errors import CircuitError, CompileError, NoRouteError, OracleLimitError, PlacementError
 from .kernel import EXECUTE, SEPARATE
 from .ops import ShuttleOp
-from .schedule import Schedule, optimize
+from .schedule import Schedule, replay
 from .state import TrapState, initial_placement
 from .trap import TrapGraph, bfs_distances
 
@@ -391,7 +392,9 @@ def compile_many(circuits: Iterable[Circuit], graph: TrapGraph) -> list[Schedule
     and the lowest ready gate id of the real first layer executes. An op
     that transition rejects raises CompileError naming a router defect.
     The router's op codes are decoded once per circuit and replayed once,
-    by `optimize`.
+    and the schedule holds the ops that replay kept (see schedule.replay).
+    A schedule replay rejects raises CompileError naming a router defect
+    and replay's reason.
     The slice is the one a fresh search would find, because the search
     reads qubit labels only through operand positions and chain lengths,
     its estimate is symmetric in a pair's two operands, and its heap order
@@ -420,8 +423,13 @@ def compile_many(circuits: Iterable[Circuit], graph: TrapGraph) -> list[Schedule
         while not router.circuit.is_complete:
             router.route_next()
         ops = [op_mod.decode_op(code) for code in router.codes]
-        ops = optimize(ops, graph, circuit, placement)
-        schedules.append(Schedule(graph, circuit, placement, tuple(ops)))
+        report, _, kept, _ = replay(graph, placement, circuit, ops)
+        if not report.ok:
+            raise CompileError(
+                f"replay rejects the router's schedule: {report.reason}; this is a router "
+                "defect, which does not prove that the circuit has no schedule"
+            )
+        schedules.append(Schedule(graph, circuit, placement, tuple(kept)))
     return schedules
 
 

@@ -4,8 +4,10 @@ One data entry covers the ops between two consecutive gate executions: the
 instruction describes the trap, the rules, and the current state; the
 output lists the ops with a state echo after each one and stops at the
 `Execute Gate` line. All echoes are rendered from simulation, never taken
-from any external text. Wording lives in a versioned template file so the
-golden snapshots survive refactors.
+from any external text: each is the state schedule.replay recorded in the
+slice, so rendering steps no op and its text cannot disagree with replay.
+Wording lives in a versioned template file so the golden snapshots
+survive refactors.
 
 A state renders straight from its encoding: positions off the chains, op
 lines off kernel op codes. A render memo (`RenderMemo`) keeps the text that
@@ -169,39 +171,34 @@ def render_output(
     Every op except the final `Execute Gate` is followed by the new qubit
     positions, the first-layer gates, and the operations allowed next.
     circuit must reflect the executions before the slice, i.e. slice.circuit.
-    A slice whose only `Execute Gate` is not its last op, or whose state
-    does not hold exactly the circuit's qubits, raises RenderError. The
-    shuttling ops are walked through kernel.transition on the state's
-    encoding, and the final `Execute Gate` is checked by ops.apply in the
-    state the last of them left; an illegal op raises IllegalOperationError
-    naming the failed condition. `memo`, a render memo for `graph`,
-    supplies and keeps the op lines and each echoed state's text.
+    Each echo renders the state `slice.states` holds for its op, so nothing
+    is stepped here: legality is replay's, which cut the slice (see
+    schedule.decompose). A slice whose only `Execute Gate` is not its last
+    op, or that lacks one state per shuttling op, or whose state does not
+    hold exactly the circuit's qubits, raises RenderError. `memo`, a render
+    memo for `graph`, supplies and keeps the op lines and each echoed
+    state's text.
     """
     executes = [i for i, op in enumerate(slice.ops) if isinstance(op, ExecuteGate)]
-    if executes != [len(slice.ops) - 1]:
+    if executes != [len(slice.ops) - 1] or len(slice.states) != len(slice.ops) - 1:
         raise RenderError(
-            f"a slice must end in its only Execute Gate; this one has {len(slice.ops)} ops "
-            f"with Execute Gates at indices {executes}"
+            "a slice must end in its only Execute Gate, with one state per shuttling op; "
+            f"this one has {len(slice.ops)} ops with Execute Gates at indices {executes} "
+            f"and {len(slice.states)} states"
         )
     *moves, last = slice.ops
-    chains, locks = slice.state.chains, slice.state.locks
-    _check_qubits(chains, circuit)
+    _check_qubits(slice.state.chains, circuit)
     memo = RenderMemo() if memo is None else memo
-    trap = graph.encoded
     first_layer = circuit.first_layer
     blocks: list[str] = []
-    for op in moves:
-        after = kernel.transition(trap, chains, locks, op_mod.encode_op(op))
-        if after is None:
-            raise op_mod.rejection(TrapState(chains, locks), graph, circuit, op)
-        chains, locks = after
-        spots, positions, shuttles = _state_text(graph, chains, locks, memo)
+    for op, state in zip(moves, slice.states):
+        chains = state.chains
+        spots, positions, shuttles = _state_text(graph, chains, state.locks, memo)
         lines = [op_mod.format_op(op), "Qubit positions:", positions, "First-layer gates:"]
         lines.append(_gate_lines(first_layer, spots))
         lines.append("Allowed operations:")
         lines.append(_allowed_block(memo, shuttles, graph, chains, first_layer))
         blocks.append("\n".join(lines))
-    op_mod.apply(TrapState(chains, locks), graph, circuit, last)
     blocks.append(op_mod.format_op(last))
     return "\n\n".join(blocks) + "\n"
 

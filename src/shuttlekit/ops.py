@@ -1,15 +1,16 @@
 """The five schedule operations: stepping, enumeration, rejection text, op text.
 
-The kernel states every rule: `apply` steps a shuttling op through
-kernel.transition, and `allowed_ops` lists the codes kernel.successors
-gives and the gates kernel.ready_gates gives. violation() only checks that
-an Execute Gate names a first-layer gate, and otherwise fills in the
-template of the rule kernel.illegal or kernel.unready names. `encode_op`
-and `decode_op` convert between ops and kernel op codes, and `format_op` is
-the one op formatter: the dataset renderer formats each kernel op code it
-lists as `format_op(decode_op(code))`, once per render memo. Executing a
-gate leaves the chain state untouched; callers advance the circuit
-separately.
+The kernel states every rule: `apply`, which schedule.replay calls for
+each op, steps a shuttling op through kernel.transition and raises the
+rejection of an illegal op, and `allowed_ops` lists the codes
+kernel.successors gives and the gates kernel.ready_gates gives.
+violation() only checks that an Execute Gate names a first-layer gate,
+and otherwise fills in the template of the rule kernel.illegal or
+kernel.unready names. `encode_op` and `decode_op` convert between ops and
+kernel op codes, and `format_op` is the one op formatter: the dataset
+renderer formats each kernel op code it lists as
+`format_op(decode_op(code))`, once per render memo. Executing a gate
+leaves the chain state untouched; callers advance the circuit separately.
 """
 
 from __future__ import annotations
@@ -82,7 +83,9 @@ def violation(
         pair = trap[5][a] if 0 <= a < trap[0] else None
     if template is None:
         return None
-    first = state.qubit_positions.get(qubits[0]) if qubits else None
+    vertex = None
+    if qubits:
+        vertex = next((v for v, chain in enumerate(chains) if qubits[0] in chain), None)
     return template.format(
         a=a,
         b=b,
@@ -90,7 +93,7 @@ def violation(
         combined=sum(len(chains[side]) for side in pair or ()),
         capacity=trap[1],
         qubits=qubits,
-        vertex=first and first.vertex,
+        vertex=vertex,
     )
 
 
@@ -99,7 +102,7 @@ def apply(state: TrapState, graph: TrapGraph, circuit: Circuit, op: ShuttleOp) -
 
     A shuttling op steps through kernel.transition. An Execute Gate is
     legal when violation() finds no rule it breaks, and returns the state
-    unchanged.
+    unchanged. The error reads "<op line>: <rule>".
     """
     if isinstance(op, ExecuteGate):
         if violation(state, graph, circuit, op) is None:
@@ -108,14 +111,7 @@ def apply(state: TrapState, graph: TrapGraph, circuit: Circuit, op: ShuttleOp) -
         after = kernel.transition(graph.encoded, state.chains, state.locks, encode_op(op))
         if after is not None:
             return TrapState(*after)
-    raise rejection(state, graph, circuit, op)
-
-
-def rejection(
-    state: TrapState, graph: TrapGraph, circuit: Circuit, op: ShuttleOp
-) -> IllegalOperationError:
-    """The error for an op that is illegal in this state, naming the rule it breaks."""
-    return IllegalOperationError(f"{format_op(op)}: {violation(state, graph, circuit, op)}")
+    raise IllegalOperationError(f"{format_op(op)}: {violation(state, graph, circuit, op)}")
 
 
 def allowed_ops(state: TrapState, graph: TrapGraph, circuit: Circuit) -> list[ShuttleOp]:

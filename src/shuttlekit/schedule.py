@@ -4,11 +4,12 @@ A schedule is complete when replay executes every gate, ends with no
 occupied junction, and contains no shuttling after the final gate. There
 is one replay loop, `replay`, which applies `step` op by op and returns the
 validation report, the per-gate slices, the optimizer's kept ops and the
-circuit reached. Each consumer makes one pass and reads what it needs:
-`validate` the report, `decompose` the slices, `optimize` the kept ops, and
-the generation driver the report, kept ops and circuit of each slice it
-accepts, so a generated schedule is complete only if `validate` accepts
-it. The optimizer deletes adjacent op pairs
+circuit reached. It is the only code that steps ops. Each consumer makes
+one pass and reads what it needs: `validate` the report, `decompose` the
+slices, whose recorded states the dataset renderer echoes, `optimize` and
+the compiler the kept ops, and the generation driver the report, kept ops
+and circuit of each slice it accepts, so a generated schedule is complete
+only if `validate` accepts it. The optimizer deletes adjacent op pairs
 that provably return to the state they started from, junction locks
 included, so removal can never invalidate a later op or change the final
 state.
@@ -49,11 +50,17 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class EntrySlice:
-    """Ops up to and including one gate execution, with the state they start from."""
+    """Ops up to and including one gate execution, with the states they pass through.
+
+    `state` and `circuit` are where the slice starts, and `states[i]` is the
+    state that shuttling op `ops[i]` leads to, one per op before the final
+    Execute Gate, as replay stepped them.
+    """
 
     state: TrapState
     circuit: Circuit
     ops: tuple[ShuttleOp, ...]
+    states: tuple[TrapState, ...]
 
     @property
     def gate(self) -> int:
@@ -83,7 +90,8 @@ def replay(
     An illegal op stops the replay with `failure_index` set and
     `final_state=None`. Otherwise the report checks the end conditions:
     every gate executed, no op after the final gate, no chain on a junction.
-    The slices are cut at each Execute Gate from the ops as given.
+    The slices are cut at each Execute Gate from the ops as given, and each
+    records the state every one of its shuttling ops led to.
 
     The kept ops are the optimizer's. A stack holds each kept op with the
     state it starts from; an incoming shuttling op cancels the top when the
@@ -97,7 +105,7 @@ def replay(
     """
     slices: list[EntrySlice] = []
     kept: list[tuple[ShuttleOp, TrapState]] = []
-    slice_state, slice_circuit = state, circuit
+    slice_state, slice_circuit, states = state, circuit, []
     start = 0
     for index, op in enumerate(ops):
         try:
@@ -106,13 +114,16 @@ def replay(
             report = ValidationReport(False, index, str(exc), len(slices), None)
             return report, slices, [op for op, _ in kept], circuit
         if isinstance(op, ExecuteGate):
-            slices.append(EntrySlice(slice_state, slice_circuit, tuple(ops[start : index + 1])))
-            slice_state, slice_circuit, start = after, circuit, index + 1
+            piece = EntrySlice(slice_state, slice_circuit, tuple(ops[start : index + 1]), tuple(states))
+            slices.append(piece)
+            slice_state, slice_circuit, states, start = after, circuit, [], index + 1
             kept.append((op, state))
-        elif kept and after == kept[-1][1]:
-            kept.pop()
         else:
-            kept.append((op, state))
+            states.append(after)
+            if kept and after == kept[-1][1]:
+                kept.pop()
+            else:
+                kept.append((op, state))
         state = after
     executed = len(slices)
     failure_index = reason = None
@@ -166,9 +177,9 @@ def optimize(
 def serialize_schedule(schedule: Schedule, trap_path: str, circuit_path: str) -> str:
     """Schedule file text: trap/circuit references, placement, one op per line."""
     lines = [f"trap {trap_path}", f"circuit {circuit_path}"]
-    for qubit in sorted(schedule.placement.qubit_positions):
-        pos = schedule.placement.position_of(qubit)
-        lines.append(f"placement: qubit {qubit} at [{pos.vertex},{pos.position}]")
+    chains = schedule.placement.chains
+    spots = sorted((q, v, p) for v, chain in enumerate(chains) for p, q in enumerate(chain))
+    lines.extend(f"placement: qubit {q} at [{v},{p}]" for q, v, p in spots)
     lines.extend(op_mod.format_op(op) for op in schedule.ops)
     return "\n".join(lines) + "\n"
 

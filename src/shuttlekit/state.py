@@ -3,17 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .circuit import Circuit
 from .errors import PlacementError
 from .trap import TrapGraph, VertexKind, bfs_distances
-
-
-@dataclass(frozen=True)
-class QubitPos:
-    vertex: int
-    position: int
 
 
 @dataclass(frozen=True)
@@ -53,23 +46,9 @@ class TrapState:
             tuple(locks.get(v, -1) for v in range(n)),
         )
 
-    @cached_property
-    def qubit_positions(self) -> dict[int, QubitPos]:
-        return {
-            qubit: QubitPos(vertex, index)
-            for vertex, chain in enumerate(self.chains)
-            for index, qubit in enumerate(chain)
-        }
-
-    def position_of(self, qubit: int) -> QubitPos:
-        return self.qubit_positions[qubit]
-
 
 def position_lines(state: TrapState) -> list[str]:
-    """One `qubit <q> at [<v>, <p>]` line per qubit, sorted by qubit.
-
-    The lines are read straight off `state.chains`, so no QubitPos is built.
-    """
+    """One `qubit <q> at [<v>, <p>]` line per qubit, sorted by qubit, read off `state.chains`."""
     spots = sorted((q, v, p) for v, chain in enumerate(state.chains) for p, q in enumerate(chain))
     return [f"qubit {q} at [{v}, {p}]" for q, v, p in spots]
 

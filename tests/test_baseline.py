@@ -146,14 +146,14 @@ def test_every_slice_starts_with_junctions_empty(graph, qubits, seeds):
 
 
 def test_compile_steps_each_op_once(monkeypatch):
-    """The router commits through kernel.transition; optimize is the one replay of its ops.
+    """The router commits through kernel.transition; schedule.replay is the one replay of its ops.
 
     Past the placement, every TrapState comes from an ops.apply of that
     replay, so the router neither builds nor steps one. An Execute Gate
     returns the state it is given, so each shuttling op builds one state.
     """
     applied, shuttled, built, received = 0, 0, 0, []
-    apply, init, optimize = ops.apply, TrapState.__init__, baseline.optimize
+    apply, init, replay = ops.apply, TrapState.__init__, baseline.replay
 
     def counted(*args):
         nonlocal applied, shuttled
@@ -166,13 +166,13 @@ def test_compile_steps_each_op_once(monkeypatch):
         built += 1
         init(self, *args)
 
-    def recorded(op_list, *args):
+    def recorded(graph, state, circuit, op_list):
         received.append(len(op_list))
-        return optimize(op_list, *args)
+        return replay(graph, state, circuit, op_list)
 
     monkeypatch.setattr(ops, "apply", counted)
     monkeypatch.setattr(TrapState, "__init__", counted_build)
-    monkeypatch.setattr(baseline, "optimize", recorded)
+    monkeypatch.setattr(baseline, "replay", recorded)
     baseline.compile(baseline.random_circuit(4, 6, 0), trap.build_eval_layout("ring", 4))
     assert applied == received[0] > 0
     assert built == 1 + shuttled
@@ -235,6 +235,22 @@ def test_illegal_memo_route_is_a_router_defect(monkeypatch):
     assert str(failure.value).startswith(
         "the route to gate 2 takes Translate 0 -> 0, which is illegal in the router's "
         "current state; this is a router defect"
+    )
+
+
+def test_compile_refuses_a_schedule_replay_rejects(monkeypatch):
+    """A router that leaves an op after the last gate fails the compile, naming replay's reason."""
+
+    def tidy_always(self, gate):
+        vertex = next(v for v, chain in enumerate(self.chains) if gate.qubits[0] in chain)
+        self.shuttle((kernel.SEPARATE, vertex, -1))
+
+    monkeypatch.setattr(baseline._Router, "_tidy_after_execute", tidy_always)
+    with pytest.raises(CompileError) as failure:
+        baseline.compile(Circuit(2, (Gate(1, (0, 1)),)), trap.build_linear(1))
+    assert str(failure.value) == (
+        "replay rejects the router's schedule: trailing operations after the final gate; "
+        "this is a router defect, which does not prove that the circuit has no schedule"
     )
 
 

@@ -8,8 +8,8 @@ import pytest
 from shuttlekit import baseline, cli, dataset, kernel, ops, trap
 from shuttlekit.circuit import Circuit, Gate, parse_circuit
 from shuttlekit.dataset import DataEntry, generate_dataset, render_instruction, render_output
-from shuttlekit.errors import IllegalOperationError, RenderError
-from shuttlekit.schedule import EntrySlice, decompose, parse_schedule, schedule_paths, step
+from shuttlekit.errors import RenderError
+from shuttlekit.schedule import EntrySlice, decompose, parse_schedule, replay, schedule_paths
 from shuttlekit.state import TrapState
 
 INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
@@ -71,6 +71,46 @@ def test_rendered_slices_with_junction_locks_match_golden_digest():
             digest.update(render_output(piece, schedule.graph, piece.circuit).encode())
     assert locked == 40
     assert digest.hexdigest() == RENDER_SHA256
+
+
+def test_slices_carry_the_states_their_shuttling_ops_lead_to():
+    """Each slice's `states` is its shuttling ops stepped through ops.apply, locks included."""
+    locked = 0
+    for schedule in render_corpus():
+        for piece in decompose(schedule):
+            state, stepped = piece.state, []
+            for op in piece.ops[:-1]:
+                state = ops.apply(state, schedule.graph, piece.circuit, op)
+                stepped.append(state)
+            assert piece.states == tuple(stepped)
+            locked += any(lock != -1 for echo in piece.states for lock in echo.locks)
+    assert locked > 0
+
+
+def test_rendering_steps_no_op(monkeypatch):
+    """render_output steps nothing, so generate_dataset steps each op once, in replay."""
+    schedules = render_corpus()
+    pieces = [(schedule.graph, piece) for schedule in schedules for piece in decompose(schedule)]
+    calls = {"ops.apply": 0, "kernel.transition": 0}
+
+    def counting(name, function):
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+        return counted
+
+    monkeypatch.setattr(ops, "apply", counting("ops.apply", ops.apply))
+    monkeypatch.setattr(kernel, "transition", counting("kernel.transition", kernel.transition))
+    for graph, piece in pieces:
+        render_output(piece, graph, piece.circuit)
+    assert calls == {"ops.apply": 0, "kernel.transition": 0}
+    generate_dataset(schedules, 0)
+    assert calls == {
+        "ops.apply": sum(len(schedule.ops) for schedule in schedules),
+        "kernel.transition": sum(
+            not isinstance(op, ops.ExecuteGate) for schedule in schedules for op in schedule.ops
+        ),
+    }
 
 
 # sha256 of the files written by
@@ -164,47 +204,50 @@ ROUTE = ("Translate 0 -> 1", "Translate 4 -> 3", "Merge 2", "Execute Gate 1")
     ],
 )
 def test_illegal_slice_fails_render_with_the_replay_error(graph, chains, locks, lines, message):
-    """An illegal op at any index raises the text that replaying the slice raises."""
+    """Replay stops at an illegal op at any index with its rule, and cuts no slice to render.
+
+    Rendering steps nothing: it echoes the states replay recorded, so an
+    illegal op is caught by the replay that `decompose` runs, not later.
+    """
     state = TrapState.from_dicts(graph, chains, locks)
-    piece = EntrySlice(state, ONE_GATE, tuple(ops.parse_op(line) for line in lines))
-    with pytest.raises(IllegalOperationError) as replayed:
-        current = ONE_GATE
-        for op in piece.ops:
-            state, current = step(graph, state, current, op)
-    assert str(replayed.value) == message
-    with pytest.raises(IllegalOperationError) as rendered:
-        render_output(piece, graph, ONE_GATE)
-    assert str(rendered.value) == message
+    report, slices, _, _ = replay(graph, state, ONE_GATE, tuple(map(ops.parse_op, lines)))
+    assert (report.ok, report.reason, report.final_state, slices) == (False, message, None, [])
+    assert report.failure_index == lines.index(message.split(":")[0])
 
 
 TWO_GATES = Circuit(2, (Gate(1, (0, 1)), Gate(2, (0, 1))))
 
 
 @pytest.mark.parametrize(
-    "chains,lines,found",
+    "chains,lines,states,found",
     [
-        ({0: (0,), 4: (1,)}, (), "0 ops with Execute Gates at indices []"),
-        ({0: (0,), 4: (1,)}, ROUTE[:3], "3 ops with Execute Gates at indices []"),
-        ({2: (0, 1)}, ("Execute Gate 1", "Translate 0 -> 1", "Execute Gate 2"),
-         "3 ops with Execute Gates at indices [0, 2]"),
+        ({0: (0,), 4: (1,)}, (), 0, "0 ops with Execute Gates at indices [] and 0 states"),
+        ({0: (0,), 4: (1,)}, ROUTE[:3], 3, "3 ops with Execute Gates at indices [] and 3 states"),
+        ({2: (0, 1)}, ("Execute Gate 1", "Translate 0 -> 1", "Execute Gate 2"), 2,
+         "3 ops with Execute Gates at indices [0, 2] and 2 states"),
+        ({0: (0,), 4: (1,)}, ROUTE, 2, "4 ops with Execute Gates at indices [3] and 2 states"),
     ],
-    ids=["empty", "no_execute", "execute_not_last"],
+    ids=["empty", "no_execute", "execute_not_last", "a_state_short"],
 )
-def test_render_output_rejects_a_slice_not_ended_by_its_only_execute(chains, lines, found):
-    piece = EntrySlice(
-        TrapState.from_dicts(LINEAR2, chains), TWO_GATES, tuple(map(ops.parse_op, lines))
-    )
+def test_render_output_rejects_a_slice_not_ended_by_its_only_execute(chains, lines, states, found):
+    """The shape check: one final Execute Gate, and one recorded state per shuttling op."""
+    state = TrapState.from_dicts(LINEAR2, chains)
+    piece = EntrySlice(state, TWO_GATES, tuple(map(ops.parse_op, lines)), (state,) * states)
     with pytest.raises(RenderError) as rejected:
         render_output(piece, LINEAR2, TWO_GATES)
-    assert str(rejected.value) == f"a slice must end in its only Execute Gate; this one has {found}"
+    assert str(rejected.value) == (
+        "a slice must end in its only Execute Gate, with one state per shuttling op; "
+        f"this one has {found}"
+    )
 
 
 @pytest.mark.parametrize("chains", [{0: (0,), 4: (2,)}, {0: (0,)}, {0: (0,), 3: (2,), 4: (1,)}])
 def test_rendering_a_state_without_the_circuits_qubits_is_an_error(chains):
-    state = TrapState.from_dicts(LINEAR2, chains)
     """Both renders reject a state that does not hold qubits 0..n-1, with one text."""
+    state = TrapState.from_dicts(LINEAR2, chains)
     held = sorted(q for chain in chains.values() for q in chain)
-    piece = EntrySlice(state, ONE_GATE, tuple(map(ops.parse_op, ROUTE)))
+    # The qubit check reads the start state only; the echo states just fill the shape.
+    piece = EntrySlice(state, ONE_GATE, tuple(map(ops.parse_op, ROUTE)), (state,) * 3)
     with pytest.raises(RenderError) as instruction:
         render_instruction(LINEAR2, state, ONE_GATE)
     with pytest.raises(RenderError) as output:

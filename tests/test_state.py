@@ -1,4 +1,4 @@
-"""Trap state values, qubit positions, and the initial placement heuristic."""
+"""Trap state values, qubit position lines, and the initial placement heuristic."""
 
 import random
 
@@ -32,13 +32,10 @@ def test_chain_lookup_and_occupancy():
     assert {q for chain in state.chains for q in chain} == {0, 2}
 
 
-def test_position_of_reads_chain_index():
+def test_position_lines_read_the_chain_index():
+    """A qubit's position is its index in its vertex's chain; an absent qubit has no line."""
     state = TrapState.from_dicts(LINEAR4, {1: (0, 1), 7: (3,)})
-    assert (state.position_of(0).vertex, state.position_of(0).position) == (1, 0)
-    assert (state.position_of(1).vertex, state.position_of(1).position) == (1, 1)
-    assert (state.position_of(3).vertex, state.position_of(3).position) == (7, 0)
-    with pytest.raises(KeyError):
-        state.position_of(9)
+    assert position_lines(state) == ["qubit 0 at [1, 0]", "qubit 1 at [1, 1]", "qubit 3 at [7, 0]"]
 
 
 def test_state_equality_distinguishes_lock_history():
@@ -72,11 +69,12 @@ FAMILIES = [
     "graph,qubits", FAMILIES, ids=["linear1", "linear4", "branched", "ring", "multi_linear", "four_way"]
 )
 def test_position_lines_equal_the_qubit_positions_text(graph, qubits):
-    """The chain-read lines equal the QubitPos-based text on seeded random walks."""
+    """The lines equal a per-qubit search of the chains on seeded random walks."""
 
     def from_positions(state):
-        items = sorted(state.qubit_positions.items())
-        return [f"qubit {q} at [{pos.vertex}, {pos.position}]" for q, pos in items]
+        held = sorted(q for chain in state.chains for q in chain)
+        spots = [next((v, c.index(q)) for v, c in enumerate(state.chains) if q in c) for q in held]
+        return [f"qubit {q} at [{v}, {p}]" for q, (v, p) in zip(held, spots)]
 
     states = [TrapState.from_dicts(graph, {})]
     for seed in range(3):
@@ -132,7 +130,7 @@ def test_placement_spreads_over_storage_by_distance():
     circuit = Circuit(6, tuple(Gate(i + 1, (i % 6,)) for i in range(6)))
     graph = trap.build_linear(6)
     placement = initial_placement(circuit, graph)
-    assert set(placement.qubit_positions) == set(range(6))
+    assert sorted(q for chain in placement.chains for q in chain) == list(range(6))
     for vertex, chain in enumerate(placement.chains):
         if not chain:
             continue
