@@ -16,9 +16,10 @@ operands apart. Each failure names the lowest-numbered first-layer gate.
 The router holds only the kernel encoding of its state and the circuit. It
 commits a shuttling op with one kernel.transition call on that op's code,
 so the kernel checks every op against the real state, and it emits op
-codes. Each compile decodes them once, and schedule.replay is the one
-validating replay of the schedule: a compile returns the ops replay kept,
-and only when replay accepts them.
+codes, popping the last one where an op undoes it, so that replay's
+optimizer keeps them all. Each compile decodes them once, and one
+schedule.replay validates the schedule and cuts the slices it holds
+(`Schedule.slices`): a compile yields it only when replay accepts it.
 
 `compile_many` compiles a batch of circuits on one trap and `compile` is a
 batch of one. The compiles of a batch share the trap's search tables and a
@@ -46,16 +47,17 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from . import kernel
 from . import ops as op_mod
 from .circuit import MAX_QUBITS, Circuit, Gate
 from .errors import CircuitError, CompileError, NoRouteError, OracleLimitError, PlacementError
+from .errors import ScheduleValidationError
 from .kernel import EXECUTE, SEPARATE
 from .ops import ShuttleOp
-from .schedule import Schedule, replay
+from .schedule import Schedule, decompose
 from .state import TrapState, initial_placement
 from .trap import TrapGraph, bfs_distances
 
@@ -247,14 +249,24 @@ class _Router:
         self.chains = chains
         self.locks = locks
         self.codes: list[tuple[int, int, int]] = []
+        self.undo: tuple | None = None
 
     def shuttle(self, code: tuple[int, int, int]) -> bool:
-        """Commit `code` through kernel.transition; False, changing nothing, if it is illegal."""
+        """Commit `code` through kernel.transition; False, changing nothing, if it is illegal.
+
+        An op back to `undo`, the (chains, locks) before the last shuttling
+        op since an execute, pops that op's code instead: replay would drop both.
+        """
         after = kernel.transition(self.trap, self.chains, self.locks, code)
         if after is None:
             return False
+        if after == self.undo:
+            self.codes.pop()
+            self.undo = None
+        else:
+            self.codes.append(code)
+            self.undo = (self.chains, self.locks)
         self.chains, self.locks = after
-        self.codes.append(code)
         return True
 
     # -- state-space search -------------------------------------------------
@@ -343,6 +355,7 @@ class _Router:
         gate_id = min(ready)
         self.circuit = self.circuit.mark_executed(gate_id)
         self.codes.append((EXECUTE, gate_id, -1))
+        self.undo = None
         self._tidy_after_execute(self.circuit.gate_by_id[gate_id])
 
     def _tidy_after_execute(self, gate: Gate) -> None:
@@ -350,9 +363,9 @@ class _Router:
 
         Leaving executed pairs in storage lets capacity-2 tangles build up
         that no exchange can unpick later; a Separate right at the gate
-        vertex is cheap and cancels against an immediate re-Merge in the
-        optimizer pass. The pair alone fills its vertex, and the Separate
-        is skipped where the kernel does not allow it.
+        vertex is cheap, and `shuttle` pops it when the next route opens
+        with the re-Merge that undoes it. The pair alone fills its vertex,
+        and the Separate is skipped where the kernel does not allow it.
         """
         if self.circuit.is_complete or len(gate.qubits) < 2:
             return
@@ -367,18 +380,18 @@ class _Router:
 def compile(circuit: Circuit, graph: TrapGraph) -> Schedule:
     """Compile a circuit into a valid schedule on the given trap.
 
-    The same as `compile_many([circuit], graph)[0]`, CompileError included.
-    A routing search whose start repeats an earlier one of this compile up
-    to qubit labels reuses its slice, which is the slice a fresh search
-    would find: the search is blind to labels (see `compile_many`). The
-    route memo lives for this one call, so two compiles on one graph search
-    alike.
+    The same as `next(compile_many([circuit], graph))`, CompileError
+    included. A routing search whose start repeats an earlier one of this
+    compile up to qubit labels reuses its slice, which is the slice a fresh
+    search would find: the search is blind to labels (see `compile_many`).
+    The route memo lives for this one call, so two compiles on one graph
+    search alike.
     """
-    return compile_many([circuit], graph)[0]
+    return next(compile_many([circuit], graph))
 
 
-def compile_many(circuits: Iterable[Circuit], graph: TrapGraph) -> list[Schedule]:
-    """Compile circuits on one trap into valid schedules, in order.
+def compile_many(circuits: Iterable[Circuit], graph: TrapGraph) -> Iterator[Schedule]:
+    """Compile circuits on one trap into valid schedules, yielded in order.
 
     The lowest-numbered ready first-layer gate executes; when none is
     ready, one weighted best-first search finds a short slice to the next
@@ -391,10 +404,10 @@ def compile_many(circuits: Iterable[Circuit], graph: TrapGraph) -> list[Schedule
     of its ops is committed through kernel.transition on the real state,
     and the lowest ready gate id of the real first layer executes. An op
     that transition rejects raises CompileError naming a router defect.
-    The router's op codes are decoded once per circuit and replayed once,
-    and the schedule holds the ops that replay kept (see schedule.replay).
-    A schedule replay rejects raises CompileError naming a router defect
-    and replay's reason.
+    The schedule holds the router's op codes, decoded once, which replay's
+    optimizer keeps whole; the one replay that validates it cuts the slices
+    it holds (see `Schedule.slices`). A schedule replay rejects raises
+    CompileError naming a router defect and replay's reason.
     The slice is the one a fresh search would find, because the search
     reads qubit labels only through operand positions and chain lengths,
     its estimate is symmetric in a pair's two operands, and its heap order
@@ -403,17 +416,16 @@ def compile_many(circuits: Iterable[Circuit], graph: TrapGraph) -> list[Schedule
     only: it is never module-global nor kept on the graph, so separate
     calls never share entries.
 
-    Raises CompileError for the first circuit that fails: when its initial
-    placement does not fit, or when the router is stuck at some gate:
-    junction locks seal every first-layer gate's operands apart (found
-    before searching), or the search exhausts every state reachable from
-    the router's current state without a gate execution, or it spends its
-    cap first. None of these proves that the circuit has no schedule on the
-    trap: a stuck state is one the router's own earlier choices led to, and
-    a spent cap proves nothing.
+    Lazy: CompileError is raised when iteration reaches the first circuit
+    that fails: its initial placement does not fit, or the router is stuck
+    at some gate: junction locks seal every first-layer gate's operands
+    apart (found before searching), or the search exhausts every state
+    reachable from the router's current state without a gate execution,
+    or it spends its cap first. None of these proves that the circuit has
+    no schedule on the trap: a stuck state is one the router's own earlier
+    choices led to, and a spent cap proves nothing.
     """
     batch = _Batch(graph)
-    schedules = []
     for circuit in circuits:
         try:
             placement = initial_placement(circuit, graph)
@@ -422,15 +434,16 @@ def compile_many(circuits: Iterable[Circuit], graph: TrapGraph) -> list[Schedule
         router = _Router(batch, circuit, placement.chains, placement.locks)
         while not router.circuit.is_complete:
             router.route_next()
-        ops = [op_mod.decode_op(code) for code in router.codes]
-        report, _, kept, _ = replay(graph, placement, circuit, ops)
-        if not report.ok:
+        ops = tuple(op_mod.decode_op(code) for code in router.codes)
+        schedule = Schedule(graph, circuit, placement, ops)
+        try:
+            decompose(schedule)
+        except ScheduleValidationError as exc:
             raise CompileError(
-                f"replay rejects the router's schedule: {report.reason}; this is a router "
+                f"replay rejects the router's schedule: {exc}; this is a router "
                 "defect, which does not prove that the circuit has no schedule"
-            )
-        schedules.append(Schedule(graph, circuit, placement, tuple(kept)))
-    return schedules
+            ) from exc
+        yield schedule
 
 
 def bfs_next_gate(

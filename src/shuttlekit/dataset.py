@@ -4,10 +4,10 @@ One data entry covers the ops between two consecutive gate executions: the
 instruction describes the trap, the rules, and the current state; the
 output lists the ops with a state echo after each one and stops at the
 `Execute Gate` line. All echoes are rendered from simulation, never taken
-from any external text: each is the state schedule.replay recorded in the
-slice, so rendering steps no op and its text cannot disagree with replay.
-Wording lives in a versioned template file so the golden snapshots
-survive refactors.
+from any external text: each is a state that the one schedule.replay of a
+schedule recorded in the slices it holds (`Schedule.slices`), so rendering
+steps no op and its text cannot disagree with replay. Wording lives in a
+versioned template file so the golden snapshots survive refactors.
 
 A state renders straight from its encoding: positions off the chains, op
 lines off kernel op codes. A render memo (`RenderMemo`) keeps the text that
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib.resources import files
@@ -266,9 +267,11 @@ class Dataset:
     skipped: tuple[str, ...] = ()
 
 
-def generate_dataset(schedules: list[Schedule], eval_fraction: float) -> Dataset:
+def generate_dataset(schedules: Iterable[Schedule], eval_fraction: float) -> Dataset:
     """Render every slice of every valid schedule into one DataEntry.
 
+    `schedules` is any iterable, such as `baseline.compile_many`'s; each
+    renders from the slices it holds, so a compiled one replays no more.
     The split is assigned per whole schedule, the last round(fraction * n)
     valid schedules becoming evaluation data, so no trap state from an
     evaluation schedule ever appears in training. Invalid schedules are

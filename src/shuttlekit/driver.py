@@ -13,9 +13,10 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
+from http.client import HTTPException
 from typing import Callable, Protocol, Sequence
-
-import requests
+from urllib.error import HTTPError
+from urllib.request import Request, urlopen
 
 from .circuit import Circuit
 from .dataset import RenderMemo, parse_output, render_instruction
@@ -128,20 +129,21 @@ def http_complete(
     usage.completion_tokens, estimating by whitespace split when the server
     omits usage. A body of any other shape raises TransportError.
     """
-    payload = {
-        "model": model,
-        "prompt": instruction,
-        "max_tokens": max_tokens,
-        "temperature": temperature,
-    }
+    data = json.dumps(
+        {"model": model, "prompt": instruction, "max_tokens": max_tokens, "temperature": temperature}
+    ).encode()
     try:
-        response = requests.post(endpoint, json=payload, timeout=timeout)
-    except requests.RequestException as exc:
+        request = Request(endpoint, data, {"Content-Type": "application/json"})
+        with urlopen(request, timeout=timeout) as response:
+            status, raw = response.status, response.read()
+    except HTTPError as exc:
+        status, raw = exc.code, b""
+    except (OSError, ValueError, HTTPException) as exc:
         raise TransportError(f"request failed: {exc}") from exc
-    if response.status_code != 200:
-        raise TransportError(f"endpoint returned status {response.status_code}")
+    if status != 200:
+        raise TransportError(f"endpoint returned status {status}")
     try:
-        body = response.json()
+        body = json.loads(raw)
     except ValueError as exc:
         raise TransportError("endpoint response is not JSON") from exc
     try:

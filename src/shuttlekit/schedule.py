@@ -5,19 +5,20 @@ occupied junction, and contains no shuttling after the final gate. There
 is one replay loop, `replay`, which applies `step` op by op and returns the
 validation report, the per-gate slices, the optimizer's kept ops and the
 circuit reached. It is the only code that steps ops. Each consumer makes
-one pass and reads what it needs: `validate` the report, `decompose` the
-slices, whose recorded states the dataset renderer echoes, `optimize` and
-the compiler the kept ops, and the generation driver the report, kept ops
-and circuit of each slice it accepts, so a generated schedule is complete
-only if `validate` accepts it. The optimizer deletes adjacent op pairs
-that provably return to the state they started from, junction locks
-included, so removal can never invalidate a later op or change the final
-state.
+one pass and reads what it needs: `validate` the report, `Schedule.slices`
+the slices, which the schedule then holds (a compiled schedule's are cut by
+the replay that validates it), `optimize` the kept ops, and the generation
+driver the report, kept ops and circuit of each slice it accepts, so a
+generated schedule is complete only if `validate` accepts it. The
+optimizer deletes adjacent op pairs that provably return to the state they
+started from, junction locks included, so removal can never invalidate a
+later op or change the final state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import ops as op_mod
 from .circuit import Circuit
@@ -37,6 +38,14 @@ class Schedule:
     circuit: Circuit
     placement: TrapState
     ops: tuple[ShuttleOp, ...]
+
+    @cached_property
+    def slices(self) -> tuple[EntrySlice, ...]:
+        """The per-gate slices, cut by one replay on first use and held (see `decompose`)."""
+        report, slices, *_ = replay(self.graph, self.placement, self.circuit, self.ops)
+        if not report.ok:
+            raise ScheduleValidationError(report)
+        return tuple(slices)
 
 
 @dataclass(frozen=True)
@@ -101,7 +110,8 @@ def replay(
     round, or a double Swap. A cancelled pair is a state identity, so the
     kept ops replay to the same states, final state and executed gates, and
     no kept adjacent pair is redundant. Ops are never reordered and Execute
-    Gate lines survive.
+    Gate lines survive. No cancellation crosses an Execute Gate, which keeps
+    the state every shuttling op changes: the kept ops are each slice's own.
     """
     slices: list[EntrySlice] = []
     kept: list[tuple[ShuttleOp, TrapState]] = []
@@ -146,15 +156,12 @@ def validate(schedule: Schedule) -> ValidationReport:
 
 
 def decompose(schedule: Schedule) -> list[EntrySlice]:
-    """Split a valid schedule into per-gate slices; concatenating them restores it.
+    """A fresh list of `schedule.slices`; concatenating the slices restores the schedule.
 
     An invalid schedule raises ScheduleValidationError carrying the report
-    `validate` returns.
+    `validate` returns, on every call: only a valid schedule keeps slices.
     """
-    report, slices, *_ = replay(schedule.graph, schedule.placement, schedule.circuit, schedule.ops)
-    if not report.ok:
-        raise ScheduleValidationError(report)
-    return slices
+    return list(schedule.slices)
 
 
 def optimize(

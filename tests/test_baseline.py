@@ -21,10 +21,11 @@ import random
 import pytest
 
 from shuttlekit import baseline, kernel, ops, trap
+from shuttlekit import schedule as schedule_mod
 from shuttlekit.circuit import Circuit, Gate
 from shuttlekit.errors import CompileError, NoRouteError
 from shuttlekit.ops import format_op
-from shuttlekit.schedule import decompose, validate
+from shuttlekit.schedule import decompose, replay, validate
 from shuttlekit.state import TrapState, initial_placement
 from test_ops import WALK_TRAPS, successor_states
 
@@ -151,9 +152,11 @@ def test_compile_steps_each_op_once(monkeypatch):
     Past the placement, every TrapState comes from an ops.apply of that
     replay, so the router neither builds nor steps one. An Execute Gate
     returns the state it is given, so each shuttling op builds one state.
+    The schedule holds the slices that replay cut, so decomposing it steps
+    no op again.
     """
     applied, shuttled, built, received = 0, 0, 0, []
-    apply, init, replay = ops.apply, TrapState.__init__, baseline.replay
+    apply, init, replay = ops.apply, TrapState.__init__, schedule_mod.replay
 
     def counted(*args):
         nonlocal applied, shuttled
@@ -172,10 +175,14 @@ def test_compile_steps_each_op_once(monkeypatch):
 
     monkeypatch.setattr(ops, "apply", counted)
     monkeypatch.setattr(TrapState, "__init__", counted_build)
-    monkeypatch.setattr(baseline, "replay", recorded)
-    baseline.compile(baseline.random_circuit(4, 6, 0), trap.build_eval_layout("ring", 4))
-    assert applied == received[0] > 0
+    monkeypatch.setattr(schedule_mod, "replay", recorded)
+    schedule = baseline.compile(
+        baseline.random_circuit(4, 6, 0), trap.build_eval_layout("ring", 4)
+    )
+    assert applied == received[0] == len(schedule.ops) > 0
     assert built == 1 + shuttled
+    assert len(decompose(schedule)) == len(schedule.circuit.gates)
+    assert (received, applied) == ([len(schedule.ops)], len(schedule.ops))
 
 
 @pytest.mark.parametrize(
@@ -197,6 +204,51 @@ def test_router_rejects_an_illegal_code_and_changes_nothing(code):
     assert (router.chains, router.locks, router.codes) == (chains, locks, codes)
 
 
+# A cell or two of every built-in trap family.
+FAMILY_CELLS = [
+    (trap.build_linear(3), 3),
+    (trap.build_linear(5), 5),
+    (trap.build_branched(3, 2, 1), 4),
+    (trap.build_eval_layout("ring", 4), 4),
+    (trap.build_eval_layout("multi_linear", 4), 4),
+    (trap.build_eval_layout("four_way", 5), 5),
+]
+
+
+def test_router_emits_the_ops_replay_keeps(monkeypatch):
+    """Each schedule is its router's decoded codes, which replay's optimizer keeps whole.
+
+    The router pops a tidy Separate that the next route's Merge undoes, so
+    no pair is left for the optimizer to drop; some pops happen here.
+    """
+    routers = []
+
+    class Router(baseline._Router):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.committed = 0
+            routers.append(self)
+
+        def shuttle(self, code):
+            done = super().shuttle(code)
+            self.committed += done
+            return done
+
+    monkeypatch.setattr(baseline, "_Router", Router)
+    popped = 0
+    for graph, qubits in FAMILY_CELLS:
+        routers.clear()
+        circuits = [baseline.random_circuit(qubits, 6, seed) for seed in range(6)]
+        for schedule, router in zip(baseline.compile_many(circuits, graph), routers):
+            assert schedule.ops == tuple(ops.decode_op(code) for code in router.codes)
+            kept = replay(graph, schedule.placement, schedule.circuit, schedule.ops)[2]
+            assert tuple(kept) == schedule.ops
+            executes = sum(isinstance(op, ops.ExecuteGate) for op in schedule.ops)
+            popped += router.committed - (len(schedule.ops) - executes)
+        assert len(routers) == len(circuits)
+    assert popped > 0 and popped % 2 == 0
+
+
 def test_compile_makes_no_successor_scan(monkeypatch):
     """compile and compile_many commit each op through kernel.transition alone."""
     calls = 0
@@ -210,8 +262,8 @@ def test_compile_makes_no_successor_scan(monkeypatch):
     monkeypatch.setattr(kernel, "successors", counted)
     ring = trap.build_eval_layout("ring", 4)
     baseline.compile(baseline.random_circuit(4, 6, 0), ring)
-    baseline.compile_many([baseline.random_circuit(4, 6, seed) for seed in range(3)], ring)
-    baseline.compile_many([baseline.random_circuit(5, 6, 0)], trap.build_linear(5))
+    list(baseline.compile_many([baseline.random_circuit(4, 6, seed) for seed in range(3)], ring))
+    list(baseline.compile_many([baseline.random_circuit(5, 6, 0)], trap.build_linear(5)))
     assert calls == 0
 
 
@@ -487,7 +539,11 @@ def test_router_executes_the_lowest_ready_first_layer_gate(graph, qubits):
 
 
 def test_batch_raises_the_first_failing_circuits_error():
-    """On linear(1) the q2 circuits compile and the q3 circuits exhaust the search."""
+    """On linear(1) the q2 circuits compile and the q3 circuits exhaust the search.
+
+    The batch yields the schedules before the first failing circuit, and
+    raises its error when iteration reaches it.
+    """
     graph = trap.build_linear(1)
     circuits = [
         baseline.random_circuit(qubits, 6, seed) for seed in range(3) for qubits in (2, 3)
@@ -496,9 +552,11 @@ def test_batch_raises_the_first_failing_circuits_error():
     errors = [outcome for outcome in singles if isinstance(outcome, str)]
     compiled = [c for c, outcome in zip(circuits, singles) if not isinstance(outcome, str)]
     assert len(errors) == 3 and len(compiled) == 3
+    batch = baseline.compile_many(circuits, graph)
+    assert next(batch).ops == singles[0]
     with pytest.raises(CompileError) as failure:
-        baseline.compile_many(circuits, graph)
-    assert str(failure.value) == errors[0]
+        next(batch)
+    assert str(failure.value) == errors[0] == singles[1]
     batch = baseline.compile_many(compiled, graph)
     assert [schedule.ops for schedule in batch] == [o for o in singles if not isinstance(o, str)]
 

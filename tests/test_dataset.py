@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from shuttlekit import baseline, cli, dataset, kernel, ops, trap
+from shuttlekit import schedule as schedule_mod
 from shuttlekit.circuit import Circuit, Gate, parse_circuit
 from shuttlekit.dataset import DataEntry, generate_dataset, render_instruction, render_output
 from shuttlekit.errors import RenderError
@@ -87,29 +88,53 @@ def test_slices_carry_the_states_their_shuttling_ops_lead_to():
     assert locked > 0
 
 
+def counting(calls, name, function):
+    """`function`, counting its calls in calls[name]."""
+    def counted(*args):
+        calls[name] += 1
+        return function(*args)
+    return counted
+
+
 def test_rendering_steps_no_op(monkeypatch):
-    """render_output steps nothing, so generate_dataset steps each op once, in replay."""
+    """render_output steps nothing, and generate_dataset renders the slices a schedule holds.
+
+    A schedule replays once, on its first decomposition; rendering its
+    slices again, through render_output or generate_dataset, steps no op.
+    """
     schedules = render_corpus()
     pieces = [(schedule.graph, piece) for schedule in schedules for piece in decompose(schedule)]
     calls = {"ops.apply": 0, "kernel.transition": 0}
-
-    def counting(name, function):
-        def counted(*args):
-            calls[name] += 1
-            return function(*args)
-        return counted
-
-    monkeypatch.setattr(ops, "apply", counting("ops.apply", ops.apply))
-    monkeypatch.setattr(kernel, "transition", counting("kernel.transition", kernel.transition))
+    monkeypatch.setattr(ops, "apply", counting(calls, "ops.apply", ops.apply))
+    monkeypatch.setattr(
+        kernel, "transition", counting(calls, "kernel.transition", kernel.transition)
+    )
     for graph, piece in pieces:
         render_output(piece, graph, piece.circuit)
-    assert calls == {"ops.apply": 0, "kernel.transition": 0}
     generate_dataset(schedules, 0)
+    assert calls == {"ops.apply": 0, "kernel.transition": 0}
+
+
+def test_generated_dataset_replays_each_compiled_schedule_once(monkeypatch):
+    """Over compile_many, one schedule.replay per circuit and one ops.apply per op.
+
+    The replay that validates a compiled schedule cuts the slices the
+    dataset renders, and the router's ops are the ones that replay keeps.
+    """
+    calls = {"schedule.replay": 0, "ops.apply": 0}
+    monkeypatch.setattr(
+        schedule_mod, "replay", counting(calls, "schedule.replay", schedule_mod.replay)
+    )
+    monkeypatch.setattr(ops, "apply", counting(calls, "ops.apply", ops.apply))
+    compiled = []
+    for qubits in (2, 3, 4):
+        circuits = [baseline.random_circuit(qubits, 5, 1 + 1000 * qubits + i) for i in range(5)]
+        batch = baseline.compile_many(circuits, trap.build_linear(qubits))
+        built = generate_dataset((compiled.append(s) or s for s in batch), 0.2)
+        assert len(built.entries) == sum(len(c.gates) for c in circuits)
     assert calls == {
-        "ops.apply": sum(len(schedule.ops) for schedule in schedules),
-        "kernel.transition": sum(
-            not isinstance(op, ops.ExecuteGate) for schedule in schedules for op in schedule.ops
-        ),
+        "schedule.replay": len(compiled),
+        "ops.apply": sum(len(schedule.ops) for schedule in compiled),
     }
 
 
@@ -259,9 +284,10 @@ def test_rendering_a_state_without_the_circuits_qubits_is_an_error(chains):
 def test_generate_dataset_renders_each_distinct_state_once(monkeypatch):
     """One kernel.successors call per distinct (graph, chains, locks), per call."""
     linear, ring = trap.build_linear(3), trap.build_eval_layout("ring", 4)
-    schedules = baseline.compile_many(
-        [baseline.random_circuit(3, 6, seed) for seed in range(4)], linear
-    ) + baseline.compile_many([baseline.random_circuit(4, 6, seed) for seed in range(2)], ring)
+    schedules = [
+        *baseline.compile_many([baseline.random_circuit(3, 6, seed) for seed in range(4)], linear),
+        *baseline.compile_many([baseline.random_circuit(4, 6, seed) for seed in range(2)], ring),
+    ]
     distinct, echoes = set(), 0
     for schedule in schedules:
         graph = schedule.graph

@@ -1,6 +1,7 @@
 """Generate–validate–retry driver against scripted and replayed clients."""
 
 import json
+from urllib.error import HTTPError, URLError
 
 import pytest
 
@@ -294,13 +295,29 @@ def test_replay_file_that_is_not_utf8_fails_at_load(tmp_path):
 
 
 class Response:
-    status_code = 200
+    """What urlopen returns: a status, a body to read, and a context manager."""
 
-    def __init__(self, body):
-        self.body = body
+    def __init__(self, body, status=200):
+        self.status = status
+        self.raw = body if isinstance(body, bytes) else json.dumps(body).encode()
 
-    def json(self):
-        return self.body
+    def read(self):
+        return self.raw
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def answering(response):
+    """A stand-in for urlopen that returns `response` or raises it."""
+    def urlopen(request, timeout):
+        if isinstance(response, Exception):
+            raise response
+        return response
+    return urlopen
 
 
 @pytest.mark.parametrize(
@@ -315,13 +332,51 @@ class Response:
     ids=["choice_str", "message_str", "message_null", "usage_list", "usage_int"],
 )
 def test_http_complete_rejects_a_hostile_body(monkeypatch, body, what):
-    monkeypatch.setattr(driver.requests, "post", lambda *args, **kwargs: Response(body))
+    monkeypatch.setattr(driver, "urlopen", answering(Response(body)))
     with pytest.raises(TransportError, match=f"endpoint response {what} is not an object"):
         driver.http_complete("http://localhost:1/v1/completions", "m", "prompt", 8, 0.0)
 
 
+@pytest.mark.parametrize(
+    "response,message",
+    [
+        (URLError(ConnectionRefusedError(111, "Connection refused")),
+         "request failed: <urlopen error [Errno 111] Connection refused>"),
+        (TimeoutError("timed out"), "request failed: timed out"),
+        (HTTPError("http://localhost:1", 503, "Service Unavailable", {}, None),
+         "endpoint returned status 503"),
+        (Response({"choices": [{"text": "ok"}]}, status=204), "endpoint returned status 204"),
+        (Response(b"<html>busy</html>"), "endpoint response is not JSON"),
+        (Response(b"\xff\xfe"), "endpoint response is not JSON"),
+    ],
+    ids=["refused", "timeout", "status_503", "status_204", "html", "not_utf8"],
+)
+def test_http_complete_words_each_transport_failure(monkeypatch, response, message):
+    monkeypatch.setattr(driver, "urlopen", answering(response))
+    with pytest.raises(TransportError) as failure:
+        driver.http_complete("http://localhost:1/v1/completions", "m", "prompt", 8, 0.0)
+    assert str(failure.value) == message
+
+
+def test_http_complete_posts_the_request_as_json(monkeypatch):
+    sent = []
+
+    def urlopen(request, timeout):
+        sent.append((request.full_url, request.get_method(), request.headers, timeout))
+        sent.append(json.loads(request.data))
+        return Response({"choices": [{"text": "a b"}]})
+
+    monkeypatch.setattr(driver, "urlopen", urlopen)
+    result = driver.http_complete("http://localhost:1/v1/completions", "m", "prompt", 8, 0.5, 3.0)
+    assert (result.text, result.token_count) == ("a b", 2)
+    assert sent == [
+        ("http://localhost:1/v1/completions", "POST", {"Content-type": "application/json"}, 3.0),
+        {"model": "m", "prompt": "prompt", "max_tokens": 8, "temperature": 0.5},
+    ]
+
+
 def test_http_complete_reads_a_well_formed_body(monkeypatch):
     body = {"choices": [{"message": {"content": "a b c"}}], "usage": {"completion_tokens": 5}}
-    monkeypatch.setattr(driver.requests, "post", lambda *args, **kwargs: Response(body))
+    monkeypatch.setattr(driver, "urlopen", answering(Response(body)))
     result = driver.http_complete("http://localhost:1/v1/completions", "m", "prompt", 8, 0.0)
     assert (result.text, result.token_count) == ("a b c", 5)

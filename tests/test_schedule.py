@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shuttlekit import baseline, trap
+from shuttlekit import schedule as schedule_mod
 from shuttlekit.baseline import random_circuit
 from shuttlekit.circuit import Circuit, Gate
 from shuttlekit.errors import IllegalOperationError, ScheduleError, ScheduleValidationError
@@ -14,6 +16,7 @@ from shuttlekit.schedule import (
     decompose,
     optimize,
     parse_schedule,
+    replay,
     schedule_paths,
     serialize_schedule,
     step,
@@ -181,10 +184,27 @@ def test_decompose_rejects_invalid_schedule():
 
 @pytest.mark.parametrize("build", INVALID_SCHEDULES, ids=lambda build: build.__name__)
 def test_decompose_raises_the_validate_report(build):
+    """On every call: an invalid schedule holds no slices."""
     sched = build()
-    with pytest.raises(ScheduleValidationError) as exc:
-        decompose(sched)
-    assert exc.value.report == validate(sched)
+    for _ in range(2):
+        with pytest.raises(ScheduleValidationError) as exc:
+            decompose(sched)
+        assert exc.value.report == validate(sched)
+
+
+def test_decompose_hands_out_fresh_lists_of_the_held_slices(monkeypatch):
+    """The first decomposition replays the schedule; later ones copy the slices it holds."""
+    sched = compiled(3, 4, 5)
+    first = decompose(sched)
+    first.clear()
+
+    def replay_again(*args):
+        raise AssertionError("decompose replayed a schedule that holds its slices")
+
+    monkeypatch.setattr(schedule_mod, "replay", replay_again)
+    again = decompose(sched)
+    assert again == list(sched.slices) and again is not decompose(sched)
+    assert len(again) == len(sched.circuit.gates)
 
 
 # -- optimize -----------------------------------------------------------------
@@ -409,6 +429,48 @@ def test_optimize_cancels_as_the_pair_shape_rule_did(graph, qubits):
         assert out == shape_rule_optimize(ops, graph, circuit, placement)
         removed += len(ops) - len(out)
     assert removed > 0
+
+
+def execute_biased_walk(graph, circuit, rng, length):
+    """Random legal ops that execute a ready gate half the time and often undo.
+
+    40% of the other steps undo the last shuttling op if legal, even across
+    an Execute Gate. The walk stops early where no op is legal, and is cut
+    after its last Execute Gate.
+    """
+    state = initial_placement(circuit, graph)
+    ops, undo = [], None
+    for _ in range(length):
+        legal = allowed_ops(state, graph, circuit)
+        if not legal:
+            break
+        ready = [op for op in legal if isinstance(op, ExecuteGate)]
+        if ready and rng.random() < 0.5:
+            op = rng.choice(ready)
+        else:
+            op = undo if undo in legal and rng.random() < 0.4 else rng.choice(legal)
+        if not isinstance(op, ExecuteGate):
+            undo = inverse(op)
+        ops.append(op)
+        state, circuit = step(graph, state, circuit, op)
+    while ops and not isinstance(ops[-1], ExecuteGate):
+        ops.pop()
+    return ops
+
+
+@given(cell=st.sampled_from(WALK_TRAPS), seed=st.integers(0, 2**32), length=st.integers(1, 80))
+@settings(max_examples=60, deadline=None)
+def test_no_cancellation_crosses_an_execute_gate(cell, seed, length):
+    """replay's kept ops are each of its slices' own kept ops, concatenated."""
+    graph, qubits = cell
+    rng = random.Random(seed)
+    circuit = random_circuit(qubits, 4, seed)
+    ops = execute_biased_walk(graph, circuit, rng, length)
+    report, slices, kept, _ = replay(graph, initial_placement(circuit, graph), circuit, ops)
+    assert report.final_state is not None
+    assert [op for piece in slices for op in piece.ops] == ops
+    pieces = [replay(graph, piece.state, piece.circuit, piece.ops)[2] for piece in slices]
+    assert kept == [op for piece_kept in pieces for op in piece_kept]
 
 
 # -- files --------------------------------------------------------------------
