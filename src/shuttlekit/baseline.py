@@ -149,9 +149,11 @@ def _search_tables(graph: TrapGraph) -> _SearchTables:
 
 
 def _estimate(tables: _SearchTables, gates: tuple, greedy: bool):
-    """The search estimate for first-layer `gates`, as h(chains, pos, occupied).
+    """The search estimate for first-layer `gates`, as h(chains, packed).
 
-    `pos` and `occupied` are kernel.positions of `chains`.
+    `packed` is kernel.positions of `chains`: each operand's vertex is read
+    from it through that operand's kernel.position_shift, and its low
+    bits are the occupancy mask.
 
     The minimum over gates and gate vertices of the operands' distance to
     that vertex, plus one for the execute, plus a stranger term per qubit
@@ -161,18 +163,20 @@ def _estimate(tables: _SearchTables, gates: tuple, greedy: bool):
     some gate is ready: its operands alone fill a gate vertex's chain.
     """
     far = tables.far
-    operands = [gate.qubits for gate in gates]
+    n = len(tables.pair_min)
+    vertex_field = (1 << n.bit_length()) - 1
+    operands = [tuple(kernel.position_shift(n, q) for q in gate.qubits) for gate in gates]
     if not greedy:
         pair_min = tables.pair_min
 
-        def exact_estimate(chains: tuple, pos: list[int], occupied: int) -> int:
+        def exact_estimate(chains: tuple, packed: int) -> int:
             best = far
-            for qs in operands:
-                va = pos[qs[0]]
-                if len(qs) == 1:
+            for shifts in operands:
+                va = packed >> shifts[0] & vertex_field
+                if len(shifts) == 1:
                     cand = pair_min[va][va] + len(chains[va])
                 else:
-                    vb = pos[qs[1]]
+                    vb = packed >> shifts[1] & vertex_field
                     if va == vb:
                         cand = pair_min[va][va] + len(chains[va]) - 1
                     else:
@@ -184,21 +188,22 @@ def _estimate(tables: _SearchTables, gates: tuple, greedy: bool):
         return exact_estimate
     paths = list(zip(tables.gate_tables, tables.corridor))
 
-    def greedy_estimate(chains: tuple, pos: list[int], occupied: int) -> int:
+    def greedy_estimate(chains: tuple, packed: int) -> int:
         best = far
-        for qs in operands:
-            va = pos[qs[0]]
-            vb = pos[qs[1]] if len(qs) > 1 else va
+        for shifts in operands:
+            va = packed >> shifts[0] & vertex_field
+            vb = packed >> shifts[1] & vertex_field if len(shifts) > 1 else va
+            # The corridor masks cover only the low n bits, the occupancy.
             if va == vb:
-                base = 3 * (len(chains[va]) - len(qs)) + 1
-                others = occupied & ~(1 << va)
+                base = 3 * (len(chains[va]) - len(shifts)) + 1
+                others = packed & ~(1 << va)
                 for t, mask in paths:
                     cand = t[va] + base + 2 * (mask[va] & others).bit_count()
                     if cand < best:
                         best = cand
             else:
                 base = 3 * (len(chains[va]) + len(chains[vb]) - 2) + 1
-                others = occupied & ~((1 << va) | (1 << vb))
+                others = packed & ~((1 << va) | (1 << vb))
                 for t, mask in paths:
                     cand = t[va] + t[vb] + base + 2 * ((mask[va] | mask[vb]) & others).bit_count()
                     if cand < best:
@@ -470,7 +475,7 @@ def bfs_next_gate(
         return ()
     trap, chains, locks = graph.encoded, state.chains, state.locks
 
-    def estimate(chains: tuple, pos: list[int], occupied: int) -> int:
+    def estimate(chains: tuple, packed: int) -> int:
         return 1 if kernel.ready_gates(trap, chains, gates) else 2
 
     codes = None

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from http.client import HTTPException
 from typing import Callable, Protocol, Sequence
 from urllib.error import HTTPError
+from urllib.parse import urlsplit
 from urllib.request import Request, urlopen
 
 from .circuit import Circuit
@@ -127,8 +128,11 @@ def http_complete(
 
     Reads choices[0].text (or .message.content) and the server-reported
     usage.completion_tokens, estimating by whitespace split when the server
-    omits usage. A body of any other shape raises TransportError.
+    omits usage. A body of any other shape raises TransportError, and so
+    does an endpoint that is not an http or https URL, before any request.
     """
+    if urlsplit(endpoint).scheme not in ("http", "https"):
+        raise TransportError(f"endpoint {endpoint!r} is not an http or https URL")
     data = json.dumps(
         {"model": model, "prompt": instruction, "max_tokens": max_tokens, "temperature": temperature}
     ).encode()

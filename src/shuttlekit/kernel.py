@@ -5,14 +5,17 @@ illegal one breaks. `illegal` checks a shuttling op and `unready` an
 Execute Gate's operands, each returning the first rule broken as a constant
 template that ops.violation fills in; `transition` applies an op's effect
 once `illegal` passes it, and `successors` and `ready_gates` filter
-candidates by the two checks. ops.apply, dataset rendering and the router's
-commits step ops through `transition`. TrapGraph.site_violation words the
-state-independent site rules, which reach `illegal` through the encoded
-trap. `route_search` is the package's one state-space search: the router
-runs it as a weighted best-first search, and the next-gate oracle at
-uniform cost. Its loop is a fused copy of the `successors` enumeration
-and returns the op codes it applied; tests/test_baseline.py holds it equal
-to a best-first loop over `successors` and `transition`.
+candidates by the two checks. ops.apply, which schedule.replay calls for
+every op, and the router's commits step ops through `transition`; dataset
+rendering steps nothing and echoes the states replay recorded.
+TrapGraph.site_violation words the state-independent site rules, which
+reach `illegal` through the encoded trap. `route_search` is the package's
+one state-space search: the router runs it as a weighted best-first
+search, and the next-gate oracle at uniform cost. Its loop is a fused copy
+of the `successors` enumeration that carries each state's `positions` int
+from parent to child and returns the op codes it applied;
+tests/test_baseline.py holds it equal to a best-first loop over
+`successors` and `transition`.
 
 States come as TrapState holds them, so no call converts one: chains a
 vertex-indexed tuple of qubit tuples, locks a vertex-indexed tuple with -1
@@ -221,16 +224,26 @@ def reachable_gates(trap, chains, locks, gates):
     return out
 
 
-def positions(chains, qubit_count):
-    """Qubit -> vertex list and occupancy bitmask of encoded chains."""
-    pos = [0] * qubit_count
-    occupied = 0
+def position_shift(n, qubit):
+    """Where qubit's vertex field starts in a `positions` int, on an n-vertex trap."""
+    return n + qubit * n.bit_length()
+
+
+def positions(chains):
+    """Qubit positions and occupancy of encoded chains, packed in one int.
+
+    Bit v of the low n bits (n = len(chains)) is set when vertex v holds a
+    chain; above them, qubit q's vertex sits in the field of
+    n.bit_length() bits at position_shift(n, q). An unplaced qubit reads 0.
+    """
+    n = len(chains)
+    packed = 0
     for v, chain in enumerate(chains):
         if chain:
-            occupied |= 1 << v
+            packed |= 1 << v
             for q in chain:
-                pos[q] = v
-    return pos, occupied
+                packed |= v << position_shift(n, q)
+    return packed
 
 
 def route_search(
@@ -249,13 +262,13 @@ def route_search(
     """Weighted best-first search from (chains, locks) to a goal state.
 
     The frontier is a heap on (g + weight * h, g, insertion count), with
-    h = estimate(chains, pos, occupied) and `pos, occupied` as `positions`
-    gives them. A popped state is a goal when h is 1 and no vertex of
-    `goal_mask` is occupied. Each op costs 1; a Translate out of junction
-    j to dst costs `seal_penalty` more when no vertex of seal_exits[j][dst]
-    is occupied (seal_exits[v] is None off junctions). Children come in
-    `successors` order, and one that reaches a state already stored at no
-    greater cost is dropped.
+    h = estimate(chains, packed) and `packed` the state's `positions`. A
+    popped state is a goal when h is 1 and no vertex of `goal_mask` is
+    occupied. Each op costs 1; a Translate out of junction j to dst costs
+    `seal_penalty` more when no vertex of seal_exits[j][dst] is occupied
+    (seal_exits[v] is None off junctions). Children come in `successors`
+    order, and one that reaches a state already stored at no greater cost
+    is dropped.
 
     Returns (codes, spent, expansions, stored). `codes` is the tuple of op
     codes from the start to the first goal popped, or None when the search
@@ -263,18 +276,21 @@ def route_search(
     frontier because `max_expansions` expansions were made, and False if the
     frontier ran out.
 
-    Each state has an exact integer key, used only for deduplication; the
-    working state stays the tuple pair, which travels in the heap entry
-    and is dropped once popped. A chain's code is its qubits as base
-    (qubit_count + 1) digits q + 1, first qubit most significant, so the
-    empty chain is 0; vertex v's code sits in bit field v of width
-    (base ** capacity).bit_length(), with capacity capped at qubit_count,
-    which no chain exceeds; each vertex's lock + 1 sits in a field above
-    the chain fields. A child's key is its parent's plus the change
-    its op makes to the fields it touches, so a duplicate child is rejected
-    by one dict lookup before any tuple is built. `best` maps a key to
-    (cost, parent key, code of the op from the parent); each code is built
-    once per call, in the move and site tables, so a stored state shares it.
+    Each state has an exact integer key, which dedups it and holds its
+    locks; a heap entry carries the key, the chains tuple and the state's
+    `positions` int, which are dropped once popped. A chain's code is its
+    qubits as base (qubit_count + 1) digits q + 1, first qubit most
+    significant, so the empty chain is 0; vertex v's code sits in bit field
+    v of width (base ** capacity).bit_length(), with capacity capped at
+    qubit_count, which no chain exceeds; each vertex's lock + 1 sits in a
+    field of n.bit_length() bits above the chain fields. A child's key and
+    positions are its parent's plus the change its op makes to the fields
+    it touches, so a duplicate child is rejected by one dict lookup before
+    any tuple is built, and no state's positions are recounted from its
+    chains. `best` maps a key to one int, which no GC pass tracks: the cost
+    above the parent's expansion serial, which indexes `expanded`, the keys
+    in the order they were expanded, above the index of the op from the
+    parent in a table of codes built once per call (0 for the start).
     """
     n, neighbors, is_junction = trap[0], trap[2], trap[3]
     capacity = min(trap[1], qubit_count)
@@ -283,15 +299,47 @@ def route_search(
     field = (1 << width) - 1
     shift = [v * width for v in range(n)]
     unit = [1 << s for s in shift]
-    lock_unit = [1 << (n * width + v * n.bit_length()) for v in range(n)]
+    lock_field = (1 << n.bit_length()) - 1
+    lock_shift = [n * width + v * n.bit_length() for v in range(n)]
+    lock_unit = [1 << s for s in lock_shift]
     power = [base**k for k in range(capacity + 1)]
+    qubit_unit = [1 << position_shift(n, q) for q in range(qubit_count)]
+    table = [None]
+
+    def indexed(code):
+        table.append(code)
+        return len(table) - 1
+
+    # A Translate into junction dst is barred while dst's lock field holds
+    # src + 1, which `lock_mask` picks out (0 off junctions).
     moves = [
-        [(dst, is_junction[dst], unit[dst] - unit[src], (TRANSLATE, src, dst)) for dst in nbrs]
+        [
+            (dst, lock_field << lock_shift[dst] if is_junction[dst] else 0,
+             (src + 1) << lock_shift[dst], unit[dst] - unit[src], dst - src,
+             (1 << src) | (1 << dst), indexed((TRANSLATE, src, dst)))
+            for dst in nbrs
+        ]
         for src, nbrs in enumerate(neighbors)
     ]
-    separate_sites = [(v, left, right, (SEPARATE, v, -1)) for v, left, right in trap[7]]
-    merge_sites = [(v, left, right, (MERGE, v, -1)) for v, left, right in trap[8]]
-    swap_sites = [(v, (SWAP, v, -1)) for v in trap[9]]
+    separate_sites = [
+        (v, left, right, left - v, right - v, (1 << v) | (1 << left) | (1 << right),
+         indexed((SEPARATE, v, -1)))
+        for v, left, right in trap[7]
+    ]
+    merge_sites = [
+        (v, left, right, v - left, v - right, (1 << v) | (1 << left) | (1 << right),
+         indexed((MERGE, v, -1)))
+        for v, left, right in trap[8]
+    ]
+    swap_sites = [(v, indexed((SWAP, v, -1))) for v in trap[9]]
+    op_bits = len(table).bit_length()
+    op_mask = (1 << op_bits) - 1
+    # A serial indexes `expanded`, so it stays below max_expansions and
+    # below sys.maxsize, more items than any list holds.
+    serial_bits = min(max_expansions, sys.maxsize).bit_length()
+    serial_mask = (1 << serial_bits) - 1
+    cost_shift = op_bits + serial_bits
+    penalty = seal_penalty << cost_shift
     heappush, heappop = heapq.heappush, heapq.heappop
 
     def code_of(chain):
@@ -302,92 +350,92 @@ def route_search(
 
     key = sum(code_of(chain) * unit[v] for v, chain in enumerate(chains))
     key += sum((lock + 1) * lock_unit[v] for v, lock in enumerate(locks))
-    best = {key: (0, None, None)}
-    pos, occupied = positions(chains, qubit_count)
-    heap = [(weight * estimate(chains, pos, occupied), 0, 0, key, chains, locks)]
+    best = {key: 0}
+    expanded = []
+    packed = positions(chains)
+    heap = [(weight * estimate(chains, packed), 0, 0, key, chains, packed)]
     counter = 0
     expansions = 0
     while heap:
-        f, g, _, key, chains, locks = heappop(heap)
-        if g > best[key][0]:
+        f, g, _, key, chains, packed = heappop(heap)
+        if g > best[key] >> cost_shift:
             continue
-        pos, occupied = positions(chains, qubit_count)
-        if f - g == weight and not occupied & goal_mask:
+        if f - g == weight and not packed & goal_mask:
             codes = []
-            _, key, op = best[key]
-            while key is not None:
-                codes.append(op)
-                _, key, op = best[key]
+            entry = best[key]
+            while entry & op_mask:
+                codes.append(table[entry & op_mask])
+                entry = best[expanded[entry >> op_bits & serial_mask]]
             return tuple(reversed(codes)), False, expansions, len(best)
         if expansions >= max_expansions:
             return None, True, expansions, len(best)
-        expansions += 1
         step = g + 1
+        # A child stored at cost `step` or less reads below `bound`; `stamp`
+        # is a child's entry at cost `step` less its op index.
+        stamp = step << cost_shift | expansions << op_bits
+        bound = (step + 1) << cost_shift
+        expanded.append(key)
+        expansions += 1
         for src, chain in enumerate(chains):
             if not chain:
                 continue
             code = key >> shift[src] & field
             exits = seal_exits[src]
             leaves_junction = is_junction[src]
-            for dst, dst_is_junction, move, op in moves[src]:
+            if leaves_junction:
+                lock_code = key >> lock_shift[src] & lock_field
+            moved = 0
+            for q in chain:
+                moved += qubit_unit[q]
+            for dst, lock_mask, barred, move, hop, flip, index in moves[src]:
                 if chains[dst]:
                     continue
-                if dst_is_junction and locks[dst] == src:
+                if lock_mask and key & lock_mask == barred:
                     continue
                 child = key + code * move
-                ng = step
-                if exits is not None and not occupied & exits[dst]:
+                ng, entry, limit = step, stamp, bound
+                if exits is not None and not packed & exits[dst]:
                     ng += seal_penalty
+                    entry += penalty
+                    limit += penalty
                 if leaves_junction:
-                    child += (dst - locks[src]) * lock_unit[src]
-                seen = best.get(child)
-                if seen is not None and seen[0] <= ng:
+                    child += (dst + 1 - lock_code) * lock_unit[src]
+                if best.get(child, limit) < limit:
                     continue
-                best[child] = (ng, key, op)
+                best[child] = entry + index
                 new_chains = list(chains)
                 new_chains[dst] = chain
                 new_chains[src] = ()
                 new_chains = tuple(new_chains)
-                if leaves_junction:
-                    new_locks = list(locks)
-                    new_locks[src] = dst
-                    new_locks = tuple(new_locks)
-                else:
-                    new_locks = locks
-                new_pos = pos.copy()
-                for q in chain:
-                    new_pos[q] = dst
-                new_occupied = occupied ^ ((1 << src) | (1 << dst))
+                new_packed = (packed ^ flip) + hop * moved
                 counter += 1
-                h = estimate(new_chains, new_pos, new_occupied)
-                heappush(heap, (ng + weight * h, ng, counter, child, new_chains, new_locks))
-        for v, left, right, op in separate_sites:
+                h = estimate(new_chains, new_packed)
+                heappush(heap, (ng + weight * h, ng, counter, child, new_chains, new_packed))
+        for v, left, right, to_left, to_right, flip, index in separate_sites:
             chain = chains[v]
             if len(chain) < 2 or chains[left] or chains[right]:
                 continue
             code = key >> shift[v] & field
             head_code, tail_code = divmod(code, power[len(chain) // 2])
             child = key - code * unit[v] + head_code * unit[left] + tail_code * unit[right]
-            seen = best.get(child)
-            if seen is not None and seen[0] <= step:
+            if best.get(child, bound) < bound:
                 continue
-            best[child] = (step, key, op)
+            best[child] = stamp + index
             head = (len(chain) + 1) // 2
             new_chains = list(chains)
             new_chains[left] = chain[:head]
             new_chains[right] = chain[head:]
             new_chains[v] = ()
             new_chains = tuple(new_chains)
-            new_pos = pos.copy()
+            new_packed = packed ^ flip
             for q in new_chains[left]:
-                new_pos[q] = left
+                new_packed += to_left * qubit_unit[q]
             for q in new_chains[right]:
-                new_pos[q] = right
-            new_occupied = occupied ^ ((1 << v) | (1 << left) | (1 << right))
+                new_packed += to_right * qubit_unit[q]
             counter += 1
-            h = estimate(new_chains, new_pos, new_occupied)
-            heappush(heap, (step + weight * h, step, counter, child, new_chains, locks))
-        for v, left, right, op in merge_sites:
+            h = estimate(new_chains, new_packed)
+            heappush(heap, (step + weight * h, step, counter, child, new_chains, new_packed))
+        for v, left, right, from_left, from_right, flip, index in merge_sites:
             if chains[v] or not chains[left] or not chains[right]:
                 continue
             if len(chains[left]) + len(chains[right]) > capacity:
@@ -396,36 +444,35 @@ def route_search(
             right_code = key >> shift[right] & field
             code = left_code * power[len(chains[right])] + right_code
             child = key + code * unit[v] - left_code * unit[left] - right_code * unit[right]
-            seen = best.get(child)
-            if seen is not None and seen[0] <= step:
+            if best.get(child, bound) < bound:
                 continue
-            best[child] = (step, key, op)
+            best[child] = stamp + index
             new_chains = list(chains)
             new_chains[v] = chains[left] + chains[right]
             new_chains[left] = ()
             new_chains[right] = ()
             new_chains = tuple(new_chains)
-            new_pos = pos.copy()
-            for q in new_chains[v]:
-                new_pos[q] = v
-            new_occupied = occupied ^ ((1 << v) | (1 << left) | (1 << right))
+            new_packed = packed ^ flip
+            for q in chains[left]:
+                new_packed += from_left * qubit_unit[q]
+            for q in chains[right]:
+                new_packed += from_right * qubit_unit[q]
             counter += 1
-            h = estimate(new_chains, new_pos, new_occupied)
-            heappush(heap, (step + weight * h, step, counter, child, new_chains, locks))
-        for v, op in swap_sites:
+            h = estimate(new_chains, new_packed)
+            heappush(heap, (step + weight * h, step, counter, child, new_chains, new_packed))
+        for v, index in swap_sites:
             chain = chains[v]
             if len(chain) < 2:
                 continue
             reversed_chain = chain[::-1]
             child = key + (code_of(reversed_chain) - (key >> shift[v] & field)) * unit[v]
-            seen = best.get(child)
-            if seen is not None and seen[0] <= step:
+            if best.get(child, bound) < bound:
                 continue
-            best[child] = (step, key, op)
+            best[child] = stamp + index
             new_chains = list(chains)
             new_chains[v] = reversed_chain
             new_chains = tuple(new_chains)
             counter += 1
-            h = estimate(new_chains, pos, occupied)
-            heappush(heap, (step + weight * h, step, counter, child, new_chains, locks))
+            h = estimate(new_chains, packed)
+            heappush(heap, (step + weight * h, step, counter, child, new_chains, packed))
     return None, False, expansions, len(best)

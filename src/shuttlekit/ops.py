@@ -1,16 +1,17 @@
 """The five schedule operations: stepping, enumeration, rejection text, op text.
 
 The kernel states every rule: `apply`, which schedule.replay calls for
-each op, steps a shuttling op through kernel.transition and raises the
-rejection of an illegal op, and `allowed_ops` lists the codes
-kernel.successors gives and the gates kernel.ready_gates gives.
-violation() only checks that an Execute Gate names a first-layer gate,
-and otherwise fills in the template of the rule kernel.illegal or
-kernel.unready names. `encode_op` and `decode_op` convert between ops and
-kernel op codes, and `format_op` is the one op formatter: the dataset
-renderer formats each kernel op code it lists as
-`format_op(decode_op(code))`, once per render memo. Executing a gate
-leaves the chain state untouched; callers advance the circuit separately.
+each op, steps a shuttling op through kernel.transition, checks an
+Execute Gate with kernel.unready and raises the rejection of an illegal
+op, and `allowed_ops` lists the codes kernel.successors gives and the
+gates kernel.ready_gates gives. violation() only checks that an Execute
+Gate names a first-layer gate, and otherwise fills in the template of
+the rule kernel.illegal or kernel.unready names. `encode_op` and
+`decode_op` convert between ops and kernel op codes, and `format_op` is
+the one op formatter: the dataset renderer formats each kernel op code
+it lists as `format_op(decode_op(code))`, once per render memo.
+Executing a gate leaves the chain state untouched; callers advance the
+circuit separately.
 """
 
 from __future__ import annotations
@@ -101,11 +102,17 @@ def apply(state: TrapState, graph: TrapGraph, circuit: Circuit, op: ShuttleOp) -
     """The state after op; raises IllegalOperationError naming the rule it breaks.
 
     A shuttling op steps through kernel.transition. An Execute Gate is
-    legal when violation() finds no rule it breaks, and returns the state
-    unchanged. The error reads "<op line>: <rule>".
+    legal when it names a first-layer gate that kernel.unready passes, and
+    returns the state unchanged. Only a rejection calls violation(), to
+    word it: the error reads "<op line>: <rule>".
     """
     if isinstance(op, ExecuteGate):
-        if violation(state, graph, circuit, op) is None:
+        gate = circuit.gate_by_id.get(op.gate)
+        if (
+            gate is not None
+            and circuit.in_first_layer(op.gate)
+            and kernel.unready(graph.encoded, state.chains, gate.qubits) is None
+        ):
             return state
     else:
         after = kernel.transition(graph.encoded, state.chains, state.locks, encode_op(op))

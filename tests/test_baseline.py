@@ -10,7 +10,8 @@ compiles each circuit as its own compile does, and the search it shares
 between circuits is blind to qubit labels. The router's search,
 kernel.route_search with its integer dedup key, finds what a tuple-keyed
 best-first loop over kernel.successors and kernel.transition finds, and
-the next-gate oracle, route_search at uniform cost, answers as
+the positions it carries from parent to child are those of each state's
+chains. The next-gate oracle, route_search at uniform cost, answers as
 breadth-first search did.
 """
 
@@ -409,11 +410,11 @@ def test_search_estimate_matches_reference_on_random_walks(graph, qubits):
             gates = circuit.first_layer
             if not gates:
                 break
-            pos, occupied = kernel.positions(chains, qubits)
+            packed = kernel.positions(chains)
             ready = kernel.ready_gates(enc, chains, gates)
             ready_states += bool(ready)
             for greedy in (False, True):
-                h = baseline._estimate(tables, gates, greedy)(chains, pos, occupied)
+                h = baseline._estimate(tables, gates, greedy)(chains, packed)
                 assert h == reference_heuristic(graph, gates, chains, greedy)
                 assert (h == 1) == bool(ready)
             if ready and rng.random() < 0.5:
@@ -638,17 +639,15 @@ def reference_search(router):
     greedy = enc[0] > baseline.ORACLE_MAX_VERTICES
     weight = 2 if greedy else 1
     heuristic = baseline._estimate(tables, gates, greedy)
-    qubit_count = router.circuit.qubit_count
     start = (router.chains, router.locks)
     best = {start: (0, None, None)}
-    heap = [(weight * heuristic(router.chains, *kernel.positions(router.chains, qubit_count)),
-             0, 0, start)]
+    heap = [(weight * heuristic(router.chains, kernel.positions(router.chains)), 0, 0, start)]
     counter = expansions = 0
     while heap:
         f, g, _, node = heapq.heappop(heap)
         if g > best[node][0]:
             continue
-        occupied = kernel.positions(node[0], qubit_count)[1]
+        occupied = kernel.positions(node[0]) & ((1 << enc[0]) - 1)
         if f - g == weight and not occupied & tables.junction_mask:
             codes = []
             while best[node][1] is not None:
@@ -674,7 +673,7 @@ def reference_search(router):
                 continue
             best[chains, locks] = (ng, node, code)
             counter += 1
-            h = heuristic(chains, *kernel.positions(chains, qubit_count))
+            h = heuristic(chains, kernel.positions(chains))
             heapq.heappush(heap, (ng + weight * h, ng, counter, (chains, locks)))
     raise CompileError(
         f"no op sequence from the router's current state executes gate {gate.id} or "
@@ -699,13 +698,12 @@ SEARCH_TRAPS = WALK_TRAPS + [
 ]
 
 
-@pytest.mark.parametrize(
-    "graph,qubits",
-    SEARCH_TRAPS,
-    ids=["linear1", "linear2", "linear4", "branched111", "branched622",
-         "ring4", "ring6", "multi_linear4", "multi_linear6", "four_way8",
-         "junction_lateral", "linear2_cap3", "linear5_q10"],
-)
+SEARCH_IDS = ["linear1", "linear2", "linear4", "branched111", "branched622",
+              "ring4", "ring6", "multi_linear4", "multi_linear6", "four_way8",
+              "junction_lateral", "linear2_cap3", "linear5_q10"]
+
+
+@pytest.mark.parametrize("graph,qubits", SEARCH_TRAPS, ids=SEARCH_IDS)
 def test_route_search_matches_the_successor_loop(graph, qubits, monkeypatch):
     """kernel.route_search finds what the tuple-keyed reference loop finds.
 
@@ -741,6 +739,53 @@ def test_route_search_matches_the_successor_loop(graph, qubits, monkeypatch):
                 break
             _, chains, locks = rng.choice(moves)
     assert tuple in outcomes
+
+
+@pytest.mark.parametrize("graph,qubits", SEARCH_TRAPS, ids=SEARCH_IDS)
+def test_search_carries_the_positions_of_every_state_it_estimates(graph, qubits, monkeypatch):
+    """The packed positions route_search hands the estimate are those of its chains.
+
+    The search derives each child's positions from its parent's by the op
+    it applies, never from the chains; a wrapped estimate recounts them
+    with kernel.positions on every call, from seeded walk states under a
+    low cap.
+    """
+    estimate = baseline._estimate
+    calls = []
+
+    def checked(tables, gates, greedy):
+        h = estimate(tables, gates, greedy)
+
+        def wrapped(chains, packed):
+            assert packed == kernel.positions(chains), chains
+            calls.append(packed)
+            return h(chains, packed)
+
+        return wrapped
+
+    monkeypatch.setattr(baseline, "_estimate", checked)
+    monkeypatch.setattr(baseline, "_SEARCH_CAP", 400)
+    enc = graph.encoded
+    batch = baseline._Batch(graph)
+    for seed in range(6):
+        rng = random.Random(seed)
+        circuit = baseline.random_circuit(qubits, 4, seed)
+        placement = initial_placement(circuit, graph)
+        chains, locks = placement.chains, placement.locks
+        for _ in range(30):
+            gates = circuit.first_layer
+            if not gates:
+                break
+            search_outcome(baseline._Router(batch, circuit, chains, locks)._search_next)
+            ready = kernel.ready_gates(enc, chains, gates)
+            if ready and rng.random() < 0.5:
+                circuit = circuit.mark_executed(min(ready))
+                continue
+            moves = successor_states(enc, chains, locks)
+            if not moves:
+                break
+            _, chains, locks = rng.choice(moves)
+    assert calls
 
 
 # -- the next-gate oracle -------------------------------------------------------

@@ -358,6 +358,19 @@ def test_http_complete_words_each_transport_failure(monkeypatch, response, messa
     assert str(failure.value) == message
 
 
+@pytest.mark.parametrize(
+    "endpoint", ["file:///etc/hostname", "data:text/plain,hello"], ids=["file", "data"]
+)
+def test_http_complete_refuses_an_endpoint_that_is_not_http(monkeypatch, endpoint):
+    def urlopen(request, timeout):
+        raise AssertionError(f"requested {request.full_url}")
+
+    monkeypatch.setattr(driver, "urlopen", urlopen)
+    with pytest.raises(TransportError) as failure:
+        driver.http_complete(endpoint, "m", "prompt", 8, 0.0)
+    assert str(failure.value) == f"endpoint {endpoint!r} is not an http or https URL"
+
+
 def test_http_complete_posts_the_request_as_json(monkeypatch):
     sent = []
 

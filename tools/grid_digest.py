@@ -6,7 +6,10 @@ compiled op list and every CompileError text, in case order, so it
 changes when any schedule or failure message of the grid does. Stdout
 holds the digest alone; stderr gets one line per case, its label and then
 its op count or CompileError text, so a changed digest can be traced to
-the cases that moved.
+the cases that moved. Its last line totals the search work, summed over
+what every kernel.route_search call returns: "search work: S searches,
+E expansions, T stored states". A change that finds the same routes with
+different search work moves that line and not the digest.
 
     python tools/grid_digest.py --seed 1
 """
@@ -30,6 +33,17 @@ def grid_digest(seed: int) -> str:
     grid = CompileGrid()
     grid.setup(lib, seed)
     digest = hashlib.sha256()
+    work = [0, 0, 0]
+    route_search = lib.kernel.route_search
+
+    def counted(*args, **kwargs):
+        result = route_search(*args, **kwargs)
+        work[0] += 1
+        work[1] += result[2]
+        work[2] += result[3]
+        return result
+
+    lib.kernel.route_search = counted
     for label, graph, circuit in grid.cases:
         try:
             ops = lib.baseline.compile(circuit, graph).ops
@@ -39,6 +53,10 @@ def grid_digest(seed: int) -> str:
             text = outcome = f"CompileError: {exc}"
         print(f"{label}: {outcome}", file=sys.stderr, flush=True)
         digest.update(f"{label}\n{text}\n\n".encode())
+    print(
+        f"search work: {work[0]} searches, {work[1]} expansions, {work[2]} stored states",
+        file=sys.stderr,
+    )
     return digest.hexdigest()
 
 
