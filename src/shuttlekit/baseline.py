@@ -81,22 +81,21 @@ _ONE_QUBIT_NAMES = ("h", "x", "y", "z", "s", "t")
 class _SearchTables(NamedTuple):
     """Per-trap tables behind the search estimate and the seal penalty.
 
-    gate_tables[k][v] is the hop distance from v to the k-th gate vertex
-    and `far` stands in for an unreachable one. pair_min[va][vb] is the
-    smallest t[va] + t[vb] over those tables t, or t[va] alone when
-    va == vb (far when the trap has no gate vertex). corridor[k][v] is the
-    bitmask of vertices w with apd[v][w] + t[w] == t[v], the vertices on
-    some shortest path from v to gate vertex k, v itself included.
-    seal_exits[j], for a junction j (None elsewhere), maps each neighbor
-    dst to the bitmask of vertices that must all be empty for the
-    Translate j -> dst to leave nothing on any other side of j.
+    `n` is the vertex count and `far` stands in for an unreachable hop
+    distance. `paths` holds, per gate vertex, a pair of n x n tables for
+    operands at (va, vb), vb == va for one chain: distance[va][vb] is
+    t[va] + t[vb], or t[va] when va == vb, where t[v] is the hop distance
+    from v to that gate vertex; corridor[va][vb] is the bitmask of the
+    vertices other than va and vb that lie on some shortest path from va
+    or vb to it. seal_exits[j], for a junction j (None elsewhere), maps
+    each neighbor dst to the bitmask of vertices that must all be empty for
+    the Translate j -> dst to leave nothing on any other side of j.
     junction_mask is the bitmask of junction vertices.
     """
 
+    n: int
     far: int
-    gate_tables: list[list[int]]
-    pair_min: list[list[int]]
-    corridor: list[list[int]]
+    paths: list[tuple[list[list[int]], list[list[int]]]]
     seal_exits: list[dict[int, int] | None]
     junction_mask: int
 
@@ -109,18 +108,16 @@ def _search_tables(graph: TrapGraph) -> _SearchTables:
     for v in range(n):
         d = bfs_distances(graph, v)
         apd.append([d.get(w, far) for w in range(n)])
-    gate_tables = [apd[g] for g in graph.gate_vertices]
-    pair_min = [
-        [
-            min((t[va] + (t[vb] if vb != va else 0) for t in gate_tables), default=far)
-            for vb in range(n)
+    paths = []
+    for g in graph.gate_vertices:
+        t = apd[g]
+        mask = [sum(1 << w for w in range(n) if apd[v][w] + t[w] == t[v]) for v in range(n)]
+        distance = [[t[va] + (t[vb] if vb != va else 0) for vb in range(n)] for va in range(n)]
+        corridor = [
+            [(mask[va] | mask[vb]) & ~((1 << va) | (1 << vb)) for vb in range(n)]
+            for va in range(n)
         ]
-        for va in range(n)
-    ]
-    corridor = [
-        [sum(1 << w for w in range(n) if apd[v][w] + t[w] == t[v]) for v in range(n)]
-        for t in gate_tables
-    ]
+        paths.append((distance, corridor))
     seal_exits: list[dict[int, int] | None] = [None] * n
     junction_mask = 0
     for j in range(n):
@@ -145,72 +142,45 @@ def _search_tables(graph: TrapGraph) -> _SearchTables:
             dst: sum(1 << w for w in range(n) if w != j and comp[w] != comp[dst])
             for dst in graph.neighbors(j)
         }
-    return _SearchTables(far, gate_tables, pair_min, corridor, seal_exits, junction_mask)
+    return _SearchTables(n, far, paths, seal_exits, junction_mask)
 
 
 def _estimate(tables: _SearchTables, gates: tuple, greedy: bool):
     """The search estimate for first-layer `gates`, as h(chains, packed).
 
     `packed` is kernel.positions of `chains`: each operand's vertex is read
-    from it through that operand's kernel.position_shift, and its low
-    bits are the occupancy mask.
+    from it through that operand's kernel.position_shift, and its low n
+    bits are the occupancy mask, which the corridor masks select from.
 
-    The minimum over gates and gate vertices of the operands' distance to
-    that vertex, plus one for the execute, plus a stranger term per qubit
-    sharing an operand's chain (weight 1 exact, 3 greedy). Greedy mode adds
-    2 per occupied vertex, operands' own excepted, that lies on a shortest
-    path from an operand to the gate vertex. The result is 1 exactly when
-    some gate is ready: its operands alone fill a gate vertex's chain.
+    For operands at va and vb (vb == va for one qubit or one shared chain)
+    and `held` qubits in their chains, h is the minimum over gates and gate
+    vertices of distance[va][vb] + stranger * (held - operands) + 1 +
+    crowd * popcount(corridor[va][vb] & occupied): the hops to the gate
+    vertex, a term per qubit sharing an operand's chain, one for the
+    execute, and a term per other occupied vertex on a shortest path there.
+    (stranger, crowd) is (1, 0) in exact mode and (3, 2) in greedy mode.
+    The result is 1 exactly when some gate is ready: its operands alone
+    fill a gate vertex's chain.
     """
-    far = tables.far
-    n = len(tables.pair_min)
+    far, n, paths = tables.far, tables.n, tables.paths
+    stranger, crowd = (3, 2) if greedy else (1, 0)
     vertex_field = (1 << n.bit_length()) - 1
     operands = [tuple(kernel.position_shift(n, q) for q in gate.qubits) for gate in gates]
-    if not greedy:
-        pair_min = tables.pair_min
 
-        def exact_estimate(chains: tuple, packed: int) -> int:
-            best = far
-            for shifts in operands:
-                va = packed >> shifts[0] & vertex_field
-                if len(shifts) == 1:
-                    cand = pair_min[va][va] + len(chains[va])
-                else:
-                    vb = packed >> shifts[1] & vertex_field
-                    if va == vb:
-                        cand = pair_min[va][va] + len(chains[va]) - 1
-                    else:
-                        cand = pair_min[va][vb] + len(chains[va]) + len(chains[vb]) - 1
-                if cand < best:
-                    best = cand
-            return best
-
-        return exact_estimate
-    paths = list(zip(tables.gate_tables, tables.corridor))
-
-    def greedy_estimate(chains: tuple, packed: int) -> int:
+    def estimate(chains: tuple, packed: int) -> int:
         best = far
         for shifts in operands:
             va = packed >> shifts[0] & vertex_field
-            vb = packed >> shifts[1] & vertex_field if len(shifts) > 1 else va
-            # The corridor masks cover only the low n bits, the occupancy.
-            if va == vb:
-                base = 3 * (len(chains[va]) - len(shifts)) + 1
-                others = packed & ~(1 << va)
-                for t, mask in paths:
-                    cand = t[va] + base + 2 * (mask[va] & others).bit_count()
-                    if cand < best:
-                        best = cand
-            else:
-                base = 3 * (len(chains[va]) + len(chains[vb]) - 2) + 1
-                others = packed & ~((1 << va) | (1 << vb))
-                for t, mask in paths:
-                    cand = t[va] + t[vb] + base + 2 * ((mask[va] | mask[vb]) & others).bit_count()
-                    if cand < best:
-                        best = cand
+            vb = packed >> shifts[-1] & vertex_field
+            held = len(chains[va]) if va == vb else len(chains[va]) + len(chains[vb])
+            base = stranger * (held - len(shifts)) + 1
+            for distance, corridor in paths:
+                cand = distance[va][vb] + base + crowd * (corridor[va][vb] & packed).bit_count()
+                if cand < best:
+                    best = cand
         return best
 
-    return greedy_estimate
+    return estimate
 
 
 def _route_key(chains: tuple, locks: tuple, gates: tuple) -> tuple:
@@ -281,15 +251,16 @@ class _Router:
 
         Runs kernel.route_search from the router's state and returns the
         codes of the shuttling ops to the first goal it pops; the caller
-        takes them and the execute. On oracle-sized traps the weight is 1
-        and the estimate stays a near lower bound, so slices stay near
-        shortest; bigger traps trade that for stranger and corridor
-        penalty terms that keep the frontier narrow. A goal has a ready
-        gate and no chain on a junction: a slice may route through
-        junctions but must not end on one, since a chain resting there
-        when the gate fires can lock half the trap away for every later
-        gate. The estimate and the seal penalty read the batch's
-        `_SearchTables`.
+        takes them and the execute. The trap's size picks one row of
+        weights for the one `_estimate` formula: on oracle-sized traps the
+        search weight is 1 and the estimate, with no corridor term, stays a
+        near lower bound, so slices stay near shortest; bigger traps take
+        search weight 2 and heavier stranger and corridor terms that keep
+        the frontier narrow. A goal has a ready gate and no chain on a
+        junction: a slice may route through junctions but must not end on
+        one, since a chain resting there when the gate fires can lock half
+        the trap away for every later gate. The estimate and the seal
+        penalty read the batch's `_SearchTables`.
 
         Raises CompileError, naming the lowest-numbered first-layer gate,
         when the frontier runs out, so that no op sequence from the current

@@ -260,9 +260,8 @@ class DataEntry:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Rendered entries plus their train/eval split, assigned per schedule."""
+    """Rendered entries in their train/eval split, assigned per schedule."""
 
-    entries: tuple[DataEntry, ...]
     split: dict[str, tuple[DataEntry, ...]]
     skipped: tuple[str, ...] = ()
 
@@ -301,11 +300,7 @@ def generate_dataset(schedules: Iterable[Schedule], eval_fraction: float) -> Dat
     cut = len(per_schedule) - eval_count
     train = tuple(e for entries in per_schedule[:cut] for e in entries)
     eval_entries = tuple(e for entries in per_schedule[cut:] for e in entries)
-    return Dataset(
-        entries=train + eval_entries,
-        split={"train": train, "eval": eval_entries},
-        skipped=tuple(skipped),
-    )
+    return Dataset(split={"train": train, "eval": eval_entries}, skipped=tuple(skipped))
 
 
 def to_jsonl(entries: tuple[DataEntry, ...] | list[DataEntry]) -> str:

@@ -23,6 +23,7 @@ from .circuit import Circuit
 from .dataset import RenderMemo, parse_output, render_instruction
 from .errors import (
     OutputParseError,
+    PermanentTransportError,
     PlacementError,
     ReplayMismatchError,
     ScheduleValidationError,
@@ -128,11 +129,12 @@ def http_complete(
 
     Reads choices[0].text (or .message.content) and the server-reported
     usage.completion_tokens, estimating by whitespace split when the server
-    omits usage. A body of any other shape raises TransportError, and so
-    does an endpoint that is not an http or https URL, before any request.
+    omits usage. A body of any other shape raises TransportError. An
+    endpoint that is not an http or https URL raises PermanentTransportError
+    before any request.
     """
     if urlsplit(endpoint).scheme not in ("http", "https"):
-        raise TransportError(f"endpoint {endpoint!r} is not an http or https URL")
+        raise PermanentTransportError(f"endpoint {endpoint!r} is not an http or https URL")
     data = json.dumps(
         {"model": model, "prompt": instruction, "max_tokens": max_tokens, "temperature": temperature}
     ).encode()
@@ -284,8 +286,8 @@ def generate_schedule(
     responses resubmit that identical string. Ten consecutive invalid
     responses (or the time budget) abort the run with a partial schedule;
     the failure reason then ends with the last rejection's text. A
-    scripted or replayed client that cannot answer the instruction aborts
-    it at once.
+    request no retry can answer aborts it at once: an endpoint that is not
+    HTTP(S), or a scripted or replayed client that cannot answer it.
     """
     placement = initial_placement(circuit, graph)
     state = placement
@@ -308,7 +310,7 @@ def generate_schedule(
         except TransportError as exc:
             retries += 1
             consecutive += 1
-            permanent = isinstance(exc, ReplayMismatchError)
+            permanent = isinstance(exc, PermanentTransportError)
             if permanent or consecutive >= params.max_consecutive_invalid:
                 outcome, reason = "failed", f"transport: {exc}"
                 break

@@ -69,8 +69,12 @@ class TransportError(ShuttleError):
     """Completion endpoint unreachable or its response malformed."""
 
 
-class ReplayMismatchError(TransportError):
+class PermanentTransportError(TransportError):
+    """A request that fails the same way however often it is sent, so a retry cannot help."""
+
+
+class ReplayMismatchError(PermanentTransportError):
     """A scripted client or recorded exchange file cannot answer the request.
 
-    Its answers are fixed in advance, so a retry cannot help.
+    Its answers are fixed in advance.
     """

@@ -4,10 +4,11 @@ A schedule is complete when replay executes every gate, ends with no
 occupied junction, and contains no shuttling after the final gate. There
 is one replay loop, `replay`, which applies `step` op by op and returns the
 validation report, the per-gate slices, the optimizer's kept ops and the
-circuit reached. It is the only code that steps ops. Each consumer makes
-one pass and reads what it needs: `validate` the report, `Schedule.slices`
-the slices, which the schedule then holds (a compiled schedule's are cut by
-the replay that validates it), `optimize` the kept ops, and the generation
+circuit reached. It is the only code that steps ops. A schedule is
+replayed once for all its readers: `validate` reads the report and
+`Schedule.slices` the slices of the one replay the schedule holds, run by
+whichever reads first (a compiled schedule's is the replay that validates
+it). `optimize` reads the kept ops of its own pass, and the generation
 driver the report, kept ops and circuit of each slice it accepts, so a
 generated schedule is complete only if `validate` accepts it. The
 optimizer deletes adjacent op pairs that provably return to the state they
@@ -40,12 +41,18 @@ class Schedule:
     ops: tuple[ShuttleOp, ...]
 
     @cached_property
-    def slices(self) -> tuple[EntrySlice, ...]:
-        """The per-gate slices, cut by one replay on first use and held (see `decompose`)."""
+    def _replayed(self) -> tuple[ValidationReport, tuple[EntrySlice, ...]]:
+        """The report and slices of the schedule's one replay, run on first use and held."""
         report, slices, *_ = replay(self.graph, self.placement, self.circuit, self.ops)
+        return report, tuple(slices)
+
+    @property
+    def slices(self) -> tuple[EntrySlice, ...]:
+        """The per-gate slices of the schedule's one replay (see `decompose`)."""
+        report, slices = self._replayed
         if not report.ok:
             raise ScheduleValidationError(report)
-        return tuple(slices)
+        return slices
 
 
 @dataclass(frozen=True)
@@ -151,8 +158,8 @@ def replay(
 
 
 def validate(schedule: Schedule) -> ValidationReport:
-    """Replay the schedule and report the first violated condition, if any."""
-    return replay(schedule.graph, schedule.placement, schedule.circuit, schedule.ops)[0]
+    """The first violated condition of the schedule's replay, if any."""
+    return schedule._replayed[0]
 
 
 def decompose(schedule: Schedule) -> list[EntrySlice]:

@@ -331,12 +331,26 @@ def test_compiled_schedules_match_golden_digest():
 
 # -- search estimate against its defining formula ------------------------------
 
+# Two gate vertices, 0 and 2, which no built-in family has, so the estimate
+# takes its minimum over more than one: 3 - 1 - [0] - [2], capacity 3.
+TWO_GATES = trap.TrapGraph(
+    {
+        0: trap.Vertex(0, trap.VertexKind.GATE, frozenset({"gate", "merge", "separate"}), (1, 2)),
+        1: trap.Vertex(1, trap.VertexKind.STORAGE),
+        2: trap.Vertex(2, trap.VertexKind.GATE, frozenset({"gate", "merge", "separate"})),
+        3: trap.Vertex(3, trap.VertexKind.STORAGE),
+    },
+    frozenset({(0, 1), (0, 2), (1, 3)}),
+    capacity=3,
+)
+
 HEURISTIC_TRAPS = [
     (trap.build_eval_layout("ring", 4), 4),
     (trap.build_eval_layout("four_way", 5), 5),
     (trap.build_eval_layout("multi_linear", 4), 4),
     (trap.build_branched(3, 2, 1), 4),
     (trap.build_linear(3), 3),
+    (TWO_GATES, 3),
 ]
 
 
@@ -389,7 +403,7 @@ def reference_heuristic(graph, gates, chains, greedy):
 @pytest.mark.parametrize(
     "graph,qubits",
     HEURISTIC_TRAPS,
-    ids=["ring4", "four_way5", "multi_linear4", "branched321", "linear3"],
+    ids=["ring4", "four_way5", "multi_linear4", "branched321", "linear3", "two_gates3"],
 )
 def test_search_estimate_matches_reference_on_random_walks(graph, qubits):
     """The table-driven search estimate equals the direct formula.

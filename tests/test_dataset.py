@@ -131,7 +131,8 @@ def test_generated_dataset_replays_each_compiled_schedule_once(monkeypatch):
         circuits = [baseline.random_circuit(qubits, 5, 1 + 1000 * qubits + i) for i in range(5)]
         batch = baseline.compile_many(circuits, trap.build_linear(qubits))
         built = generate_dataset((compiled.append(s) or s for s in batch), 0.2)
-        assert len(built.entries) == sum(len(c.gates) for c in circuits)
+        entries = built.split["train"] + built.split["eval"]
+        assert len(entries) == sum(len(c.gates) for c in circuits)
     assert calls == {
         "schedule.replay": len(compiled),
         "ops.apply": sum(len(schedule.ops) for schedule in compiled),
@@ -169,7 +170,8 @@ def _allowed_text(state, graph, circuit):
 def test_rendered_allowed_operations_equal_allowed_ops():
     """Every "Allowed operations" block, memo or none, is ops.allowed_ops formatted."""
     schedules = render_corpus()
-    entries = iter(generate_dataset(schedules, 0).entries)
+    built = generate_dataset(schedules, 0)
+    entries = iter(built.split["train"] + built.split["eval"])
     echoes = 0
     for schedule in schedules:
         graph = schedule.graph
@@ -331,7 +333,7 @@ def test_generate_dataset_builds_the_layout_once_per_graph(monkeypatch):
 
     monkeypatch.setattr(dataset, "_vertex_lines", counted)
     first = generate_dataset(schedules, 0.5)
-    assert len(first.entries) > len(schedules)
+    assert len(first.split["train"] + first.split["eval"]) > len(schedules)
     assert built == [linear, ring]
     assert generate_dataset(schedules, 0.5) == first
     assert built == [linear, ring, linear, ring]

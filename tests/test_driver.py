@@ -371,6 +371,20 @@ def test_http_complete_refuses_an_endpoint_that_is_not_http(monkeypatch, endpoin
     assert str(failure.value) == f"endpoint {endpoint!r} is not an http or https URL"
 
 
+def test_a_refused_endpoint_fails_the_run_at_once(monkeypatch):
+    """No retry can turn a file: URL into an HTTP request, so the first refusal ends the run."""
+    def urlopen(request, timeout):
+        raise AssertionError(f"requested {request.full_url}")
+
+    monkeypatch.setattr(driver, "urlopen", urlopen)
+    client = driver.HttpCompletionClient("file:///etc/hostname", "m")
+    _, stats = generate_schedule(CIRCUIT, GRAPH, client)
+    assert (stats.outcome, stats.retries, stats.gates_executed) == ("failed", 1, 0)
+    assert stats.failure_reason == (
+        "transport: endpoint 'file:///etc/hostname' is not an http or https URL"
+    )
+
+
 def test_http_complete_posts_the_request_as_json(monkeypatch):
     sent = []
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shuttlekit import baseline, trap
+from shuttlekit import ops as ops_mod
 from shuttlekit import schedule as schedule_mod
 from shuttlekit.baseline import random_circuit
 from shuttlekit.circuit import Circuit, Gate
@@ -526,6 +527,20 @@ def test_parse_schedule_replay_can_be_deferred():
     hacked = text.replace("Execute Gate 1", "Translate 0 -> 2\nExecute Gate 1")
     parsed = parse_schedule(hacked, sched.graph, sched.circuit, replay=False)
     assert not validate(parsed).ok
+
+
+def test_a_schedule_is_replayed_once_for_all_its_readers(monkeypatch):
+    """parse_schedule's validation, decompose and validate share one replay of the schedule."""
+    compiled = baseline.compile(random_circuit(3, 6, 0), LINEAR2)
+    text = serialize_schedule(compiled, "t", "c")
+    applied = []
+    apply = ops_mod.apply
+    monkeypatch.setattr(ops_mod, "apply", lambda *args: applied.append(args[-1]) or apply(*args))
+    parsed = parse_schedule(text, LINEAR2, compiled.circuit, replay=True)
+    slices = decompose(parsed)
+    assert validate(parsed).ok
+    assert tuple(op for piece in slices for op in piece.ops) == parsed.ops
+    assert len(applied) == len(parsed.ops)
 
 
 def test_schedule_paths_requires_header():
