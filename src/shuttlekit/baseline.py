@@ -158,8 +158,8 @@ def _estimate(tables: _SearchTables, gates: tuple, greedy: bool):
     crowd * popcount(corridor[va][vb] & occupied): the hops to the gate
     vertex, a term per qubit sharing an operand's chain, one for the
     execute, and a term per other occupied vertex on a shortest path there.
-    (stranger, crowd) is (1, 0) in exact mode and (3, 2) in greedy mode.
-    The result is 1 exactly when some gate is ready: its operands alone
+    (stranger, crowd) is (1, 0) in exact mode and (3, 2) in greedy mode;
+    exact mode skips the corridor term, which is 0 there. The result is 1 exactly when some gate is ready: its operands alone
     fill a gate vertex's chain.
     """
     far, n, paths = tables.far, tables.n, tables.paths
@@ -175,7 +175,9 @@ def _estimate(tables: _SearchTables, gates: tuple, greedy: bool):
             held = len(chains[va]) if va == vb else len(chains[va]) + len(chains[vb])
             base = stranger * (held - len(shifts)) + 1
             for distance, corridor in paths:
-                cand = distance[va][vb] + base + crowd * (corridor[va][vb] & packed).bit_count()
+                cand = distance[va][vb] + base
+                if crowd:
+                    cand += crowd * (corridor[va][vb] & packed).bit_count()
                 if cand < best:
                     best = cand
         return best

@@ -4,11 +4,12 @@ A schedule is complete when replay executes every gate, ends with no
 occupied junction, and contains no shuttling after the final gate. There
 is one replay loop, `replay`, which applies `step` op by op and returns the
 validation report, the per-gate slices, the optimizer's kept ops and the
-circuit reached. It is the only code that steps ops. A schedule is
-replayed once for all its readers: `validate` reads the report and
-`Schedule.slices` the slices of the one replay the schedule holds, run by
-whichever reads first (a compiled schedule's is the replay that validates
-it). `optimize` reads the kept ops of its own pass, and the generation
+circuit reached. It is the only code that steps ops. `validate` replays
+on every call and reads the report. `Schedule.slices` reads the slices of
+the one replay the schedule holds: the first `validate`'s, or one run on
+first use (a compiled schedule's is the replay that validates it), so a
+parsed schedule is replayed once for its validation and its slices.
+`optimize` reads the kept ops of its own pass, and the generation
 driver the report, kept ops and circuit of each slice it accepts, so a
 generated schedule is complete only if `validate` accepts it. The
 optimizer deletes adjacent op pairs that provably return to the state they
@@ -42,7 +43,7 @@ class Schedule:
 
     @cached_property
     def _replayed(self) -> tuple[ValidationReport, tuple[EntrySlice, ...]]:
-        """The report and slices of the schedule's one replay, run on first use and held."""
+        """The report and slices of the schedule's one replay, held from its first run."""
         report, slices, *_ = replay(self.graph, self.placement, self.circuit, self.ops)
         return report, tuple(slices)
 
@@ -158,8 +159,15 @@ def replay(
 
 
 def validate(schedule: Schedule) -> ValidationReport:
-    """The first violated condition of the schedule's replay, if any."""
-    return schedule._replayed[0]
+    """Replay the schedule and report the first violated condition, if any.
+
+    Every call replays. The schedule keeps this replay for `Schedule.slices`
+    when it holds none yet, so the slices `decompose` reads after
+    `parse_schedule` are those of the replay that validated the file.
+    """
+    report, slices, *_ = replay(schedule.graph, schedule.placement, schedule.circuit, schedule.ops)
+    schedule.__dict__.setdefault("_replayed", (report, tuple(slices)))
+    return report
 
 
 def decompose(schedule: Schedule) -> list[EntrySlice]:

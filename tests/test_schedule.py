@@ -529,8 +529,8 @@ def test_parse_schedule_replay_can_be_deferred():
     assert not validate(parsed).ok
 
 
-def test_a_schedule_is_replayed_once_for_all_its_readers(monkeypatch):
-    """parse_schedule's validation, decompose and validate share one replay of the schedule."""
+def test_parse_schedule_and_decompose_share_one_replay(monkeypatch):
+    """decompose reads the slices of parse_schedule's validating replay; validate replays anew."""
     compiled = baseline.compile(random_circuit(3, 6, 0), LINEAR2)
     text = serialize_schedule(compiled, "t", "c")
     applied = []
@@ -538,9 +538,10 @@ def test_a_schedule_is_replayed_once_for_all_its_readers(monkeypatch):
     monkeypatch.setattr(ops_mod, "apply", lambda *args: applied.append(args[-1]) or apply(*args))
     parsed = parse_schedule(text, LINEAR2, compiled.circuit, replay=True)
     slices = decompose(parsed)
-    assert validate(parsed).ok
     assert tuple(op for piece in slices for op in piece.ops) == parsed.ops
     assert len(applied) == len(parsed.ops)
+    assert validate(parsed).ok
+    assert len(applied) == 2 * len(parsed.ops)
 
 
 def test_schedule_paths_requires_header():
