@@ -106,21 +106,40 @@ class Circuit:
     def in_first_layer(self, gate_id: int) -> bool:
         """Whether gate_id is pending with no pending predecessor; O(operands)."""
         places = self._frontier.places.get(gate_id)
+        if places is None:
+            return False
         cursors = self._cursors
-        return places is not None and all(cursors[q] == i for q, i in places)
+        for q, index in places:
+            if cursors[q] != index:
+                return False
+        return True
 
     @cached_property
     def first_layer(self) -> tuple[Gate, ...]:
-        """Pending gates with no pending predecessor on any operand."""
+        """Pending gates with no pending predecessor on any operand.
+
+        Such a gate heads the pending list of every operand, and is taken
+        from its first operand's.
+        """
         frontier = self._frontier
-        heads = {
-            ids[cursor]
-            for ids, cursor in zip(frontier.order, self._cursors)
-            if cursor < len(ids)
-        }
-        return tuple(
-            frontier.gate_by_id[gid] for gid in sorted(heads) if self.in_first_layer(gid)
-        )
+        places = frontier.places
+        cursors = self._cursors
+        ready = []
+        for q, ids in enumerate(frontier.order):
+            cursor = cursors[q]
+            if cursor == len(ids):
+                continue
+            gid = ids[cursor]
+            operands = places[gid]
+            if operands[0][0] != q:
+                continue
+            for p, index in operands:
+                if cursors[p] != index:
+                    break
+            else:
+                ready.append(gid)
+        ready.sort()
+        return tuple(map(frontier.gate_by_id.__getitem__, ready))
 
     @cached_property
     def next_executable(self) -> tuple[Gate, ...]:

@@ -9,13 +9,17 @@ schedule recorded in the slices it holds (`Schedule.slices`), so rendering
 steps no op and its text cannot disagree with replay. Wording lives in a
 versioned template file so the golden snapshots survive refactors.
 
-A state renders straight from its encoding: positions off the chains, op
-lines off kernel op codes. A render memo (`RenderMemo`) keeps the text that
-depends only on the graph, an op code or the encoded state.
-`generate_dataset` keeps one per graph for one call, and
-`driver.generate_schedule` one for one run, so the layout is built once and
-each distinct state is rendered once; the gate lines, which depend on the
-circuit as well, join the state's cached per-qubit strings for every echo.
+The template is cut once per process into the literal pieces around its
+seven `$` fields, and an instruction is those pieces joined with the
+field values, so no render scans the template. A state renders straight
+from its encoding: positions off the chains, op lines off kernel op codes.
+A render memo (`RenderMemo`) serves one graph and keeps the text that
+depends only on that graph, an op code or the encoded state: the
+instruction prefix up to the positions, filled once, and per state the
+positions and the bulleted shuttling-op block. `generate_dataset` keeps
+one per graph for one call, and `driver.generate_schedule` one for one
+run; the gate lines and the ready `Execute Gate` bullets, which depend on
+the circuit as well, are joined to that text for every echo.
 """
 
 from __future__ import annotations
@@ -44,10 +48,48 @@ _KIND_LABELS = {
 }
 
 
+# The template's fields in the order the renderer fills them: the three
+# that depend on the graph alone, then the four that depend on the state.
+_FIELDS = (
+    "capacity",
+    "vertex_block",
+    "edge_block",
+    "position_block",
+    "first_layer_block",
+    "next_layer_block",
+    "allowed_block",
+)
+
+
+def _cut(text: str) -> tuple[str, ...]:
+    """The literal pieces of template text around its `$` fields.
+
+    Raises RenderError for a `$` that names no field, and unless the fields
+    are exactly _FIELDS, in order.
+    """
+    pieces, fields, pos = [], [], 0
+    for match in Template.pattern.finditer(text):
+        name = match.group("named") or match.group("braced")
+        if name is None:
+            raise RenderError(
+                f"instruction template has a $ that names no field at offset {match.start()}"
+            )
+        fields.append(name)
+        pieces.append(text[pos : match.start()])
+        pos = match.end()
+    pieces.append(text[pos:])
+    if tuple(fields) != _FIELDS:
+        raise RenderError(
+            f"instruction template has fields {fields}; the renderer fills {list(_FIELDS)}, "
+            "in that order"
+        )
+    return tuple(pieces)
+
+
 @lru_cache(maxsize=1)
-def _template() -> Template:
-    text = files("shuttlekit").joinpath("templates/instruction_v1.txt").read_text()
-    return Template(text)
+def _template() -> tuple[str, ...]:
+    """The instruction template's eight literal pieces around its fields."""
+    return _cut(files("shuttlekit").joinpath("templates/instruction_v1.txt").read_text())
 
 
 def _bullets(lines: list[str]) -> str:
@@ -68,42 +110,71 @@ def _vertex_lines(graph: TrapGraph) -> list[str]:
     return lines
 
 
+def _layout(graph: TrapGraph) -> str:
+    """The instruction up to its "Qubit positions" block, graph fields filled."""
+    head, after_capacity, after_vertices, after_edges = _template()[:4]
+    edges = [f"{a} -- {b}" for a, b in sorted(graph.edges)]
+    return "".join(
+        (
+            head,
+            str(graph.capacity),
+            after_capacity,
+            _bullets(_vertex_lines(graph)),
+            after_vertices,
+            _bullets(edges),
+            after_edges,
+        )
+    )
+
+
 class RenderMemo:
     """The text the renders on one graph share, kept for one call or one driver run.
 
-    `layout` holds the graph's bulleted "Trap layout" and "Connections"
-    blocks, built on first use. `op_lines` maps a kernel op code to its
-    line, filled through ops.format_op on a miss. `states` maps an encoded
-    state (chains, locks) to its `qubit q at [v, p]` lines (qubit q's at
-    index q), its "Qubit positions" block and its shuttling-op lines.
+    `graph` is the graph the memo serves; a render given the memo with
+    any other graph object raises RenderError. `layout` holds the
+    instruction up to its "Qubit positions" block, with the capacity,
+    "Trap layout" and "Connections" filled in, built on first use.
+    `op_bullets` maps a kernel op code to its `- <op>` bullet, filled
+    through ops.format_op on a miss. `states` maps an encoded state
+    (chains, locks) to its `qubit q at [v, p]` lines (qubit q's at index
+    q), its "Qubit positions" block and its bulleted shuttling-op block
+    ("" when no shuttling op is legal).
     """
 
-    def __init__(self) -> None:
-        self.layout: tuple[str, str] | None = None
-        self.op_lines: dict[tuple[int, int, int], str] = {}
-        self.states: dict[tuple, tuple[list[str], str, list[str]]] = {}
+    def __init__(self, graph: TrapGraph) -> None:
+        self.graph = graph
+        self.layout: str | None = None
+        self.op_bullets: dict[tuple[int, int, int], str] = {}
+        self.states: dict[tuple, tuple[list[str], str, str]] = {}
 
 
-def _op_lines(memo: RenderMemo, codes) -> list[str]:
-    """The op line of each kernel op code, through the memo's table."""
-    table = memo.op_lines
+def _memo_for(graph: TrapGraph, memo: RenderMemo | None) -> RenderMemo:
+    """`memo`, checked to serve `graph`, or a fresh memo when there is none."""
+    if memo is None:
+        return RenderMemo(graph)
+    if memo.graph is not graph:
+        raise RenderError("the render memo serves another trap graph")
+    return memo
+
+
+def _op_block(memo: RenderMemo, codes) -> str:
+    """The bullets of kernel op codes, one line each, through the memo's table."""
+    table = memo.op_bullets
     lines = []
     for code in codes:
         line = table.get(code)
         if line is None:
-            line = table[code] = op_mod.format_op(op_mod.decode_op(code))
+            line = table[code] = "- " + op_mod.format_op(op_mod.decode_op(code))
         lines.append(line)
-    return lines
+    return "\n".join(lines)
 
 
-def _state_text(
-    graph: TrapGraph, chains: tuple, locks: tuple, memo: RenderMemo
-) -> tuple[list[str], str, list[str]]:
+def _state_text(chains: tuple, locks: tuple, memo: RenderMemo) -> tuple[list[str], str, str]:
     """The memo entry of state (chains, locks), rendered and stored on a miss."""
     entry = memo.states.get((chains, locks))
     if entry is None:
         lines = position_lines(TrapState(chains, locks))
-        shuttles = _op_lines(memo, kernel.successors(graph.encoded, chains, locks))
+        shuttles = _op_block(memo, kernel.successors(memo.graph.encoded, chains, locks))
         entry = memo.states[chains, locks] = (lines, _bullets(lines), shuttles)
     return entry
 
@@ -121,12 +192,13 @@ def _gate_lines(gates: tuple[Gate, ...], spots: list[str]) -> str:
     return _bullets([f"gate {g.id}: " + ", ".join(spots[q] for q in g.qubits) for g in gates])
 
 
-def _allowed_block(
-    memo: RenderMemo, shuttles: list[str], graph: TrapGraph, chains: tuple, gates: tuple
-) -> str:
-    """The "Allowed operations" bullets: the shuttling lines, then the ready gates."""
-    ready = kernel.ready_gates(graph.encoded, chains, gates)
-    return _bullets(shuttles + _op_lines(memo, [(kernel.EXECUTE, g, -1) for g in ready]))
+def _allowed_block(memo: RenderMemo, shuttles: str, chains: tuple, gates: tuple) -> str:
+    """The "Allowed operations" bullets: the shuttling block, then the ready gates."""
+    ready = kernel.ready_gates(memo.graph.encoded, chains, gates)
+    if not ready:
+        return shuttles or "- none"
+    executes = _op_block(memo, [(kernel.EXECUTE, g, -1) for g in ready])
+    return f"{shuttles}\n{executes}" if shuttles else executes
 
 
 def render_instruction(
@@ -137,30 +209,34 @@ def render_instruction(
     Contains the trap layout, the operation rules, the goal, and four
     enumerations: qubit positions, first-layer gates, the gates one
     execution away, and the currently allowed operations. `memo`, a render
-    memo for `graph`, supplies and keeps the layout, the op lines and the
-    state's text.
+    memo for `graph`, supplies and keeps the filled layout, the op lines
+    and the state's text.
     """
     chains = state.chains
     _check_qubits(chains, circuit)
-    memo = RenderMemo() if memo is None else memo
+    memo = _memo_for(graph, memo)
     if memo.layout is None:
-        edges = [f"{a} -- {b}" for a, b in sorted(graph.edges)]
-        memo.layout = (_bullets(_vertex_lines(graph)), _bullets(edges))
-    spots, positions, shuttles = _state_text(graph, chains, state.locks, memo)
+        memo.layout = _layout(graph)
+    spots, positions, shuttles = _state_text(chains, state.locks, memo)
     first_layer = circuit.first_layer
-    return _template().substitute(
-        capacity=graph.capacity,
-        vertex_block=memo.layout[0],
-        edge_block=memo.layout[1],
-        position_block=positions,
-        first_layer_block=_gate_lines(first_layer, spots),
-        next_layer_block=_bullets(
-            [
-                f"gate {g.id} on qubits " + ", ".join(str(q) for q in g.qubits)
-                for g in circuit.next_executable
-            ]
-        ),
-        allowed_block=_allowed_block(memo, shuttles, graph, chains, first_layer),
+    after_positions, after_first, after_next, tail = _template()[4:]
+    return "".join(
+        (
+            memo.layout,
+            positions,
+            after_positions,
+            _gate_lines(first_layer, spots),
+            after_first,
+            _bullets(
+                [
+                    f"gate {g.id} on qubits " + ", ".join(str(q) for q in g.qubits)
+                    for g in circuit.next_executable
+                ]
+            ),
+            after_next,
+            _allowed_block(memo, shuttles, chains, first_layer),
+            tail,
+        )
     )
 
 
@@ -176,9 +252,9 @@ def render_output(
     is stepped here: legality is replay's, which cut the slice (see
     schedule.decompose). A slice whose only `Execute Gate` is not its last
     op, or that lacks one state per shuttling op, or whose state does not
-    hold exactly the circuit's qubits, raises RenderError. `memo`, a render
-    memo for `graph`, supplies and keeps the op lines and each echoed
-    state's text.
+    hold exactly the circuit's qubits, raises RenderError, and so does a
+    memo for another graph. `memo`, a render memo for `graph`, supplies and
+    keeps the op lines and each echoed state's text.
     """
     executes = [i for i, op in enumerate(slice.ops) if isinstance(op, ExecuteGate)]
     if executes != [len(slice.ops) - 1] or len(slice.states) != len(slice.ops) - 1:
@@ -189,16 +265,16 @@ def render_output(
         )
     *moves, last = slice.ops
     _check_qubits(slice.state.chains, circuit)
-    memo = RenderMemo() if memo is None else memo
+    memo = _memo_for(graph, memo)
     first_layer = circuit.first_layer
     blocks: list[str] = []
     for op, state in zip(moves, slice.states):
         chains = state.chains
-        spots, positions, shuttles = _state_text(graph, chains, state.locks, memo)
+        spots, positions, shuttles = _state_text(chains, state.locks, memo)
         lines = [op_mod.format_op(op), "Qubit positions:", positions, "First-layer gates:"]
         lines.append(_gate_lines(first_layer, spots))
         lines.append("Allowed operations:")
-        lines.append(_allowed_block(memo, shuttles, graph, chains, first_layer))
+        lines.append(_allowed_block(memo, shuttles, chains, first_layer))
         blocks.append("\n".join(lines))
     blocks.append(op_mod.format_op(last))
     return "\n\n".join(blocks) + "\n"
@@ -275,7 +351,8 @@ def generate_dataset(schedules: Iterable[Schedule], eval_fraction: float) -> Dat
     valid schedules becoming evaluation data, so no trap state from an
     evaluation schedule ever appears in training. Invalid schedules are
     skipped and recorded, not fatal. Schedules on the same graph object
-    share one render memo, which lives for this call only.
+    share one render memo, which lives for this call only and holds its
+    graph, so no graph is freed while its memo is kept under its id.
     """
     if not 0 <= eval_fraction <= 1:
         raise ValueError(f"eval_fraction must be within [0, 1], got {eval_fraction}")
@@ -289,7 +366,9 @@ def generate_dataset(schedules: Iterable[Schedule], eval_fraction: float) -> Dat
             skipped.append(f"schedule {index}: {exc}")
             continue
         graph = schedule.graph
-        memo = memos.setdefault(id(graph), RenderMemo())
+        memo = memos.get(id(graph))
+        if memo is None:
+            memo = memos[id(graph)] = RenderMemo(graph)
         entries = []
         for piece in slices:
             instruction = render_instruction(graph, piece.state, piece.circuit, memo=memo)
@@ -304,12 +383,9 @@ def generate_dataset(schedules: Iterable[Schedule], eval_fraction: float) -> Dat
 
 
 def to_jsonl(entries: tuple[DataEntry, ...] | list[DataEntry]) -> str:
-    """Alpaca-format lines: instruction, empty input, output."""
+    """Alpaca-format lines: instruction, empty input, output, one encoder for all."""
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     lines = [
-        json.dumps(
-            {"instruction": e.instruction, "input": "", "output": e.output},
-            ensure_ascii=False,
-        )
-        for e in entries
+        encode({"instruction": e.instruction, "input": "", "output": e.output}) for e in entries
     ]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -292,7 +292,7 @@ def generate_schedule(
     placement = initial_placement(circuit, graph)
     state = placement
     current = circuit
-    memo = RenderMemo()
+    memo = RenderMemo(graph)
     instruction = None
     all_ops = []
     retries = tokens_final = tokens_total = 0

@@ -1,6 +1,9 @@
 """Golden snapshots of the dataset the CLI writes and of rendered slice text."""
 
 import hashlib
+import json
+import string
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
@@ -8,10 +11,17 @@ import pytest
 from shuttlekit import baseline, cli, dataset, kernel, ops, trap
 from shuttlekit import schedule as schedule_mod
 from shuttlekit.circuit import Circuit, Gate, parse_circuit
-from shuttlekit.dataset import DataEntry, generate_dataset, render_instruction, render_output
+from shuttlekit.dataset import (
+    DataEntry,
+    RenderMemo,
+    generate_dataset,
+    render_instruction,
+    render_output,
+    to_jsonl,
+)
 from shuttlekit.errors import RenderError
 from shuttlekit.schedule import EntrySlice, decompose, parse_schedule, replay, schedule_paths
-from shuttlekit.state import TrapState
+from shuttlekit.state import TrapState, position_lines
 
 INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
@@ -337,3 +347,133 @@ def test_generate_dataset_builds_the_layout_once_per_graph(monkeypatch):
     assert built == [linear, ring]
     assert generate_dataset(schedules, 0.5) == first
     assert built == [linear, ring, linear, ring]
+
+
+TEMPLATE_TEXT = files("shuttlekit").joinpath("templates/instruction_v1.txt").read_text()
+
+
+def _list(lines):
+    return "\n".join(f"- {line}" for line in lines) or "- none"
+
+
+def reference_instruction(graph, state, circuit):
+    """The instruction as string.Template fills the template's seven fields."""
+    spots = position_lines(state)
+    return string.Template(TEMPLATE_TEXT).substitute(
+        capacity=graph.capacity,
+        vertex_block=_list(dataset._vertex_lines(graph)),
+        edge_block=_list(f"{a} -- {b}" for a, b in sorted(graph.edges)),
+        position_block=_list(spots),
+        first_layer_block=_list(
+            f"gate {g.id}: " + ", ".join(spots[q] for q in g.qubits) for g in circuit.first_layer
+        ),
+        next_layer_block=_list(
+            f"gate {g.id} on qubits " + ", ".join(map(str, g.qubits))
+            for g in circuit.next_executable
+        ),
+        allowed_block=_allowed_text(state, graph, circuit),
+    )
+
+
+def test_instructions_equal_the_template_substituted():
+    """Joined template pieces equal Template.substitute, memo or none, junction locks included."""
+    schedules = render_corpus()
+    built = generate_dataset(schedules, 0)
+    entries = iter(built.split["train"] + built.split["eval"])
+    locked = 0
+    for schedule in schedules:
+        graph = schedule.graph
+        for piece in decompose(schedule):
+            expected = reference_instruction(graph, piece.state, piece.circuit)
+            assert next(entries).instruction == expected
+            assert render_instruction(graph, piece.state, piece.circuit) == expected
+            locked += any(lock != -1 for lock in piece.state.locks)
+    assert locked == 40
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (TEMPLATE_TEXT.replace("$edge_block", "$edge_block $legend"), "has fields"),
+        (TEMPLATE_TEXT.replace("$edge_block", "edges"), "has fields"),
+        (TEMPLATE_TEXT.replace("$capacity", "${capacity}").replace("$edge_block", "$capacity"),
+         "has fields"),
+        (TEMPLATE_TEXT.replace("Goal:", "Goal $:"), "names no field"),
+        (TEMPLATE_TEXT.replace("Goal:", "Goal $$:"), "names no field"),
+    ],
+    ids=["unknown", "missing", "repeated", "stray", "escaped"],
+)
+def test_cutting_a_template_without_exactly_the_renderers_fields_fails(text, message):
+    with pytest.raises(RenderError, match=message):
+        dataset._cut(text)
+
+
+def test_a_memo_for_another_graph_is_rejected():
+    """A memo serves the graph object it was made for, not an equal copy."""
+    state = TrapState.from_dicts(LINEAR2, {0: (0,), 4: (1,)})
+    piece = EntrySlice(state, ONE_GATE, tuple(map(ops.parse_op, ROUTE)), (state,) * 3)
+    memo = RenderMemo(trap.build_linear(2))
+    with pytest.raises(RenderError, match="serves another trap graph"):
+        render_instruction(LINEAR2, state, ONE_GATE, memo=memo)
+    with pytest.raises(RenderError, match="serves another trap graph"):
+        render_output(piece, LINEAR2, ONE_GATE, memo=memo)
+    assert memo.layout is None and memo.states == {}
+
+
+def test_a_freed_trap_never_lends_its_memo_to_the_next():
+    """Traps dropped after use cannot hand their ids, and so their memos, to later traps."""
+    builders = (
+        lambda: trap.build_linear(2),
+        lambda: trap.build_linear(3),
+        lambda: trap.build_eval_layout("ring", 4),
+    )
+    expected = []
+
+    def schedules():
+        for i in range(300):
+            graph = builders[i % 3]()
+            schedule = baseline.compile(baseline.random_circuit(2 + i % 3, 1, i), graph)
+            for piece in decompose(schedule):
+                instruction = render_instruction(graph, piece.state, piece.circuit)
+                expected.append(DataEntry(instruction, render_output(piece, graph, piece.circuit)))
+            yield schedule
+
+    built = generate_dataset(schedules(), 0)
+    assert list(built.split["train"]) == expected
+    assert len(expected) > 600
+
+
+# Linear(1) is 0 - [1] - 2 with capacity 2; one qubit on each vertex
+# leaves no Translate target and no chain to separate or swap.
+LINEAR1 = trap.build_linear(1)
+PACKED = TrapState.from_dicts(LINEAR1, {0: (0,), 1: (1,), 2: (2,)})
+
+
+@pytest.mark.parametrize(
+    "operands,allowed", [((0, 2), "- none"), ((1,), "- Execute Gate 1")], ids=["none", "gate"]
+)
+def test_allowed_block_of_a_state_without_shuttling_ops(operands, allowed):
+    circuit = Circuit(3, (Gate(1, operands),))
+    instruction = render_instruction(LINEAR1, PACKED, circuit)
+    block = instruction.split("Allowed operations:\n")[1].split("\nProduce operations")[0]
+    assert block == allowed == _allowed_text(PACKED, LINEAR1, circuit)
+
+
+def test_generate_dataset_never_substitutes_the_template(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Template.substitute called")
+
+    monkeypatch.setattr(string.Template, "substitute", refuse)
+    dataset._template.cache_clear()
+    built = generate_dataset(render_corpus(), 0.2)
+    assert built.split["train"] and built.split["eval"]
+
+
+def test_to_jsonl_writes_what_json_dumps_writes():
+    entries = [DataEntry("qubit 0 at [1, 0]\n\"α\"", "Execute Gate 1\n"), DataEntry("", "\u2028")]
+    assert to_jsonl(entries) == "".join(
+        json.dumps({"instruction": e.instruction, "input": "", "output": e.output},
+                   ensure_ascii=False) + "\n"
+        for e in entries
+    )
+    assert to_jsonl([]) == ""
