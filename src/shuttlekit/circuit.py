@@ -225,6 +225,14 @@ def _statements(text: str):
         raise CircuitError(f"line {start_line}: unterminated statement {buffer.strip()!r}")
 
 
+def _integer(digits: str, lineno: int) -> int:
+    """A register size or qubit index; one past the interpreter's digit limit is a CircuitError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise CircuitError(f"line {lineno}: integer of {len(digits)} digits is too long") from None
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse the OpenQASM 2.0 subset: one qreg, 1-/2-qubit gates.
 
@@ -244,7 +252,7 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitError(f"line {lineno}: malformed qreg {statement!r}")
             if register is not None:
                 raise CircuitError(f"line {lineno}: only one qreg is supported")
-            register = (match.group(1), int(match.group(2)))
+            register = (match.group(1), _integer(match.group(2), lineno))
             continue
         match = _GATE_RE.match(statement)
         if not match:
@@ -258,7 +266,7 @@ def parse_circuit(text: str) -> Circuit:
             operand = _OPERAND_RE.match(chunk)
             if not operand:
                 raise CircuitError(f"line {lineno}: malformed operand {chunk!r}")
-            reg_name, index = operand.group(1), int(operand.group(2))
+            reg_name, index = operand.group(1), _integer(operand.group(2), lineno)
             if reg_name != register[0]:
                 raise CircuitError(f"line {lineno}: unknown register {reg_name!r}")
             if index >= register[1]:

@@ -83,12 +83,18 @@ def request_digest(instruction: str, max_tokens: int, temperature: float) -> str
 
 
 def read_text(path: str, error=ShuttleError) -> str:
-    """A UTF-8 text file's contents; bytes that do not decode raise `error` naming the file."""
+    """A UTF-8 text file's contents.
+
+    Bytes that do not decode, or a path `open` refuses as a value (one with
+    a NUL byte), raise `error` naming the path.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:
+        raise error(f"cannot open {path!r}: {exc}") from exc
 
 
 def read_json_objects(path: str, label: str, error=ShuttleError) -> list[tuple[int, dict]]:
@@ -103,7 +109,7 @@ def read_json_objects(path: str, label: str, error=ShuttleError) -> list[tuple[i
             continue
         try:
             value = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
             raise error(f"{label} line {lineno}: {exc}") from exc
         if not isinstance(value, dict):
             raise error(f"{label} line {lineno}: not a JSON object")
@@ -150,7 +156,7 @@ def http_complete(
         raise TransportError(f"endpoint returned status {status}")
     try:
         body = json.loads(raw)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise TransportError("endpoint response is not JSON") from exc
     try:
         choice = body["choices"][0]

@@ -5,12 +5,16 @@ chains of qubits. Junctions are exactly the vertices of degree greater than
 two; they never carry eligibility flags, so no chain reordering or gate can
 happen on them. Separate and Merge act between a vertex and its two lateral
 neighbors, which on non-path graphs are recorded explicitly per vertex.
+
+The layout builders state only a trap's edges and its gate segments; one
+assembler gives every other vertex its kind from its degree (junction above
+two, storage otherwise).
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -211,12 +215,30 @@ def bfs_distances(graph: TrapGraph, source: int) -> dict[int, int]:
     return dist
 
 
-def _gate_vertex(vid: int, lateral: tuple[int, int] | None = None) -> Vertex:
-    return Vertex(vid, VertexKind.GATE, frozenset(ELIGIBILITY_FLAGS), lateral)
+def _path(start: int, first: int, length: int) -> list[tuple[int, int]]:
+    """Edges of a path of `length` new vertices, ids from `first` on, hanging off `start`."""
+    ids = [start, *range(first, first + length)]
+    return list(zip(ids, ids[1:]))
 
 
-def _edges(pairs) -> frozenset[tuple[int, int]]:
-    return frozenset(tuple(sorted(p)) for p in pairs)
+def _assemble(
+    edges: list[tuple[int, int]], gates: dict[int, tuple[int, int] | None], capacity: int
+) -> TrapGraph:
+    """Build vertices 0..n-1 from the edge list, reading each vertex's kind from its degree.
+
+    A key of `gates` becomes a gate segment with every eligibility flag and
+    the lateral pair given for it (None where its two neighbors imply it).
+    Any other vertex is a junction above degree two and storage otherwise.
+    """
+    degree = Counter(v for edge in edges for v in edge)
+    vertices = {}
+    for vid in range(len(degree)):
+        if vid in gates:
+            vertices[vid] = Vertex(vid, VertexKind.GATE, frozenset(ELIGIBILITY_FLAGS), gates[vid])
+        else:
+            kind = VertexKind.JUNCTION if degree[vid] > 2 else VertexKind.STORAGE
+            vertices[vid] = Vertex(vid, kind)
+    return TrapGraph(vertices, frozenset(tuple(sorted(e)) for e in edges), capacity)
 
 
 def build_linear(storage_per_side: int, capacity: int = DEFAULT_CAPACITY) -> TrapGraph:
@@ -226,30 +248,21 @@ def build_linear(storage_per_side: int, capacity: int = DEFAULT_CAPACITY) -> Tra
     """
     if storage_per_side < 1:
         raise TrapError("storage_per_side must be at least 1")
-    gs = storage_per_side
-    total = 2 * storage_per_side + 1
-    vertices = {}
-    for vid in range(total):
-        if vid == gs:
-            vertices[vid] = _gate_vertex(vid, (gs - 1, gs + 1))
-        else:
-            vertices[vid] = Vertex(vid, VertexKind.STORAGE)
-    return TrapGraph(vertices, _edges((i, i + 1) for i in range(total - 1)), capacity)
+    return _assemble_spine_trap(storage_per_side, {}, capacity)
 
 
 def _branched_side(
     storage_per_side: int, stack_depth: int, junction_distance: int, two_stacks: bool
-) -> tuple[list[str], dict[int, tuple[int, ...]]]:
-    """Plan one side: spine kinds outward from the gate segment, plus stacks.
+) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """Plan one side: its spine length outward from the gate segment, plus stacks.
 
-    Returns the spine as a kind list ("storage"/"junction") and a map from
-    spine index to stack depths hanging off that junction.
+    Returns the number of spine vertices on the side and a map from spine
+    index (0 next to the gate segment) to the stack depths hanging off the
+    junction there.
     """
-    spine: list[str] = ["storage"] * junction_distance
+    length = storage = junction_distance
     stacks: dict[int, tuple[int, ...]] = {}
-    storage = junction_distance
     while storage < storage_per_side or not stacks:
-        spine.append("junction")
         depths = []
         for _ in range(2 if two_stacks else 1):
             # Last stack shrinks to the remaining need but never vanishes:
@@ -257,13 +270,14 @@ def _branched_side(
             depth = min(stack_depth, max(1, storage_per_side - storage))
             depths.append(depth)
             storage += depth
-        stacks[len(spine) - 1] = tuple(depths)
+        stacks[length] = tuple(depths)
+        length += 1
         if storage < storage_per_side:
-            spine.extend(["storage"] * (junction_distance - 1))
+            length += junction_distance - 1
             storage += junction_distance - 1
-    if spine[-1] == "junction":
-        spine.append("storage")
-    return spine, stacks
+    if length - 1 in stacks:
+        length += 1  # the spine ends in storage, not in a junction
+    return length, stacks
 
 
 def build_branched(
@@ -283,57 +297,35 @@ def build_branched(
         raise TrapError("storage_per_side must be at least junction_distance")
     if stack_depth < 1 or junction_distance < 1:
         raise TrapError("stack_depth and junction_distance must be at least 1")
-    side_spine, side_stacks = _branched_side(
-        storage_per_side, stack_depth, junction_distance, two_stacks=False
+    return _assemble_spine_trap(
+        *_branched_side(storage_per_side, stack_depth, junction_distance, two_stacks=False),
+        capacity,
     )
-    return _assemble_spine_trap(side_spine, side_stacks, capacity)
 
 
 def _assemble_spine_trap(
-    side_spine: list[str], side_stacks: dict[int, tuple[int, ...]], capacity: int
+    side_len: int, side_stacks: dict[int, tuple[int, ...]], capacity: int
 ) -> TrapGraph:
     """Mirror one planned side around a central gate segment and number it."""
-    side_len = len(side_spine)
     gs = side_len
     spine_total = 2 * side_len + 1
-
-    def left_id(side_idx: int) -> int:
-        return gs - 1 - side_idx
-
-    def right_id(side_idx: int) -> int:
-        return gs + 1 + side_idx
-
-    vertices: dict[int, Vertex] = {}
-    kinds: dict[int, str] = {gs: "gate"}
-    for idx, kind in enumerate(side_spine):
-        kinds[left_id(idx)] = kind
-        kinds[right_id(idx)] = kind
-
     edges = [(i, i + 1) for i in range(spine_total - 1)]
+    # Stacks are numbered in junction id order; the sort is stable, so the
+    # stacks on one junction keep their depth order.
+    stacks = sorted(
+        (
+            (junction, depth)
+            for idx, depths in side_stacks.items()
+            for junction in (gs - 1 - idx, gs + 1 + idx)
+            for depth in depths
+        ),
+        key=lambda item: item[0],
+    )
     next_id = spine_total
-    stack_map: list[tuple[int, int]] = []  # (junction id, depth), numbered in id order
-    for idx in sorted(side_stacks):
-        for vid_fn in (left_id, right_id):
-            for depth in side_stacks[idx]:
-                stack_map.append((vid_fn(idx), depth))
-    stack_map.sort(key=lambda item: item[0])
-    for junction_id, depth in stack_map:
-        prev = junction_id
-        for _ in range(depth):
-            kinds[next_id] = "storage"
-            edges.append((prev, next_id))
-            prev = next_id
-            next_id += 1
-
-    for vid in range(next_id):
-        kind = kinds[vid]
-        if kind == "gate":
-            vertices[vid] = _gate_vertex(vid, (gs - 1, gs + 1))
-        elif kind == "junction":
-            vertices[vid] = Vertex(vid, VertexKind.JUNCTION)
-        else:
-            vertices[vid] = Vertex(vid, VertexKind.STORAGE)
-    return TrapGraph(vertices, _edges(edges), capacity)
+    for junction, depth in stacks:
+        edges += _path(junction, next_id, depth)
+        next_id += depth
+    return _assemble(edges, {gs: (gs - 1, gs + 1)}, capacity)
 
 
 EVAL_LAYOUT_KINDS = ("ring", "multi_linear", "four_way")
@@ -358,56 +350,26 @@ def build_eval_layout(
         return _build_multi_linear(qubit_count, capacity)
     if kind == "four_way":
         side = max(2, (qubit_count + 1) // 2)
-        side_spine, side_stacks = _branched_side(side, 2, 2, two_stacks=True)
-        return _assemble_spine_trap(side_spine, side_stacks, capacity)
+        return _assemble_spine_trap(*_branched_side(side, 2, 2, two_stacks=True), capacity)
     raise TrapError(f"unknown eval layout {kind!r}")
 
 
 def _build_ring(qubit_count: int, capacity: int) -> TrapGraph:
     tail = max(1, qubit_count // 3)
     arcs = max(2, qubit_count - tail)
-    arc_a = (arcs + 1) // 2
-    arc_b = arcs - arc_a
-    junction = arc_a + 1
-    total_ring = arc_a + arc_b + 2  # gate segment + both arcs + junction
-    vertices: dict[int, Vertex] = {0: _gate_vertex(0)}
-    edges = []
-    for vid in range(1, total_ring):
-        kind = VertexKind.JUNCTION if vid == junction else VertexKind.STORAGE
-        vertices[vid] = Vertex(vid, kind)
-    ring_order = list(range(total_ring))
-    for a, b in zip(ring_order, ring_order[1:] + [0]):
-        edges.append((a, b))
-    prev = junction
-    for offset in range(tail):
-        vid = total_ring + offset
-        vertices[vid] = Vertex(vid, VertexKind.STORAGE)
-        edges.append((prev, vid))
-        prev = vid
-    return TrapGraph(vertices, _edges(edges), capacity)
+    ring = arcs + 2  # gate segment 0, both arcs, and the junction after the first arc
+    edges = [(v, (v + 1) % ring) for v in range(ring)]
+    edges += _path((arcs + 1) // 2 + 1, ring, tail)
+    return _assemble(edges, {0: None}, capacity)
 
 
 def _build_multi_linear(qubit_count: int, capacity: int) -> TrapGraph:
     rail = max(1, -(-(qubit_count - 2) // 4))
     # Central rail: junction, inner storage, gate segment, inner storage, junction.
-    vertices: dict[int, Vertex] = {
-        0: Vertex(0, VertexKind.JUNCTION),
-        1: Vertex(1, VertexKind.STORAGE),
-        2: _gate_vertex(2, (1, 3)),
-        3: Vertex(3, VertexKind.STORAGE),
-        4: Vertex(4, VertexKind.JUNCTION),
-    }
     edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
-    next_id = 5
-    for junction in (0, 4):
-        for _ in range(2):
-            prev = junction
-            for _ in range(rail):
-                vertices[next_id] = Vertex(next_id, VertexKind.STORAGE)
-                edges.append((prev, next_id))
-                prev = next_id
-                next_id += 1
-    return TrapGraph(vertices, _edges(edges), capacity)
+    for first, junction in zip(range(5, 5 + 4 * rail, rail), (0, 0, 4, 4)):
+        edges += _path(junction, first, rail)
+    return _assemble(edges, {2: (1, 3)}, capacity)
 
 
 def serialize_trap(graph: TrapGraph) -> str:
@@ -444,7 +406,7 @@ def parse_trap(text: str) -> TrapGraph:
     """Parse and fully validate a trap JSON document."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise TrapError(f"trap file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise TrapError("trap file must hold a JSON object")

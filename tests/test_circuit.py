@@ -179,6 +179,16 @@ def test_huge_register_is_rejected_before_any_per_qubit_allocation():
     assert Circuit(MAX_QUBITS, ()).qubit_count == MAX_QUBITS
 
 
+@pytest.mark.parametrize(
+    "body,lineno",
+    [(f"qreg q[{'9' * 5000}];\n", 3), (f"qreg q[2];\nh q[{'9' * 5000}];\n", 4)],
+    ids=["register_size", "operand_index"],
+)
+def test_parse_rejects_an_integer_past_the_digit_limit(body, lineno):
+    with pytest.raises(CircuitError, match=f"^line {lineno}: integer of 5000 digits is too long$"):
+        parse_circuit(QASM_HEADER + body)
+
+
 # -- layering ---------------------------------------------------------------
 
 

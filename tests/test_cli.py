@@ -158,10 +158,39 @@ def test_bench_with_no_runs_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == "usage error: --runs must be at least 1\n"
 
 
+def test_bench_builds_a_branched_grid(tmp_path, capsys):
+    circuit_file = tmp_path / "circuit.qasm"
+    circuit_file.write_text(serialize_circuit(random_circuit(3, 3, 0)), encoding="utf-8")
+    replay = tmp_path / "exchanges.jsonl"
+    replay.write_text("", encoding="utf-8")  # every run fails at its first request
+    records = tmp_path / "records.jsonl"
+    argv = ["bench", "--circuit", str(circuit_file), "--replay", str(replay), "--runs", "1",
+            "--stack-depths", "1,2", "--junction-distances", "1,2"]
+    capsys.readouterr()
+    assert cli.main([*argv, "--per-side", "2", "--records", str(records)]) == 0
+    rows = [row for _, row in driver.read_json_objects(str(records), "records")]
+    assert [(row["trap"], row["result"]) for row in rows] == [
+        ("(1, 1)", "failed (0)"),
+        ("(1, 2)", "failed (0)"),
+        ("(2, 1)", "failed (0)"),
+        ("(2, 2)", "failed (0)"),
+    ]
+    assert "(2, 2)" in capsys.readouterr().out
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "usage error: grid mode needs --stack-depths, --junction-distances and --per-side\n"
+    )
+
+
 @pytest.mark.parametrize(
     "line,reason",
-    [("[1, 2]", "not a JSON object"), ("{oops", "Expecting property name")],
-    ids=["list", "not_json"],
+    [
+        ("[1, 2]", "not a JSON object"),
+        ("{oops", "Expecting property name"),
+        ('{"n": ' + "9" * 5000 + "}", "Exceeds the limit"),
+        ("[" * 200_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["list", "not_json", "long_integer", "deep_nesting"],
 )
 def test_report_names_a_malformed_records_line(tmp_path, capsys, line, reason):
     records = tmp_path / "records.jsonl"
@@ -191,3 +220,27 @@ def test_a_file_that_is_not_utf8_is_named_without_traceback(tmp_path, capsys, wh
     assert captured.out == ""
     assert captured.err.startswith(f"error: {bad} is not UTF-8 text: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "optimize", "gen-dataset"])
+def test_a_nul_byte_in_a_schedule_header_path_is_named_without_traceback(
+    tmp_path, capsys, command
+):
+    schedule = compile_small(tmp_path)
+    lines = schedule.read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("trap ")
+    lines[0] = "trap t\0.json"
+    schedule.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = {
+        "validate": ["validate", "--schedule", str(schedule)],
+        "optimize": ["optimize", "--schedule", str(schedule), "--out", str(tmp_path / "o.txt")],
+        "gen-dataset": ["gen-dataset", "--schedule", str(schedule), "--out-dir", str(tmp_path / "d")],
+    }[command]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot open ")
+    assert "embedded null byte" in captured.err
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

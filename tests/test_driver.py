@@ -348,8 +348,9 @@ def test_http_complete_rejects_a_hostile_body(monkeypatch, body, what):
         (Response({"choices": [{"text": "ok"}]}, status=204), "endpoint returned status 204"),
         (Response(b"<html>busy</html>"), "endpoint response is not JSON"),
         (Response(b"\xff\xfe"), "endpoint response is not JSON"),
+        (Response(b"[" * 200_000), "endpoint response is not JSON"),
     ],
-    ids=["refused", "timeout", "status_503", "status_204", "html", "not_utf8"],
+    ids=["refused", "timeout", "status_503", "status_204", "html", "not_utf8", "deep_nesting"],
 )
 def test_http_complete_words_each_transport_failure(monkeypatch, response, message):
     monkeypatch.setattr(driver, "urlopen", answering(response))

@@ -1,5 +1,6 @@
 """Trap layout construction, invariants, and file round trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -237,6 +238,23 @@ def test_serialize_is_canonical_json():
     assert data["edges"] == sorted(data["edges"])
 
 
+def test_builtin_layouts_serialize_to_pinned_digest():
+    """Every built-in layout of a fixed sweep serializes to the same bytes."""
+    graphs = []
+    for c in (1, 2, 3):
+        graphs += [build_linear(k, c) for k in range(1, 13)]
+        graphs += [
+            build_branched(p, s, d, c)
+            for p in range(1, 17)
+            for s in range(1, 5)
+            for d in range(1, min(p, 5) + 1)
+        ]
+        graphs += [build_eval_layout(kind, q, c) for kind in EVAL_LAYOUT_KINDS for q in range(1, 17)]
+    digest = hashlib.sha256("".join(map(serialize_trap, graphs)).encode()).hexdigest()
+    assert len(graphs) == 1020
+    assert digest == "e713533785e71dd0165c124888760f8ad75d4e4008d074aa847b0ca6cf20aa28"
+
+
 def test_parse_rejects_edge_to_unknown_vertex():
     data = json.loads(serialize_trap(build_linear(1)))
     data["edges"].append([1, 99])
@@ -264,6 +282,14 @@ def test_parse_rejects_garbage():
         parse_trap("not json at all {")
     with pytest.raises(TrapError):
         parse_trap(json.dumps([1, 2, 3]))
+
+
+@pytest.mark.parametrize(
+    "text", ['{"capacity": ' + "9" * 5000 + "}", "[" * 200_000], ids=["long_integer", "deep_nesting"]
+)
+def test_parse_rejects_json_the_decoder_cannot_load(text):
+    with pytest.raises(TrapError, match="^trap file is not valid JSON: "):
+        parse_trap(text)
 
 
 def test_parse_rejects_non_contiguous_vertex_ids():
