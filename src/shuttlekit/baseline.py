@@ -15,10 +15,11 @@ operands apart. Each failure names the lowest-numbered first-layer gate.
 
 The router holds only the kernel encoding of its state and the circuit. It
 commits a shuttling op with one kernel.transition call on that op's code,
-so the kernel checks every op against the real state, and it emits op
-codes, popping the last one where an op undoes it, so that replay's
-optimizer keeps them all. Each compile decodes them once, and one
-schedule.replay validates the schedule and cuts the slices it holds
+so the kernel checks every op against the real state, and it emits the op
+codes as committed. Replay's optimizer keeps them all: a route never
+revisits a state, so none of its ops undoes an earlier one, and no
+cancellation crosses an Execute Gate. Each compile decodes them once, and
+one schedule.replay validates the schedule and cuts the slices it holds
 (`Schedule.slices`): a compile yields it only when replay accepts it.
 
 `compile_many` compiles a batch of circuits on one trap and `compile` is a
@@ -55,7 +56,7 @@ from . import ops as op_mod
 from .circuit import MAX_QUBITS, Circuit, Gate
 from .errors import CircuitError, CompileError, NoRouteError, OracleLimitError, PlacementError
 from .errors import ScheduleValidationError
-from .kernel import EXECUTE, SEPARATE
+from .kernel import EXECUTE
 from .ops import ShuttleOp
 from .schedule import Schedule, decompose
 from .state import TrapState, initial_placement
@@ -226,25 +227,6 @@ class _Router:
         self.chains = chains
         self.locks = locks
         self.codes: list[tuple[int, int, int]] = []
-        self.undo: tuple | None = None
-
-    def shuttle(self, code: tuple[int, int, int]) -> bool:
-        """Commit `code` through kernel.transition; False, changing nothing, if it is illegal.
-
-        An op back to `undo`, the (chains, locks) before the last shuttling
-        op since an execute, pops that op's code instead: replay would drop both.
-        """
-        after = kernel.transition(self.trap, self.chains, self.locks, code)
-        if after is None:
-            return False
-        if after == self.undo:
-            self.codes.pop()
-            self.undo = None
-        else:
-            self.codes.append(code)
-            self.undo = (self.chains, self.locks)
-        self.chains, self.locks = after
-        return True
 
     # -- state-space search -------------------------------------------------
 
@@ -322,37 +304,20 @@ class _Router:
                 self.batch.routes[key] = route
             # The kernel checks each op against the real state, memo hit or not.
             for code in route:
-                if not self.shuttle(code):
+                after = kernel.transition(self.trap, self.chains, self.locks, code)
+                if after is None:
                     raise CompileError(
                         f"the route to gate {gate.id} takes "
                         f"{op_mod.format_op(op_mod.decode_op(code))}, which is illegal in "
                         "the router's current state; this is a router defect, which does "
                         "not prove that the circuit has no schedule"
                     )
+                self.chains, self.locks = after
+            self.codes.extend(route)
             ready = kernel.ready_gates(self.trap, self.chains, first_layer)
         gate_id = min(ready)
         self.circuit = self.circuit.mark_executed(gate_id)
         self.codes.append((EXECUTE, gate_id, -1))
-        self.undo = None
-        self._tidy_after_execute(self.circuit.gate_by_id[gate_id])
-
-    def _tidy_after_execute(self, gate: Gate) -> None:
-        """Break up a freshly executed pair unless a pending gate reuses it.
-
-        Leaving executed pairs in storage lets capacity-2 tangles build up
-        that no exchange can unpick later; a Separate right at the gate
-        vertex is cheap, and `shuttle` pops it when the next route opens
-        with the re-Merge that undoes it. The pair alone fills its vertex,
-        and the Separate is skipped where the kernel does not allow it.
-        """
-        if self.circuit.is_complete or len(gate.qubits) < 2:
-            return
-        stale = set(gate.qubits)
-        for pending in self.circuit.first_layer:
-            if set(pending.qubits) == stale:
-                return
-        vertex = next(v for v, chain in enumerate(self.chains) if gate.qubits[0] in chain)
-        self.shuttle((SEPARATE, vertex, -1))
 
 
 def compile(circuit: Circuit, graph: TrapGraph) -> Schedule:
@@ -383,9 +348,10 @@ def compile_many(circuits: Iterable[Circuit], graph: TrapGraph) -> Iterator[Sche
     and the lowest ready gate id of the real first layer executes. An op
     that transition rejects raises CompileError naming a router defect.
     The schedule holds the router's op codes, decoded once, which replay's
-    optimizer keeps whole; the one replay that validates it cuts the slices
-    it holds (see `Schedule.slices`). A schedule replay rejects raises
-    CompileError naming a router defect and replay's reason.
+    optimizer keeps whole, since a route never revisits a state and no
+    cancellation crosses an Execute Gate; the one replay that validates it
+    cuts the slices it holds (see `Schedule.slices`). A schedule replay
+    rejects raises CompileError naming a router defect and replay's reason.
     The slice is the one a fresh search would find, because the search
     reads qubit labels only through operand positions and chain lengths,
     its estimate is symmetric in a pair's two operands, and its heap order

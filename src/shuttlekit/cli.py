@@ -286,7 +286,7 @@ def _cmd_bench(args) -> int:
     for path in args.trap or []:
         graphs.append((os.path.basename(path), _load_trap(path)))
     if args.stack_depths or args.junction_distances:
-        if not (args.stack_depths and args.junction_distances and args.per_side):
+        if not (args.stack_depths and args.junction_distances) or args.per_side is None:
             raise _UsageError(
                 "grid mode needs --stack-depths, --junction-distances and --per-side"
             )

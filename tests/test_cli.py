@@ -180,6 +180,10 @@ def test_bench_builds_a_branched_grid(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "usage error: grid mode needs --stack-depths, --junction-distances and --per-side\n"
     )
+    assert cli.main([*argv, "--per-side", "0"]) == 1  # given, so the builder names the fault
+    assert capsys.readouterr().err == (
+        "error: storage_per_side must be at least junction_distance\n"
+    )
 
 
 @pytest.mark.parametrize(

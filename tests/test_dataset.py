@@ -53,7 +53,7 @@ def test_gen_dataset_matches_golden_snapshot(tmp_path, capsys):
 # and of baseline.compile(random_circuit(4, 6, s), ring(4)) for s = 0, 1, 2.
 # The ring slices include states with junction locks set, which the linear
 # traps of the snapshot above never reach.
-RENDER_SHA256 = "b3c4f83c2902d96ff6a4f2619a9014ae7ef157a47ea0076a2cf45240f9d3622a"
+RENDER_SHA256 = "9061150d477f5dd74ad2de392c8b6fb6513fa2220fb137adf3804c69c35866d4"
 
 
 def render_corpus():
