@@ -13,9 +13,11 @@ Before that search a reachability check (kernel.reachable_gates) stops the
 compile at once when junction locks have sealed every first-layer gate's
 operands apart. Each failure names the lowest-numbered first-layer gate.
 
-The router holds only the kernel encoding of its state and the circuit. It
-commits a shuttling op with one kernel.transition call on that op's code,
-so the kernel checks every op against the real state, and it emits the op
+The router is two functions over the kernel encoding: `_route` walks one
+circuit gate by gate with its state and circuit as locals, and
+`_search_next` runs one search from a given state. `_route` commits a
+shuttling op with one kernel.transition call on that op's code, so the
+kernel checks every op against the real state, and it returns the op
 codes as committed. Replay's optimizer keeps them all: a route never
 revisits a state, so none of its ops undoes an earlier one, and no
 cancellation crosses an Execute Gate. Each compile decodes them once, and
@@ -204,95 +206,82 @@ def _route_key(chains: tuple, locks: tuple, gates: tuple) -> tuple:
     )
 
 
-class _Batch:
-    """What the compiles of one compile_many call share on their trap.
+def _search_next(
+    trap: tuple, tables: _SearchTables, circuit: Circuit, chains: tuple, locks: tuple
+) -> tuple[tuple[int, int, int], ...]:
+    """Weighted best-first search to the nearest first-layer execution.
 
-    `routes` is the route memo: `_route_key` of a search's start -> the op
-    codes of the slice it found, without the final execute.
+    Runs kernel.route_search from (chains, locks) and returns the codes of
+    the shuttling ops to the first goal it pops; the caller takes them and
+    the execute. The trap's size picks one row of weights for the one
+    `_estimate` formula: on oracle-sized traps the search weight is 1 and
+    the estimate, with no corridor term, stays a near lower bound, so
+    slices stay near shortest; bigger traps take search weight 2 and
+    heavier stranger and corridor terms that keep the frontier narrow. A
+    goal has a ready gate and no chain on a junction: a slice may route
+    through junctions but must not end on one, since a chain resting there
+    when the gate fires can lock half the trap away for every later gate.
+    The estimate and the seal penalty read the trap's `_SearchTables`.
+
+    Raises CompileError, naming the lowest-numbered first-layer gate,
+    when the frontier runs out, so that no op sequence from the current
+    state reaches a goal, or when `_SEARCH_CAP` expansions are spent.
     """
-
-    def __init__(self, graph: TrapGraph) -> None:
-        self.graph = graph
-        self.tables = _search_tables(graph)
-        self.routes: dict[tuple, tuple[tuple[int, int, int], ...]] = {}
-
-
-class _Router:
-    """Mutable compilation cursor: encoded state, remaining circuit, emitted op codes."""
-
-    def __init__(self, batch: _Batch, circuit: Circuit, chains: tuple, locks: tuple) -> None:
-        self.batch = batch
-        self.trap = batch.graph.encoded
-        self.circuit = circuit
-        self.chains = chains
-        self.locks = locks
-        self.codes: list[tuple[int, int, int]] = []
-
-    # -- state-space search -------------------------------------------------
-
-    def _search_next(self) -> tuple[tuple[int, int, int], ...]:
-        """Weighted best-first search to the nearest first-layer execution.
-
-        Runs kernel.route_search from the router's state and returns the
-        codes of the shuttling ops to the first goal it pops; the caller
-        takes them and the execute. The trap's size picks one row of
-        weights for the one `_estimate` formula: on oracle-sized traps the
-        search weight is 1 and the estimate, with no corridor term, stays a
-        near lower bound, so slices stay near shortest; bigger traps take
-        search weight 2 and heavier stranger and corridor terms that keep
-        the frontier narrow. A goal has a ready gate and no chain on a
-        junction: a slice may route through junctions but must not end on
-        one, since a chain resting there when the gate fires can lock half
-        the trap away for every later gate. The estimate and the seal
-        penalty read the batch's `_SearchTables`.
-
-        Raises CompileError, naming the lowest-numbered first-layer gate,
-        when the frontier runs out, so that no op sequence from the current
-        state reaches a goal, or when `_SEARCH_CAP` expansions are spent.
-        """
-        gates = self.circuit.first_layer
-        tables = self.batch.tables
-        greedy = self.trap[0] > ORACLE_MAX_VERTICES
-        codes, spent, expansions, stored = kernel.route_search(
-            self.trap,
-            self.chains,
-            self.locks,
-            self.circuit.qubit_count,
-            estimate=_estimate(tables, gates, greedy),
-            weight=2 if greedy else 1,
-            seal_exits=tables.seal_exits,
-            seal_penalty=_SEAL_PENALTY,
-            goal_mask=tables.junction_mask,
-            max_expansions=_SEARCH_CAP,
-        )
-        if codes is not None:
-            return codes
-        if spent:
-            raise CompileError(
-                f"the router gave up on gate {gates[0].id} after {expansions} search "
-                f"expansions (limit {_SEARCH_CAP}) and {stored} stored states without "
-                "executing any first-layer gate; this does not prove that the circuit "
-                "has no schedule"
-            )
+    gates = circuit.first_layer
+    greedy = tables.n > ORACLE_MAX_VERTICES
+    codes, spent, expansions, stored = kernel.route_search(
+        trap,
+        chains,
+        locks,
+        circuit.qubit_count,
+        estimate=_estimate(tables, gates, greedy),
+        weight=2 if greedy else 1,
+        seal_exits=tables.seal_exits,
+        seal_penalty=_SEAL_PENALTY,
+        goal_mask=tables.junction_mask,
+        max_expansions=_SEARCH_CAP,
+    )
+    if codes is not None:
+        return codes
+    if spent:
         raise CompileError(
-            f"no op sequence from the router's current state executes gate {gates[0].id} or "
-            f"any other first-layer gate with every junction empty: all {stored} "
-            "states reachable from it were searched; the router boxed itself in, which "
-            "does not prove that the circuit has no schedule"
+            f"the router gave up on gate {gates[0].id} after {expansions} search "
+            f"expansions (limit {_SEARCH_CAP}) and {stored} stored states without "
+            "executing any first-layer gate; this does not prove that the circuit "
+            "has no schedule"
         )
+    raise CompileError(
+        f"no op sequence from the router's current state executes gate {gates[0].id} or "
+        f"any other first-layer gate with every junction empty: all {stored} "
+        "states reachable from it were searched; the router boxed itself in, which "
+        "does not prove that the circuit has no schedule"
+    )
 
-    # -- per-gate routing -----------------------------------------------------
 
-    def route_next(self) -> None:
-        """Execute the lowest ready first-layer gate, searching for a route if none is."""
-        first_layer = self.circuit.first_layer
-        ready = kernel.ready_gates(self.trap, self.chains, first_layer)
+def _route(
+    trap: tuple,
+    tables: _SearchTables,
+    routes: dict[tuple, tuple[tuple[int, int, int], ...]],
+    circuit: Circuit,
+    chains: tuple,
+    locks: tuple,
+) -> list[tuple[int, int, int]]:
+    """The op codes that execute `circuit` from (chains, locks), gate by gate.
+
+    Executes the lowest ready first-layer gate, searching for a route when
+    none is ready. `routes` is the route memo: `_route_key` of a search's
+    start -> the op codes of the slice it found, without the final execute.
+    """
+    codes: list[tuple[int, int, int]] = []
+    while not circuit.is_complete:
+        first_layer = circuit.first_layer
+        ready = kernel.ready_gates(trap, chains, first_layer)
         if not ready:
             gate = first_layer[0]
-            key = _route_key(self.chains, self.locks, first_layer)
-            route = self.batch.routes.get(key)
+            key = _route_key(chains, locks, first_layer)
+            route = routes.get(key)
             if route is None:
-                if not kernel.reachable_gates(self.trap, self.chains, self.locks, first_layer):
+                if not kernel.reachable_gates(trap, chains, locks, first_layer):
                     # The search could only exhaust its frontier or its cap from here.
                     raise CompileError(
                         f"junction locks seal gate {gate.id}'s operands, and those of every "
@@ -300,11 +289,11 @@ class _Router:
                         "meet; the router boxed itself in, which does not prove that the "
                         "circuit has no schedule"
                     )
-                route = self._search_next()
-                self.batch.routes[key] = route
+                route = _search_next(trap, tables, circuit, chains, locks)
+                routes[key] = route
             # The kernel checks each op against the real state, memo hit or not.
             for code in route:
-                after = kernel.transition(self.trap, self.chains, self.locks, code)
+                after = kernel.transition(trap, chains, locks, code)
                 if after is None:
                     raise CompileError(
                         f"the route to gate {gate.id} takes "
@@ -312,12 +301,13 @@ class _Router:
                         "the router's current state; this is a router defect, which does "
                         "not prove that the circuit has no schedule"
                     )
-                self.chains, self.locks = after
-            self.codes.extend(route)
-            ready = kernel.ready_gates(self.trap, self.chains, first_layer)
+                chains, locks = after
+            codes.extend(route)
+            ready = kernel.ready_gates(trap, chains, first_layer)
         gate_id = min(ready)
-        self.circuit = self.circuit.mark_executed(gate_id)
-        self.codes.append((EXECUTE, gate_id, -1))
+        circuit = circuit.mark_executed(gate_id)
+        codes.append((EXECUTE, gate_id, -1))
+    return codes
 
 
 def compile(circuit: Circuit, graph: TrapGraph) -> Schedule:
@@ -369,16 +359,14 @@ def compile_many(circuits: Iterable[Circuit], graph: TrapGraph) -> Iterator[Sche
     no schedule on the trap: a stuck state is one the router's own earlier
     choices led to, and a spent cap proves nothing.
     """
-    batch = _Batch(graph)
+    tables, routes = _search_tables(graph), {}
     for circuit in circuits:
         try:
             placement = initial_placement(circuit, graph)
         except PlacementError as exc:
             raise CompileError(str(exc)) from exc
-        router = _Router(batch, circuit, placement.chains, placement.locks)
-        while not router.circuit.is_complete:
-            router.route_next()
-        ops = tuple(op_mod.decode_op(code) for code in router.codes)
+        codes = _route(graph.encoded, tables, routes, circuit, placement.chains, placement.locks)
+        ops = tuple(op_mod.decode_op(code) for code in codes)
         schedule = Schedule(graph, circuit, placement, ops)
         try:
             decompose(schedule)
@@ -426,7 +414,7 @@ def bfs_next_gate(
             circuit.qubit_count,
             estimate=estimate,
             weight=1,
-            seal_exits=[None] * trap[0],
+            seal_exits=[None] * len(graph.vertices),
             seal_penalty=0,
             goal_mask=0,
             max_expansions=math.inf,

@@ -145,31 +145,25 @@ class Circuit:
     def next_executable(self) -> tuple[Gate, ...]:
         """Deeper gates that enter the first layer once a single gate resolves.
 
-        A gate qualifies when its immediate predecessors across all operands
-        collapse to one first-layer gate; executing that gate promotes it.
-        Such a gate is first or second pending on each of its operands, and
-        second on at least one, so only those positions are examined.
+        Executing first-layer gate g advances the cursor of each operand of
+        g by one. The gate after g on such an operand is promoted when every
+        operand p of it then has its cursor at that gate's index in order[p].
         """
         frontier = self._frontier
-        cursors = self._cursors
-        seconds = {
-            ids[cursor + 1]
-            for ids, cursor in zip(frontier.order, cursors)
-            if cursor + 1 < len(ids)
-        }
-        out = []
-        for gid in sorted(seconds):
-            preds = set()
-            for q, index in frontier.places[gid]:
-                depth = index - cursors[q]
-                if depth > 1:
-                    break
-                if depth == 1:
-                    preds.add(frontier.order[q][cursors[q]])
-            else:
-                if len(preds) == 1 and self.in_first_layer(preds.pop()):
-                    out.append(frontier.gate_by_id[gid])
-        return tuple(out)
+        order, places, cursors = frontier.order, frontier.places, self._cursors
+        promoted = set()
+        for gate in self.first_layer:
+            qubits = gate.qubits
+            for q in qubits:
+                ids, after = order[q], cursors[q] + 1
+                if after < len(ids):
+                    gid = ids[after]
+                    for p, index in places[gid]:
+                        if index != cursors[p] + (p in qubits):
+                            break
+                    else:
+                        promoted.add(gid)
+        return tuple(map(frontier.gate_by_id.__getitem__, sorted(promoted)))
 
     @property
     def is_complete(self) -> bool:

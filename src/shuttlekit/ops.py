@@ -81,7 +81,7 @@ def violation(
             template = kernel.unready(trap, chains, qubits)
     else:
         template = kernel.illegal(trap, chains, state.locks, code)
-        pair = trap[5][a] if 0 <= a < trap[0] else None
+        pair = graph.lateral_pair(a) if a in graph.vertices else None
     if template is None:
         return None
     vertex = None
@@ -92,7 +92,7 @@ def violation(
         b=b,
         pair=pair,
         combined=sum(len(chains[side]) for side in pair or ()),
-        capacity=trap[1],
+        capacity=graph.capacity,
         qubits=qubits,
         vertex=vertex,
     )

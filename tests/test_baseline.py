@@ -203,22 +203,23 @@ def test_router_emits_the_ops_replay_keeps(monkeypatch):
     A route never revisits a state, so none of its ops undoes an earlier
     one, and no cancellation crosses an Execute Gate.
     """
-    routers = []
+    emitted = []
+    route = baseline._route
 
-    class Router(baseline._Router):
-        def __init__(self, *args):
-            super().__init__(*args)
-            routers.append(self)
+    def recorded(*args):
+        codes = route(*args)
+        emitted.append(codes)
+        return codes
 
-    monkeypatch.setattr(baseline, "_Router", Router)
+    monkeypatch.setattr(baseline, "_route", recorded)
     for graph, qubits in FAMILY_CELLS:
-        routers.clear()
+        emitted.clear()
         circuits = [baseline.random_circuit(qubits, 6, seed) for seed in range(6)]
-        for schedule, router in zip(baseline.compile_many(circuits, graph), routers):
-            assert schedule.ops == tuple(ops.decode_op(code) for code in router.codes)
+        for schedule, codes in zip(baseline.compile_many(circuits, graph), emitted):
+            assert schedule.ops == tuple(ops.decode_op(code) for code in codes)
             kept = replay(graph, schedule.placement, schedule.circuit, schedule.ops)[2]
             assert tuple(kept) == schedule.ops
-        assert len(routers) == len(circuits)
+        assert len(emitted) == len(circuits)
 
 
 def test_compile_makes_no_successor_scan(monkeypatch):
@@ -250,7 +251,7 @@ def test_compile_makes_no_successor_scan(monkeypatch):
     ],
     ids=["self_loop", "not_adjacent", "beyond_the_trap", "separate_beyond_the_trap", "execute"],
 )
-def test_illegal_memo_route_is_a_router_defect(monkeypatch, code, text):
+def test_illegal_memo_route_is_a_router_defect(code, text):
     """A route the kernel rejects fails the compile with a message, not a traceback.
 
     The memo's every lookup finds a route of the one illegal `code`. On
@@ -261,14 +262,14 @@ def test_illegal_memo_route_is_a_router_defect(monkeypatch, code, text):
         def get(self, key, default=None):
             return (code,)
 
-    class Batch(baseline._Batch):
-        def __init__(self, graph):
-            super().__init__(graph)
-            self.routes = IllegalRoutes()
-
-    monkeypatch.setattr(baseline, "_Batch", Batch)
+    graph = trap.build_linear(2)
+    circuit = Circuit(2, (Gate(1, (0,)), Gate(2, (1,))))
+    placement = initial_placement(circuit, graph)
+    tables = baseline._search_tables(graph)
     with pytest.raises(CompileError) as failure:
-        baseline.compile(Circuit(2, (Gate(1, (0,)), Gate(2, (1,)))), trap.build_linear(2))
+        baseline._route(
+            graph.encoded, tables, IllegalRoutes(), circuit, placement.chains, placement.locks
+        )
     assert str(failure.value) == (
         f"the route to gate 2 takes {text}, which is illegal in the router's current "
         "state; this is a router defect, which does not prove that the circuit has no "
@@ -279,15 +280,17 @@ def test_illegal_memo_route_is_a_router_defect(monkeypatch, code, text):
 def test_compile_refuses_a_schedule_replay_rejects(monkeypatch):
     """A router that leaves an op after the last gate fails the compile, naming replay's reason."""
 
-    route_next = baseline._Router.route_next
+    route = baseline._route
 
-    def separate_at_the_end(self):
-        route_next(self)
-        if self.circuit.is_complete:
-            vertex = next(v for v, chain in enumerate(self.chains) if len(chain) > 1)
-            self.codes.append((kernel.SEPARATE, vertex, -1))
+    def separate_at_the_end(trap, tables, routes, circuit, chains, locks):
+        codes = route(trap, tables, routes, circuit, chains, locks)
+        for code in codes:
+            if code[0] != kernel.EXECUTE:
+                chains, locks = kernel.transition(trap, chains, locks, code)
+        vertex = next(v for v, chain in enumerate(chains) if len(chain) > 1)
+        return [*codes, (kernel.SEPARATE, vertex, -1)]
 
-    monkeypatch.setattr(baseline._Router, "route_next", separate_at_the_end)
+    monkeypatch.setattr(baseline, "_route", separate_at_the_end)
     with pytest.raises(CompileError) as failure:
         baseline.compile(Circuit(2, (Gate(1, (0, 1)),)), trap.build_linear(1))
     assert str(failure.value) == (
@@ -593,7 +596,7 @@ def test_search_is_invariant_under_qubit_relabelling(graph, qubits, seeds):
     operands in chains of unequal length, where an asymmetric estimate
     would show.
     """
-    batch = baseline._Batch(graph)
+    tables = baseline._search_tables(graph)
     searched = 0
     for seed in seeds:
         rng = random.Random(seed)
@@ -605,8 +608,11 @@ def test_search_is_invariant_under_qubit_relabelling(graph, qubits, seeds):
                 (piece.state, piece.circuit),
                 relabelled(piece.state, piece.circuit, perm, rng),
             ):
-                router = baseline._Router(batch, circuit, state.chains, state.locks)
-                routes.append(router._search_next())
+                routes.append(
+                    baseline._search_next(
+                        graph.encoded, tables, circuit, state.chains, state.locks
+                    )
+                )
             assert routes[0] == routes[1]
             searched += bool(routes[0])
     assert searched > 10
@@ -628,23 +634,21 @@ def test_no_route_memo_outlives_a_compile(monkeypatch):
 # -- the fused search against a best-first loop over kernel successor states ---
 
 
-def reference_search(router):
-    """`_Router._search_next` as a tuple-keyed best-first loop over successor_states.
+def reference_search(enc, tables, circuit, chains, locks):
+    """`baseline._search_next` as a tuple-keyed best-first loop over successor_states.
 
     The same heap key, successor order, dedup rule, estimate, seal penalty,
     goal test, cap and messages, with each stored state keyed by its
     (chains, locks) tuple pair.
     """
-    gates = router.circuit.first_layer
+    gates = circuit.first_layer
     gate = gates[0]
-    tables = router.batch.tables
-    enc = router.trap
     greedy = enc[0] > baseline.ORACLE_MAX_VERTICES
     weight = 2 if greedy else 1
     heuristic = baseline._estimate(tables, gates, greedy)
-    start = (router.chains, router.locks)
+    start = (chains, locks)
     best = {start: (0, None, None)}
-    heap = [(weight * heuristic(router.chains, kernel.positions(router.chains)), 0, 0, start)]
+    heap = [(weight * heuristic(chains, kernel.positions(chains)), 0, 0, start)]
     counter = expansions = 0
     while heap:
         f, g, _, node = heapq.heappop(heap)
@@ -715,7 +719,7 @@ def test_route_search_matches_the_successor_loop(graph, qubits, monkeypatch):
     must agree too, which checks the deduplication state by state.
     """
     enc = graph.encoded
-    batch = baseline._Batch(graph)
+    tables = baseline._search_tables(graph)
     outcomes = set()
     for seed in range(12):
         rng = random.Random(seed)
@@ -727,11 +731,11 @@ def test_route_search_matches_the_successor_loop(graph, qubits, monkeypatch):
             if not gates:
                 break
             if step % 2 == 0:
-                router = baseline._Router(batch, circuit, chains, locks)
+                start = (enc, tables, circuit, chains, locks)
                 for cap in (baseline._SEARCH_CAP, 7):
                     monkeypatch.setattr(baseline, "_SEARCH_CAP", cap)
-                    found = search_outcome(router._search_next)
-                    assert found == search_outcome(reference_search, router)
+                    found = search_outcome(baseline._search_next, *start)
+                    assert found == search_outcome(reference_search, *start)
                     outcomes.add(type(found))
             ready = kernel.ready_gates(enc, chains, gates)
             if ready and rng.random() < 0.5:
@@ -769,7 +773,7 @@ def test_search_carries_the_positions_of_every_state_it_estimates(graph, qubits,
     monkeypatch.setattr(baseline, "_estimate", checked)
     monkeypatch.setattr(baseline, "_SEARCH_CAP", 400)
     enc = graph.encoded
-    batch = baseline._Batch(graph)
+    tables = baseline._search_tables(graph)
     for seed in range(6):
         rng = random.Random(seed)
         circuit = baseline.random_circuit(qubits, 4, seed)
@@ -779,7 +783,7 @@ def test_search_carries_the_positions_of_every_state_it_estimates(graph, qubits,
             gates = circuit.first_layer
             if not gates:
                 break
-            search_outcome(baseline._Router(batch, circuit, chains, locks)._search_next)
+            search_outcome(baseline._search_next, enc, tables, circuit, chains, locks)
             ready = kernel.ready_gates(enc, chains, gates)
             if ready and rng.random() < 0.5:
                 circuit = circuit.mark_executed(min(ready))
