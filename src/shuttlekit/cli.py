@@ -9,10 +9,11 @@ import argparse
 import json
 import os
 import sys
+from contextlib import ExitStack, suppress
 
 from . import baseline, dataset, driver
 from .circuit import Circuit, parse_circuit
-from .errors import ShuttleError
+from .errors import CompileError, ShuttleError
 from .ops import format_op
 from .schedule import (
     Schedule,
@@ -162,27 +163,85 @@ def _parse_qubit_range(text: str) -> range:
     return range(low, high + 1)
 
 
+def _write_dataset(out_dir: str, parts) -> dict[str, int]:
+    """Write each (split, entries) pair of `parts` to `out_dir`; the entry count per split.
+
+    Each pair's `to_jsonl` text goes to a temporary file of its split as
+    it arrives, so no entry outlives its write, and both files are moved
+    into place as train.jsonl and eval.jsonl only after the last pair. An
+    exception removes the temporary files, and `out_dir` too if this call
+    made it, so a failed run leaves no output and the files already there
+    as they were.
+    """
+    made = not os.path.isdir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    counts = {"train": 0, "eval": 0}
+    paths = {split: os.path.join(out_dir, f"{split}.jsonl") for split in counts}
+    temps = {split: path + ".tmp" for split, path in paths.items()}
+    try:
+        with ExitStack() as stack:
+            handles = {
+                split: stack.enter_context(open(temp, "w", encoding="utf-8"))
+                for split, temp in temps.items()
+            }
+            for split, entries in parts:
+                handles[split].write(dataset.to_jsonl(entries))
+                counts[split] += len(entries)
+        for split, temp in temps.items():
+            os.replace(temp, paths[split])
+    except BaseException:
+        for temp in temps.values():
+            if os.path.exists(temp):
+                os.remove(temp)
+        if made:
+            with suppress(OSError):
+                os.rmdir(out_dir)
+        raise
+    return counts
+
+
+def _compiled_entries(seed: int, depth: int, qubit_range: range, fraction: float, total: int):
+    """The (split, entries) pairs of `--seed` mode, one compiled schedule at a time.
+
+    A CompileError is raised again naming the qubit count, index and seed
+    of the circuit that failed.
+    """
+    for qubits in qubit_range:
+        seeds = [seed + 1000 * qubits + i for i in range(total)]
+        circuits = (baseline.random_circuit(qubits, depth, s) for s in seeds)
+        schedules = baseline.compile_many(circuits, build_linear(qubits))
+        done = 0
+        try:
+            for part in dataset.generate_dataset(schedules, fraction, total):
+                yield part
+                done += 1
+        except CompileError as exc:
+            raise CompileError(
+                f"qubits {qubits}, circuit {done} (seed {seeds[done]}): {exc}"
+            ) from exc
+
+
 def _cmd_gen_dataset(args) -> int:
     if args.schedule and args.seed is not None:
         raise _UsageError("--schedule and --seed are mutually exclusive")
-    train: list[dataset.DataEntry] = []
-    eval_entries: list[dataset.DataEntry] = []
     skipped: list[str] = []
     if args.schedule:
         fraction = 0.2 if args.eval_fraction is None else args.eval_fraction
         if not 0.0 <= fraction <= 1.0:
             raise _UsageError("--eval-fraction must be within [0, 1]")
         schedules = []
-        for path in args.schedule:
+        for index, path in enumerate(args.schedule):
             text = driver.read_text(path)
             trap_path, circuit_path = schedule_paths(text)
             graph = _load_trap(_resolve(path, trap_path))
             circuit = _load_circuit(_resolve(path, circuit_path))
-            schedules.append(parse_schedule(text, graph, circuit, replay=False))
-        built = dataset.generate_dataset(schedules, fraction)
-        train.extend(built.split["train"])
-        eval_entries.extend(built.split["eval"])
-        skipped.extend(built.skipped)
+            schedule = parse_schedule(text, graph, circuit, replay=False)
+            report = validate(schedule)
+            if report.ok:
+                schedules.append(schedule)
+            else:
+                skipped.append(f"schedule {index}: {report.reason}")
+        parts = dataset.generate_dataset(schedules, fraction, len(schedules))
     elif args.seed is not None:
         if args.eval_fraction is not None:
             raise _UsageError("--eval-fraction applies only to --schedule files")
@@ -192,25 +251,15 @@ def _cmd_gen_dataset(args) -> int:
             raise _UsageError("--train-per-qubit and --eval-per-qubit must not be negative")
         total = args.train_per_qubit + args.eval_per_qubit
         fraction = args.eval_per_qubit / total if total else 0.0
-        for qubits in _parse_qubit_range(args.qubits):
-            circuits = [
-                baseline.random_circuit(qubits, args.depth, args.seed + 1000 * qubits + i)
-                for i in range(total)
-            ]
-            schedules = baseline.compile_many(circuits, build_linear(qubits))
-            built = dataset.generate_dataset(schedules, fraction)
-            train.extend(built.split["train"])
-            eval_entries.extend(built.split["eval"])
-            skipped.extend(f"qubits {qubits}: {s}" for s in built.skipped)
+        qubit_range = _parse_qubit_range(args.qubits)
+        parts = _compiled_entries(args.seed, args.depth, qubit_range, fraction, total)
     else:
         raise _UsageError("need --schedule files or --seed for random generation")
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write(os.path.join(args.out_dir, "train.jsonl"), dataset.to_jsonl(train))
-    _write(os.path.join(args.out_dir, "eval.jsonl"), dataset.to_jsonl(eval_entries))
+    counts = _write_dataset(args.out_dir, parts)
     for warning in skipped:
         print(f"skipped {warning}", file=sys.stderr)
-    print(f"train entries: {len(train)}")
-    print(f"eval entries: {len(eval_entries)}")
+    print(f"train entries: {counts['train']}")
+    print(f"eval entries: {counts['eval']}")
     return 0
 
 

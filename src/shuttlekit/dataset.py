@@ -17,16 +17,22 @@ A render memo (`RenderMemo`) serves one graph and keeps the text that
 depends only on that graph, an op code or the encoded state: the
 instruction prefix up to the positions, filled once, and per state the
 positions and the bulleted shuttling-op block. `generate_dataset` keeps
-one per graph for one call, and `driver.generate_schedule` one for one
-run; the gate lines and the ready `Execute Gate` bullets, which depend on
-the circuit as well, are joined to that text for every echo.
+one per graph for as long as its generator lives, and
+`driver.generate_schedule` one for one run; the gate lines and the ready
+`Execute Gate` bullets, which depend on the circuit as well, are joined to
+that text for every echo.
+
+`generate_dataset` yields one schedule's entries at a time and keeps none
+of them. `gen-dataset` writes each schedule's `to_jsonl` text before it
+asks for the next, so its memory stays flat as the dataset grows, apart
+from the render memos, and its files appear only after a complete run.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib.resources import files
@@ -35,7 +41,7 @@ from string import Template
 from . import kernel
 from . import ops as op_mod
 from .circuit import Circuit, Gate
-from .errors import OutputParseError, RenderError, ScheduleValidationError
+from .errors import OutputParseError, RenderError
 from .ops import ExecuteGate, ShuttleOp
 from .schedule import EntrySlice, Schedule, decompose
 from .state import TrapState, position_lines
@@ -334,52 +340,39 @@ class DataEntry:
     output: str
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Rendered entries in their train/eval split, assigned per schedule."""
+def generate_dataset(
+    schedules: Iterable[Schedule], eval_fraction: float, count: int
+) -> Iterator[tuple[str, list[DataEntry]]]:
+    """Render each slice of each schedule into one DataEntry, one schedule at a time.
 
-    split: dict[str, tuple[DataEntry, ...]]
-    skipped: tuple[str, ...] = ()
-
-
-def generate_dataset(schedules: Iterable[Schedule], eval_fraction: float) -> Dataset:
-    """Render every slice of every valid schedule into one DataEntry.
-
-    `schedules` is any iterable, such as `baseline.compile_many`'s; each
-    renders from the slices it holds, so a compiled one replays no more.
-    The split is assigned per whole schedule, the last round(fraction * n)
-    valid schedules becoming evaluation data, so no trap state from an
-    evaluation schedule ever appears in training. Invalid schedules are
-    skipped and recorded, not fatal. Schedules on the same graph object
-    share one render memo, which lives for this call only and holds its
-    graph, so no graph is freed while its memo is kept under its id.
+    Lazy: for each schedule of `schedules`, in order, yields its split,
+    "train" or "eval", and its entries, and keeps neither, so memory does
+    not grow with the number of schedules. `schedules` is any iterable of
+    `count` valid schedules, such as `baseline.compile_many`'s; each
+    renders from the slices it holds, so a compiled one, or a parsed one
+    that `schedule.validate` accepted, replays no more. An invalid
+    schedule raises ScheduleValidationError. The split is assigned per
+    whole schedule, the last round(eval_fraction * count) becoming
+    evaluation data, so no trap state from an evaluation schedule ever
+    appears in training. Schedules on the same graph object share one
+    render memo, which lives as long as the generator and holds its graph,
+    so no graph is freed while its memo is kept under its id.
     """
     if not 0 <= eval_fraction <= 1:
         raise ValueError(f"eval_fraction must be within [0, 1], got {eval_fraction}")
-    per_schedule: list[list[DataEntry]] = []
-    skipped: list[str] = []
+    cut = count - round(eval_fraction * count)
     memos: dict[int, RenderMemo] = {}
     for index, schedule in enumerate(schedules):
-        try:
-            slices = decompose(schedule)
-        except ScheduleValidationError as exc:
-            skipped.append(f"schedule {index}: {exc}")
-            continue
         graph = schedule.graph
         memo = memos.get(id(graph))
         if memo is None:
             memo = memos[id(graph)] = RenderMemo(graph)
         entries = []
-        for piece in slices:
+        for piece in decompose(schedule):
             instruction = render_instruction(graph, piece.state, piece.circuit, memo=memo)
             output = render_output(piece, graph, piece.circuit, memo=memo)
             entries.append(DataEntry(instruction, output))
-        per_schedule.append(entries)
-    eval_count = round(eval_fraction * len(per_schedule))
-    cut = len(per_schedule) - eval_count
-    train = tuple(e for entries in per_schedule[:cut] for e in entries)
-    eval_entries = tuple(e for entries in per_schedule[cut:] for e in entries)
-    return Dataset(split={"train": train, "eval": eval_entries}, skipped=tuple(skipped))
+        yield ("train" if index < cut else "eval"), entries
 
 
 def to_jsonl(entries: tuple[DataEntry, ...] | list[DataEntry]) -> str:

@@ -1,10 +1,14 @@
 """The command line end to end: exit codes, messages and files."""
 
+import tracemalloc
+
 import pytest
 
-from shuttlekit import cli, driver
+from shuttlekit import baseline, cli, driver
+from shuttlekit import schedule as schedule_mod
 from shuttlekit.baseline import random_circuit
 from shuttlekit.circuit import Circuit, Gate, parse_circuit, serialize_circuit
+from shuttlekit.errors import CompileError
 from shuttlekit.ops import Translate, format_op
 from shuttlekit.schedule import parse_schedule, schedule_paths
 from shuttlekit.trap import parse_trap
@@ -144,6 +148,79 @@ def test_gen_dataset_rejects_bad_counts_as_usage_errors(tmp_path, capsys, argv, 
     capsys.readouterr()
     assert cli.main(["gen-dataset", *argv, "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"usage error: {message}")
+
+
+def test_a_failed_gen_dataset_names_the_circuit_and_leaves_the_out_dir_as_it_was(
+    tmp_path, capsys, monkeypatch
+):
+    """A CompileError after one rendered schedule writes nothing and names the circuit."""
+    compile_many = baseline.compile_many
+    gave_up = CompileError("the router gave up on gate 1")
+
+    def one_then_fail(circuits, graph):
+        circuits = iter(circuits)
+        yield next(compile_many([next(circuits)], graph))
+        raise gave_up
+
+    monkeypatch.setattr(cli.baseline, "compile_many", one_then_fail)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "train.jsonl").write_bytes(b'{"kept": true}\n')
+    fresh = tmp_path / "fresh"
+    argv = ["gen-dataset", "--seed", "1", "--qubits", "2-3", "--train-per-qubit", "2",
+            "--eval-per-qubit", "1", "--out-dir"]
+    message = "qubits 2, circuit 1 (seed 2002): the router gave up on gate 1"
+    for directory in (out, fresh):
+        assert cli.main([*argv, str(directory)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in out.iterdir()] == ["train.jsonl"]
+    assert (out / "train.jsonl").read_bytes() == b'{"kept": true}\n'
+    assert not fresh.exists()
+    args = cli.build_parser().parse_args([*argv, str(out)])
+    with pytest.raises(CompileError) as failed:
+        args.func(args)
+    assert str(failed.value) == message and failed.value.__cause__ is gave_up
+
+
+def test_gen_dataset_skips_an_invalid_schedule_file_and_replays_each_file_once(
+    tmp_path, capsys, monkeypatch
+):
+    schedule = compile_small(tmp_path)
+    lines = schedule.read_text(encoding="utf-8").splitlines()
+    header = sum(line.startswith(("trap ", "circuit ", "placement: ")) for line in lines)
+    lines[header + 3] = "Translate 0 -> 4"  # 0 and 4 are not adjacent
+    tampered = tmp_path / "tampered.txt"
+    tampered.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    replays = []
+    replay = schedule_mod.replay
+    monkeypatch.setattr(schedule_mod, "replay", lambda *args: replays.append(1) or replay(*args))
+    capsys.readouterr()
+    argv = ["gen-dataset", "--schedule", str(schedule), "--schedule", str(tampered),
+            "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert len(replays) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "skipped schedule 1: Translate 0 -> 4: vertices 0 and 4 are not adjacent\n"
+    )
+    gates = len(random_circuit(3, 3, 0).gates)
+    assert captured.out == f"train entries: {gates}\neval entries: 0\n"
+
+
+def test_gen_dataset_peak_memory_does_not_grow_with_the_dataset(tmp_path, capsys):
+    """Four times the schedules raise the traced peak by less than 1 MiB: entries are streamed."""
+    peaks = []
+    for n in (10, 40):
+        argv = ["gen-dataset", "--seed", "1", "--qubits", "2-3", "--train-per-qubit", str(n),
+                "--eval-per-qubit", str(n // 4), "--out-dir", str(tmp_path / str(n))]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert capsys.readouterr().out.count("train entries: ") == 2
+    assert peaks[1] - peaks[0] < 2**20, peaks
 
 
 def test_bench_with_no_runs_is_a_usage_error(tmp_path, capsys):

@@ -98,6 +98,11 @@ def test_slices_carry_the_states_their_shuttling_ops_lead_to():
     assert locked > 0
 
 
+def rendered(schedules, count, eval_fraction=0):
+    """Every entry of one generate_dataset run over `count` schedules, in order."""
+    return [e for _, entries in generate_dataset(schedules, eval_fraction, count) for e in entries]
+
+
 def counting(calls, name, function):
     """`function`, counting its calls in calls[name]."""
     def counted(*args):
@@ -121,7 +126,7 @@ def test_rendering_steps_no_op(monkeypatch):
     )
     for graph, piece in pieces:
         render_output(piece, graph, piece.circuit)
-    generate_dataset(schedules, 0)
+    assert len(rendered(schedules, len(schedules))) == len(pieces)
     assert calls == {"ops.apply": 0, "kernel.transition": 0}
 
 
@@ -140,8 +145,7 @@ def test_generated_dataset_replays_each_compiled_schedule_once(monkeypatch):
     for qubits in (2, 3, 4):
         circuits = [baseline.random_circuit(qubits, 5, 1 + 1000 * qubits + i) for i in range(5)]
         batch = baseline.compile_many(circuits, trap.build_linear(qubits))
-        built = generate_dataset((compiled.append(s) or s for s in batch), 0.2)
-        entries = built.split["train"] + built.split["eval"]
+        entries = rendered((compiled.append(s) or s for s in batch), len(circuits), 0.2)
         assert len(entries) == sum(len(c.gates) for c in circuits)
     assert calls == {
         "schedule.replay": len(compiled),
@@ -180,8 +184,7 @@ def _allowed_text(state, graph, circuit):
 def test_rendered_allowed_operations_equal_allowed_ops():
     """Every "Allowed operations" block, memo or none, is ops.allowed_ops formatted."""
     schedules = render_corpus()
-    built = generate_dataset(schedules, 0)
-    entries = iter(built.split["train"] + built.split["eval"])
+    entries = iter(rendered(schedules, len(schedules)))
     echoes = 0
     for schedule in schedules:
         graph = schedule.graph
@@ -294,7 +297,7 @@ def test_rendering_a_state_without_the_circuits_qubits_is_an_error(chains):
 
 
 def test_generate_dataset_renders_each_distinct_state_once(monkeypatch):
-    """One kernel.successors call per distinct (graph, chains, locks), per call."""
+    """One kernel.successors call per distinct (graph, chains, locks), per generator run."""
     linear, ring = trap.build_linear(3), trap.build_eval_layout("ring", 4)
     schedules = [
         *baseline.compile_many([baseline.random_circuit(3, 6, seed) for seed in range(4)], linear),
@@ -320,14 +323,14 @@ def test_generate_dataset_renders_each_distinct_state_once(monkeypatch):
         return successors(*args)
 
     monkeypatch.setattr(kernel, "successors", counted)
-    first = generate_dataset(schedules, 0.5)
+    first = list(generate_dataset(schedules, 0.5, len(schedules)))
     assert calls == len(distinct)
-    assert generate_dataset(schedules, 0.5) == first
+    assert list(generate_dataset(schedules, 0.5, len(schedules))) == first
     assert calls == 2 * len(distinct)
 
 
 def test_generate_dataset_builds_the_layout_once_per_graph(monkeypatch):
-    """The "Trap layout" block is built once per distinct graph object, per call."""
+    """The "Trap layout" block is built once per distinct graph object, per generator run."""
     linear, ring = trap.build_linear(3), trap.build_eval_layout("ring", 4)
     schedules = [
         *baseline.compile_many([baseline.random_circuit(3, 6, seed) for seed in range(3)], linear),
@@ -342,10 +345,10 @@ def test_generate_dataset_builds_the_layout_once_per_graph(monkeypatch):
         return vertex_lines(graph)
 
     monkeypatch.setattr(dataset, "_vertex_lines", counted)
-    first = generate_dataset(schedules, 0.5)
-    assert len(first.split["train"] + first.split["eval"]) > len(schedules)
+    first = list(generate_dataset(schedules, 0.5, len(schedules)))
+    assert sum(len(entries) for _, entries in first) > len(schedules)
     assert built == [linear, ring]
-    assert generate_dataset(schedules, 0.5) == first
+    assert list(generate_dataset(schedules, 0.5, len(schedules))) == first
     assert built == [linear, ring, linear, ring]
 
 
@@ -378,8 +381,7 @@ def reference_instruction(graph, state, circuit):
 def test_instructions_equal_the_template_substituted():
     """Joined template pieces equal Template.substitute, memo or none, junction locks included."""
     schedules = render_corpus()
-    built = generate_dataset(schedules, 0)
-    entries = iter(built.split["train"] + built.split["eval"])
+    entries = iter(rendered(schedules, len(schedules)))
     locked = 0
     for schedule in schedules:
         graph = schedule.graph
@@ -438,8 +440,7 @@ def test_a_freed_trap_never_lends_its_memo_to_the_next():
                 expected.append(DataEntry(instruction, render_output(piece, graph, piece.circuit)))
             yield schedule
 
-    built = generate_dataset(schedules(), 0)
-    assert list(built.split["train"]) == expected
+    assert rendered(schedules(), 300) == expected
     assert len(expected) > 600
 
 
@@ -465,8 +466,9 @@ def test_generate_dataset_never_substitutes_the_template(monkeypatch):
 
     monkeypatch.setattr(string.Template, "substitute", refuse)
     dataset._template.cache_clear()
-    built = generate_dataset(render_corpus(), 0.2)
-    assert built.split["train"] and built.split["eval"]
+    built = generate_dataset(render_corpus(), 0.2, 5)
+    splits = [(split, bool(entries)) for split, entries in built]
+    assert splits == [("train", True)] * 4 + [("eval", True)]
 
 
 def test_to_jsonl_writes_what_json_dumps_writes():
