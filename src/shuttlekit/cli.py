@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation or generation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -61,13 +62,12 @@ def _resolve(base_file: str, path: str) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(base_file)), path)
 
 
-def _load_schedule_inputs(args) -> tuple[str, TrapGraph, Circuit]:
-    """Schedule text plus its trap and circuit, honoring --trap/--circuit overrides."""
-    text = driver.read_text(args.schedule)
+def _load_schedule_inputs(path: str, trap=None, circuit=None) -> tuple[str, TrapGraph, Circuit]:
+    """Schedule text plus its trap and circuit, each path given overriding the header's."""
+    text = driver.read_text(path)
     trap_path, circuit_path = schedule_paths(text)
-    trap_file = args.trap or _resolve(args.schedule, trap_path)
-    circuit_file = args.circuit or _resolve(args.schedule, circuit_path)
-    return text, _load_trap(trap_file), _load_circuit(circuit_file)
+    graph = _load_trap(trap or _resolve(path, trap_path))
+    return text, graph, _load_circuit(circuit or _resolve(path, circuit_path))
 
 
 # -- subcommands ------------------------------------------------------------
@@ -116,7 +116,7 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    text, graph, circuit = _load_schedule_inputs(args)
+    text, graph, circuit = _load_schedule_inputs(args.schedule, args.trap, args.circuit)
     schedule = parse_schedule(text, graph, circuit, replay=False)
     report = validate(schedule)
     if report.ok:
@@ -128,7 +128,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    text, graph, circuit = _load_schedule_inputs(args)
+    text, graph, circuit = _load_schedule_inputs(args.schedule, args.trap, args.circuit)
     schedule = parse_schedule(text, graph, circuit, replay=False)
     report, _, trimmed, _ = replay(graph, schedule.placement, circuit, schedule.ops)
     if not report.ok:
@@ -200,7 +200,7 @@ def _write_dataset(out_dir: str, parts) -> dict[str, int]:
     return counts
 
 
-def _compiled_entries(seed: int, depth: int, qubit_range: range, fraction: float, total: int):
+def _compiled_entries(seed: int, depth: int, qubit_range: range, train: int, total: int):
     """The (split, entries) pairs of `--seed` mode, one compiled schedule at a time.
 
     A CompileError is raised again naming the qubit count, index and seed
@@ -212,7 +212,7 @@ def _compiled_entries(seed: int, depth: int, qubit_range: range, fraction: float
         schedules = baseline.compile_many(circuits, build_linear(qubits))
         done = 0
         try:
-            for part in dataset.generate_dataset(schedules, fraction, total):
+            for part in dataset.generate_dataset(schedules, train):
                 yield part
                 done += 1
         except CompileError as exc:
@@ -231,17 +231,14 @@ def _cmd_gen_dataset(args) -> int:
             raise _UsageError("--eval-fraction must be within [0, 1]")
         schedules = []
         for index, path in enumerate(args.schedule):
-            text = driver.read_text(path)
-            trap_path, circuit_path = schedule_paths(text)
-            graph = _load_trap(_resolve(path, trap_path))
-            circuit = _load_circuit(_resolve(path, circuit_path))
-            schedule = parse_schedule(text, graph, circuit, replay=False)
+            schedule = parse_schedule(*_load_schedule_inputs(path), replay=False)
             report = validate(schedule)
             if report.ok:
                 schedules.append(schedule)
             else:
                 skipped.append(f"schedule {index}: {report.reason}")
-        parts = dataset.generate_dataset(schedules, fraction, len(schedules))
+        valid = len(schedules)
+        parts = dataset.generate_dataset(schedules, valid - round(fraction * valid))
     elif args.seed is not None:
         if args.eval_fraction is not None:
             raise _UsageError("--eval-fraction applies only to --schedule files")
@@ -250,9 +247,8 @@ def _cmd_gen_dataset(args) -> int:
         if args.train_per_qubit < 0 or args.eval_per_qubit < 0:
             raise _UsageError("--train-per-qubit and --eval-per-qubit must not be negative")
         total = args.train_per_qubit + args.eval_per_qubit
-        fraction = args.eval_per_qubit / total if total else 0.0
         qubit_range = _parse_qubit_range(args.qubits)
-        parts = _compiled_entries(args.seed, args.depth, qubit_range, fraction, total)
+        parts = _compiled_entries(args.seed, args.depth, qubit_range, args.train_per_qubit, total)
     else:
         raise _UsageError("need --schedule files or --seed for random generation")
     counts = _write_dataset(args.out_dir, parts)
@@ -286,20 +282,11 @@ def _make_client(args):
     return client
 
 
-_STATS_FIELDS = (
-    "outcome",
-    "gates_executed",
-    "ops_count",
-    "retries",
-    "tokens_final",
-    "tokens_total",
-    "failure_reason",
-)
-
-
 def _stats_record(stats: driver.GenerationStats) -> dict:
     # wall_seconds stays out: reports must be byte-stable under replay.
-    return {name: getattr(stats, name) for name in _STATS_FIELDS}
+    record = dataclasses.asdict(stats)
+    del record["wall_seconds"]
+    return record
 
 
 def _cmd_run_llm(args) -> int:
@@ -314,8 +301,8 @@ def _cmd_run_llm(args) -> int:
     record = _stats_record(stats)
     if args.stats:
         _write(args.stats, json.dumps(record, indent=2) + "\n")
-    for name in _STATS_FIELDS:
-        print(f"{name}: {record[name]}")
+    for name, value in record.items():
+        print(f"{name}: {value}")
     print(f"wall_seconds: {stats.wall_seconds:.3f}", file=sys.stderr)
     return 0 if stats.outcome == "complete" else 1
 

@@ -24,8 +24,9 @@ that text for every echo.
 
 `generate_dataset` yields one schedule's entries at a time and keeps none
 of them. `gen-dataset` writes each schedule's `to_jsonl` text before it
-asks for the next, so its memory stays flat as the dataset grows, apart
-from the render memos, and its files appear only after a complete run.
+asks for the next, so in `--seed` mode its memory stays flat as the
+dataset grows, apart from the render memos, and its files appear only
+after a complete run.
 """
 
 from __future__ import annotations
@@ -341,26 +342,23 @@ class DataEntry:
 
 
 def generate_dataset(
-    schedules: Iterable[Schedule], eval_fraction: float, count: int
+    schedules: Iterable[Schedule], train_count: int
 ) -> Iterator[tuple[str, list[DataEntry]]]:
     """Render each slice of each schedule into one DataEntry, one schedule at a time.
 
     Lazy: for each schedule of `schedules`, in order, yields its split,
     "train" or "eval", and its entries, and keeps neither, so memory does
     not grow with the number of schedules. `schedules` is any iterable of
-    `count` valid schedules, such as `baseline.compile_many`'s; each
-    renders from the slices it holds, so a compiled one, or a parsed one
-    that `schedule.validate` accepted, replays no more. An invalid
-    schedule raises ScheduleValidationError. The split is assigned per
-    whole schedule, the last round(eval_fraction * count) becoming
+    valid schedules, such as `baseline.compile_many`'s; each renders from
+    the slices it holds, so a compiled one, or a parsed one that
+    `schedule.validate` accepted, replays no more. An invalid schedule
+    raises ScheduleValidationError. The split is assigned per whole
+    schedule: the first `train_count` become training data and the rest
     evaluation data, so no trap state from an evaluation schedule ever
     appears in training. Schedules on the same graph object share one
     render memo, which lives as long as the generator and holds its graph,
     so no graph is freed while its memo is kept under its id.
     """
-    if not 0 <= eval_fraction <= 1:
-        raise ValueError(f"eval_fraction must be within [0, 1], got {eval_fraction}")
-    cut = count - round(eval_fraction * count)
     memos: dict[int, RenderMemo] = {}
     for index, schedule in enumerate(schedules):
         graph = schedule.graph
@@ -372,7 +370,7 @@ def generate_dataset(
             instruction = render_instruction(graph, piece.state, piece.circuit, memo=memo)
             output = render_output(piece, graph, piece.circuit, memo=memo)
             entries.append(DataEntry(instruction, output))
-        yield ("train" if index < cut else "eval"), entries
+        yield ("train" if index < train_count else "eval"), entries
 
 
 def to_jsonl(entries: tuple[DataEntry, ...] | list[DataEntry]) -> str:

@@ -288,12 +288,17 @@ def generate_schedule(
     accepts, so a complete run is a valid schedule. The accepted slice is
     kept peephole-optimized, and the run continues from the state and
     circuit the replay ended in. The instruction is rendered once per
-    state, through one render memo that lives for this run, and invalid
-    responses resubmit that identical string. Ten consecutive invalid
-    responses (or the time budget) abort the run with a partial schedule;
-    the failure reason then ends with the last rejection's text. A
-    request no retry can answer aborts it at once: an endpoint that is not
-    HTTP(S), or a scripted or replayed client that cannot answer it.
+    state, through one render memo that lives for this run. A rejected
+    attempt, whether the client raised TransportError or the output did
+    not parse or replay, counts one retry and resubmits that identical
+    string. The `max_consecutive_invalid`-th rejection in a row (ten by
+    default), a PermanentTransportError (a request no retry can answer:
+    an endpoint that is not HTTP(S), or a scripted or replayed client
+    that cannot answer it) or the time budget aborts the run with a
+    partial schedule. The failure reason is then `time budget exhausted`,
+    or names the last rejection as `transport: ...` or `N consecutive
+    invalid outputs for one instruction; last: ...`; the outcome is
+    "failed" exactly when there is a failure reason.
     """
     placement = initial_placement(circuit, graph)
     state = placement
@@ -303,37 +308,27 @@ def generate_schedule(
     all_ops = []
     retries = tokens_final = tokens_total = 0
     consecutive = 0
-    outcome, reason = "complete", None
+    reason = None
     start = clock()
     while not current.is_complete:
         if clock() - start > params.budget_seconds:
-            outcome, reason = "failed", "time budget exhausted"
+            reason = "time budget exhausted"
             break
         if instruction is None:
             instruction = render_instruction(graph, state, current, memo=memo)
         try:
             result = client.complete(instruction, params.max_tokens, params.temperature)
-        except TransportError as exc:
+            tokens_total += result.token_count
+            report, _, ops, reached = replay(graph, state, current, parse_output(result.text))
+            if report.final_state is None or (reached.is_complete and not report.ok):
+                raise ScheduleValidationError(report)
+        except (TransportError, OutputParseError, ScheduleValidationError) as exc:
             retries += 1
             consecutive += 1
             permanent = isinstance(exc, PermanentTransportError)
             if permanent or consecutive >= params.max_consecutive_invalid:
-                outcome, reason = "failed", f"transport: {exc}"
-                break
-            continue
-        tokens_total += result.token_count
-        try:
-            report, _, ops, reached = replay(graph, state, current, parse_output(result.text))
-            if report.final_state is None or (reached.is_complete and not report.ok):
-                raise ScheduleValidationError(report)
-        except (OutputParseError, ScheduleValidationError) as exc:
-            retries += 1
-            consecutive += 1
-            if consecutive >= params.max_consecutive_invalid:
-                outcome, reason = (
-                    "failed",
-                    f"{consecutive} consecutive invalid outputs for one instruction; "
-                    f"last: {exc}",
+                reason = f"transport: {exc}" if isinstance(exc, TransportError) else (
+                    f"{consecutive} consecutive invalid outputs for one instruction; last: {exc}"
                 )
                 break
             continue
@@ -344,7 +339,7 @@ def generate_schedule(
         tokens_final += result.token_count
         consecutive = 0
     stats = GenerationStats(
-        outcome=outcome,
+        outcome="complete" if reason is None else "failed",
         gates_executed=current.executed_count,
         ops_count=len(all_ops),
         retries=retries,

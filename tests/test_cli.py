@@ -1,5 +1,8 @@
 """The command line end to end: exit codes, messages and files."""
 
+import dataclasses
+import json
+import re
 import tracemalloc
 
 import pytest
@@ -8,9 +11,10 @@ from shuttlekit import baseline, cli, driver
 from shuttlekit import schedule as schedule_mod
 from shuttlekit.baseline import random_circuit
 from shuttlekit.circuit import Circuit, Gate, parse_circuit, serialize_circuit
+from shuttlekit.dataset import render_output
 from shuttlekit.errors import CompileError
 from shuttlekit.ops import Translate, format_op
-from shuttlekit.schedule import parse_schedule, schedule_paths
+from shuttlekit.schedule import decompose, parse_schedule, schedule_paths
 from shuttlekit.trap import parse_trap
 
 
@@ -127,6 +131,38 @@ def test_run_llm_that_leaves_a_junction_occupied_is_not_complete(tmp_path, capsy
     assert "Traceback" not in captured.err
 
 
+STATS_FIELDS = [
+    "outcome", "gates_executed", "ops_count", "retries", "tokens_final", "tokens_total",
+    "failure_reason",
+]
+
+
+def test_run_llm_writes_and_prints_the_stats_record_without_wall_seconds(tmp_path, capsys):
+    """--stats holds every GenerationStats field but wall_seconds, in order; stdout the same."""
+    circuit = random_circuit(3, 3, 0)
+    trap_file, circuit_file = write_inputs(
+        tmp_path, ["--family", "linear", "--per-side", "2"], circuit
+    )
+    graph = parse_trap((tmp_path / "trap.json").read_text(encoding="utf-8"))
+    slices = decompose(baseline.compile(circuit, graph))
+    script = ["Execute Gate 0\n"] + [render_output(p, graph, p.circuit) for p in slices]
+    replay = tmp_path / "exchanges.jsonl"
+    driver.generate_schedule(
+        circuit, graph, driver.RecordingClient(driver.MockCompletionClient(script), str(replay))
+    )
+    stats = tmp_path / "stats.json"
+    argv = ["run-llm", "--trap", trap_file, "--circuit", circuit_file, "--replay", str(replay)]
+    capsys.readouterr()
+    assert cli.main([*argv, "--stats", str(stats)]) == 0
+    record = json.loads(stats.read_text(encoding="utf-8"))
+    names = [f.name for f in dataclasses.fields(driver.GenerationStats)]
+    assert list(record) == STATS_FIELDS == [name for name in names if name != "wall_seconds"]
+    assert (record["outcome"], record["retries"]) == ("complete", 1)
+    captured = capsys.readouterr()
+    assert captured.out == "".join(f"{name}: {value}\n" for name, value in record.items())
+    assert re.fullmatch(r"wall_seconds: \d+\.\d{3}\n", captured.err)
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -205,6 +241,40 @@ def test_gen_dataset_skips_an_invalid_schedule_file_and_replays_each_file_once(
     )
     gates = len(random_circuit(3, 3, 0).gates)
     assert captured.out == f"train entries: {gates}\neval entries: 0\n"
+
+
+@pytest.mark.parametrize(
+    "fraction,train,held_out",
+    [("0.5", 3, 2), ("0", 5, 0), ("1", 0, 5)],
+    ids=["half_rounds_to_even", "none", "all"],
+)
+def test_gen_dataset_splits_schedule_files_at_the_rounded_eval_share(
+    tmp_path, capsys, fraction, train, held_out
+):
+    """Of five valid schedules the last round(fraction * 5) go to eval; round(2.5) is 2."""
+    schedule = compile_small(tmp_path)
+    out = tmp_path / "out"
+    argv = ["gen-dataset", *["--schedule", str(schedule)] * 5, "--eval-fraction", fraction]
+    capsys.readouterr()
+    assert cli.main([*argv, "--out-dir", str(out)]) == 0
+    gates = len(random_circuit(3, 3, 0).gates)
+    assert capsys.readouterr().out == (
+        f"train entries: {train * gates}\neval entries: {held_out * gates}\n"
+    )
+    for split, count in (("train", train), ("eval", held_out)):
+        assert len((out / f"{split}.jsonl").read_bytes().splitlines()) == count * gates
+
+
+@pytest.mark.parametrize("empty", ["train", "eval"])
+def test_gen_dataset_seed_mode_writes_an_empty_split_of_zero_per_qubit(tmp_path, capsys, empty):
+    out = tmp_path / "out"
+    counts = {"train": "2", "eval": "1", empty: "0"}
+    argv = ["gen-dataset", "--seed", "1", "--qubits", "2", "--train-per-qubit", counts["train"],
+            "--eval-per-qubit", counts["eval"], "--out-dir", str(out)]
+    assert cli.main(argv) == 0
+    assert f"{empty} entries: 0\n" in capsys.readouterr().out
+    for split in ("train", "eval"):
+        assert ((out / f"{split}.jsonl").read_bytes() == b"") == (split == empty)
 
 
 def test_gen_dataset_peak_memory_does_not_grow_with_the_dataset(tmp_path, capsys):

@@ -100,7 +100,8 @@ def test_slices_carry_the_states_their_shuttling_ops_lead_to():
 
 def rendered(schedules, count, eval_fraction=0):
     """Every entry of one generate_dataset run over `count` schedules, in order."""
-    return [e for _, entries in generate_dataset(schedules, eval_fraction, count) for e in entries]
+    train = count - round(eval_fraction * count)
+    return [e for _, entries in generate_dataset(schedules, train) for e in entries]
 
 
 def counting(calls, name, function):
@@ -323,9 +324,9 @@ def test_generate_dataset_renders_each_distinct_state_once(monkeypatch):
         return successors(*args)
 
     monkeypatch.setattr(kernel, "successors", counted)
-    first = list(generate_dataset(schedules, 0.5, len(schedules)))
+    first = list(generate_dataset(schedules, len(schedules) // 2))
     assert calls == len(distinct)
-    assert list(generate_dataset(schedules, 0.5, len(schedules))) == first
+    assert list(generate_dataset(schedules, len(schedules) // 2)) == first
     assert calls == 2 * len(distinct)
 
 
@@ -345,10 +346,10 @@ def test_generate_dataset_builds_the_layout_once_per_graph(monkeypatch):
         return vertex_lines(graph)
 
     monkeypatch.setattr(dataset, "_vertex_lines", counted)
-    first = list(generate_dataset(schedules, 0.5, len(schedules)))
+    first = list(generate_dataset(schedules, len(schedules) // 2))
     assert sum(len(entries) for _, entries in first) > len(schedules)
     assert built == [linear, ring]
-    assert list(generate_dataset(schedules, 0.5, len(schedules))) == first
+    assert list(generate_dataset(schedules, len(schedules) // 2)) == first
     assert built == [linear, ring, linear, ring]
 
 
@@ -466,7 +467,7 @@ def test_generate_dataset_never_substitutes_the_template(monkeypatch):
 
     monkeypatch.setattr(string.Template, "substitute", refuse)
     dataset._template.cache_clear()
-    built = generate_dataset(render_corpus(), 0.2, 5)
+    built = generate_dataset(render_corpus(), 4)
     splits = [(split, bool(entries)) for split, entries in built]
     assert splits == [("train", True)] * 4 + [("eval", True)]
 

@@ -1,6 +1,7 @@
 """Generate–validate–retry driver against scripted and replayed clients."""
 
 import json
+from itertools import count
 from urllib.error import HTTPError, URLError
 
 import pytest
@@ -143,6 +144,48 @@ def test_consecutive_invalid_outputs_fail_with_a_legal_partial_schedule():
         assert stats.failure_reason == (
             f"10 consecutive invalid outputs for one instruction; last: {line}: {reason}"
         )
+
+
+class Flaky:
+    """Raises TransportError("x") `failures` times, then answers from `script`."""
+
+    def __init__(self, failures, script):
+        self.failures = failures
+        self.inner = MockCompletionClient(script)
+
+    def complete(self, instruction, max_tokens, temperature):
+        if self.failures:
+            self.failures -= 1
+            raise TransportError("x")
+        return self.inner.complete(instruction, max_tokens, temperature)
+
+
+def test_transient_transport_errors_are_retried_without_tokens():
+    schedule, stats = run(Flaky(2, OUTPUTS))
+    assert (stats.outcome, stats.retries, stats.failure_reason) == ("complete", 2, None)
+    assert schedule.ops == COMPILED.ops
+    answered = sum(map(tokens, OUTPUTS))
+    assert stats.tokens_total == stats.tokens_final == answered
+
+
+def test_consecutive_transport_errors_fail_the_run():
+    params = GenerationParams()
+    client = Flaky(params.max_consecutive_invalid, OUTPUTS)
+    schedule, stats = run(client, params)
+    assert (stats.outcome, stats.failure_reason) == ("failed", "transport: x")
+    assert stats.retries == params.max_consecutive_invalid
+    assert (stats.gates_executed, stats.tokens_total, schedule.ops) == (0, 0, ())
+    assert client.inner.calls == []
+
+
+def test_an_exhausted_time_budget_fails_before_any_request():
+    client = MockCompletionClient(OUTPUTS)
+    schedule, stats = generate_schedule(
+        CIRCUIT, GRAPH, client, GenerationParams(budget_seconds=0), clock=count().__next__
+    )
+    assert (stats.outcome, stats.failure_reason) == ("failed", "time budget exhausted")
+    assert (stats.retries, stats.gates_executed, schedule.ops) == (0, 0, ())
+    assert client.calls == []
 
 
 # On branched(2, 1, 1) the placement puts qubit 2 on vertex 2, next to
