@@ -70,6 +70,16 @@ def _load_schedule_inputs(path: str, trap=None, circuit=None) -> tuple[str, Trap
     return text, graph, _load_circuit(circuit or _resolve(path, circuit_path))
 
 
+def _write_schedule(schedule: Schedule, args) -> None:
+    """Write to --out, a relative trap or circuit path made relative to its folder."""
+    folder = os.path.dirname(os.path.abspath(args.out))
+    trap_path, circuit_path = (
+        path if args.out == "-" or os.path.isabs(path) else os.path.relpath(path, folder)
+        for path in (args.trap, args.circuit)
+    )
+    _write(args.out, serialize_schedule(schedule, trap_path, circuit_path))
+
+
 # -- subcommands ------------------------------------------------------------
 
 
@@ -107,7 +117,7 @@ def _cmd_compile(args) -> int:
     graph = _load_trap(args.trap)
     circuit = _load_circuit(args.circuit)
     schedule = baseline.compile(circuit, graph)
-    _write(args.out, serialize_schedule(schedule, args.trap, args.circuit))
+    _write_schedule(schedule, args)
     print(
         f"compiled {len(circuit.gates)} gates into {len(schedule.ops)} operations",
         file=sys.stderr,
@@ -297,7 +307,7 @@ def _cmd_run_llm(args) -> int:
         circuit, graph, client, _generation_params(args)
     )
     if args.out:
-        _write(args.out, serialize_schedule(schedule, args.trap, args.circuit))
+        _write_schedule(schedule, args)
     record = _stats_record(stats)
     if args.stats:
         _write(args.stats, json.dumps(record, indent=2) + "\n")

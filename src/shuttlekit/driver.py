@@ -4,7 +4,8 @@ One schedule is built gate by gate: render the instruction for the current
 state once, request exactly one completion, parse and replay it, and either
 apply the slice or resubmit the identical instruction. Clients share one
 small interface so the loop runs unchanged against HTTP, a scripted mock,
-or a recorded replay file.
+or a recorded replay file. Every client answers requests in order and none
+is rewound, so a recording, failed requests included, replays exactly.
 """
 
 from __future__ import annotations
@@ -123,15 +124,9 @@ def _response_object(value, what: str) -> dict:
     return value
 
 
-def http_complete(
-    endpoint: str,
-    model: str,
-    instruction: str,
-    max_tokens: int,
-    temperature: float,
-    timeout: float = 600.0,
-) -> CompletionResult:
-    """One completion request against an OpenAI-compatible endpoint.
+@dataclass
+class HttpCompletionClient:
+    """One completion request per call against an OpenAI-compatible endpoint.
 
     Reads choices[0].text (or .message.content) and the server-reported
     usage.completion_tokens, estimating by whitespace split when the server
@@ -139,56 +134,51 @@ def http_complete(
     endpoint that is not an http or https URL raises PermanentTransportError
     before any request.
     """
-    if urlsplit(endpoint).scheme not in ("http", "https"):
-        raise PermanentTransportError(f"endpoint {endpoint!r} is not an http or https URL")
-    data = json.dumps(
-        {"model": model, "prompt": instruction, "max_tokens": max_tokens, "temperature": temperature}
-    ).encode()
-    try:
-        request = Request(endpoint, data, {"Content-Type": "application/json"})
-        with urlopen(request, timeout=timeout) as response:
-            status, raw = response.status, response.read()
-    except HTTPError as exc:
-        status, raw = exc.code, b""
-    except (OSError, ValueError, HTTPException) as exc:
-        raise TransportError(f"request failed: {exc}") from exc
-    if status != 200:
-        raise TransportError(f"endpoint returned status {status}")
-    try:
-        body = json.loads(raw)
-    except (ValueError, RecursionError) as exc:
-        raise TransportError("endpoint response is not JSON") from exc
-    try:
-        choice = body["choices"][0]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise TransportError("endpoint response has no choices") from exc
-    choice = _response_object(choice, "choices[0]")
-    text = choice.get("text")
-    if text is None:
-        text = _response_object(choice.get("message", {}), "message").get("content")
-    if not isinstance(text, str):
-        raise TransportError("endpoint response carries no completion text")
-    usage = _response_object(body.get("usage") or {}, "usage")
-    tokens = usage.get("completion_tokens")
-    if not isinstance(tokens, int):
-        tokens = len(text.split())
-    return CompletionResult(text, tokens)
 
-
-@dataclass
-class HttpCompletionClient:
     endpoint: str
     model: str
     timeout: float = 600.0
 
     def complete(self, instruction: str, max_tokens: int, temperature: float) -> CompletionResult:
-        return http_complete(
-            self.endpoint, self.model, instruction, max_tokens, temperature, self.timeout
-        )
+        endpoint, model = self.endpoint, self.model
+        if urlsplit(endpoint).scheme not in ("http", "https"):
+            raise PermanentTransportError(f"endpoint {endpoint!r} is not an http or https URL")
+        data = json.dumps(
+            dict(model=model, prompt=instruction, max_tokens=max_tokens, temperature=temperature)
+        ).encode()
+        try:
+            request = Request(endpoint, data, {"Content-Type": "application/json"})
+            with urlopen(request, timeout=self.timeout) as response:
+                status, raw = response.status, response.read()
+        except HTTPError as exc:
+            status, raw = exc.code, b""
+        except (OSError, ValueError, HTTPException) as exc:
+            raise TransportError(f"request failed: {exc}") from exc
+        if status != 200:
+            raise TransportError(f"endpoint returned status {status}")
+        try:
+            body = json.loads(raw)
+        except (ValueError, RecursionError) as exc:
+            raise TransportError("endpoint response is not JSON") from exc
+        try:
+            choice = body["choices"][0]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise TransportError("endpoint response has no choices") from exc
+        choice = _response_object(choice, "choices[0]")
+        text = choice.get("text")
+        if text is None:
+            text = _response_object(choice.get("message", {}), "message").get("content")
+        if not isinstance(text, str):
+            raise TransportError("endpoint response carries no completion text")
+        usage = _response_object(body.get("usage") or {}, "usage")
+        tokens = usage.get("completion_tokens")
+        if not isinstance(tokens, int):
+            tokens = len(text.split())
+        return CompletionResult(text, tokens)
 
 
 class MockCompletionClient:
-    """Scripted client: returns canned responses in order; reset() rewinds.
+    """Scripted client: returns canned responses in order.
 
     A response's token count is its whitespace-separated word count. A
     request after the last response raises ReplayMismatchError.
@@ -198,10 +188,6 @@ class MockCompletionClient:
         self.script = list(script)
         self.cursor = 0
         self.calls: list[str] = []
-
-    def reset(self) -> None:
-        self.cursor = 0
-        self.calls = []
 
     def complete(self, instruction: str, max_tokens: int, temperature: float) -> CompletionResult:
         if self.cursor >= len(self.script):
@@ -213,51 +199,56 @@ class MockCompletionClient:
 
 
 class RecordingClient:
-    """Pass-through wrapper appending every exchange to a JSONL file."""
+    """Pass-through wrapper appending every request's outcome to a JSONL file.
+
+    A TransportError is recorded as {"digest", "error", "permanent"} and re-raised.
+    """
 
     def __init__(self, inner: CompletionClient, path: str) -> None:
         self.inner = inner
         self.path = path
 
-    def reset(self) -> None:
-        reset = getattr(self.inner, "reset", None)
-        if reset is not None:
-            reset()
-
-    def complete(self, instruction: str, max_tokens: int, temperature: float) -> CompletionResult:
-        result = self.inner.complete(instruction, max_tokens, temperature)
-        record = {
-            "digest": request_digest(instruction, max_tokens, temperature),
-            "text": result.text,
-            "token_count": result.token_count,
-        }
+    def _append(self, record: dict) -> None:
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+    def complete(self, instruction: str, max_tokens: int, temperature: float) -> CompletionResult:
+        digest = request_digest(instruction, max_tokens, temperature)
+        try:
+            result = self.inner.complete(instruction, max_tokens, temperature)
+        except TransportError as exc:
+            permanent = isinstance(exc, PermanentTransportError)
+            self._append({"digest": digest, "error": str(exc), "permanent": permanent})
+            raise
+        self._append({"digest": digest, "text": result.text, "token_count": result.token_count})
         return result
 
 
 class ReplayCompletionClient:
     """Replays a recorded exchange file in order, verifying request digests.
 
-    A record that is not an object with a string `digest`, a string `text`
-    and an integer `token_count` raises TransportError at load. A request
-    whose digest differs from the next record's, or that comes after the
-    last record, raises ReplayMismatchError.
+    A record holds a string `digest` and either a string `text` and an
+    integer `token_count`, or a string `error` and a boolean `permanent`,
+    which replays as PermanentTransportError or TransportError with that
+    text; any other record raises TransportError at load. A request whose
+    digest differs from the next record's, or that comes after the last
+    record, raises ReplayMismatchError.
     """
 
     def __init__(self, path: str) -> None:
         self.records = []
         for lineno, record in read_json_objects(path, "replay file", TransportError):
-            fields = (record.get("digest"), record.get("text"), record.get("token_count"))
-            if tuple(map(type, fields)) != (str, str, int):
+            if "error" in record:
+                fields, kinds = ("digest", "error", "permanent"), (str, str, bool)
+            else:
+                fields, kinds = ("digest", "text", "token_count"), (str, str, int)
+            if tuple(type(record.get(field)) for field in fields) != kinds:
                 raise TransportError(
-                    f"replay file line {lineno}: a record needs a string digest, "
-                    "a string text and an integer token_count"
+                    f"replay file line {lineno}: a record needs a string digest and "
+                    "either a string text and an integer token_count, "
+                    "or a string error and a boolean permanent"
                 )
             self.records.append(record)
-        self.cursor = 0
-
-    def reset(self) -> None:
         self.cursor = 0
 
     def complete(self, instruction: str, max_tokens: int, temperature: float) -> CompletionResult:
@@ -270,6 +261,9 @@ class ReplayCompletionClient:
                 f"replay mismatch at record {self.cursor}: request digest differs"
             )
         self.cursor += 1
+        if "error" in record:
+            error = PermanentTransportError if record["permanent"] else TransportError
+            raise error(record["error"])
         return CompletionResult(record["text"], record["token_count"])
 
 
@@ -361,32 +355,21 @@ def run_benchmark(
 ) -> list[dict]:
     """Best-of-n generation for every (circuit, trap) cell.
 
-    Clients exposing reset() are rewound before each run so scripted and
-    replay clients repeat deterministically. A cell with no complete run
-    reports "failed (n)" where n is the most gates any run executed.
+    The client is never rewound, so a recording of a benchmark replays it
+    row for row. A circuit that cannot be placed on a trap fails that cell
+    once, before any request. A cell with no complete run reports
+    "failed (n)" where n is the most gates any run executed.
     """
     rows: list[dict] = []
     for circuit_label, circuit in circuits:
         for graph_label, graph in graphs:
-            results: list[GenerationStats] = []
-            for _ in range(runs):
-                reset = getattr(client, "reset", None)
-                if reset is not None:
-                    reset()
-                try:
-                    _, stats = generate_schedule(circuit, graph, client, params, clock)
-                except PlacementError as exc:
-                    stats = GenerationStats(
-                        outcome="failed",
-                        gates_executed=0,
-                        ops_count=0,
-                        retries=0,
-                        tokens_final=0,
-                        tokens_total=0,
-                        wall_seconds=0.0,
-                        failure_reason=str(exc),
-                    )
-                results.append(stats)
+            try:
+                results = [
+                    generate_schedule(circuit, graph, client, params, clock)[1]
+                    for _ in range(runs)
+                ]
+            except PlacementError as exc:
+                results = [GenerationStats("failed", 0, 0, 0, 0, 0, 0.0, failure_reason=str(exc))]
             complete = [s for s in results if s.outcome == "complete"]
             if complete:
                 best = min(complete, key=lambda s: s.ops_count)

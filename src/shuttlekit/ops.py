@@ -171,18 +171,18 @@ def format_op(op: ShuttleOp) -> str:
 
 
 _OP_PATTERNS: tuple[tuple[re.Pattern, type], ...] = (
-    (re.compile(r"^Translate (\d+) -> (\d+)$"), Translate),
-    (re.compile(r"^Separate (\d+)$"), Separate),
-    (re.compile(r"^Merge (\d+)$"), Merge),
-    (re.compile(r"^Swap (\d+)$"), Swap),
-    (re.compile(r"^Execute Gate (\d+)$"), ExecuteGate),
+    (re.compile(r"Translate ([0-9]+) -> ([0-9]+)"), Translate),
+    (re.compile(r"Separate ([0-9]+)"), Separate),
+    (re.compile(r"Merge ([0-9]+)"), Merge),
+    (re.compile(r"Swap ([0-9]+)"), Swap),
+    (re.compile(r"Execute Gate ([0-9]+)"), ExecuteGate),
 )
 
 
 def parse_op(line: str) -> ShuttleOp:
-    """Parse one canonical op line; raises ValueError on any deviation."""
+    """Parse one canonical op line, ASCII digits only; raises ValueError on any deviation."""
     for pattern, op_type in _OP_PATTERNS:
-        match = pattern.match(line)
+        match = pattern.fullmatch(line)
         if match:
             return op_type(*(int(g) for g in match.groups()))
     raise ValueError(f"not an operation line: {line!r}")

@@ -247,11 +247,13 @@ def parse_schedule(
                 and parts[3].endswith("]")
             )
             if ok:
+                vertex_s, _, pos_s = parts[3][1:-1].partition(",")
+                fields = (parts[1], vertex_s, pos_s)
+                ok = all(field.isascii() and field.isdigit() for field in fields)
+            if ok:
                 try:
-                    qubit = int(parts[1])
-                    vertex_s, pos_s = parts[3][1:-1].split(",")
-                    vertex, position = int(vertex_s), int(pos_s)
-                except ValueError:
+                    qubit, vertex, position = map(int, fields)
+                except ValueError:  # past the interpreter's digit limit
                     ok = False
             if not ok:
                 raise ScheduleError(f"line {lineno}: malformed placement {entry!r}")

@@ -189,6 +189,20 @@ def test_parse_rejects_an_integer_past_the_digit_limit(body, lineno):
         parse_circuit(QASM_HEADER + body)
 
 
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("qreg q[\uff13];\ncx q[0],q[1];\n", "line 3: malformed qreg"),
+        ("qreg q[3];\ncx q[\uff10],q[1];\n", "line 4: malformed operand"),
+        ("qreg q[3];\ncx q[\u0661],q[0];\n", "line 4: malformed operand"),
+    ],
+    ids=["register_size", "fullwidth_index", "arabic_indic_index"],
+)
+def test_parse_reads_ascii_digits_only(body, message):
+    with pytest.raises(CircuitError, match=f"^{message}"):
+        parse_circuit(QASM_HEADER + body)
+
+
 # -- layering ---------------------------------------------------------------
 
 

@@ -44,6 +44,33 @@ def test_compile_then_validate(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("valid: ")
 
 
+def test_written_header_paths_resolve_from_the_schedule_folder(tmp_path, monkeypatch, capsys):
+    """Relative inputs are named from --out's folder; absolute ones, or any on stdout, as given."""
+    monkeypatch.chdir(tmp_path)
+    circuit = random_circuit(3, 3, 0)
+    _, circuit_file = write_inputs(tmp_path, ["--family", "linear", "--per-side", "2"], circuit)
+    (tmp_path / "out").mkdir()
+    assert cli.main(compile_argv("trap.json", circuit_file, "out/s.txt")) == 0
+    text = (tmp_path / "out" / "s.txt").read_text(encoding="utf-8")
+    assert schedule_paths(text) == ("../trap.json", circuit_file)
+    capsys.readouterr()
+    assert cli.main(compile_argv("trap.json", "circuit.qasm", "-")) == 0
+    assert schedule_paths(capsys.readouterr().out) == ("trap.json", "circuit.qasm")
+
+    graph = parse_trap((tmp_path / "trap.json").read_text(encoding="utf-8"))
+    slices = decompose(baseline.compile(circuit, graph))
+    script = [render_output(piece, graph, piece.circuit) for piece in slices]
+    recorder = driver.RecordingClient(driver.MockCompletionClient(script), "exchanges.jsonl")
+    driver.generate_schedule(circuit, graph, recorder)
+    argv = ["run-llm", "--trap", "trap.json", "--circuit", "circuit.qasm", "--replay",
+            "exchanges.jsonl", "--out", "out/r.txt"]
+    assert cli.main(argv) == 0
+    for written in ("out/s.txt", "out/r.txt"):
+        capsys.readouterr()
+        assert cli.main(["validate", "--schedule", written]) == 0
+        assert capsys.readouterr().out.startswith("valid: ")
+
+
 def test_compile_that_boxes_itself_in_exits_1_without_traceback(tmp_path, capsys):
     files = write_inputs(
         tmp_path,

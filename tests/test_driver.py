@@ -16,6 +16,8 @@ from shuttlekit.driver import (
     RecordingClient,
     ReplayCompletionClient,
     generate_schedule,
+    request_digest,
+    run_benchmark,
 )
 from shuttlekit.errors import IllegalOperationError, OutputParseError, TransportError
 from shuttlekit.ops import Translate, format_op
@@ -70,6 +72,11 @@ def test_injected_faults_fail_where_intended():
         parse_output(NO_EXECUTE)
     with pytest.raises(IllegalOperationError):
         step(GRAPH, COMPILED.placement, CIRCUIT, parse_output(ILLEGAL)[0])
+
+
+def test_an_op_number_in_other_digits_is_malformed():
+    with pytest.raises(OutputParseError, match="line 1: malformed operation 'Execute Gate \uff11'"):
+        parse_output("Execute Gate \uff11\n")
 
 
 def test_faulty_outputs_are_retried_and_redundancy_trimmed():
@@ -276,6 +283,66 @@ def test_record_then_replay_reproduces_the_run(tmp_path):
     assert recorded[1].retries == 3
 
 
+class Live:
+    """A live client: answers each instruction with its compiled slice, except
+    that the second request times out and every third answer does not parse."""
+
+    def __init__(self, cells):
+        self.answers = {}
+        for circuit, graph in cells:
+            for piece in decompose(baseline.compile(circuit, graph)):
+                instruction = render_instruction(graph, piece.state, piece.circuit)
+                self.answers[instruction] = render_output(piece, graph, piece.circuit)
+        self.calls = 0
+
+    def complete(self, instruction, max_tokens, temperature):
+        self.calls += 1
+        if self.calls == 2:
+            raise TransportError("timed out")
+        text = UNPARSEABLE if self.calls % 3 == 0 else self.answers[instruction]
+        return driver.CompletionResult(text, tokens(text))
+
+
+def test_a_transport_error_is_recorded_and_replayed(tmp_path):
+    path = tmp_path / "exchanges.jsonl"
+    recorded = run(RecordingClient(Live([(CIRCUIT, GRAPH)]), str(path)))
+    second = render_instruction(GRAPH, SLICES[1].state, SLICES[1].circuit)
+    params = GenerationParams()
+    assert json.loads(path.read_text(encoding="utf-8").splitlines()[1]) == {
+        "digest": request_digest(second, params.max_tokens, params.temperature),
+        "error": "timed out",
+        "permanent": False,
+    }
+    assert run(ReplayCompletionClient(str(path))) == recorded
+    assert (recorded[1].outcome, recorded[1].retries) == ("complete", 4)
+
+
+def test_a_recorded_bench_replays_row_for_row(tmp_path):
+    circuits = [("c", CIRCUIT)]
+    graphs = [("linear(2)", GRAPH), ("linear(3)", trap.build_linear(3))]
+    live = Live([(CIRCUIT, graph) for _, graph in graphs])
+    path = tmp_path / "exchanges.jsonl"
+    recorder = RecordingClient(live, str(path))
+    recorded = run_benchmark(circuits, graphs, recorder, 2, clock=lambda: 0.0)
+    replay = ReplayCompletionClient(str(path))
+    assert run_benchmark(circuits, graphs, replay, 2, clock=lambda: 0.0) == recorded
+    assert replay.cursor == len(replay.records) == live.calls
+    assert [row["completed"] for row in recorded] == [2, 2]
+
+
+def test_a_circuit_that_cannot_be_placed_fails_its_cell_without_a_request():
+    client = MockCompletionClient([])
+    rows = run_benchmark(
+        [("c", random_circuit(5, 2, 0))], [("t", trap.build_linear(1))], client, 3
+    )
+    assert rows == [
+        {"circuit": "c", "trap": "t", "temperature": 0.7, "runs": 3, "completed": 0,
+         "result": "failed (0)", "ops": 0, "gates_executed": 0, "retries": 0,
+         "tokens_final": 0, "tokens_total": 0},
+    ]
+    assert client.calls == []
+
+
 def test_replay_rejects_a_changed_instruction(tmp_path):
     path = tmp_path / "exchanges.jsonl"
     run(RecordingClient(MockCompletionClient(OUTPUTS), str(path)))
@@ -306,7 +373,7 @@ def test_replay_that_cannot_answer_fails_at_once(tmp_path):
     client = ReplayCompletionClient(str(path))
     schedule, stats = run(client)
     assert (stats.outcome, stats.retries, stats.gates_executed) == ("failed", 1, kept)
-    assert stats.failure_reason == "transport: replay file exhausted"
+    assert stats.failure_reason == "transport: mock script exhausted"
     assert schedule.ops == recorded[0].ops
 
 
@@ -319,8 +386,10 @@ def test_replay_that_cannot_answer_fails_at_once(tmp_path):
         {"digest": "d", "text": "Execute Gate 1"},
         {"digest": "d", "text": "Execute Gate 1", "token_count": "3"},
         {"digest": "d", "text": None, "token_count": 3},
+        {"digest": "d", "error": "x"},
     ],
-    ids=["list", "no_digest", "no_text", "no_token_count", "string_count", "null_text"],
+    ids=["list", "no_digest", "no_text", "no_token_count", "string_count", "null_text",
+         "no_permanent"],
 )
 def test_replay_rejects_a_malformed_record_at_load(tmp_path, record):
     path = tmp_path / "exchanges.jsonl"
@@ -335,6 +404,9 @@ def test_replay_file_that_is_not_utf8_fails_at_load(tmp_path):
     path.write_bytes(b"\xff\xfe bad")
     with pytest.raises(TransportError, match=f"^{path} is not UTF-8 text: "):
         ReplayCompletionClient(str(path))
+
+
+ENDPOINT = "http://localhost:1/v1/completions"
 
 
 class Response:
@@ -377,7 +449,7 @@ def answering(response):
 def test_http_complete_rejects_a_hostile_body(monkeypatch, body, what):
     monkeypatch.setattr(driver, "urlopen", answering(Response(body)))
     with pytest.raises(TransportError, match=f"endpoint response {what} is not an object"):
-        driver.http_complete("http://localhost:1/v1/completions", "m", "prompt", 8, 0.0)
+        driver.HttpCompletionClient(ENDPOINT, "m").complete("prompt", 8, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -398,7 +470,7 @@ def test_http_complete_rejects_a_hostile_body(monkeypatch, body, what):
 def test_http_complete_words_each_transport_failure(monkeypatch, response, message):
     monkeypatch.setattr(driver, "urlopen", answering(response))
     with pytest.raises(TransportError) as failure:
-        driver.http_complete("http://localhost:1/v1/completions", "m", "prompt", 8, 0.0)
+        driver.HttpCompletionClient(ENDPOINT, "m").complete("prompt", 8, 0.0)
     assert str(failure.value) == message
 
 
@@ -411,7 +483,7 @@ def test_http_complete_refuses_an_endpoint_that_is_not_http(monkeypatch, endpoin
 
     monkeypatch.setattr(driver, "urlopen", urlopen)
     with pytest.raises(TransportError) as failure:
-        driver.http_complete(endpoint, "m", "prompt", 8, 0.0)
+        driver.HttpCompletionClient(endpoint, "m").complete("prompt", 8, 0.0)
     assert str(failure.value) == f"endpoint {endpoint!r} is not an http or https URL"
 
 
@@ -438,7 +510,7 @@ def test_http_complete_posts_the_request_as_json(monkeypatch):
         return Response({"choices": [{"text": "a b"}]})
 
     monkeypatch.setattr(driver, "urlopen", urlopen)
-    result = driver.http_complete("http://localhost:1/v1/completions", "m", "prompt", 8, 0.5, 3.0)
+    result = driver.HttpCompletionClient(ENDPOINT, "m", 3.0).complete("prompt", 8, 0.5)
     assert (result.text, result.token_count) == ("a b", 2)
     assert sent == [
         ("http://localhost:1/v1/completions", "POST", {"Content-type": "application/json"}, 3.0),
@@ -449,5 +521,5 @@ def test_http_complete_posts_the_request_as_json(monkeypatch):
 def test_http_complete_reads_a_well_formed_body(monkeypatch):
     body = {"choices": [{"message": {"content": "a b c"}}], "usage": {"completion_tokens": 5}}
     monkeypatch.setattr(driver, "urlopen", answering(Response(body)))
-    result = driver.http_complete("http://localhost:1/v1/completions", "m", "prompt", 8, 0.0)
+    result = driver.HttpCompletionClient(ENDPOINT, "m").complete("prompt", 8, 0.0)
     assert (result.text, result.token_count) == ("a b c", 5)

@@ -749,6 +749,11 @@ def test_op_codes_reject_what_is_no_op():
         "Swap x",
         "",
         "Separate 1 2",
+        "Translate \u0663 -> \uff14",  # digits, but not ASCII ones
+        "Execute Gate \uff11",
+        "Swap +1",
+        "Merge 1_0",
+        "Separate 3\n",  # nothing may follow the number
     ],
 )
 def test_parse_op_rejects_malformed(line):

@@ -505,6 +505,19 @@ def test_parse_schedule_rejects_duplicate_placement():
         parse_schedule("\n".join(lines) + "\n", sched.graph, sched.circuit)
 
 
+@pytest.mark.parametrize(
+    "placement",
+    ["qubit \u0660 at [1,0]", "qubit +0 at [1,0]", "qubit 0 at [\uff11,0]", "qubit 0 at [1,-0]",
+     "qubit 0 at [1,0,0]"],
+    ids=["arabic_indic_qubit", "signed_qubit", "fullwidth_vertex", "signed_position", "three"],
+)
+def test_parse_schedule_reads_placement_fields_in_ascii_digits(placement):
+    text = serialize_schedule(simple_instance(), "t", "c")
+    bad = text.replace("placement: qubit 0 at [1,0]", f"placement: {placement}")
+    with pytest.raises(ScheduleError, match="^line 3: malformed placement"):
+        parse_schedule(bad, LINEAR1, simple_instance().circuit)
+
+
 def test_parse_schedule_surfaces_replay_failure():
     sched = simple_instance()
     text = serialize_schedule(sched, "t", "c")
