@@ -62,12 +62,20 @@ def _resolve(base_file: str, path: str) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(base_file)), path)
 
 
-def _load_schedule_inputs(path: str, trap=None, circuit=None) -> tuple[str, TrapGraph, Circuit]:
-    """Schedule text plus its trap and circuit, each path given overriding the header's."""
-    text = driver.read_text(path)
-    trap_path, circuit_path = schedule_paths(text)
-    graph = _load_trap(trap or _resolve(path, trap_path))
-    return text, graph, _load_circuit(circuit or _resolve(path, circuit_path))
+def _load_schedule_inputs(paths, trap=None, circuit=None):
+    """Each schedule file's text, trap and circuit, each path given overriding the header's.
+
+    Each distinct trap path is parsed once, so the schedules on one trap
+    share one graph and its render memo.
+    """
+    graphs: dict[str, TrapGraph] = {}
+    for path in paths:
+        text = driver.read_text(path)
+        trap_path, circuit_path = schedule_paths(text)
+        trap_path = trap or _resolve(path, trap_path)
+        if trap_path not in graphs:
+            graphs[trap_path] = _load_trap(trap_path)
+        yield text, graphs[trap_path], _load_circuit(circuit or _resolve(path, circuit_path))
 
 
 def _write_schedule(schedule: Schedule, args) -> None:
@@ -126,7 +134,7 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    text, graph, circuit = _load_schedule_inputs(args.schedule, args.trap, args.circuit)
+    [(text, graph, circuit)] = _load_schedule_inputs([args.schedule], args.trap, args.circuit)
     schedule = parse_schedule(text, graph, circuit, replay=False)
     report = validate(schedule)
     if report.ok:
@@ -138,7 +146,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    text, graph, circuit = _load_schedule_inputs(args.schedule, args.trap, args.circuit)
+    [(text, graph, circuit)] = _load_schedule_inputs([args.schedule], args.trap, args.circuit)
     schedule = parse_schedule(text, graph, circuit, replay=False)
     report, _, trimmed, _ = replay(graph, schedule.placement, circuit, schedule.ops)
     if not report.ok:
@@ -240,8 +248,8 @@ def _cmd_gen_dataset(args) -> int:
         if not 0.0 <= fraction <= 1.0:
             raise _UsageError("--eval-fraction must be within [0, 1]")
         schedules = []
-        for index, path in enumerate(args.schedule):
-            schedule = parse_schedule(*_load_schedule_inputs(path), replay=False)
+        for index, inputs in enumerate(_load_schedule_inputs(args.schedule)):
+            schedule = parse_schedule(*inputs, replay=False)
             report = validate(schedule)
             if report.ok:
                 schedules.append(schedule)
@@ -352,8 +360,6 @@ def _cmd_bench(args) -> int:
 def _cmd_report(args) -> int:
     rows = [row for _, row in driver.read_json_objects(args.records, "records")]
     sys.stdout.write(driver.format_benchmark_rows(rows))
-    if args.jsonl:
-        _write(args.jsonl, "".join(json.dumps(row) + "\n" for row in rows))
     return 0
 
 
@@ -452,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = subs.add_parser("report", help="format benchmark records as a table")
     rep.add_argument("--records", required=True)
-    rep.add_argument("--jsonl", help="re-emit normalized records")
     rep.set_defaults(func=_cmd_report)
 
     return parser

@@ -13,20 +13,22 @@ The template is cut once per process into the literal pieces around its
 seven `$` fields, and an instruction is those pieces joined with the
 field values, so no render scans the template. A state renders straight
 from its encoding: positions off the chains, op lines off kernel op codes.
-A render memo (`RenderMemo`) serves one graph and keeps the text that
-depends only on that graph, an op code or the encoded state: the
+Each trap graph object carries one render memo (`RenderMemo`), made on its
+first render and kept in the graph's instance dict, the slot
+`functools.cached_property` fills, so it lives and is freed with the graph
+and leaves the graph's eq, hash and repr alone. The memo keeps the text
+that depends only on that graph, an op code or the encoded state: the
 instruction prefix up to the positions, filled once, and per state the
-positions and the bulleted shuttling-op block. `generate_dataset` keeps
-one per graph for as long as its generator lives, and
-`driver.generate_schedule` one for one run; the gate lines and the ready
-`Execute Gate` bullets, which depend on the circuit as well, are joined to
-that text for every echo.
+positions and the bulleted shuttling-op block. Every render on one graph
+shares it, across schedules, dataset runs and driver runs; the gate lines
+and the ready `Execute Gate` bullets, which depend on the circuit as well,
+are joined to that text for every echo.
 
 `generate_dataset` yields one schedule's entries at a time and keeps none
 of them. `gen-dataset` writes each schedule's `to_jsonl` text before it
 asks for the next, so in `--seed` mode its memory stays flat as the
-dataset grows, apart from the render memos, and its files appear only
-after a complete run.
+dataset grows, apart from the trap graphs' render memos, and its files
+appear only after a complete run.
 """
 
 from __future__ import annotations
@@ -135,12 +137,10 @@ def _layout(graph: TrapGraph) -> str:
 
 
 class RenderMemo:
-    """The text the renders on one graph share, kept for one call or one driver run.
+    """The text every render on one trap graph shares, kept as long as the graph.
 
-    `graph` is the graph the memo serves; a render given the memo with
-    any other graph object raises RenderError. `layout` holds the
-    instruction up to its "Qubit positions" block, with the capacity,
-    "Trap layout" and "Connections" filled in, built on first use.
+    `layout` holds the instruction up to its "Qubit positions" block, with
+    the capacity, "Trap layout" and "Connections" filled in.
     `op_bullets` maps a kernel op code to its `- <op>` bullet, filled
     through ops.format_op on a miss. `states` maps an encoded state
     (chains, locks) to its `qubit q at [v, p]` lines (qubit q's at index
@@ -149,18 +149,16 @@ class RenderMemo:
     """
 
     def __init__(self, graph: TrapGraph) -> None:
-        self.graph = graph
-        self.layout: str | None = None
+        self.layout = _layout(graph)
         self.op_bullets: dict[tuple[int, int, int], str] = {}
         self.states: dict[tuple, tuple[list[str], str, str]] = {}
 
 
-def _memo_for(graph: TrapGraph, memo: RenderMemo | None) -> RenderMemo:
-    """`memo`, checked to serve `graph`, or a fresh memo when there is none."""
+def _render_memo(graph: TrapGraph) -> RenderMemo:
+    """The render memo of `graph`, made on first use and kept in its instance dict."""
+    memo = graph.__dict__.get("_render_memo")
     if memo is None:
-        return RenderMemo(graph)
-    if memo.graph is not graph:
-        raise RenderError("the render memo serves another trap graph")
+        memo = graph.__dict__["_render_memo"] = RenderMemo(graph)
     return memo
 
 
@@ -176,12 +174,14 @@ def _op_block(memo: RenderMemo, codes) -> str:
     return "\n".join(lines)
 
 
-def _state_text(chains: tuple, locks: tuple, memo: RenderMemo) -> tuple[list[str], str, str]:
+def _state_text(
+    graph: TrapGraph, memo: RenderMemo, chains: tuple, locks: tuple
+) -> tuple[list[str], str, str]:
     """The memo entry of state (chains, locks), rendered and stored on a miss."""
     entry = memo.states.get((chains, locks))
     if entry is None:
         lines = position_lines(TrapState(chains, locks))
-        shuttles = _op_block(memo, kernel.successors(memo.graph.encoded, chains, locks))
+        shuttles = _op_block(memo, kernel.successors(graph.encoded, chains, locks))
         entry = memo.states[chains, locks] = (lines, _bullets(lines), shuttles)
     return entry
 
@@ -199,32 +199,30 @@ def _gate_lines(gates: tuple[Gate, ...], spots: list[str]) -> str:
     return _bullets([f"gate {g.id}: " + ", ".join(spots[q] for q in g.qubits) for g in gates])
 
 
-def _allowed_block(memo: RenderMemo, shuttles: str, chains: tuple, gates: tuple) -> str:
+def _allowed_block(
+    graph: TrapGraph, memo: RenderMemo, shuttles: str, chains: tuple, gates: tuple
+) -> str:
     """The "Allowed operations" bullets: the shuttling block, then the ready gates."""
-    ready = kernel.ready_gates(memo.graph.encoded, chains, gates)
+    ready = kernel.ready_gates(graph.encoded, chains, gates)
     if not ready:
         return shuttles or "- none"
     executes = _op_block(memo, [(kernel.EXECUTE, g, -1) for g in ready])
     return f"{shuttles}\n{executes}" if shuttles else executes
 
 
-def render_instruction(
-    graph: TrapGraph, state: TrapState, circuit: Circuit, *, memo: RenderMemo | None = None
-) -> str:
+def render_instruction(graph: TrapGraph, state: TrapState, circuit: Circuit) -> str:
     """Deterministic instruction text for one generation step.
 
     Contains the trap layout, the operation rules, the goal, and four
     enumerations: qubit positions, first-layer gates, the gates one
-    execution away, and the currently allowed operations. `memo`, a render
-    memo for `graph`, supplies and keeps the filled layout, the op lines
-    and the state's text.
+    execution away, and the currently allowed operations. The graph's
+    render memo supplies and keeps the filled layout, the op lines and the
+    state's text.
     """
     chains = state.chains
     _check_qubits(chains, circuit)
-    memo = _memo_for(graph, memo)
-    if memo.layout is None:
-        memo.layout = _layout(graph)
-    spots, positions, shuttles = _state_text(chains, state.locks, memo)
+    memo = _render_memo(graph)
+    spots, positions, shuttles = _state_text(graph, memo, chains, state.locks)
     first_layer = circuit.first_layer
     after_positions, after_first, after_next, tail = _template()[4:]
     return "".join(
@@ -241,15 +239,13 @@ def render_instruction(
                 ]
             ),
             after_next,
-            _allowed_block(memo, shuttles, chains, first_layer),
+            _allowed_block(graph, memo, shuttles, chains, first_layer),
             tail,
         )
     )
 
 
-def render_output(
-    slice: EntrySlice, graph: TrapGraph, circuit: Circuit, *, memo: RenderMemo | None = None
-) -> str:
+def render_output(slice: EntrySlice, graph: TrapGraph, circuit: Circuit) -> str:
     """Expected model output for one slice: op lines with per-op state echoes.
 
     Every op except the final `Execute Gate` is followed by the new qubit
@@ -259,9 +255,9 @@ def render_output(
     is stepped here: legality is replay's, which cut the slice (see
     schedule.decompose). A slice whose only `Execute Gate` is not its last
     op, or that lacks one state per shuttling op, or whose state does not
-    hold exactly the circuit's qubits, raises RenderError, and so does a
-    memo for another graph. `memo`, a render memo for `graph`, supplies and
-    keeps the op lines and each echoed state's text.
+    hold exactly the circuit's qubits, raises RenderError. The graph's
+    render memo supplies and keeps the op lines and each echoed state's
+    text.
     """
     executes = [i for i, op in enumerate(slice.ops) if isinstance(op, ExecuteGate)]
     if executes != [len(slice.ops) - 1] or len(slice.states) != len(slice.ops) - 1:
@@ -272,16 +268,16 @@ def render_output(
         )
     *moves, last = slice.ops
     _check_qubits(slice.state.chains, circuit)
-    memo = _memo_for(graph, memo)
+    memo = _render_memo(graph)
     first_layer = circuit.first_layer
     blocks: list[str] = []
     for op, state in zip(moves, slice.states):
         chains = state.chains
-        spots, positions, shuttles = _state_text(chains, state.locks, memo)
+        spots, positions, shuttles = _state_text(graph, memo, chains, state.locks)
         lines = [op_mod.format_op(op), "Qubit positions:", positions, "First-layer gates:"]
         lines.append(_gate_lines(first_layer, spots))
         lines.append("Allowed operations:")
-        lines.append(_allowed_block(memo, shuttles, chains, first_layer))
+        lines.append(_allowed_block(graph, memo, shuttles, chains, first_layer))
         blocks.append("\n".join(lines))
     blocks.append(op_mod.format_op(last))
     return "\n\n".join(blocks) + "\n"
@@ -355,20 +351,15 @@ def generate_dataset(
     raises ScheduleValidationError. The split is assigned per whole
     schedule: the first `train_count` become training data and the rest
     evaluation data, so no trap state from an evaluation schedule ever
-    appears in training. Schedules on the same graph object share one
-    render memo, which lives as long as the generator and holds its graph,
-    so no graph is freed while its memo is kept under its id.
+    appears in training. Schedules on the same graph object share that
+    graph's render memo.
     """
-    memos: dict[int, RenderMemo] = {}
     for index, schedule in enumerate(schedules):
         graph = schedule.graph
-        memo = memos.get(id(graph))
-        if memo is None:
-            memo = memos[id(graph)] = RenderMemo(graph)
         entries = []
         for piece in decompose(schedule):
-            instruction = render_instruction(graph, piece.state, piece.circuit, memo=memo)
-            output = render_output(piece, graph, piece.circuit, memo=memo)
+            instruction = render_instruction(graph, piece.state, piece.circuit)
+            output = render_output(piece, graph, piece.circuit)
             entries.append(DataEntry(instruction, output))
         yield ("train" if index < train_count else "eval"), entries
 

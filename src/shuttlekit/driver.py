@@ -21,7 +21,7 @@ from urllib.parse import urlsplit
 from urllib.request import Request, urlopen
 
 from .circuit import Circuit
-from .dataset import RenderMemo, parse_output, render_instruction
+from .dataset import parse_output, render_instruction
 from .errors import (
     OutputParseError,
     PermanentTransportError,
@@ -282,7 +282,8 @@ def generate_schedule(
     accepts, so a complete run is a valid schedule. The accepted slice is
     kept peephole-optimized, and the run continues from the state and
     circuit the replay ended in. The instruction is rendered once per
-    state, through one render memo that lives for this run. A rejected
+    state, through the graph's render memo, so a later run on the same
+    graph object renders a state it has seen from the memo. A rejected
     attempt, whether the client raised TransportError or the output did
     not parse or replay, counts one retry and resubmits that identical
     string. The `max_consecutive_invalid`-th rejection in a row (ten by
@@ -297,7 +298,6 @@ def generate_schedule(
     placement = initial_placement(circuit, graph)
     state = placement
     current = circuit
-    memo = RenderMemo(graph)
     instruction = None
     all_ops = []
     retries = tokens_final = tokens_total = 0
@@ -309,7 +309,7 @@ def generate_schedule(
             reason = "time budget exhausted"
             break
         if instruction is None:
-            instruction = render_instruction(graph, state, current, memo=memo)
+            instruction = render_instruction(graph, state, current)
         try:
             result = client.complete(instruction, params.max_tokens, params.temperature)
             tokens_total += result.token_count

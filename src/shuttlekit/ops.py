@@ -9,7 +9,7 @@ Gate names a first-layer gate, and otherwise fills in the template of
 the rule kernel.illegal or kernel.unready names. `encode_op` and
 `decode_op` convert between ops and kernel op codes, and `format_op` is
 the one op formatter: the dataset renderer formats each kernel op code
-it lists as `format_op(decode_op(code))`, once per render memo.
+it lists as `format_op(decode_op(code))`, once per trap graph.
 Executing a gate leaves the chain state untouched; callers advance the
 circuit separately.
 """

@@ -379,6 +379,17 @@ def test_report_names_a_malformed_records_line(tmp_path, capsys, line, reason):
     assert captured.err.startswith(f"error: records line 3: {reason}")
 
 
+def test_report_has_no_jsonl_flag(tmp_path, capsys):
+    """`report` only formats records; it has no flag that writes them back."""
+    records, out = tmp_path / "records.jsonl", tmp_path / "out.jsonl"
+    records.write_text('{"circuit": "c", "result": "5"}\n', encoding="utf-8")
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["report", "--records", str(records), "--jsonl", str(out)])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --jsonl" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("which", ["trap", "circuit", "schedule", "records"])
 def test_a_file_that_is_not_utf8_is_named_without_traceback(tmp_path, capsys, which):
     trap_file, circuit_file = write_inputs(

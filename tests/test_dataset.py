@@ -13,7 +13,6 @@ from shuttlekit import schedule as schedule_mod
 from shuttlekit.circuit import Circuit, Gate, parse_circuit
 from shuttlekit.dataset import (
     DataEntry,
-    RenderMemo,
     generate_dataset,
     render_instruction,
     render_output,
@@ -157,19 +156,23 @@ def test_generated_dataset_replays_each_compiled_schedule_once(monkeypatch):
 # sha256 of the files written by
 #   gen-dataset --schedule perfbench/inputs/schedule_d200.txt
 #               --schedule perfbench/inputs/schedule_d400.txt
-# which renders long schedules through generate_dataset's render memo.
+# which renders long schedules through their one trap graph's render memo.
 SCHEDULE_GOLDEN = {
     "train.jsonl": "ff25fc88c1a8518fc8660a2bbd7b435144c4145b19b6538a5fdf0704231c1cf5",
     "eval.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 }
 
 
-def test_gen_dataset_from_schedule_files_matches_golden_snapshot(tmp_path, capsys):
+def test_gen_dataset_from_schedule_files_matches_golden_snapshot(tmp_path, capsys, monkeypatch):
+    """Both files name linear4.json, so they share one graph and render its 688 states once."""
+    calls = {"successors": 0}
+    monkeypatch.setattr(kernel, "successors", counting(calls, "successors", kernel.successors))
     argv = ["gen-dataset", "--out-dir", str(tmp_path)]
     for name in ("schedule_d200.txt", "schedule_d400.txt"):
         argv += ["--schedule", str(INPUTS / name)]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == "train entries: 1736\neval entries: 0\n"
+    assert calls == {"successors": 688}
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in SCHEDULE_GOLDEN
@@ -183,7 +186,7 @@ def _allowed_text(state, graph, circuit):
 
 
 def test_rendered_allowed_operations_equal_allowed_ops():
-    """Every "Allowed operations" block, memo or none, is ops.allowed_ops formatted."""
+    """Every "Allowed operations" block, in an entry or a render, is ops.allowed_ops formatted."""
     schedules = render_corpus()
     entries = iter(rendered(schedules, len(schedules)))
     echoes = 0
@@ -298,7 +301,7 @@ def test_rendering_a_state_without_the_circuits_qubits_is_an_error(chains):
 
 
 def test_generate_dataset_renders_each_distinct_state_once(monkeypatch):
-    """One kernel.successors call per distinct (graph, chains, locks), per generator run."""
+    """One kernel.successors call per distinct (graph, chains, locks), for the graph's lifetime."""
     linear, ring = trap.build_linear(3), trap.build_eval_layout("ring", 4)
     schedules = [
         *baseline.compile_many([baseline.random_circuit(3, 6, seed) for seed in range(4)], linear),
@@ -327,11 +330,11 @@ def test_generate_dataset_renders_each_distinct_state_once(monkeypatch):
     first = list(generate_dataset(schedules, len(schedules) // 2))
     assert calls == len(distinct)
     assert list(generate_dataset(schedules, len(schedules) // 2)) == first
-    assert calls == 2 * len(distinct)
+    assert calls == len(distinct)
 
 
 def test_generate_dataset_builds_the_layout_once_per_graph(monkeypatch):
-    """The "Trap layout" block is built once per distinct graph object, per generator run."""
+    """The "Trap layout" block is built once per distinct graph object, for its lifetime."""
     linear, ring = trap.build_linear(3), trap.build_eval_layout("ring", 4)
     schedules = [
         *baseline.compile_many([baseline.random_circuit(3, 6, seed) for seed in range(3)], linear),
@@ -350,7 +353,7 @@ def test_generate_dataset_builds_the_layout_once_per_graph(monkeypatch):
     assert sum(len(entries) for _, entries in first) > len(schedules)
     assert built == [linear, ring]
     assert list(generate_dataset(schedules, len(schedules) // 2)) == first
-    assert built == [linear, ring, linear, ring]
+    assert built == [linear, ring]
 
 
 TEMPLATE_TEXT = files("shuttlekit").joinpath("templates/instruction_v1.txt").read_text()
@@ -380,7 +383,7 @@ def reference_instruction(graph, state, circuit):
 
 
 def test_instructions_equal_the_template_substituted():
-    """Joined template pieces equal Template.substitute, memo or none, junction locks included."""
+    """Joined template pieces equal Template.substitute, junction locks included."""
     schedules = render_corpus()
     entries = iter(rendered(schedules, len(schedules)))
     locked = 0
@@ -411,16 +414,38 @@ def test_cutting_a_template_without_exactly_the_renderers_fields_fails(text, mes
         dataset._cut(text)
 
 
-def test_a_memo_for_another_graph_is_rejected():
-    """A memo serves the graph object it was made for, not an equal copy."""
-    state = TrapState.from_dicts(LINEAR2, {0: (0,), 4: (1,)})
-    piece = EntrySlice(state, ONE_GATE, tuple(map(ops.parse_op, ROUTE)), (state,) * 3)
-    memo = RenderMemo(trap.build_linear(2))
-    with pytest.raises(RenderError, match="serves another trap graph"):
-        render_instruction(LINEAR2, state, ONE_GATE, memo=memo)
-    with pytest.raises(RenderError, match="serves another trap graph"):
-        render_output(piece, LINEAR2, ONE_GATE, memo=memo)
-    assert memo.layout is None and memo.states == {}
+def test_equal_graphs_render_alike_each_through_its_own_memo():
+    """Equal graph objects render the same text; a render on one leaves the other's memo empty."""
+    graphs = (trap.build_linear(2), trap.build_linear(2))
+    assert graphs[0] == graphs[1] and graphs[0] is not graphs[1]
+    texts = []
+    for graph in graphs:
+        assert "_render_memo" not in graph.__dict__
+        state = TrapState.from_dicts(graph, {0: (0,), 4: (1,)})
+        piece = EntrySlice(state, ONE_GATE, tuple(map(ops.parse_op, ROUTE)), (state,) * 3)
+        instruction = render_instruction(graph, state, ONE_GATE)
+        texts.append((instruction, render_output(piece, graph, ONE_GATE)))
+        assert len(dataset._render_memo(graph).states) == 1
+    assert texts[0] == texts[1]
+    assert dataset._render_memo(graphs[0]) is not dataset._render_memo(graphs[1])
+
+
+def test_rendering_each_slice_alone_renders_each_state_once(monkeypatch):
+    """Separate render_output calls share the graph's memo, which then serves every instruction.
+
+    Each distinct echoed state of schedule_d400.txt costs one kernel.successors
+    call; every slice start is also an echoed state, so no instruction costs one.
+    """
+    schedule = render_corpus()[1]
+    slices = decompose(schedule)
+    calls = {"successors": 0}
+    monkeypatch.setattr(kernel, "successors", counting(calls, "successors", kernel.successors))
+    for piece in slices:
+        render_output(piece, schedule.graph, piece.circuit)
+    assert calls == {"successors": 688}
+    for piece in slices:
+        render_instruction(schedule.graph, piece.state, piece.circuit)
+    assert calls == {"successors": 688}
 
 
 def test_a_freed_trap_never_lends_its_memo_to_the_next():

@@ -6,7 +6,7 @@ from urllib.error import HTTPError, URLError
 
 import pytest
 
-from shuttlekit import baseline, driver, ops, trap
+from shuttlekit import baseline, driver, kernel, ops, trap
 from shuttlekit.baseline import random_circuit
 from shuttlekit.circuit import Circuit, Gate
 from shuttlekit.dataset import parse_output, render_instruction, render_output
@@ -93,7 +93,7 @@ def test_faulty_outputs_are_retried_and_redundancy_trimmed():
 
 
 def test_each_state_is_rendered_once_and_retries_resend_it(monkeypatch):
-    """One render per executed gate; every instruction equals a memo-free render."""
+    """One render per executed gate; every retry resends its state's one rendered instruction."""
     renders = 0
 
     def counted(*args, **kwargs):
@@ -108,6 +108,19 @@ def test_each_state_is_rendered_once_and_retries_resend_it(monkeypatch):
     assert renders == stats.gates_executed == len(SLICES)
     fresh = [render_instruction(GRAPH, piece.state, piece.circuit) for piece in SLICES]
     assert client.calls == [fresh[i] for i in (0, 0, 1, 1, 2, 2)] + fresh[3:]
+
+
+def test_runs_on_one_graph_share_its_render_memo(monkeypatch):
+    """A state's text outlives the run that rendered it, so a rerun on the graph renders none."""
+    graph, calls, totals = trap.build_linear(2), [], []
+    successors = kernel.successors
+    monkeypatch.setattr(kernel, "successors", lambda *args: calls.append(args) or successors(*args))
+    for _ in range(2):
+        client = MockCompletionClient(OUTPUTS)
+        _, stats = generate_schedule(CIRCUIT, graph, client, clock=lambda: 0.0)
+        assert stats.outcome == "complete"
+        totals.append(len(calls))
+    assert totals == [len({(p.state.chains, p.state.locks) for p in SLICES})] * 2
 
 
 def test_accepted_slices_are_stepped_once(monkeypatch):

@@ -8,7 +8,10 @@ text, one per slice, and then every instruction generate_schedule sends to
 the scripted client, retries included, so it changes when any rendered
 prompt or target of that run does. Stdout holds the digest alone; stderr
 gets one line per file with its slice, instruction and retry counts and the
-run's outcome.
+run's outcome. Its last line totals the render work, the kernel.successors
+calls of the whole run: "render work: N kernel.successors calls". A change
+that renders the same text with different work moves that line and not the
+digest.
 
     python tools/prompt_digest.py --seed 1
 """
@@ -32,6 +35,15 @@ def prompt_digest(seed: int) -> str:
     workload = ReplayLong()
     workload.setup(lib, seed)
     digest = hashlib.sha256()
+    calls = 0
+    successors = lib.kernel.successors
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return successors(*args)
+
+    lib.kernel.successors = counted
     for name, text, graph, circuit, plan in workload.files:
         schedule = lib.schedule.parse_schedule(text, graph, circuit)
         slices = lib.schedule.decompose(schedule)
@@ -48,6 +60,7 @@ def prompt_digest(seed: int) -> str:
         for rendered in outputs + client.calls:
             digest.update(rendered.encode())
             digest.update(b"\0")
+    print(f"render work: {calls} kernel.successors calls", file=sys.stderr)
     return digest.hexdigest()
 
 
