@@ -297,7 +297,7 @@ def _route(
                 if after is None:
                     raise CompileError(
                         f"the route to gate {gate.id} takes "
-                        f"{op_mod.format_op(op_mod.decode_op(code))}, which is illegal in "
+                        f"{op_mod.format_op(code)}, which is illegal in "
                         "the router's current state; this is a router defect, which does "
                         "not prove that the circuit has no schedule"
                     )
@@ -366,8 +366,7 @@ def compile_many(circuits: Iterable[Circuit], graph: TrapGraph) -> Iterator[Sche
         except PlacementError as exc:
             raise CompileError(str(exc)) from exc
         codes = _route(graph.encoded, tables, routes, circuit, placement.chains, placement.locks)
-        ops = tuple(op_mod.decode_op(code) for code in codes)
-        schedule = Schedule(graph, circuit, placement, ops)
+        schedule = Schedule(graph, circuit, placement, tuple(map(op_mod.decode_op, codes)))
         try:
             decompose(schedule)
         except ScheduleValidationError as exc:

@@ -45,7 +45,7 @@ from . import kernel
 from . import ops as op_mod
 from .circuit import Circuit, Gate
 from .errors import OutputParseError, RenderError
-from .ops import ExecuteGate, ShuttleOp
+from .ops import ShuttleOp
 from .schedule import EntrySlice, Schedule, decompose
 from .state import TrapState, position_lines
 from .trap import ELIGIBILITY_FLAGS, TrapGraph, VertexKind
@@ -169,7 +169,7 @@ def _op_block(memo: RenderMemo, codes) -> str:
     for code in codes:
         line = table.get(code)
         if line is None:
-            line = table[code] = "- " + op_mod.format_op(op_mod.decode_op(code))
+            line = table[code] = "- " + op_mod.format_op(code)
         lines.append(line)
     return "\n".join(lines)
 
@@ -259,7 +259,7 @@ def render_output(slice: EntrySlice, graph: TrapGraph, circuit: Circuit) -> str:
     render memo supplies and keeps the op lines and each echoed state's
     text.
     """
-    executes = [i for i, op in enumerate(slice.ops) if isinstance(op, ExecuteGate)]
+    executes = [i for i, op in enumerate(slice.ops) if op.kind == kernel.EXECUTE]
     if executes != [len(slice.ops) - 1] or len(slice.states) != len(slice.ops) - 1:
         raise RenderError(
             "a slice must end in its only Execute Gate, with one state per shuttling op; "
@@ -326,7 +326,7 @@ def parse_output(text: str) -> list[ShuttleOp]:
         except ValueError:
             raise OutputParseError(f"line {lineno}: malformed operation {line!r}") from None
         ops.append(op)
-        if isinstance(op, ExecuteGate):
+        if op.kind == kernel.EXECUTE:
             return ops
     raise OutputParseError("output contains no Execute Gate line")
 

@@ -24,8 +24,8 @@ graph, whose static site tables settle every state-independent condition
 (flags, lateral pairs, junction sides). Gates come as Circuit.first_layer
 gives them; only their `id` and `qubits` are read. Op codes are
 (kind, a, b) with kinds 0=Translate(src, dst), 1=Separate(v), 2=Merge(v),
-3=Swap(v), 4=ExecuteGate(gate), b = -1 for one operand; ops.decode_op
-turns one into a ShuttleOp.
+3=Swap(v), 4=ExecuteGate(gate), b = -1 for one operand; each ops.ShuttleOp
+is one, so ops come to these functions as they are.
 """
 
 from __future__ import annotations

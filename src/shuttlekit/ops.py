@@ -1,23 +1,21 @@
 """The five schedule operations: stepping, enumeration, rejection text, op text.
 
-The kernel states every rule: `apply`, which schedule.replay calls for
-each op, steps a shuttling op through kernel.transition, checks an
+An op is its kernel op code, the named tuple `ShuttleOp` (kind, a, b);
+each of the five op types fixes its kind, and `decode_op` types a plain
+code. The kernel states every rule: `apply`, which schedule.replay calls
+for each op, steps a shuttling op through kernel.transition, checks an
 Execute Gate with kernel.unready and raises the rejection of an illegal
-op, and `allowed_ops` lists the codes kernel.successors gives and the
-gates kernel.ready_gates gives. violation() only checks that an Execute
-Gate names a first-layer gate, and otherwise fills in the template of
-the rule kernel.illegal or kernel.unready names. `encode_op` and
-`decode_op` convert between ops and kernel op codes, and `format_op` is
-the one op formatter: the dataset renderer formats each kernel op code
-it lists as `format_op(decode_op(code))`, once per trap graph.
-Executing a gate leaves the chain state untouched; callers advance the
-circuit separately.
+op; `allowed_ops` lists what kernel.successors and kernel.ready_gates
+allow. violation() only checks that an Execute Gate names a first-layer
+gate, and otherwise fills in the template of the rule kernel.illegal or
+kernel.unready names. Executing a gate changes no chain; callers advance
+the circuit separately.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernel
 from .circuit import Circuit
@@ -26,35 +24,49 @@ from .state import TrapState
 from .trap import TrapGraph
 
 
-@dataclass(frozen=True)
-class Translate:
-    src: int
-    dst: int
+class ShuttleOp(NamedTuple):
+    """One operation as its kernel op code (kind, a, b); b is -1 for one operand."""
+
+    kind: int
+    a: int
+    b: int = -1
 
 
-@dataclass(frozen=True)
-class Separate:
-    at: int
+class Translate(ShuttleOp):
+    __slots__ = ()
+    src, dst = ShuttleOp.a, ShuttleOp.b
+
+    def __new__(cls, src: int, dst: int) -> Translate:
+        return tuple.__new__(cls, (kernel.TRANSLATE, src, dst))
 
 
-@dataclass(frozen=True)
-class Merge:
-    at: int
+class _OneOperand(ShuttleOp):
+    __slots__ = ()
+
+    def __new__(cls, a: int) -> _OneOperand:
+        return tuple.__new__(cls, (cls.KIND, a, -1))
 
 
-@dataclass(frozen=True)
-class Swap:
-    at: int
+class Separate(_OneOperand):
+    __slots__ = ()
+    KIND = kernel.SEPARATE
 
 
-@dataclass(frozen=True)
-class ExecuteGate:
-    gate: int
+class Merge(_OneOperand):
+    __slots__ = ()
+    KIND = kernel.MERGE
 
 
-ShuttleOp = Translate | Separate | Merge | Swap | ExecuteGate
+class Swap(_OneOperand):
+    __slots__ = ()
+    KIND = kernel.SWAP
 
-# The op type of each kernel op kind (kernel.TRANSLATE .. kernel.EXECUTE), by kind.
+
+class ExecuteGate(_OneOperand):
+    __slots__ = ()
+    KIND = kernel.EXECUTE
+
+
 _OP_TYPES: tuple[type, ...] = (Translate, Separate, Merge, Swap, ExecuteGate)
 
 
@@ -67,7 +79,7 @@ def violation(
     that, the kernel words the rule as a template, kernel.illegal for a
     shuttling op and kernel.unready for a gate, and this fills in its numbers.
     """
-    kind, a, b = code = encode_op(op)
+    kind, a, b = op
     trap, chains = graph.encoded, state.chains
     qubits, pair = (), None
     if kind == kernel.EXECUTE:
@@ -80,7 +92,7 @@ def violation(
             qubits = gate.qubits
             template = kernel.unready(trap, chains, qubits)
     else:
-        template = kernel.illegal(trap, chains, state.locks, code)
+        template = kernel.illegal(trap, chains, state.locks, op)
         pair = graph.lateral_pair(a) if a in graph.vertices else None
     if template is None:
         return None
@@ -106,16 +118,16 @@ def apply(state: TrapState, graph: TrapGraph, circuit: Circuit, op: ShuttleOp) -
     returns the state unchanged. Only a rejection calls violation(), to
     word it: the error reads "<op line>: <rule>".
     """
-    if isinstance(op, ExecuteGate):
-        gate = circuit.gate_by_id.get(op.gate)
+    if op.kind == kernel.EXECUTE:
+        gate = circuit.gate_by_id.get(op.a)
         if (
             gate is not None
-            and circuit.in_first_layer(op.gate)
+            and circuit.in_first_layer(op.a)
             and kernel.unready(graph.encoded, state.chains, gate.qubits) is None
         ):
             return state
     else:
-        after = kernel.transition(graph.encoded, state.chains, state.locks, encode_op(op))
+        after = kernel.transition(graph.encoded, state.chains, state.locks, op)
         if after is not None:
             return TrapState(*after)
     raise IllegalOperationError(f"{format_op(op)}: {violation(state, graph, circuit, op)}")
@@ -134,40 +146,27 @@ def allowed_ops(state: TrapState, graph: TrapGraph, circuit: Circuit) -> list[Sh
     return [decode_op(code) for code in codes] + [ExecuteGate(g) for g in ready]
 
 
-def encode_op(op: ShuttleOp) -> tuple[int, int, int]:
-    """The kernel op code (kind, a, b) of an operation; the inverse of `decode_op`.
-
-    Ids are not checked here: kernel.transition bounds-checks every vertex.
-    """
-    if isinstance(op, Translate):
-        return (kernel.TRANSLATE, op.src, op.dst)
-    if isinstance(op, ExecuteGate):
-        return (kernel.EXECUTE, op.gate, -1)
-    if isinstance(op, (Separate, Merge, Swap)):
-        return (_OP_TYPES.index(type(op)), op.at, -1)
-    raise TypeError(f"not an operation: {op!r}")
-
-
 def decode_op(code: tuple[int, int, int]) -> ShuttleOp:
-    """The operation a kernel op code (kind, a, b) stands for; the inverse of `encode_op`."""
+    """The typed op equal to a plain kernel op code (kind, a, b); ids are not checked."""
     kind, a, b = code
     if not 0 <= kind < len(_OP_TYPES):
         raise ValueError(f"unknown kernel op code {kind}")
     return Translate(a, b) if kind == kernel.TRANSLATE else _OP_TYPES[kind](a)
 
 
-def format_op(op: ShuttleOp) -> str:
-    if isinstance(op, Translate):
-        return f"Translate {op.src} -> {op.dst}"
-    if isinstance(op, Separate):
-        return f"Separate {op.at}"
-    if isinstance(op, Merge):
-        return f"Merge {op.at}"
-    if isinstance(op, Swap):
-        return f"Swap {op.at}"
-    if isinstance(op, ExecuteGate):
-        return f"Execute Gate {op.gate}"
-    raise TypeError(f"not an operation: {op!r}")
+def format_op(op: ShuttleOp | tuple[int, int, int]) -> str:
+    kind, a, b = op
+    if kind == kernel.TRANSLATE:
+        return f"Translate {a} -> {b}"
+    if kind == kernel.SEPARATE:
+        return f"Separate {a}"
+    if kind == kernel.MERGE:
+        return f"Merge {a}"
+    if kind == kernel.SWAP:
+        return f"Swap {a}"
+    if kind == kernel.EXECUTE:
+        return f"Execute Gate {a}"
+    raise ValueError(f"unknown kernel op code {kind}")
 
 
 _OP_PATTERNS: tuple[tuple[re.Pattern, type], ...] = (

@@ -29,7 +29,8 @@ from .errors import (
     ScheduleError,
     ScheduleValidationError,
 )
-from .ops import ExecuteGate, ShuttleOp
+from .kernel import EXECUTE
+from .ops import ShuttleOp
 from .state import TrapState
 from .trap import TrapGraph
 
@@ -81,9 +82,9 @@ class EntrySlice:
 
     @property
     def gate(self) -> int:
-        last = self.ops[-1]
-        assert isinstance(last, ExecuteGate)
-        return last.gate
+        kind, gate, _ = self.ops[-1]
+        assert kind == EXECUTE
+        return gate
 
 
 def step(
@@ -91,8 +92,8 @@ def step(
 ) -> tuple[TrapState, Circuit]:
     """Apply one op to the (state, circuit) pair."""
     state = op_mod.apply(state, graph, circuit, op)
-    if isinstance(op, ExecuteGate):
-        circuit = circuit.mark_executed(op.gate)
+    if op.kind == EXECUTE:
+        circuit = circuit.mark_executed(op.a)
     return state, circuit
 
 
@@ -131,7 +132,7 @@ def replay(
         except IllegalOperationError as exc:
             report = ValidationReport(False, index, str(exc), len(slices), None)
             return report, slices, [op for op, _ in kept], circuit
-        if isinstance(op, ExecuteGate):
+        if op.kind == EXECUTE:
             piece = EntrySlice(slice_state, slice_circuit, tuple(ops[start : index + 1]), tuple(states))
             slices.append(piece)
             slice_state, slice_circuit, states, start = after, circuit, [], index + 1

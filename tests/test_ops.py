@@ -18,9 +18,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shuttlekit import kernel, ops, trap
+from shuttlekit import baseline, kernel, ops, trap
 from shuttlekit.baseline import ORACLE_MAX_VERTICES, bfs_next_gate, random_circuit
 from shuttlekit.circuit import Circuit, Gate
+from shuttlekit.dataset import parse_output, render_output
+from shuttlekit.driver import MockCompletionClient, generate_schedule
 from shuttlekit.errors import IllegalOperationError, NoRouteError
 from shuttlekit.ops import (
     ExecuteGate,
@@ -31,11 +33,11 @@ from shuttlekit.ops import (
     allowed_ops,
     apply,
     decode_op,
-    encode_op,
     format_op,
     parse_op,
     violation,
 )
+from shuttlekit.schedule import decompose
 from shuttlekit.state import TrapState, initial_placement
 
 
@@ -368,11 +370,7 @@ def test_reachable_states_conserve_qubits():
                     assert held == sorted(q for chain in state.chains for q in chain)
                     for chain in after.chains:
                         assert len(chain) <= graph.capacity
-                    circ2 = (
-                        circ.mark_executed(op.gate)
-                        if isinstance(op, ExecuteGate)
-                        else circ
-                    )
+                    circ2 = circ.mark_executed(op.a) if op.kind == kernel.EXECUTE else circ
                     key = (visited_key(after), frozenset(circ2.executed))
                     if key not in seen:
                         seen.add(key)
@@ -386,14 +384,6 @@ def test_reachable_states_conserve_qubits():
 
 
 # -- kernel against the per-op rules ----------------------------------------------
-
-
-def kernel_code(op):
-    """The kernel op code (kind, a, b) of a shuttling op."""
-    if isinstance(op, Translate):
-        return (kernel.TRANSLATE, op.src, op.dst)
-    kinds = {Separate: kernel.SEPARATE, Merge: kernel.MERGE, Swap: kernel.SWAP}
-    return (kinds[type(op)], op.at, -1)
 
 
 def successor_states(enc, chains, locks):
@@ -411,14 +401,6 @@ def beyond_the_trap(n):
         Translate(n, 0), Translate(0, n), Translate(n, n + 1), Translate(huge, 1),
         Translate(1, huge), Separate(n), Merge(n), Swap(n), Swap(huge), Merge(77777777777),
     ]
-
-
-def canonical_key(op):
-    """allowed_ops order: Translates by (src, dst), Separate, Merge, Swap, Execute."""
-    if isinstance(op, Translate):
-        return (0, op.src, op.dst)
-    kinds = (Separate, Merge, Swap, ExecuteGate)
-    return (kinds.index(type(op)) + 1, op.gate if isinstance(op, ExecuteGate) else op.at)
 
 
 # Gate vertex 2 has junction 1 on its left lateral side, so no state may
@@ -489,18 +471,16 @@ def test_kernel_matches_violation_on_random_walks(graph, qubits):
                 if violation(state, graph, circuit, op) is None
             ]
             listed = allowed_ops(state, graph, circuit)
-            assert listed == sorted(legal, key=canonical_key)
+            assert listed == sorted(legal)
             accepted = []
             for op in every_op(graph, circuit) + beyond_the_trap(trap_enc[0]):
-                if isinstance(op, ExecuteGate):
+                if op.kind == kernel.EXECUTE:
                     continue
-                code = kernel_code(op)
-                assert ops.decode_op(code) == op
-                after = kernel.transition(trap_enc, state.chains, state.locks, code)
+                after = kernel.transition(trap_enc, state.chains, state.locks, op)
                 reason = violation(state, graph, circuit, op)
                 assert (after is None) == (reason is not None)
                 if after is not None:
-                    accepted.append(code)
+                    accepted.append(op)
                     assert apply(state, graph, circuit, op) == TrapState(*after)
                     continue
                 with pytest.raises(IllegalOperationError) as rejected:
@@ -525,8 +505,8 @@ def test_kernel_matches_violation_on_random_walks(graph, qubits):
                     replayed, replay_circuit = state, circuit
                     for op in route:
                         replayed = apply(replayed, graph, replay_circuit, op)
-                        if isinstance(op, ExecuteGate):
-                            replay_circuit = replay_circuit.mark_executed(op.gate)
+                        if op.kind == kernel.EXECUTE:
+                            replay_circuit = replay_circuit.mark_executed(op.a)
                     assert isinstance(route[-1], ExecuteGate)
                     assert sum(isinstance(op, ExecuteGate) for op in route) == 1
                     routes += 1
@@ -534,8 +514,8 @@ def test_kernel_matches_violation_on_random_walks(graph, qubits):
                 break
             op = rng.choice(listed)
             state = apply(state, graph, circuit, op)
-            if isinstance(op, ExecuteGate):
-                circuit = circuit.mark_executed(op.gate)
+            if op.kind == kernel.EXECUTE:
+                circuit = circuit.mark_executed(op.a)
     assert not oracle or routes > 0
 
 
@@ -724,17 +704,81 @@ def test_op_text_round_trip(op, line):
     ],
 )
 def test_op_code_round_trip(op, code):
-    """encode_op and decode_op are inverses on every kind, ids unchecked."""
-    assert encode_op(op) == code
+    """An op is its kernel op code, and decode_op types the code back, ids unchecked."""
+    assert op == code
     assert decode_op(code) == op
+    assert type(decode_op(code)) is type(op)
 
 
 def test_op_codes_reject_what_is_no_op():
-    with pytest.raises(TypeError):
-        encode_op("Swap 1")
     for kind in (-1, 5):
         with pytest.raises(ValueError):
             decode_op((kind, 0, -1))
+
+
+OP_TYPES = {
+    kernel.TRANSLATE: Translate,
+    kernel.SEPARATE: Separate,
+    kernel.MERGE: Merge,
+    kernel.SWAP: Swap,
+    kernel.EXECUTE: ExecuteGate,
+}
+
+
+def step_as_codes(where, graph, state, circuit, run):
+    """Step the ops of run from (state, circuit), holding each to be its own kernel op code.
+
+    Each op is of the type its kind names and equals its plain code (kind,
+    a, b); a shuttling op steps through kernel.transition as it is, and an
+    Execute Gate through apply. Returns the (state, circuit) reached.
+    """
+    for op in run:
+        assert type(op) is OP_TYPES[op.kind], (where, op)
+        assert op == tuple(op) == (op.kind, op.a, op.b), (where, op)
+        assert op.kind == kernel.TRANSLATE or op.b == -1, (where, op)
+        if op.kind == kernel.EXECUTE:
+            assert apply(state, graph, circuit, op) is state, (where, op)
+            circuit = circuit.mark_executed(op.a)
+            continue
+        after = kernel.transition(graph.encoded, state.chains, state.locks, op)
+        assert after is not None, (where, op)
+        state = TrapState(*after)
+    return state, circuit
+
+
+@pytest.mark.parametrize("graph", [LINEAR2, BRANCHED], ids=["linear2", "branched111"])
+def test_every_returned_op_is_its_kernel_code(graph):
+    """Every public function that returns ops returns ops that are their kernel op codes.
+
+    Checked on the ops of parse_op, dataset.parse_output, allowed_ops,
+    compile, compile_many, bfs_next_gate, decompose's slices and
+    generate_schedule's schedule, each stepped from where it applies.
+    """
+    circuits = [random_circuit(3, 4, seed) for seed in range(2)]
+    compiled = baseline.compile(circuits[0], graph)
+    start, circuit = compiled.placement, compiled.circuit
+    runs = {"compile": (start, circuit, compiled.ops)}
+    for i, schedule in enumerate(baseline.compile_many(circuits, graph)):
+        runs[f"compile_many {i}"] = (schedule.placement, schedule.circuit, schedule.ops)
+    runs["parse_op"] = (start, circuit, [parse_op(format_op(op)) for op in compiled.ops])
+    runs["bfs_next_gate"] = (start, circuit, bfs_next_gate(start, graph, circuit))
+    pieces = decompose(compiled)
+    outputs = [render_output(piece, graph, piece.circuit) for piece in pieces]
+    for i, (piece, output) in enumerate(zip(pieces, outputs)):
+        runs[f"slice {i}"] = (piece.state, piece.circuit, piece.ops)
+        runs[f"parse_output {i}"] = (piece.state, piece.circuit, parse_output(output))
+    generated, _ = generate_schedule(
+        circuit, graph, MockCompletionClient(outputs), clock=lambda: 0.0
+    )
+    runs["generate_schedule"] = (start, circuit, generated.ops)
+    for where, (state, at, run) in runs.items():
+        assert run, where
+        step_as_codes(where, graph, state, at, run)
+    state = start
+    for op in compiled.ops:
+        for allowed in allowed_ops(state, graph, circuit):
+            step_as_codes("allowed_ops", graph, state, circuit, [allowed])
+        state, circuit = step_as_codes("compile", graph, state, circuit, [op])
 
 
 @pytest.mark.parametrize(

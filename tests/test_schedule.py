@@ -291,8 +291,8 @@ def test_optimize_preserves_execute_subsequence_and_final_state():
     locked = 0
     for sched in cases:
         out = run_optimize(sched)
-        gates = [op.gate for op in sched.ops if isinstance(op, ExecuteGate)]
-        assert [op.gate for op in out if isinstance(op, ExecuteGate)] == gates
+        gates = [op.a for op in sched.ops if isinstance(op, ExecuteGate)]
+        assert [op.a for op in out if isinstance(op, ExecuteGate)] == gates
         slim = Schedule(sched.graph, sched.circuit, sched.placement, tuple(out))
         before, after = validate(sched), validate(slim)
         assert after.ok
@@ -353,9 +353,9 @@ def test_optimize_removes_injected_redundancy():
 PAIR_SHAPES = (
     lambda a, b: isinstance(a, Translate) and isinstance(b, Translate)
     and a.src == b.dst and a.dst == b.src,
-    lambda a, b: isinstance(a, Merge) and isinstance(b, Separate) and a.at == b.at,
-    lambda a, b: isinstance(a, Separate) and isinstance(b, Merge) and a.at == b.at,
-    lambda a, b: isinstance(a, Swap) and isinstance(b, Swap) and a.at == b.at,
+    lambda a, b: isinstance(a, Merge) and isinstance(b, Separate) and a.a == b.a,
+    lambda a, b: isinstance(a, Separate) and isinstance(b, Merge) and a.a == b.a,
+    lambda a, b: isinstance(a, Swap) and isinstance(b, Swap) and a.a == b.a,
 )
 
 
@@ -377,9 +377,9 @@ def inverse(op):
     if isinstance(op, Translate):
         return Translate(op.dst, op.src)
     if isinstance(op, Merge):
-        return Separate(op.at)
+        return Separate(op.a)
     if isinstance(op, Separate):
-        return Merge(op.at)
+        return Merge(op.a)
     return op if isinstance(op, Swap) else None
 
 

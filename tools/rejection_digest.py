@@ -84,7 +84,7 @@ def probe_lines(walks: int, steps: int, arbitrary: int):
                 op = rng.choice(listed)
                 state = ops.apply(state, graph, circuit, op)
                 if isinstance(op, ops.ExecuteGate):
-                    circuit = circuit.mark_executed(op.gate)
+                    circuit = circuit.mark_executed(op.a)
             for _ in range(arbitrary):
                 circuit = random_circuit(qubits, 4, seed)
                 for _ in range(rng.randint(0, len(circuit.gates))):
