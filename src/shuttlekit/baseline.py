@@ -6,9 +6,10 @@ gate is ready, one weighted best-first search over the kernel encoding
 (kernel.route_search) finds a short op sequence from the current state to
 a state where one is and no chain rests on a junction, and the router
 commits it and executes the lowest-numbered ready gate there. The search
-dedups states by an exact integer key, works on the tuple encoding and
-returns the op codes it applied; this module supplies its estimate, its
-seal-penalty table, its goal mask and cap, and words its failures.
+keeps each state as its exact integer key and its packed positions, and
+returns the op codes it applied; this module supplies its estimate, which
+reads those two ints, its seal-penalty table, its goal mask and cap, and
+words its failures.
 Before that search a reachability check (kernel.reachable_gates) stops the
 compile at once when junction locks have sealed every first-layer gate's
 operands apart. Each failure names the lowest-numbered first-layer gate.
@@ -148,12 +149,15 @@ def _search_tables(graph: TrapGraph) -> _SearchTables:
     return _SearchTables(n, far, paths, seal_exits, junction_mask)
 
 
-def _estimate(tables: _SearchTables, gates: tuple, greedy: bool):
-    """The search estimate for first-layer `gates`, as h(chains, packed).
+def _estimate(tables: _SearchTables, gates: tuple, greedy: bool, layout: kernel.KeyLayout):
+    """The search estimate for first-layer `gates`, as h(key, packed).
 
-    `packed` is kernel.positions of `chains`: each operand's vertex is read
-    from it through that operand's kernel.position_shift, and its low n
-    bits are the occupancy mask, which the corridor masks select from.
+    `key` is a state's kernel.route_search key, laid out by `layout`, and
+    `packed` its kernel.positions: each operand's vertex is read from
+    `packed` through that operand's kernel.position_shift, its low n bits
+    are the occupancy mask, which the corridor masks select from, and the
+    length of the chain at a vertex is read off that vertex's code in
+    `key` through `layout.length`.
 
     For operands at va and vb (vb == va for one qubit or one shared chain)
     and `held` qubits in their chains, h is the minimum over gates and gate
@@ -162,20 +166,24 @@ def _estimate(tables: _SearchTables, gates: tuple, greedy: bool):
     vertex, a term per qubit sharing an operand's chain, one for the
     execute, and a term per other occupied vertex on a shortest path there.
     (stranger, crowd) is (1, 0) in exact mode and (3, 2) in greedy mode;
-    exact mode skips the corridor term, which is 0 there. The result is 1 exactly when some gate is ready: its operands alone
-    fill a gate vertex's chain.
+    exact mode skips the corridor term, which is 0 there. The result is 1
+    exactly when some gate is ready: its operands alone fill a gate
+    vertex's chain.
     """
     far, n, paths = tables.far, tables.n, tables.paths
     stranger, crowd = (3, 2) if greedy else (1, 0)
     vertex_field = (1 << n.bit_length()) - 1
+    field, shift, length = layout.field, layout.shift, layout.length
     operands = [tuple(kernel.position_shift(n, q) for q in gate.qubits) for gate in gates]
 
-    def estimate(chains: tuple, packed: int) -> int:
+    def estimate(key: int, packed: int) -> int:
         best = far
         for shifts in operands:
             va = packed >> shifts[0] & vertex_field
             vb = packed >> shifts[-1] & vertex_field
-            held = len(chains[va]) if va == vb else len(chains[va]) + len(chains[vb])
+            held = length[key >> shift[va] & field]
+            if va != vb:
+                held += length[key >> shift[vb] & field]
             base = stranger * (held - len(shifts)) + 1
             for distance, corridor in paths:
                 cand = distance[va][vb] + base
@@ -234,7 +242,7 @@ def _search_next(
         chains,
         locks,
         circuit.qubit_count,
-        estimate=_estimate(tables, gates, greedy),
+        estimate=_estimate(tables, gates, greedy, kernel.key_layout(trap, circuit.qubit_count)),
         weight=2 if greedy else 1,
         seal_exits=tables.seal_exits,
         seal_penalty=_SEAL_PENALTY,
@@ -384,7 +392,9 @@ def bfs_next_gate(
 
     kernel.route_search at uniform cost, with estimate 1 where a gate is
     ready and 2 elsewhere: consistent, so the first goal popped is the first
-    one breadth-first search over kernel.successors generates. Exhaustive,
+    one breadth-first search over kernel.successors generates. The estimate
+    is the exact-mode `_estimate` capped at 2, which reads a state's key and
+    positions and is 1 exactly when some gate is ready. Exhaustive,
     so the instance must be small; the guards are hard limits, not tuning
     knobs. NoRouteError when no gate can execute.
     """
@@ -400,9 +410,11 @@ def bfs_next_gate(
     if not gates:
         return ()
     trap, chains, locks = graph.encoded, state.chains, state.locks
+    layout = kernel.key_layout(trap, circuit.qubit_count)
+    exact = _estimate(_search_tables(graph), gates, False, layout)
 
-    def estimate(chains: tuple, packed: int) -> int:
-        return 1 if kernel.ready_gates(trap, chains, gates) else 2
+    def estimate(key: int, packed: int) -> int:
+        return min(exact(key, packed), 2)
 
     codes = None
     if kernel.reachable_gates(trap, chains, locks, gates):

@@ -247,15 +247,20 @@ def _cmd_gen_dataset(args) -> int:
         fraction = 0.2 if args.eval_fraction is None else args.eval_fraction
         if not 0.0 <= fraction <= 1.0:
             raise _UsageError("--eval-fraction must be within [0, 1]")
-        schedules = []
+        # The split needs the valid count first. This pass keeps no replay, so
+        # rendering replays each valid file again and memory stays flat.
+        invalid = set()
         for index, inputs in enumerate(_load_schedule_inputs(args.schedule)):
-            schedule = parse_schedule(*inputs, replay=False)
-            report = validate(schedule)
-            if report.ok:
-                schedules.append(schedule)
-            else:
+            report = validate(parse_schedule(*inputs, replay=False))
+            if not report.ok:
+                invalid.add(index)
                 skipped.append(f"schedule {index}: {report.reason}")
-        valid = len(schedules)
+        valid = len(args.schedule) - len(invalid)
+        schedules = (
+            parse_schedule(*inputs, replay=False)
+            for index, inputs in enumerate(_load_schedule_inputs(args.schedule))
+            if index not in invalid
+        )
         parts = dataset.generate_dataset(schedules, valid - round(fraction * valid))
     elif args.seed is not None:
         if args.eval_fraction is not None:

@@ -12,10 +12,11 @@ TrapGraph.site_violation words the state-independent site rules, which
 reach `illegal` through the encoded trap. `route_search` is the package's
 one state-space search: the router runs it as a weighted best-first
 search, and the next-gate oracle at uniform cost. Its loop is a fused copy
-of the `successors` enumeration that carries each state's `positions` int
-from parent to child and returns the op codes it applied;
-tests/test_baseline.py holds it equal to a best-first loop over
-`successors` and `transition`.
+of the `successors` enumeration over two ints per state, the state key
+that `key_layout` lays out and the `positions` int, each carried from
+parent to child; it builds no chains tuple past the start and returns the
+op codes it applied. tests/test_baseline.py holds it equal to a best-first
+loop over `successors` and `transition`.
 
 States come as TrapState holds them, so no call converts one: chains a
 vertex-indexed tuple of qubit tuples, locks a vertex-indexed tuple with -1
@@ -32,7 +33,10 @@ from __future__ import annotations
 
 import heapq
 import sys
+from bisect import bisect_right
+from functools import partial
 from types import ModuleType
+from typing import NamedTuple
 
 TRANSLATE, SEPARATE, MERGE, SWAP, EXECUTE = range(5)
 
@@ -246,6 +250,78 @@ def positions(chains):
     return packed
 
 
+
+
+class _Lazy(dict):
+    """A dict that computes a missing key's value with `fill` on first lookup and keeps it."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class KeyLayout(NamedTuple):
+    """Where a `route_search` state key holds each vertex's chain code and lock.
+
+    A chain's code is its qubits as base (qubit_count + 1) digits q + 1,
+    first qubit most significant, so the empty chain is 0 and a chain of
+    two or more ions reads at least `base`. power[k] is base ** k for k up
+    to the longest chain, the trap's capacity capped at qubit_count. Vertex
+    v's code sits in the bits `field` << shift[v], and its lock + 1 in
+    `lock_field` << lock_shift[v], above every chain field. `length` maps a
+    chain code to its ion count, filled on a miss, so it never holds more
+    codes than a search reads.
+    """
+
+    base: int
+    power: list[int]
+    field: int
+    shift: list[int]
+    lock_field: int
+    lock_shift: list[int]
+    length: dict[int, int]
+
+
+def key_layout(trap, qubit_count) -> KeyLayout:
+    """The state-key layout of `route_search` on `trap` with `qubit_count` qubits.
+
+    A chain field is (base ** capacity).bit_length() bits wide, with the
+    trap's capacity capped at qubit_count, which no chain exceeds; a lock
+    field is n.bit_length() bits wide. Each call makes a fresh `length`.
+    """
+    n = trap[0]
+    base = qubit_count + 1
+    power = [base**k for k in range(min(trap[1], qubit_count) + 1)]
+    width = power[-1].bit_length()
+    return KeyLayout(
+        base,
+        power,
+        (1 << width) - 1,
+        [v * width for v in range(n)],
+        (1 << n.bit_length()) - 1,
+        [n * width + v * n.bit_length() for v in range(n)],
+        _Lazy(partial(bisect_right, power)),
+    )
+
+
+def state_key(layout, chains, locks):
+    """The `route_search` key of (chains, locks), laid out by `layout`."""
+    base, shift, lock_shift = layout.base, layout.shift, layout.lock_shift
+    key = 0
+    for v, chain in enumerate(chains):
+        code = 0
+        for q in chain:
+            code = code * base + q + 1
+        key |= code << shift[v] | (locks[v] + 1) << lock_shift[v]
+    return key
+
+
 def route_search(
     trap,
     chains,
@@ -262,13 +338,13 @@ def route_search(
     """Weighted best-first search from (chains, locks) to a goal state.
 
     The frontier is a heap on (g + weight * h, g, insertion count), with
-    h = estimate(chains, packed) and `packed` the state's `positions`. A
-    popped state is a goal when h is 1 and no vertex of `goal_mask` is
-    occupied. Each op costs 1; a Translate out of junction j to dst costs
-    `seal_penalty` more when no vertex of seal_exits[j][dst] is occupied
-    (seal_exits[v] is None off junctions). Children come in `successors`
-    order, and one that reaches a state already stored at no greater cost
-    is dropped.
+    h = estimate(key, packed), `key` the state's key as `key_layout` lays
+    it out and `packed` its `positions`. A popped state is a goal when h is
+    1 and no vertex of `goal_mask` is occupied. Each op costs 1; a
+    Translate out of junction j to dst costs `seal_penalty` more when no
+    vertex of seal_exits[j][dst] is occupied (seal_exits[v] is None off
+    junctions). Children come in `successors` order, and one that reaches
+    a state already stored at no greater cost is dropped.
 
     Returns (codes, spent, expansions, stored). `codes` is the tuple of op
     codes from the start to the first goal popped, or None when the search
@@ -276,34 +352,45 @@ def route_search(
     frontier because `max_expansions` expansions were made, and False if the
     frontier ran out.
 
-    Each state has an exact integer key, which dedups it and holds its
-    locks; a heap entry carries the key, the chains tuple and the state's
-    `positions` int, which are dropped once popped. A chain's code is its
-    qubits as base (qubit_count + 1) digits q + 1, first qubit most
-    significant, so the empty chain is 0; vertex v's code sits in bit field
-    v of width (base ** capacity).bit_length(), with capacity capped at
-    qubit_count, which no chain exceeds; each vertex's lock + 1 sits in a
-    field of n.bit_length() bits above the chain fields. A child's key and
+    A state is its exact integer key, which dedups it and holds its chains
+    and locks, and its `positions` int, whose low n bits say which vertices
+    are occupied: a heap entry is (f, g, insertion count, key, packed), and
+    no chains tuple is built past the start. What the loop reads of a
+    chain comes from its code, through tables filled on a miss for this
+    call: its length, the sum of its qubits' `position_shift` units, which
+    a move of the chain adds to `packed` times the vertex hop, and the
+    code of the reversed chain for a Swap. So they hold only the codes the
+    search meets, never all base ** capacity of them. A child's key and
     positions are its parent's plus the change its op makes to the fields
-    it touches, so a duplicate child is rejected by one dict lookup before
-    any tuple is built, and no state's positions are recounted from its
-    chains. `best` maps a key to one int, which no GC pass tracks: the cost
-    above the parent's expansion serial, which indexes `expanded`, the keys
-    in the order they were expanded, above the index of the op from the
-    parent in a table of codes built once per call (0 for the start).
+    it touches, so a duplicate child is rejected by one dict lookup. `best`
+    maps a key to one int, which no GC pass tracks: the cost above the
+    parent's expansion serial, which indexes `expanded`, the keys in the
+    order they were expanded, above the index of the op from the parent in
+    a table of codes built once per call (0 for the start).
     """
     n, neighbors, is_junction = trap[0], trap[2], trap[3]
-    capacity = min(trap[1], qubit_count)
-    base = qubit_count + 1
-    width = (base ** capacity).bit_length()
-    field = (1 << width) - 1
-    shift = [v * width for v in range(n)]
+    layout = key_layout(trap, qubit_count)
+    base, power, field, shift, lock_field, lock_shift, length = layout
+    capacity = len(power) - 1
     unit = [1 << s for s in shift]
-    lock_field = (1 << n.bit_length()) - 1
-    lock_shift = [n * width + v * n.bit_length() for v in range(n)]
     lock_unit = [1 << s for s in lock_shift]
-    power = [base**k for k in range(capacity + 1)]
     qubit_unit = [1 << position_shift(n, q) for q in range(qubit_count)]
+
+    def units_of(code):
+        total = 0
+        while code:
+            code, digit = divmod(code, base)
+            total += qubit_unit[digit - 1]
+        return total
+
+    def reversed_code(code):
+        flipped = 0
+        while code:
+            code, digit = divmod(code, base)
+            flipped = flipped * base + digit
+        return flipped
+
+    units, reversal = _Lazy(units_of), _Lazy(reversed_code)
     table = [None]
 
     def indexed(code):
@@ -314,21 +401,23 @@ def route_search(
     # src + 1, which `lock_mask` picks out (0 off junctions).
     moves = [
         [
-            (dst, lock_field << lock_shift[dst] if is_junction[dst] else 0,
+            (dst, 1 << dst, lock_field << lock_shift[dst] if is_junction[dst] else 0,
              (src + 1) << lock_shift[dst], unit[dst] - unit[src], dst - src,
              (1 << src) | (1 << dst), indexed((TRANSLATE, src, dst)))
             for dst in nbrs
         ]
         for src, nbrs in enumerate(neighbors)
     ]
+    # `flip` is the site's and its lateral pair's occupancy bits; a Separate
+    # needs only the site occupied among them, a Merge only the pair.
     separate_sites = [
-        (v, left, right, left - v, right - v, (1 << v) | (1 << left) | (1 << right),
+        (v, left, right, left - v, right - v, (1 << v) | (1 << left) | (1 << right), 1 << v,
          indexed((SEPARATE, v, -1)))
         for v, left, right in trap[7]
     ]
     merge_sites = [
         (v, left, right, v - left, v - right, (1 << v) | (1 << left) | (1 << right),
-         indexed((MERGE, v, -1)))
+         (1 << left) | (1 << right), indexed((MERGE, v, -1)))
         for v, left, right in trap[8]
     ]
     swap_sites = [(v, indexed((SWAP, v, -1))) for v in trap[9]]
@@ -340,24 +429,18 @@ def route_search(
     serial_mask = (1 << serial_bits) - 1
     cost_shift = op_bits + serial_bits
     penalty = seal_penalty << cost_shift
+    occupancy = (1 << n) - 1
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    def code_of(chain):
-        code = 0
-        for q in chain:
-            code = code * base + q + 1
-        return code
-
-    key = sum(code_of(chain) * unit[v] for v, chain in enumerate(chains))
-    key += sum((lock + 1) * lock_unit[v] for v, lock in enumerate(locks))
+    key = state_key(layout, chains, locks)
     best = {key: 0}
     expanded = []
     packed = positions(chains)
-    heap = [(weight * estimate(chains, packed), 0, 0, key, chains, packed)]
+    heap = [(weight * estimate(key, packed), 0, 0, key, packed)]
     counter = 0
     expansions = 0
     while heap:
-        f, g, _, key, chains, packed = heappop(heap)
+        f, g, _, key, packed = heappop(heap)
         if g > best[key] >> cost_shift:
             continue
         if f - g == weight and not packed & goal_mask:
@@ -376,25 +459,26 @@ def route_search(
         bound = (step + 1) << cost_shift
         expanded.append(key)
         expansions += 1
-        for src, chain in enumerate(chains):
-            if not chain:
-                continue
+        occupied = packed & occupancy
+        rest = occupied
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            src = low.bit_length() - 1
             code = key >> shift[src] & field
             exits = seal_exits[src]
             leaves_junction = is_junction[src]
             if leaves_junction:
                 lock_code = key >> lock_shift[src] & lock_field
-            moved = 0
-            for q in chain:
-                moved += qubit_unit[q]
-            for dst, lock_mask, barred, move, hop, flip, index in moves[src]:
-                if chains[dst]:
+            moved = units[code]
+            for dst, dst_bit, lock_mask, barred, move, hop, flip, index in moves[src]:
+                if occupied & dst_bit:
                     continue
                 if lock_mask and key & lock_mask == barred:
                     continue
                 child = key + code * move
                 ng, entry, limit = step, stamp, bound
-                if exits is not None and not packed & exits[dst]:
+                if exits is not None and not occupied & exits[dst]:
                     ng += seal_penalty
                     entry += penalty
                     limit += penalty
@@ -403,76 +487,53 @@ def route_search(
                 if best.get(child, limit) < limit:
                     continue
                 best[child] = entry + index
-                new_chains = list(chains)
-                new_chains[dst] = chain
-                new_chains[src] = ()
-                new_chains = tuple(new_chains)
                 new_packed = (packed ^ flip) + hop * moved
                 counter += 1
-                h = estimate(new_chains, new_packed)
-                heappush(heap, (ng + weight * h, ng, counter, child, new_chains, new_packed))
-        for v, left, right, to_left, to_right, flip, index in separate_sites:
-            chain = chains[v]
-            if len(chain) < 2 or chains[left] or chains[right]:
+                h = estimate(child, new_packed)
+                heappush(heap, (ng + weight * h, ng, counter, child, new_packed))
+        for v, left, right, to_left, to_right, flip, site, index in separate_sites:
+            if occupied & flip != site:
                 continue
             code = key >> shift[v] & field
-            head_code, tail_code = divmod(code, power[len(chain) // 2])
+            if code < base:
+                continue
+            head_code, tail_code = divmod(code, power[length[code] // 2])
             child = key - code * unit[v] + head_code * unit[left] + tail_code * unit[right]
             if best.get(child, bound) < bound:
                 continue
             best[child] = stamp + index
-            head = (len(chain) + 1) // 2
-            new_chains = list(chains)
-            new_chains[left] = chain[:head]
-            new_chains[right] = chain[head:]
-            new_chains[v] = ()
-            new_chains = tuple(new_chains)
-            new_packed = packed ^ flip
-            for q in new_chains[left]:
-                new_packed += to_left * qubit_unit[q]
-            for q in new_chains[right]:
-                new_packed += to_right * qubit_unit[q]
+            new_packed = (packed ^ flip) + to_left * units[head_code] + to_right * units[tail_code]
             counter += 1
-            h = estimate(new_chains, new_packed)
-            heappush(heap, (step + weight * h, step, counter, child, new_chains, new_packed))
-        for v, left, right, from_left, from_right, flip, index in merge_sites:
-            if chains[v] or not chains[left] or not chains[right]:
-                continue
-            if len(chains[left]) + len(chains[right]) > capacity:
+            h = estimate(child, new_packed)
+            heappush(heap, (step + weight * h, step, counter, child, new_packed))
+        for v, left, right, from_left, from_right, flip, pair, index in merge_sites:
+            if occupied & flip != pair:
                 continue
             left_code = key >> shift[left] & field
             right_code = key >> shift[right] & field
-            code = left_code * power[len(chains[right])] + right_code
+            right_length = length[right_code]
+            if length[left_code] + right_length > capacity:
+                continue
+            code = left_code * power[right_length] + right_code
             child = key + code * unit[v] - left_code * unit[left] - right_code * unit[right]
             if best.get(child, bound) < bound:
                 continue
             best[child] = stamp + index
-            new_chains = list(chains)
-            new_chains[v] = chains[left] + chains[right]
-            new_chains[left] = ()
-            new_chains[right] = ()
-            new_chains = tuple(new_chains)
-            new_packed = packed ^ flip
-            for q in chains[left]:
-                new_packed += from_left * qubit_unit[q]
-            for q in chains[right]:
-                new_packed += from_right * qubit_unit[q]
+            new_packed = (
+                (packed ^ flip) + from_left * units[left_code] + from_right * units[right_code]
+            )
             counter += 1
-            h = estimate(new_chains, new_packed)
-            heappush(heap, (step + weight * h, step, counter, child, new_chains, new_packed))
+            h = estimate(child, new_packed)
+            heappush(heap, (step + weight * h, step, counter, child, new_packed))
         for v, index in swap_sites:
-            chain = chains[v]
-            if len(chain) < 2:
+            code = key >> shift[v] & field
+            if code < base:
                 continue
-            reversed_chain = chain[::-1]
-            child = key + (code_of(reversed_chain) - (key >> shift[v] & field)) * unit[v]
+            child = key + (reversal[code] - code) * unit[v]
             if best.get(child, bound) < bound:
                 continue
             best[child] = stamp + index
-            new_chains = list(chains)
-            new_chains[v] = reversed_chain
-            new_chains = tuple(new_chains)
             counter += 1
-            h = estimate(new_chains, packed)
-            heappush(heap, (step + weight * h, step, counter, child, new_chains, packed))
+            h = estimate(child, packed)
+            heappush(heap, (step + weight * h, step, counter, child, packed))
     return None, False, expansions, len(best)

@@ -8,16 +8,18 @@ say which way it failed, its slices never end on a junction, and each
 slice executes the lowest-numbered ready first-layer gate. A batch
 compiles each circuit as its own compile does, and the search it shares
 between circuits is blind to qubit labels. The router's search,
-kernel.route_search with its integer dedup key, finds what a tuple-keyed
-best-first loop over kernel.successors and kernel.transition finds, and
-the positions it carries from parent to child are those of each state's
-chains. The next-gate oracle, route_search at uniform cost, answers as
+kernel.route_search with its integer key as the only state, finds what a
+tuple-keyed best-first loop over kernel.successors and kernel.transition
+finds, the positions it carries from parent to child are those of the
+chains each key holds, and its per-chain tables hold only the codes it
+meets. The next-gate oracle, route_search at uniform cost, answers as
 breadth-first search did.
 """
 
 import hashlib
 import heapq
 import random
+import tracemalloc
 
 import pytest
 
@@ -400,12 +402,14 @@ def reference_heuristic(graph, gates, chains, greedy):
 def test_search_estimate_matches_reference_on_random_walks(graph, qubits):
     """The table-driven search estimate equals the direct formula.
 
-    On seeded walk states, in both exact and greedy mode; it is also 1
-    exactly when kernel.ready_gates finds a gate, which the search relies
-    on to skip that call elsewhere.
+    On seeded walk states, in both exact and greedy mode, read through each
+    state's kernel.state_key and kernel.positions; it is also 1 exactly
+    when kernel.ready_gates finds a gate, which the search relies on to
+    skip that call elsewhere.
     """
     enc = graph.encoded
     tables = baseline._search_tables(graph)
+    layout = kernel.key_layout(enc, qubits)
     ready_states = 0
     for seed in range(6):
         rng = random.Random(seed)
@@ -416,11 +420,11 @@ def test_search_estimate_matches_reference_on_random_walks(graph, qubits):
             gates = circuit.first_layer
             if not gates:
                 break
-            packed = kernel.positions(chains)
+            key, packed = kernel.state_key(layout, chains, locks), kernel.positions(chains)
             ready = kernel.ready_gates(enc, chains, gates)
             ready_states += bool(ready)
             for greedy in (False, True):
-                h = baseline._estimate(tables, gates, greedy)(chains, packed)
+                h = baseline._estimate(tables, gates, greedy, layout)(key, packed)
                 assert h == reference_heuristic(graph, gates, chains, greedy)
                 assert (h == 1) == bool(ready)
             if ready and rng.random() < 0.5:
@@ -442,6 +446,30 @@ def test_huge_capacity_compiles_like_capacity_equal_to_qubit_count():
     circuit = baseline.random_circuit(3, 6, 0)
     huge = baseline.compile(circuit, trap.build_linear(2, capacity=10**6))
     assert huge.ops == baseline.compile(circuit, trap.build_linear(2, capacity=3)).ops
+
+
+def test_search_tables_hold_only_the_chain_codes_met(monkeypatch):
+    """Sixteen qubits at capacity 16 give 17 ** 16 chain codes; the search reads a few.
+
+    Its per-chain tables fill on a miss, so a search capped at 50
+    expansions stays within a small tracemalloc bound; a table sized by
+    every code could not even be allocated.
+    """
+    graph = trap.build_linear(8, capacity=16)
+    placement = initial_placement(baseline.random_circuit(16, 6, 0), graph)
+    circuit = Circuit(16, (Gate(1, (0, 15), "cx"),))
+    tables = baseline._search_tables(graph)
+    monkeypatch.setattr(baseline, "_SEARCH_CAP", 50)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CompileError, match="gave up on gate 1 after 50 search expansions"):
+            baseline._search_next(
+                graph.encoded, tables, circuit, placement.chains, placement.locks
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # -- gate choice, batches and the route memo ----------------------------------
@@ -639,16 +667,22 @@ def reference_search(enc, tables, circuit, chains, locks):
 
     The same heap key, successor order, dedup rule, estimate, seal penalty,
     goal test, cap and messages, with each stored state keyed by its
-    (chains, locks) tuple pair.
+    (chains, locks) tuple pair. The estimate reads each state through its
+    kernel.state_key and kernel.positions, which this loop computes afresh.
     """
     gates = circuit.first_layer
     gate = gates[0]
     greedy = enc[0] > baseline.ORACLE_MAX_VERTICES
     weight = 2 if greedy else 1
-    heuristic = baseline._estimate(tables, gates, greedy)
+    layout = kernel.key_layout(enc, circuit.qubit_count)
+    estimate = baseline._estimate(tables, gates, greedy, layout)
+
+    def heuristic(chains, locks):
+        return estimate(kernel.state_key(layout, chains, locks), kernel.positions(chains))
+
     start = (chains, locks)
     best = {start: (0, None, None)}
-    heap = [(weight * heuristic(chains, kernel.positions(chains)), 0, 0, start)]
+    heap = [(weight * heuristic(chains, locks), 0, 0, start)]
     counter = expansions = 0
     while heap:
         f, g, _, node = heapq.heappop(heap)
@@ -680,7 +714,7 @@ def reference_search(enc, tables, circuit, chains, locks):
                 continue
             best[chains, locks] = (ng, node, code)
             counter += 1
-            h = heuristic(chains, kernel.positions(chains))
+            h = heuristic(chains, locks)
             heapq.heappush(heap, (ng + weight * h, ng, counter, (chains, locks)))
     raise CompileError(
         f"no op sequence from the router's current state executes gate {gate.id} or "
@@ -748,25 +782,51 @@ def test_route_search_matches_the_successor_loop(graph, qubits, monkeypatch):
     assert tuple in outcomes
 
 
+def decoded(layout, key):
+    """The (chains, locks) a route_search key holds, read field by field."""
+    chains, locks = [], []
+    for shift, lock_shift in zip(layout.shift, layout.lock_shift):
+        code, chain = key >> shift & layout.field, []
+        while code:
+            code, digit = divmod(code, layout.base)
+            chain.insert(0, digit - 1)
+        chains.append(tuple(chain))
+        locks.append((key >> lock_shift & layout.lock_field) - 1)
+    return tuple(chains), tuple(locks)
+
+
+def test_search_key_decodes_to_its_state():
+    """`decoded` inverts kernel.state_key, ten-qubit chains and locks included."""
+    graph = trap.build_branched(2, 1, 1, capacity=10)
+    enc = graph.encoded
+    layout = kernel.key_layout(enc, 10)
+    chains = [()] * enc[0]
+    chains[0], chains[2] = tuple(range(9, 2, -1)), (0, 2, 1)
+    locks = tuple(v % 3 - 1 for v in range(enc[0]))
+    assert decoded(layout, kernel.state_key(layout, chains, locks)) == (tuple(chains), locks)
+
+
 @pytest.mark.parametrize("graph,qubits", SEARCH_TRAPS, ids=SEARCH_IDS)
 def test_search_carries_the_positions_of_every_state_it_estimates(graph, qubits, monkeypatch):
-    """The packed positions route_search hands the estimate are those of its chains.
+    """The packed positions route_search hands the estimate are those of its key.
 
-    The search derives each child's positions from its parent's by the op
-    it applies, never from the chains; a wrapped estimate recounts them
-    with kernel.positions on every call, from seeded walk states under a
-    low cap.
+    The search derives each child's key and positions from its parent's by
+    the op it applies, never from a chains tuple; a wrapped estimate
+    decodes each key and recounts the positions of its chains with
+    kernel.positions on every call, from seeded walk states under a low
+    cap.
     """
     estimate = baseline._estimate
     calls = []
 
-    def checked(tables, gates, greedy):
-        h = estimate(tables, gates, greedy)
+    def checked(tables, gates, greedy, layout):
+        h = estimate(tables, gates, greedy, layout)
 
-        def wrapped(chains, packed):
+        def wrapped(key, packed):
+            chains, _ = decoded(layout, key)
             assert packed == kernel.positions(chains), chains
             calls.append(packed)
-            return h(chains, packed)
+            return h(key, packed)
 
         return wrapped
 

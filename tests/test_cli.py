@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from shuttlekit.errors import CompileError
 from shuttlekit.ops import Translate, format_op
 from shuttlekit.schedule import decompose, parse_schedule, schedule_paths
 from shuttlekit.trap import parse_trap
+
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 
 def write_inputs(tmp_path, trap_argv, circuit):
@@ -245,9 +248,10 @@ def test_a_failed_gen_dataset_names_the_circuit_and_leaves_the_out_dir_as_it_was
     assert str(failed.value) == message and failed.value.__cause__ is gave_up
 
 
-def test_gen_dataset_skips_an_invalid_schedule_file_and_replays_each_file_once(
+def test_gen_dataset_skips_an_invalid_schedule_file_and_replays_each_valid_file_twice(
     tmp_path, capsys, monkeypatch
 ):
+    """Once to count the valid files for the split and once to render; an invalid one once."""
     schedule = compile_small(tmp_path)
     lines = schedule.read_text(encoding="utf-8").splitlines()
     header = sum(line.startswith(("trap ", "circuit ", "placement: ")) for line in lines)
@@ -261,7 +265,7 @@ def test_gen_dataset_skips_an_invalid_schedule_file_and_replays_each_file_once(
     argv = ["gen-dataset", "--schedule", str(schedule), "--schedule", str(tampered),
             "--out-dir", str(tmp_path / "out")]
     assert cli.main(argv) == 0
-    assert len(replays) == 2
+    assert len(replays) == 3
     captured = capsys.readouterr()
     assert captured.err == (
         "skipped schedule 1: Translate 0 -> 4: vertices 0 and 4 are not adjacent\n"
@@ -318,6 +322,26 @@ def test_gen_dataset_peak_memory_does_not_grow_with_the_dataset(tmp_path, capsys
             tracemalloc.stop()
     assert capsys.readouterr().out.count("train entries: ") == 2
     assert peaks[1] - peaks[0] < 2**20, peaks
+
+
+def test_gen_dataset_schedule_mode_peak_memory_does_not_grow_with_the_files(tmp_path, capsys):
+    """Four passes of a 575-gate schedule raise the traced peak by less than 2 MiB.
+
+    The split is counted in a pass that keeps no replay, so only the
+    schedule being rendered holds its slices.
+    """
+    schedule = str(INPUTS / "schedule_d200.txt")
+    peaks = []
+    for n in (1, 4):
+        argv = ["gen-dataset", *["--schedule", schedule] * n, "--out-dir", str(tmp_path / str(n))]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert capsys.readouterr().out.count("train entries: ") == 2
+    assert peaks[1] - peaks[0] < 2 * 2**20, peaks
 
 
 def test_bench_with_no_runs_is_a_usage_error(tmp_path, capsys):
