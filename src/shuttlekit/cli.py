@@ -62,20 +62,25 @@ def _resolve(base_file: str, path: str) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(base_file)), path)
 
 
-def _load_schedule_inputs(paths, trap=None, circuit=None):
+def _load_schedule_inputs(paths, trap=None, circuit=None, parsed=None):
     """Each schedule file's text, trap and circuit, each path given overriding the header's.
 
-    Each distinct trap path is parsed once, so the schedules on one trap
-    share one graph and its render memo.
+    Each distinct trap and circuit path is read and parsed once into
+    `parsed`, a (graphs, circuits) pair of dicts by path, so the schedules
+    on one trap share one graph and its render memo, and a later pass that
+    shares `parsed` reads only the schedule files again.
     """
-    graphs: dict[str, TrapGraph] = {}
+    graphs, circuits = ({}, {}) if parsed is None else parsed
     for path in paths:
         text = driver.read_text(path)
         trap_path, circuit_path = schedule_paths(text)
         trap_path = trap or _resolve(path, trap_path)
+        circuit_path = circuit or _resolve(path, circuit_path)
         if trap_path not in graphs:
             graphs[trap_path] = _load_trap(trap_path)
-        yield text, graphs[trap_path], _load_circuit(circuit or _resolve(path, circuit_path))
+        if circuit_path not in circuits:
+            circuits[circuit_path] = _load_circuit(circuit_path)
+        yield text, graphs[trap_path], circuits[circuit_path]
 
 
 def _write_schedule(schedule: Schedule, args) -> None:
@@ -248,9 +253,10 @@ def _cmd_gen_dataset(args) -> int:
         if not 0.0 <= fraction <= 1.0:
             raise _UsageError("--eval-fraction must be within [0, 1]")
         # The split needs the valid count first. This pass keeps no replay, so
-        # rendering replays each valid file again and memory stays flat.
-        invalid = set()
-        for index, inputs in enumerate(_load_schedule_inputs(args.schedule)):
+        # rendering replays each valid file again and memory stays flat; both
+        # passes share the parsed traps and circuits.
+        invalid, parsed = set(), ({}, {})
+        for index, inputs in enumerate(_load_schedule_inputs(args.schedule, parsed=parsed)):
             report = validate(parse_schedule(*inputs, replay=False))
             if not report.ok:
                 invalid.add(index)
@@ -258,7 +264,7 @@ def _cmd_gen_dataset(args) -> int:
         valid = len(args.schedule) - len(invalid)
         schedules = (
             parse_schedule(*inputs, replay=False)
-            for index, inputs in enumerate(_load_schedule_inputs(args.schedule))
+            for index, inputs in enumerate(_load_schedule_inputs(args.schedule, parsed=parsed))
             if index not in invalid
         )
         parts = dataset.generate_dataset(schedules, valid - round(fraction * valid))

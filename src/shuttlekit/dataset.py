@@ -104,7 +104,7 @@ def _template() -> tuple[str, ...]:
 def _bullets(lines: list[str]) -> str:
     if not lines:
         return "- none"
-    return "\n".join(f"- {line}" for line in lines)
+    return "\n".join([f"- {line}" for line in lines])
 
 
 def _vertex_lines(graph: TrapGraph) -> list[str]:
@@ -188,7 +188,7 @@ def _state_text(
 
 def _check_qubits(chains: tuple, circuit: Circuit) -> None:
     """Raise RenderError unless the chains hold exactly the circuit's qubits 0..n-1."""
-    qubits = sorted(q for chain in chains for q in chain)
+    qubits = sorted([q for chain in chains for q in chain])
     if qubits != list(range(circuit.qubit_count)):
         raise RenderError(
             f"state holds qubits {qubits}, circuit expects 0..{circuit.qubit_count - 1}"
@@ -196,7 +196,8 @@ def _check_qubits(chains: tuple, circuit: Circuit) -> None:
 
 
 def _gate_lines(gates: tuple[Gate, ...], spots: list[str]) -> str:
-    return _bullets([f"gate {g.id}: " + ", ".join(spots[q] for q in g.qubits) for g in gates])
+    lines = [f"- gate {g.id}: " + ", ".join([spots[q] for q in g.qubits]) for g in gates]
+    return "\n".join(lines) if lines else "- none"
 
 
 def _allowed_block(
@@ -283,47 +284,35 @@ def render_output(slice: EntrySlice, graph: TrapGraph, circuit: Circuit) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-_THINK_OPEN = re.compile(r"<think\b[^>]*>", re.IGNORECASE)
-_THINK_CLOSE = re.compile(r"</think\s*>", re.IGNORECASE)
-_OP_SHAPED = re.compile(r"^(Translate|Separate|Merge|Swap|Execute)\b")
-
-
-def _strip_reasoning(text: str) -> str:
-    """Drop <think>...</think> spans; an unclosed tag swallows the rest."""
-    out = []
-    pos = 0
-    while True:
-        open_match = _THINK_OPEN.search(text, pos)
-        if open_match is None:
-            out.append(text[pos:])
-            break
-        out.append(text[pos : open_match.start()])
-        close_match = _THINK_CLOSE.search(text, open_match.end())
-        if close_match is None:
-            break
-        pos = close_match.end()
-    return "".join(out)
+# One reasoning span: an opening tag up to its closing tag, or to the end.
+_THINK = re.compile(r"<think\b[^>]*>.*?(?:</think\s*>|\Z)", re.IGNORECASE | re.DOTALL)
+# On "\n" + text, each line that starts like an operation, from its first word;
+# a literal first character is what lets sre skip fast from line to line.
+_OP_SHAPED = re.compile(r"\n(?![ \t-])[^\S\n]*((?:Translate|Separate|Merge|Swap|Execute)\b[^\n]*)")
 
 
 def parse_output(text: str) -> list[ShuttleOp]:
     """Extract the op sequence from model output, hostile input expected.
 
-    Echo blocks and prose are ignored; only column-0 lines that start like
-    an operation count, and a malformed one is an error with its line
-    number. Everything after the first `Execute Gate` line is dropped.
-    Legality is not checked here: callers validate by replaying the ops
-    against the graph, state, and circuit the prompt was rendered for.
+    Reasoning spans go first. A line is what `str.splitlines` cuts, and the
+    whole output is scanned once for the column-0 lines that start like an
+    operation; echo blocks and prose are ignored, and a malformed one is an
+    error with its line number. Everything after the first `Execute Gate`
+    line is dropped. Legality is not checked here: callers validate by
+    replaying the ops against the graph, state, and circuit the prompt was
+    rendered for.
     """
+    text = _THINK.sub("", text)
+    if not text.isascii() or any(brk in text for brk in "\r\x0b\x0c\x1c\x1d\x1e"):
+        text = "\n".join(text.splitlines())
+    text = "\n" + text
     ops: list[ShuttleOp] = []
-    for lineno, raw in enumerate(_strip_reasoning(text).splitlines(), start=1):
-        if raw.startswith((" ", "\t", "-")):
-            continue
-        line = raw.strip()
-        if not _OP_SHAPED.match(line):
-            continue
+    for match in _OP_SHAPED.finditer(text):
+        line = match.group(1).rstrip()
         try:
             op = op_mod.parse_op(line)
         except ValueError:
+            lineno = text.count("\n", 0, match.start(1))
             raise OutputParseError(f"line {lineno}: malformed operation {line!r}") from None
         ops.append(op)
         if op.kind == kernel.EXECUTE:

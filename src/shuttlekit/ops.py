@@ -9,7 +9,8 @@ op; `allowed_ops` lists what kernel.successors and kernel.ready_gates
 allow. violation() only checks that an Execute Gate names a first-layer
 gate, and otherwise fills in the template of the rule kernel.illegal or
 kernel.unready names. Executing a gate changes no chain; callers advance
-the circuit separately.
+the circuit separately. `format_op` writes an op's line, and one
+alternation regex, `_OP_LINE`, is the grammar `parse_op` reads it back by.
 """
 
 from __future__ import annotations
@@ -169,19 +170,18 @@ def format_op(op: ShuttleOp | tuple[int, int, int]) -> str:
     raise ValueError(f"unknown kernel op code {kind}")
 
 
-_OP_PATTERNS: tuple[tuple[re.Pattern, type], ...] = (
-    (re.compile(r"Translate ([0-9]+) -> ([0-9]+)"), Translate),
-    (re.compile(r"Separate ([0-9]+)"), Separate),
-    (re.compile(r"Merge ([0-9]+)"), Merge),
-    (re.compile(r"Swap ([0-9]+)"), Swap),
-    (re.compile(r"Execute Gate ([0-9]+)"), ExecuteGate),
-)
+# The op-line grammar: a Translate, or a one-operand op's name and its operand.
+_OP_LINE = re.compile(r"Translate ([0-9]+) -> ([0-9]+)|(Separate|Merge|Swap|Execute Gate) ([0-9]+)")
+_BY_NAME = {"Separate": Separate, "Merge": Merge, "Swap": Swap, "Execute Gate": ExecuteGate}
 
 
 def parse_op(line: str) -> ShuttleOp:
-    """Parse one canonical op line, ASCII digits only; raises ValueError on any deviation."""
-    for pattern, op_type in _OP_PATTERNS:
-        match = pattern.fullmatch(line)
-        if match:
-            return op_type(*(int(g) for g in match.groups()))
-    raise ValueError(f"not an operation line: {line!r}")
+    """Parse one canonical op line, ASCII digits only; raises ValueError on any deviation.
+
+    The line must fullmatch the one alternation regex of the op-line grammar.
+    """
+    match = _OP_LINE.fullmatch(line)
+    if match is None:
+        raise ValueError(f"not an operation line: {line!r}")
+    src, dst, name, operand = match.groups()
+    return Translate(int(src), int(dst)) if name is None else _BY_NAME[name](int(operand))

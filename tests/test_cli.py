@@ -274,6 +274,26 @@ def test_gen_dataset_skips_an_invalid_schedule_file_and_replays_each_valid_file_
     assert captured.out == f"train entries: {gates}\neval entries: 0\n"
 
 
+def test_gen_dataset_parses_each_trap_and_circuit_path_once(tmp_path, capsys, monkeypatch):
+    """Both passes share the parsed inputs; only the schedule files are read again."""
+    (tmp_path / "b").mkdir()
+    schedules = [str(compile_small(tmp_path)), str(compile_small(tmp_path / "b"))] * 2
+    reads, loads = [], []
+    read_text = driver.read_text
+    monkeypatch.setattr(driver, "read_text", lambda path: reads.append(path) or read_text(path))
+    for name in ("_load_trap", "_load_circuit"):
+        load = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda path, load=load: loads.append(path) or load(path))
+    argv = ["gen-dataset", *[arg for path in schedules for arg in ("--schedule", path)],
+            "--out-dir", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    inputs = [str(folder / name) for folder in (tmp_path, tmp_path / "b")
+              for name in ("trap.json", "circuit.qasm")]
+    assert sorted(loads) == sorted(inputs)
+    assert sorted(reads) == sorted(inputs + schedules * 2)
+
+
 @pytest.mark.parametrize(
     "fraction,train,held_out",
     [("0.5", 3, 2), ("0", 5, 0), ("1", 0, 5)],

@@ -1,6 +1,8 @@
 """Generate–validate–retry driver against scripted and replayed clients."""
 
 import json
+import random
+import re
 from itertools import count
 from urllib.error import HTTPError, URLError
 
@@ -77,6 +79,67 @@ def test_injected_faults_fail_where_intended():
 def test_an_op_number_in_other_digits_is_malformed():
     with pytest.raises(OutputParseError, match="line 1: malformed operation 'Execute Gate \uff11'"):
         parse_output("Execute Gate \uff11\n")
+
+
+# Every line break str.splitlines cuts at besides "\n"; "\r\n" counts as one.
+LINE_BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=[repr(b) for b in LINE_BREAKS])
+def test_a_line_is_what_splitlines_cuts(brk):
+    """An op line after any break parses; after k breaks, a malformed one is line k+1."""
+    parsed = parse_output(f"the plan{brk}Swap 2{brk}Execute Gate 1")
+    assert parsed == [ops.Swap(2), ops.ExecuteGate(1)]
+    for k in range(4):
+        text = f"echo{brk}" * k + "Merge 3 now\nExecute Gate 1\n"
+        with pytest.raises(OutputParseError) as rejected:
+            parse_output(text)
+        assert str(rejected.value) == f"line {k + 1}: malformed operation 'Merge 3 now'"
+
+
+OP_WORD = r"(Translate|Separate|Merge|Swap|Execute)\b"
+THINK_OPEN, THINK_CLOSE = re.compile(r"<think\b[^>]*>", re.I), re.compile(r"</think\s*>", re.I)
+
+
+def reference_parse_output(text):
+    """parse_output as a loop over str.splitlines, dropping reasoning tag by tag."""
+    kept, pos = [], 0
+    while (opened := THINK_OPEN.search(text, pos)) is not None:
+        kept.append(text[pos : opened.start()])
+        closed = THINK_CLOSE.search(text, opened.end())
+        pos = len(text) if closed is None else closed.end()
+    kept.append(text[pos:])
+    parsed = []
+    for lineno, raw in enumerate("".join(kept).splitlines(), start=1):
+        line = raw.strip()
+        if raw.startswith((" ", "\t", "-")) or not re.match(OP_WORD, line):
+            continue
+        try:
+            parsed.append(ops.parse_op(line))
+        except ValueError:
+            raise OutputParseError(f"line {lineno}: malformed operation {line!r}") from None
+        if parsed[-1].kind == kernel.EXECUTE:
+            return parsed
+    raise OutputParseError("output contains no Execute Gate line")
+
+
+PIECES = [*LINE_BREAKS, "\n", "\x1f", "\xa0", "\u3000", " ", "\t", "-", "<think>", "</THINK >",
+          "<think x\n>", "Translate 1 -> 2", "Separate 3", "Merge", "Swap 07", "Execute Gate 4",
+          "Execute", "Swapped", " -> ", "5", "\uff15", "x"]
+
+
+def test_parse_output_reads_what_the_splitlines_loop_reads():
+    """One scan over the whole output reads every text as the line-by-line reference does."""
+    rng = random.Random(5)
+    for _ in range(3000):
+        text = "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 30)))
+        results = []
+        for parse in (parse_output, reference_parse_output):
+            try:
+                results.append(parse(text))
+            except OutputParseError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], text
 
 
 def test_faulty_outputs_are_retried_and_redundancy_trimmed():

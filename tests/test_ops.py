@@ -798,8 +798,19 @@ def test_every_returned_op_is_its_kernel_code(graph):
         "Swap +1",
         "Merge 1_0",
         "Separate 3\n",  # nothing may follow the number
+        " Swap 1",
+        "Swap 1 ",
+        "Translate 1 -> 2 -> 3",
+        "Execute Gate 5 6",
+        "Swap " + "9" * 5000,  # past int's digit limit
     ],
 )
 def test_parse_op_rejects_malformed(line):
-    with pytest.raises(Exception):
+    """ValueError is the contract: parse_output and schedule parsing catch just that."""
+    with pytest.raises(ValueError):
         parse_op(line)
+
+
+def test_parse_op_reads_leading_zeros():
+    assert parse_op("Swap 007") == Swap(7)
+    assert type(parse_op("Swap 007")) is Swap
