@@ -237,6 +237,8 @@ OUT_OF_RANGE = [
     ("Translate 99999999999999999999 -> 1", "no vertex pair (99999999999999999999, 1)"),
     ("Swap 123456789012345678901234567890", "no vertex 123456789012345678901234567890"),
     ("Merge 77777777777", "no vertex 77777777777"),
+    ("Execute Gate 0", "unknown gate 0"),
+    ("Execute Gate 99999999999999999999", "unknown gate 99999999999999999999"),
 ]
 
 
