@@ -22,12 +22,15 @@ kernel checks every op against the real state, and it returns the op
 codes as committed. Replay's optimizer keeps them all: a route never
 revisits a state, so none of its ops undoes an earlier one, and no
 cancellation crosses an Execute Gate. Each compile decodes them once, and
-one schedule.replay validates the schedule and cuts the slices it holds
-(`Schedule.slices`): a compile yields it only when replay accepts it.
+one schedule.replay validates the schedule and cuts the slices it holds,
+which schedule.decompose hands out: a compile yields it only when replay
+accepts it.
 
 `compile_many` compiles a batch of circuits on one trap and `compile` is a
-batch of one. The compiles of a batch share the trap's search tables and a
-route memo, which maps a search's start to the op codes it found. The
+batch of one. Every search on one trap graph object reads its search
+tables, built on first use and kept in the graph's instance dict as the
+dataset render memo is. The compiles of a batch share a route memo, which
+maps a search's start to the op codes it found. The
 key renumbers qubits by order of appearance in vertex order, so a start that
 differs from an earlier one only in qubit labels reuses its slice. That is
 sound because the search sees labels only through which vertex holds an
@@ -105,7 +108,14 @@ class _SearchTables(NamedTuple):
 
 
 def _search_tables(graph: TrapGraph) -> _SearchTables:
-    """Build the search tables of one trap, once per compile_many call."""
+    """The search tables of `graph`, built on first use and kept in its instance dict.
+
+    They live and are freed with the graph object, and leave its eq, hash
+    and repr alone, so every compile and oracle call on it shares one build.
+    """
+    tables = graph.__dict__.get("_search_tables")
+    if tables is not None:
+        return tables
     n = len(graph.vertices)
     far = 4 * n + 8
     apd = []
@@ -146,7 +156,10 @@ def _search_tables(graph: TrapGraph) -> _SearchTables:
             dst: sum(1 << w for w in range(n) if w != j and comp[w] != comp[dst])
             for dst in graph.neighbors(j)
         }
-    return _SearchTables(n, far, paths, seal_exits, junction_mask)
+    tables = graph.__dict__["_search_tables"] = _SearchTables(
+        n, far, paths, seal_exits, junction_mask
+    )
+    return tables
 
 
 def _estimate(tables: _SearchTables, gates: tuple, greedy: bool, layout: kernel.KeyLayout):
@@ -237,12 +250,13 @@ def _search_next(
     """
     gates = circuit.first_layer
     greedy = tables.n > ORACLE_MAX_VERTICES
+    layout = kernel.key_layout(trap, circuit.qubit_count)
     codes, spent, expansions, stored = kernel.route_search(
         trap,
         chains,
         locks,
-        circuit.qubit_count,
-        estimate=_estimate(tables, gates, greedy, kernel.key_layout(trap, circuit.qubit_count)),
+        layout,
+        estimate=_estimate(tables, gates, greedy, layout),
         weight=2 if greedy else 1,
         seal_exits=tables.seal_exits,
         seal_penalty=_SEAL_PENALTY,
@@ -339,7 +353,8 @@ def compile_many(circuits: Iterable[Circuit], graph: TrapGraph) -> Iterator[Sche
     first-layer execution. Deterministic: the search orders its frontier
     by cost, then by insertion.
 
-    The compiles share the trap's search tables and a route memo. A search
+    The compiles share a route memo, and with every other search on the
+    graph object, its search tables (see `_search_tables`). A search
     whose start state and first-layer operand sets equal an earlier
     successful one's up to a renumbering of qubits reuses that slice: each
     of its ops is committed through kernel.transition on the real state,
@@ -348,7 +363,7 @@ def compile_many(circuits: Iterable[Circuit], graph: TrapGraph) -> Iterator[Sche
     The schedule holds the router's op codes, decoded once, which replay's
     optimizer keeps whole, since a route never revisits a state and no
     cancellation crosses an Execute Gate; the one replay that validates it
-    cuts the slices it holds (see `Schedule.slices`). A schedule replay
+    cuts the slices it holds (see schedule.decompose). A schedule replay
     rejects raises CompileError naming a router defect and replay's reason.
     The slice is the one a fresh search would find, because the search
     reads qubit labels only through operand positions and chain lengths,
@@ -422,7 +437,7 @@ def bfs_next_gate(
             trap,
             chains,
             locks,
-            circuit.qubit_count,
+            layout,
             estimate=estimate,
             weight=1,
             seal_exits=[None] * len(graph.vertices),

@@ -9,7 +9,9 @@ Progress is a frontier: one cursor per qubit into that qubit's gate order,
 which is built once per gate list, on the first frontier query, and shared
 by every circuit `mark_executed` derives from it. Executing a gate therefore
 costs O(operands), and the first layer is read off the cursors in
-O(qubits); the gate list is validated once, at construction.
+O(qubits); the gate list is validated once, at construction. Construction
+holds gate ids to their positions 1..G, so the frontier's tables and every
+lookup index gates by position; `in_first_layer` bounds an id from outside.
 """
 
 from __future__ import annotations
@@ -43,26 +45,26 @@ class Gate:
 
 
 class _Frontier:
-    """Per-qubit gate order of one gate list.
+    """Per-qubit gate order of one gate list, by gate position (id - 1).
 
-    order[q] holds the ids of the gates on qubit q, ascending; places[id]
-    pairs each operand q of gate id with the gate's index in order[q]. A
-    gate is executed exactly when every operand's cursor has passed it, and
-    it is in the first layer when every operand's cursor points at it.
+    order[q] holds the positions of the gates on qubit q, ascending;
+    places[i] pairs each operand q of the gate at position i with that
+    gate's index in order[q]. A gate is executed exactly when every
+    operand's cursor has passed it, and it is in the first layer when every
+    operand's cursor points at it.
     """
 
-    __slots__ = ("gate_by_id", "order", "places")
+    __slots__ = ("order", "places")
 
     def __init__(self, qubit_count: int, gates: tuple[Gate, ...]) -> None:
         order: list[list[int]] = [[] for _ in range(qubit_count)]
-        places: dict[int, tuple[tuple[int, int], ...]] = {}
-        for gate in gates:
-            places[gate.id] = tuple((q, len(order[q])) for q in gate.qubits)
+        places = []
+        for i, gate in enumerate(gates):
+            places.append(tuple((q, len(order[q])) for q in gate.qubits))
             for q in gate.qubits:
-                order[q].append(gate.id)
-        self.gate_by_id = {g.id: g for g in gates}
-        self.order = tuple(tuple(ids) for ids in order)
-        self.places = places
+                order[q].append(i)
+        self.order = tuple(tuple(positions) for positions in order)
+        self.places = tuple(places)
 
 
 @dataclass(frozen=True)
@@ -92,24 +94,24 @@ class Circuit:
     def _frontier(self) -> _Frontier:
         return _Frontier(self.qubit_count, self.gates)
 
-    @property
-    def gate_by_id(self) -> dict[int, Gate]:
-        return self._frontier.gate_by_id
-
     @cached_property
     def executed(self) -> frozenset[int]:
         order = self._frontier.order
         return frozenset(
-            gid for q, cursor in enumerate(self._cursors) for gid in order[q][:cursor]
+            i + 1 for q, cursor in enumerate(self._cursors) for i in order[q][:cursor]
         )
 
     def in_first_layer(self, gate_id: int) -> bool:
-        """Whether gate_id is pending with no pending predecessor; O(operands)."""
-        places = self._frontier.places.get(gate_id)
-        if places is None:
+        """Whether gate_id is pending with no pending predecessor; O(operands).
+
+        The one place an id from outside is bounded: an id outside 1..G
+        names no gate and is in no layer, so a caller reads
+        `gates[gate_id - 1]` once this returns True.
+        """
+        if not 0 < gate_id <= len(self.gates):
             return False
         cursors = self._cursors
-        for q, index in places:
+        for q, index in self._frontier.places[gate_id - 1]:
             if cursors[q] != index:
                 return False
         return True
@@ -125,21 +127,21 @@ class Circuit:
         places = frontier.places
         cursors = self._cursors
         ready = []
-        for q, ids in enumerate(frontier.order):
+        for q, positions in enumerate(frontier.order):
             cursor = cursors[q]
-            if cursor == len(ids):
+            if cursor == len(positions):
                 continue
-            gid = ids[cursor]
-            operands = places[gid]
+            i = positions[cursor]
+            operands = places[i]
             if operands[0][0] != q:
                 continue
             for p, index in operands:
                 if cursors[p] != index:
                     break
             else:
-                ready.append(gid)
+                ready.append(i)
         ready.sort()
-        return tuple(map(frontier.gate_by_id.__getitem__, ready))
+        return tuple(map(self.gates.__getitem__, ready))
 
     @cached_property
     def next_executable(self) -> tuple[Gate, ...]:
@@ -155,15 +157,15 @@ class Circuit:
         for gate in self.first_layer:
             qubits = gate.qubits
             for q in qubits:
-                ids, after = order[q], cursors[q] + 1
-                if after < len(ids):
-                    gid = ids[after]
-                    for p, index in places[gid]:
+                positions, after = order[q], cursors[q] + 1
+                if after < len(positions):
+                    i = positions[after]
+                    for p, index in places[i]:
                         if index != cursors[p] + (p in qubits):
                             break
                     else:
-                        promoted.add(gid)
-        return tuple(map(frontier.gate_by_id.__getitem__, sorted(promoted)))
+                        promoted.add(i)
+        return tuple(map(self.gates.__getitem__, sorted(promoted)))
 
     @property
     def is_complete(self) -> bool:
@@ -176,18 +178,17 @@ class Circuit:
         so it skips the construction check.
         """
         frontier = self._frontier
-        places = frontier.places.get(gate_id)
-        if places is None:
-            raise CircuitError(f"unknown gate {gate_id}")
-        first_qubit, first_index = places[0]
-        if self._cursors[first_qubit] > first_index:
-            raise OrderViolationError(f"gate {gate_id} already executed")
         if not self.in_first_layer(gate_id):
+            if not 0 < gate_id <= len(self.gates):
+                raise CircuitError(f"unknown gate {gate_id}")
+            first_qubit, first_index = frontier.places[gate_id - 1][0]
+            if self._cursors[first_qubit] > first_index:
+                raise OrderViolationError(f"gate {gate_id} already executed")
             raise OrderViolationError(
                 f"gate {gate_id} has pending predecessors and cannot execute"
             )
         cursors = list(self._cursors)
-        for q, _ in places:
+        for q, _ in frontier.places[gate_id - 1]:
             cursors[q] += 1
         successor = object.__new__(Circuit)
         successor.__dict__.update(

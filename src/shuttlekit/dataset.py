@@ -5,20 +5,21 @@ instruction describes the trap, the rules, and the current state; the
 output lists the ops with a state echo after each one and stops at the
 `Execute Gate` line. All echoes are rendered from simulation, never taken
 from any external text: each is a state that the one schedule.replay of a
-schedule recorded in the slices it holds (`Schedule.slices`), so rendering
-steps no op and its text cannot disagree with replay. Wording lives in a
-versioned template file so the golden snapshots survive refactors.
+schedule recorded in the slices it holds, which `schedule.decompose`
+hands out, so rendering steps no op and its text cannot disagree with
+replay. Wording lives in a versioned template file so the golden
+snapshots survive refactors.
 
 The template is cut once per process into the literal pieces around its
 seven `$` fields, and an instruction is those pieces joined with the
 field values, so no render scans the template. A state renders straight
-from its encoding: positions off the chains, op lines off kernel op codes.
-Each trap graph object carries one render memo (`RenderMemo`), made on its
-first render and kept in the graph's instance dict, the slot
-`functools.cached_property` fills, so it lives and is freed with the graph
-and leaves the graph's eq, hash and repr alone. The memo keeps the text
-that depends only on that graph, an op code or the encoded state: the
-instruction prefix up to the positions, filled once, and per state the
+from its encoding: positions off the chains, op lines off kernel op codes
+through ops.format_op, the one place op text is written. Each trap graph
+object carries one render memo, made on its first render and kept in the
+graph's instance dict, the slot `functools.cached_property` fills, so it
+lives and is freed with the graph and leaves the graph's eq, hash and repr
+alone. The memo is a pair: the instruction prefix up to the positions,
+filled once, and a dict that maps an encoded state to its text, the
 positions and the bulleted shuttling-op block. Every render on one graph
 shares it, across schedules, dataset runs and driver runs; the gate lines
 and the ready `Execute Gate` bullets, which depend on the circuit as well,
@@ -136,53 +137,35 @@ def _layout(graph: TrapGraph) -> str:
     )
 
 
-class RenderMemo:
-    """The text every render on one trap graph shares, kept as long as the graph.
+def _render_memo(graph: TrapGraph) -> tuple[str, dict]:
+    """The render memo of `graph`, made on first use and kept in its instance dict.
 
-    `layout` holds the instruction up to its "Qubit positions" block, with
-    the capacity, "Trap layout" and "Connections" filled in.
-    `op_bullets` maps a kernel op code to its `- <op>` bullet, filled
-    through ops.format_op on a miss. `states` maps an encoded state
-    (chains, locks) to its `qubit q at [v, p]` lines (qubit q's at index
-    q), its "Qubit positions" block and its bulleted shuttling-op block
-    ("" when no shuttling op is legal).
+    A pair: the instruction up to its "Qubit positions" block, with the
+    capacity, "Trap layout" and "Connections" filled in, and a dict that
+    maps an encoded state (chains, locks) to its `qubit q at [v, p]` lines
+    (qubit q's at index q), its "Qubit positions" block and its bulleted
+    shuttling-op block ("" when no shuttling op is legal).
     """
-
-    def __init__(self, graph: TrapGraph) -> None:
-        self.layout = _layout(graph)
-        self.op_bullets: dict[tuple[int, int, int], str] = {}
-        self.states: dict[tuple, tuple[list[str], str, str]] = {}
-
-
-def _render_memo(graph: TrapGraph) -> RenderMemo:
-    """The render memo of `graph`, made on first use and kept in its instance dict."""
     memo = graph.__dict__.get("_render_memo")
     if memo is None:
-        memo = graph.__dict__["_render_memo"] = RenderMemo(graph)
+        memo = graph.__dict__["_render_memo"] = (_layout(graph), {})
     return memo
 
 
-def _op_block(memo: RenderMemo, codes) -> str:
-    """The bullets of kernel op codes, one line each, through the memo's table."""
-    table = memo.op_bullets
-    lines = []
-    for code in codes:
-        line = table.get(code)
-        if line is None:
-            line = table[code] = "- " + op_mod.format_op(code)
-        lines.append(line)
-    return "\n".join(lines)
+def _op_block(codes) -> str:
+    """The bullets of kernel op codes, one line each."""
+    return "\n".join(["- " + op_mod.format_op(code) for code in codes])
 
 
 def _state_text(
-    graph: TrapGraph, memo: RenderMemo, chains: tuple, locks: tuple
+    graph: TrapGraph, states: dict, chains: tuple, locks: tuple
 ) -> tuple[list[str], str, str]:
     """The memo entry of state (chains, locks), rendered and stored on a miss."""
-    entry = memo.states.get((chains, locks))
+    entry = states.get((chains, locks))
     if entry is None:
         lines = position_lines(TrapState(chains, locks))
-        shuttles = _op_block(memo, kernel.successors(graph.encoded, chains, locks))
-        entry = memo.states[chains, locks] = (lines, _bullets(lines), shuttles)
+        shuttles = _op_block(kernel.successors(graph.encoded, chains, locks))
+        entry = states[chains, locks] = (lines, _bullets(lines), shuttles)
     return entry
 
 
@@ -200,14 +183,12 @@ def _gate_lines(gates: tuple[Gate, ...], spots: list[str]) -> str:
     return "\n".join(lines) if lines else "- none"
 
 
-def _allowed_block(
-    graph: TrapGraph, memo: RenderMemo, shuttles: str, chains: tuple, gates: tuple
-) -> str:
+def _allowed_block(graph: TrapGraph, shuttles: str, chains: tuple, gates: tuple) -> str:
     """The "Allowed operations" bullets: the shuttling block, then the ready gates."""
     ready = kernel.ready_gates(graph.encoded, chains, gates)
     if not ready:
         return shuttles or "- none"
-    executes = _op_block(memo, [(kernel.EXECUTE, g, -1) for g in ready])
+    executes = _op_block([(kernel.EXECUTE, g, -1) for g in ready])
     return f"{shuttles}\n{executes}" if shuttles else executes
 
 
@@ -217,18 +198,17 @@ def render_instruction(graph: TrapGraph, state: TrapState, circuit: Circuit) -> 
     Contains the trap layout, the operation rules, the goal, and four
     enumerations: qubit positions, first-layer gates, the gates one
     execution away, and the currently allowed operations. The graph's
-    render memo supplies and keeps the filled layout, the op lines and the
-    state's text.
+    render memo supplies and keeps the filled layout and the state's text.
     """
     chains = state.chains
     _check_qubits(chains, circuit)
-    memo = _render_memo(graph)
-    spots, positions, shuttles = _state_text(graph, memo, chains, state.locks)
+    layout, states = _render_memo(graph)
+    spots, positions, shuttles = _state_text(graph, states, chains, state.locks)
     first_layer = circuit.first_layer
     after_positions, after_first, after_next, tail = _template()[4:]
     return "".join(
         (
-            memo.layout,
+            layout,
             positions,
             after_positions,
             _gate_lines(first_layer, spots),
@@ -240,7 +220,7 @@ def render_instruction(graph: TrapGraph, state: TrapState, circuit: Circuit) -> 
                 ]
             ),
             after_next,
-            _allowed_block(graph, memo, shuttles, chains, first_layer),
+            _allowed_block(graph, shuttles, chains, first_layer),
             tail,
         )
     )
@@ -257,8 +237,7 @@ def render_output(slice: EntrySlice, graph: TrapGraph, circuit: Circuit) -> str:
     schedule.decompose). A slice whose only `Execute Gate` is not its last
     op, or that lacks one state per shuttling op, or whose state does not
     hold exactly the circuit's qubits, raises RenderError. The graph's
-    render memo supplies and keeps the op lines and each echoed state's
-    text.
+    render memo supplies and keeps each echoed state's text.
     """
     executes = [i for i, op in enumerate(slice.ops) if op.kind == kernel.EXECUTE]
     if executes != [len(slice.ops) - 1] or len(slice.states) != len(slice.ops) - 1:
@@ -269,16 +248,16 @@ def render_output(slice: EntrySlice, graph: TrapGraph, circuit: Circuit) -> str:
         )
     *moves, last = slice.ops
     _check_qubits(slice.state.chains, circuit)
-    memo = _render_memo(graph)
+    states = _render_memo(graph)[1]
     first_layer = circuit.first_layer
     blocks: list[str] = []
     for op, state in zip(moves, slice.states):
         chains = state.chains
-        spots, positions, shuttles = _state_text(graph, memo, chains, state.locks)
+        spots, positions, shuttles = _state_text(graph, states, chains, state.locks)
         lines = [op_mod.format_op(op), "Qubit positions:", positions, "First-layer gates:"]
         lines.append(_gate_lines(first_layer, spots))
         lines.append("Allowed operations:")
-        lines.append(_allowed_block(graph, memo, shuttles, chains, first_layer))
+        lines.append(_allowed_block(graph, shuttles, chains, first_layer))
         blocks.append("\n".join(lines))
     blocks.append(op_mod.format_op(last))
     return "\n\n".join(blocks) + "\n"

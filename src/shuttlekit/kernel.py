@@ -326,7 +326,7 @@ def route_search(
     trap,
     chains,
     locks,
-    qubit_count,
+    layout,
     *,
     estimate,
     weight,
@@ -338,9 +338,11 @@ def route_search(
     """Weighted best-first search from (chains, locks) to a goal state.
 
     The frontier is a heap on (g + weight * h, g, insertion count), with
-    h = estimate(key, packed), `key` the state's key as `key_layout` lays
-    it out and `packed` its `positions`. A popped state is a goal when h is
-    1 and no vertex of `goal_mask` is occupied. Each op costs 1; a
+    h = estimate(key, packed), `key` the state's key as the caller's
+    `layout`, a `key_layout` of the trap and qubit count, lays it out and
+    `packed` its `positions`; an estimate built on that layout fills one
+    `length` table with the search. A popped state is a goal when h is 1
+    and no vertex of `goal_mask` is occupied. Each op costs 1; a
     Translate out of junction j to dst costs `seal_penalty` more when no
     vertex of seal_exits[j][dst] is occupied (seal_exits[v] is None off
     junctions). Children come in `successors` order, and one that reaches
@@ -356,25 +358,25 @@ def route_search(
     and locks, and its `positions` int, whose low n bits say which vertices
     are occupied: a heap entry is (f, g, insertion count, key, packed), and
     no chains tuple is built past the start. What the loop reads of a
-    chain comes from its code, through tables filled on a miss for this
-    call: its length, the sum of its qubits' `position_shift` units, which
-    a move of the chain adds to `packed` times the vertex hop, and the
-    code of the reversed chain for a Swap. So they hold only the codes the
-    search meets, never all base ** capacity of them. A child's key and
-    positions are its parent's plus the change its op makes to the fields
-    it touches, so a duplicate child is rejected by one dict lookup. `best`
+    chain comes from its code, through tables filled on a miss: its length,
+    from the layout's `length`, and, for this call, the sum of its qubits'
+    `position_shift` units, which a move of the chain adds to `packed`
+    times the vertex hop, and the code of the reversed chain for a Swap.
+    So they hold only the codes the search meets, never all
+    base ** capacity of them. A child's key and positions are its
+    parent's plus the change its op makes to the fields it touches, so a
+    duplicate child is rejected by one dict lookup. `best`
     maps a key to one int, which no GC pass tracks: the cost above the
     parent's expansion serial, which indexes `expanded`, the keys in the
     order they were expanded, above the index of the op from the parent in
     a table of codes built once per call (0 for the start).
     """
     n, neighbors, is_junction = trap[0], trap[2], trap[3]
-    layout = key_layout(trap, qubit_count)
     base, power, field, shift, lock_field, lock_shift, length = layout
     capacity = len(power) - 1
     unit = [1 << s for s in shift]
     lock_unit = [1 << s for s in lock_shift]
-    qubit_unit = [1 << position_shift(n, q) for q in range(qubit_count)]
+    qubit_unit = [1 << position_shift(n, q) for q in range(base - 1)]
 
     def units_of(code):
         total = 0

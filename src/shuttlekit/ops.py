@@ -84,14 +84,13 @@ def violation(
     trap, chains = graph.encoded, state.chains
     qubits, pair = (), None
     if kind == kernel.EXECUTE:
-        gate = circuit.gate_by_id.get(a)
-        if gate is None:
-            template = "unknown gate {a}"
-        elif not circuit.in_first_layer(a):
+        if circuit.in_first_layer(a):
+            qubits = circuit.gates[a - 1].qubits
+            template = kernel.unready(trap, chains, qubits)
+        elif 0 < a <= len(circuit.gates):
             template = "gate {a} is not in the first layer"
         else:
-            qubits = gate.qubits
-            template = kernel.unready(trap, chains, qubits)
+            template = "unknown gate {a}"
     else:
         template = kernel.illegal(trap, chains, state.locks, op)
         pair = graph.lateral_pair(a) if a in graph.vertices else None
@@ -120,11 +119,9 @@ def apply(state: TrapState, graph: TrapGraph, circuit: Circuit, op: ShuttleOp) -
     word it: the error reads "<op line>: <rule>".
     """
     if op.kind == kernel.EXECUTE:
-        gate = circuit.gate_by_id.get(op.a)
         if (
-            gate is not None
-            and circuit.in_first_layer(op.a)
-            and kernel.unready(graph.encoded, state.chains, gate.qubits) is None
+            circuit.in_first_layer(op.a)
+            and kernel.unready(graph.encoded, state.chains, circuit.gates[op.a - 1].qubits) is None
         ):
             return state
     else:

@@ -5,7 +5,7 @@ occupied junction, and contains no shuttling after the final gate. There
 is one replay loop, `replay`, which applies `step` op by op and returns the
 validation report, the per-gate slices, the optimizer's kept ops and the
 circuit reached. It is the only code that steps ops. `validate` replays
-on every call and reads the report. `Schedule.slices` reads the slices of
+on every call and reads the report. `decompose` hands out the slices of
 the one replay the schedule holds: the first `validate`'s, or one run on
 first use (a compiled schedule's is the replay that validates it), so a
 parsed schedule is replayed once for its validation and its slices.
@@ -48,14 +48,6 @@ class Schedule:
         report, slices, *_ = replay(self.graph, self.placement, self.circuit, self.ops)
         return report, tuple(slices)
 
-    @property
-    def slices(self) -> tuple[EntrySlice, ...]:
-        """The per-gate slices of the schedule's one replay (see `decompose`)."""
-        report, slices = self._replayed
-        if not report.ok:
-            raise ScheduleValidationError(report)
-        return slices
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -79,12 +71,6 @@ class EntrySlice:
     circuit: Circuit
     ops: tuple[ShuttleOp, ...]
     states: tuple[TrapState, ...]
-
-    @property
-    def gate(self) -> int:
-        kind, gate, _ = self.ops[-1]
-        assert kind == EXECUTE
-        return gate
 
 
 def step(
@@ -162,8 +148,8 @@ def replay(
 def validate(schedule: Schedule) -> ValidationReport:
     """Replay the schedule and report the first violated condition, if any.
 
-    Every call replays. The schedule keeps this replay for `Schedule.slices`
-    when it holds none yet, so the slices `decompose` reads after
+    Every call replays. The schedule keeps this replay for `decompose` when
+    it holds none yet, so the slices `decompose` reads after
     `parse_schedule` are those of the replay that validated the file.
     """
     report, slices, *_ = replay(schedule.graph, schedule.placement, schedule.circuit, schedule.ops)
@@ -172,12 +158,17 @@ def validate(schedule: Schedule) -> ValidationReport:
 
 
 def decompose(schedule: Schedule) -> list[EntrySlice]:
-    """A fresh list of `schedule.slices`; concatenating the slices restores the schedule.
+    """A fresh list of the per-gate slices of the schedule's one replay.
 
-    An invalid schedule raises ScheduleValidationError carrying the report
-    `validate` returns, on every call: only a valid schedule keeps slices.
+    Concatenating the slices restores the schedule. The replay is the
+    first `validate`'s, or one run on the first call. An invalid schedule
+    raises ScheduleValidationError carrying the report `validate` returns,
+    on every call: only a valid schedule hands out slices.
     """
-    return list(schedule.slices)
+    report, slices = schedule._replayed
+    if not report.ok:
+        raise ScheduleValidationError(report)
+    return list(slices)
 
 
 def optimize(

@@ -146,7 +146,7 @@ def test_every_slice_starts_with_junctions_empty(graph, qubits, seeds):
             occupied = [
                 v for v, chain in enumerate(piece.state.chains) if chain and graph.is_junction(v)
             ]
-            assert occupied == [], (seed, piece.gate, occupied)
+            assert occupied == [], (seed, piece.ops[-1].a, occupied)
 
 
 def test_compile_steps_each_op_once(monkeypatch):
@@ -568,7 +568,7 @@ def test_router_executes_the_lowest_ready_first_layer_gate(graph, qubits):
             for op in piece.ops[:-1]:
                 state = ops.apply(state, graph, piece.circuit, op)
             ready = kernel.ready_gates(enc, state.chains, piece.circuit.first_layer)
-            assert piece.ops[-1] == ops.ExecuteGate(min(ready)), (seed, piece.gate)
+            assert piece.ops[-1] == ops.ExecuteGate(min(ready)), (seed, piece.ops[-1].a)
             slices += 1
     assert slices > 0
 
@@ -912,3 +912,28 @@ def test_oracle_answers_match_the_pinned_digest():
                 _, chains, locks = rng.choice(moves)
     assert 0 < refused < answers
     assert digest.hexdigest() == ORACLE_SHA256
+
+
+def test_oracle_and_compile_calls_on_one_graph_share_its_search_tables(monkeypatch):
+    """A trap graph object's hop distances are searched once, on its first search.
+
+    Two oracle calls and a compile on one graph run one breadth-first
+    search per vertex between them; an equal graph object builds its own.
+    """
+    calls = []
+    distances = baseline.bfs_distances
+    monkeypatch.setattr(
+        baseline, "bfs_distances", lambda *args: calls.append(args) or distances(*args)
+    )
+    circuit = baseline.random_circuit(3, 4, 0)
+    graphs = (trap.build_linear(2), trap.build_linear(2))
+    n = len(graphs[0].vertices)
+    for graph in graphs:
+        placement = initial_placement(circuit, graph)
+        first = baseline.bfs_next_gate(placement, graph, circuit)
+        assert baseline.bfs_next_gate(placement, graph, circuit) == first
+        baseline.compile(circuit, graph)
+    assert [(args[0], args[1]) for args in calls] == [
+        (graph, v) for graph in graphs for v in range(n)
+    ]
+    assert all(args[0] is graphs[i // n] for i, args in enumerate(calls))

@@ -425,7 +425,7 @@ def test_equal_graphs_render_alike_each_through_its_own_memo():
         piece = EntrySlice(state, ONE_GATE, tuple(map(ops.parse_op, ROUTE)), (state,) * 3)
         instruction = render_instruction(graph, state, ONE_GATE)
         texts.append((instruction, render_output(piece, graph, ONE_GATE)))
-        assert len(dataset._render_memo(graph).states) == 1
+        assert len(dataset._render_memo(graph)[1]) == 1
     assert texts[0] == texts[1]
     assert dataset._render_memo(graphs[0]) is not dataset._render_memo(graphs[1])
 

@@ -290,7 +290,7 @@ def test_a_final_slice_that_leaves_a_junction_occupied_is_retried():
 
 
 def test_a_gate_executed_again_is_an_illegal_op():
-    done = SLICES[0].gate
+    done = SLICES[0].ops[-1].a
     again = f"Execute Gate {done}\n"
     schedule, stats = run(MockCompletionClient([OUTPUTS[0], again, *OUTPUTS[1:]]))
     assert (stats.outcome, stats.retries) == ("complete", 1)
