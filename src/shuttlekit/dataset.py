@@ -281,7 +281,8 @@ def parse_output(text: str) -> list[ShuttleOp]:
     replaying the ops against the graph, state, and circuit the prompt was
     rendered for.
     """
-    text = _THINK.sub("", text)
+    if "<" in text:  # every reasoning span starts with it
+        text = _THINK.sub("", text)
     if not text.isascii() or any(brk in text for brk in "\r\x0b\x0c\x1c\x1d\x1e"):
         text = "\n".join(text.splitlines())
     text = "\n" + text

@@ -118,6 +118,23 @@ def read_json_objects(path: str, label: str, error=ShuttleError) -> list[tuple[i
     return objects
 
 
+# Each byte whose character str.split() splits on (\x1c-\x1f included) as
+# b" ", every other byte as b"x".
+_WORD_BYTES = bytes(32 if chr(b).isspace() else 120 for b in range(256))
+
+
+def word_count(text: str) -> int:
+    """len(text.split()), counted without building the list of words.
+
+    An ASCII text is mapped to spaces and x's by `_WORD_BYTES`; a word
+    starts at every " x" and at an "x" in front. Other text is split.
+    """
+    if not text.isascii():
+        return len(text.split())
+    marks = text.encode().translate(_WORD_BYTES)
+    return marks.count(b" x") + marks.startswith(b"x")
+
+
 def _response_object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise TransportError(f"endpoint response {what} is not an object")
@@ -129,8 +146,9 @@ class HttpCompletionClient:
     """One completion request per call against an OpenAI-compatible endpoint.
 
     Reads choices[0].text (or .message.content) and the server-reported
-    usage.completion_tokens, estimating by whitespace split when the server
-    omits usage. A body of any other shape raises TransportError. An
+    usage.completion_tokens, estimating it by `word_count` when the server
+    omits it or reports anything but a non-negative integer (a boolean
+    included). A body of any other shape raises TransportError. An
     endpoint that is not an http or https URL raises PermanentTransportError
     before any request.
     """
@@ -172,16 +190,17 @@ class HttpCompletionClient:
             raise TransportError("endpoint response carries no completion text")
         usage = _response_object(body.get("usage") or {}, "usage")
         tokens = usage.get("completion_tokens")
-        if not isinstance(tokens, int):
-            tokens = len(text.split())
+        if type(tokens) is not int or tokens < 0:
+            tokens = word_count(text)
         return CompletionResult(text, tokens)
 
 
 class MockCompletionClient:
     """Scripted client: returns canned responses in order.
 
-    A response's token count is its whitespace-separated word count. A
-    request after the last response raises ReplayMismatchError.
+    A response's token count is its `word_count`, the number of
+    whitespace-separated words. A request after the last response raises
+    ReplayMismatchError.
     """
 
     def __init__(self, script: Sequence[str]) -> None:
@@ -195,7 +214,7 @@ class MockCompletionClient:
         text = self.script[self.cursor]
         self.cursor += 1
         self.calls.append(instruction)
-        return CompletionResult(text, len(text.split()))
+        return CompletionResult(text, word_count(text))
 
 
 class RecordingClient:

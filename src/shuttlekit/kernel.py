@@ -5,9 +5,13 @@ illegal one breaks. `illegal` checks a shuttling op and `unready` an
 Execute Gate's operands, each returning the first rule broken as a constant
 template that ops.violation fills in; `transition` applies an op's effect
 once `illegal` passes it, and `successors` and `ready_gates` filter
-candidates by the two checks. ops.apply, which schedule.replay calls for
-every op, and the router's commits step ops through `transition`; dataset
-rendering steps nothing and echoes the states replay recorded.
+candidates by the two checks. The readiness rule: a gate is ready exactly
+when its one or two operands sit alone together in a gate-capable vertex,
+so `ready_gates` reads only the chains of the trap's `gate_sites`, and
+`unready` words the rule an unready gate breaks. ops.apply, which
+schedule.replay calls for every op, and the router's commits step ops
+through `transition`; dataset rendering steps nothing and echoes the
+states replay recorded.
 TrapGraph.site_violation words the state-independent site rules, which
 reach `illegal` through the encoded trap. `route_search` is the package's
 one state-space search: the router runs it as a weighted best-first
@@ -22,8 +26,8 @@ States come as TrapState holds them, so no call converts one: chains a
 vertex-indexed tuple of qubit tuples, locks a vertex-indexed tuple with -1
 for unset. The trap comes as `TrapGraph.encoded`, flattened once per
 graph, whose static site tables settle every state-independent condition
-(flags, lateral pairs, junction sides). Gates come as Circuit.first_layer
-gives them; only their `id` and `qubits` are read. Op codes are
+(flags, lateral pairs, junction sides, gate sites). Gates come as
+Circuit.first_layer gives them; only their `id` and `qubits` are read. Op codes are
 (kind, a, b) with kinds 0=Translate(src, dst), 1=Separate(v), 2=Merge(v),
 3=Swap(v), 4=ExecuteGate(gate), b = -1 for one operand; each ops.ShuttleOp
 is one, so ops come to these functions as they are.
@@ -172,8 +176,22 @@ def unready(trap, chains, qubits):
 
 
 def ready_gates(trap, chains, gates):
-    """Ids of the gates `unready` finds no rule against, in the order given."""
-    return [gate.id for gate in gates if unready(trap, chains, gate.qubits) is None]
+    """Ids of the gates `unready` finds no rule against, in the order given.
+
+    A gate is ready exactly when its one or two operands sit alone together
+    in a gate-capable vertex, that is, when its operand tuple, read either
+    way, is the whole chain of one of the trap's `gate_sites`. So one pass
+    over those chains answers every gate, and no chain elsewhere is read.
+    Precondition: each qubit appears at most once in `chains`, as
+    TrapState.from_dicts and every kernel op guarantee, and each gate has
+    one or two distinct operands, as Circuit construction checks.
+    """
+    alone = set()
+    for v in trap[10]:
+        chain = chains[v]
+        alone.add(chain)
+        alone.add(chain[::-1])
+    return [gate.id for gate in gates if gate.qubits in alone]
 
 
 def reachable_gates(trap, chains, locks, gates):

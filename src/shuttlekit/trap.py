@@ -115,14 +115,17 @@ class TrapGraph:
         """The trap as the flat vertex-indexed tuples the kernel iterates over.
 
         (n, capacity, neighbors, is_junction, can_gate, lateral, site_reasons,
-        separate_sites, merge_sites, swap_sites). Each per-vertex field is a
-        length-n tuple indexed by vertex id (ids run 0..n-1, which
+        separate_sites, merge_sites, swap_sites, gate_sites). Each per-vertex
+        field is a length-n tuple indexed by vertex id (ids run 0..n-1, which
         construction checks); `lateral[v]` is `lateral_pair(v)`.
         `site_reasons` holds, for Separate, Merge and Swap in turn, each
-        vertex's `site_violation`. The last three are the static site tables
-        the enumerators loop over, the vertices where that reason is None, in
+        vertex's `site_violation`. Next come the static site tables the
+        enumerators loop over, the vertices where that reason is None, in
         vertex order: (v, left, right) triples for Separate and Merge, and
-        plain vertices for Swap.
+        plain vertices for Swap. Last, `gate_sites` is `gate_vertices`, the
+        gate-capable vertices in vertex order: a gate is ready exactly when
+        its one or two operands sit alone together in one of them, so
+        kernel.ready_gates reads only their chains.
         """
         ids = range(len(self.vertices))
         lateral = tuple(self.lateral_pair(v) for v in ids)
@@ -140,6 +143,7 @@ class TrapGraph:
             tuple((v, *lateral[v]) for v in ids if separate[v] is None),
             tuple((v, *lateral[v]) for v in ids if merge[v] is None),
             tuple(v for v in ids if swap[v] is None),
+            self.gate_vertices,
         )
 
 

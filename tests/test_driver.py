@@ -1,12 +1,16 @@
 """Generate–validate–retry driver against scripted and replayed clients."""
 
+import importlib
 import json
 import random
 import re
 from itertools import count
+from pathlib import Path
+from types import SimpleNamespace
 from urllib.error import HTTPError, URLError
 
 import pytest
+from hypothesis import given, strategies as st
 
 from shuttlekit import baseline, driver, kernel, ops, trap
 from shuttlekit.baseline import random_circuit
@@ -20,6 +24,7 @@ from shuttlekit.driver import (
     generate_schedule,
     request_digest,
     run_benchmark,
+    word_count,
 )
 from shuttlekit.errors import IllegalOperationError, OutputParseError, TransportError
 from shuttlekit.ops import Translate, format_op
@@ -599,3 +604,65 @@ def test_http_complete_reads_a_well_formed_body(monkeypatch):
     monkeypatch.setattr(driver, "urlopen", answering(Response(body)))
     result = driver.HttpCompletionClient(ENDPOINT, "m").complete("prompt", 8, 0.0)
     assert (result.text, result.token_count) == ("a b c", 5)
+
+
+@pytest.mark.parametrize(
+    "reported,counted",
+    [(True, 3), (False, 3), (-1, 3), (0, 0)],
+    ids=["true", "false", "negative", "zero"],
+)
+def test_http_complete_estimates_a_count_that_is_not_a_non_negative_integer(
+    monkeypatch, tmp_path, reported, counted
+):
+    """A boolean or negative usage count is estimated, so its recording replays."""
+    body = {"choices": [{"text": "a b c"}], "usage": {"completion_tokens": reported}}
+    monkeypatch.setattr(driver, "urlopen", answering(Response(body)))
+    path = tmp_path / "exchange.jsonl"
+    client = RecordingClient(driver.HttpCompletionClient(ENDPOINT, "m"), str(path))
+    result = client.complete("prompt", 8, 0.0)
+    assert type(result.token_count) is int and result.token_count == counted
+    assert ReplayCompletionClient(str(path)).complete("prompt", 8, 0.0) == result
+
+
+# Every character str.split() splits on below U+0080, \x1c-\x1f included;
+# some it splits on above it; and characters it does not split on, NUL and
+# a zero-width space among them.
+ASCII_SPACES = [chr(c) for c in range(128) if chr(c).isspace()]
+WIDE_SPACES = ["\x85", "\xa0", "\u2003", "\u3000"]
+ASCII_WORD = ["a", "Z", "0", "-", ">", "[", "\x00", "\x7f"]
+WIDE_WORD = ["\u200b", "\xe9"]
+
+
+@given(
+    st.text(st.sampled_from(ASCII_SPACES + ASCII_WORD))
+    | st.text(st.sampled_from(ASCII_SPACES + WIDE_SPACES + ASCII_WORD + WIDE_WORD))
+)
+def test_word_count_is_the_length_of_split(text):
+    """On ASCII text, which word_count maps byte by byte, and on any other."""
+    assert word_count(text) == len(text.split())
+
+
+# (tokens_total, tokens_final) of each replay-long driver run at workload
+# seed 1, as `python tools/prompt_digest.py --seed 1` prints them.
+LONG_RUN_TOKENS = {
+    "schedule_d200.txt": (209115, 192081),
+    "schedule_d400.txt": (391302, 362689),
+}
+
+
+def test_the_long_schedule_runs_report_their_pinned_token_counts(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import MODULES, ReplayLong
+
+    lib = SimpleNamespace(**{name: importlib.import_module(f"shuttlekit.{name}") for name in MODULES})
+    workload = ReplayLong()
+    workload.setup(lib, 1)
+    counted = {}
+    for name, text, graph, circuit, plan in workload.files:
+        slices = decompose(lib.schedule.parse_schedule(text, graph, circuit))
+        outputs = [render_output(piece, graph, piece.circuit) for piece in slices]
+        script, _ = workload._script(outputs, plan, slices)
+        _, stats = generate_schedule(circuit, graph, MockCompletionClient(script))
+        assert stats.outcome == "complete"
+        counted[name] = (stats.tokens_total, stats.tokens_final)
+    assert counted == LONG_RUN_TOKENS

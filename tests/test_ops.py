@@ -457,12 +457,15 @@ def test_kernel_matches_violation_on_random_walks(graph, qubits):
     kernel.successors gives exactly the codes transition accepts, in
     canonical order; for every Execute Gate of every_op and one unknown
     gate id, apply raises exactly when violation() gives a reason, with
-    that reason in its text; and on oracle-sized instances the
-    bfs_next_gate route replays and ends in a gate execution.
+    that reason in its text; kernel.ready_gates over every one- and
+    two-qubit gate, first-layer or not, is the kernel.unready filter; and
+    on oracle-sized instances the bfs_next_gate route replays and ends in
+    a gate execution.
     """
     oracle = len(graph.vertices) <= ORACLE_MAX_VERTICES and qubits <= 4
     trap_enc = graph.encoded
-    routes = 0
+    gates = every_gate(qubits)
+    routes = ready_pairs = 0
     for seed in range(4):
         rng = random.Random(seed)
         circuit = random_circuit(qubits, 4, seed)
@@ -498,6 +501,9 @@ def test_kernel_matches_violation_on_random_walks(graph, qubits):
                 with pytest.raises(IllegalOperationError) as rejected:
                     apply(state, graph, circuit, op)
                 assert str(rejected.value) == f"{format_op(op)}: {reason}"
+            ready = kernel.ready_gates(trap_enc, state.chains, gates)
+            assert ready == unready_filter(trap_enc, state.chains, gates)
+            ready_pairs += any(len(gates[gate_id - 1].qubits) == 2 for gate_id in ready)
             if oracle and step % 10 == 0 and circuit.first_layer:
                 try:
                     route = bfs_next_gate(state, graph, circuit)
@@ -519,6 +525,46 @@ def test_kernel_matches_violation_on_random_walks(graph, qubits):
             if op.kind == kernel.EXECUTE:
                 circuit = circuit.mark_executed(op.a)
     assert not oracle or routes > 0
+    assert ready_pairs > 0
+
+
+def unready_filter(enc, chains, gates):
+    """The ids of `gates` that kernel.unready passes, one gate at a time."""
+    return [gate.id for gate in gates if kernel.unready(enc, chains, gate.qubits) is None]
+
+
+# Two gate vertices side by side, room for three ions each:
+#   0 - [1] - [2] - 3
+TWO_GATE_SITES = trap.TrapGraph(
+    {
+        0: trap.Vertex(0, trap.VertexKind.STORAGE),
+        1: trap.Vertex(1, trap.VertexKind.GATE, frozenset(trap.ELIGIBILITY_FLAGS)),
+        2: trap.Vertex(2, trap.VertexKind.GATE, frozenset(trap.ELIGIBILITY_FLAGS)),
+        3: trap.Vertex(3, trap.VertexKind.STORAGE),
+    },
+    frozenset({(0, 1), (1, 2), (2, 3)}),
+    capacity=3,
+)
+
+# every_gate(4) numbers (0,) .. (3,) as gates 1-4, then (0, 1) 5, (0, 2) 6,
+# (0, 3) 7, (1, 2) 8, (1, 3) 9, (2, 3) 10.
+READY_BY_HAND = [
+    ({1: (0,), 2: (1,)}, [1, 2]),  # gate 5's operands split between the gate sites
+    ({1: (1, 0), 2: (2, 3)}, [5, 10]),  # a pair is ready read either way
+    ({1: (0, 1, 2)}, []),  # a stranger shares the operands' chain
+    ({1: (0, 2), 3: (1,)}, [6]),  # qubit 0 is not alone, and 1 sits elsewhere
+    ({0: (0, 1), 3: (2,)}, []),  # operands alone together, off the gate sites
+    ({0: (0,), 1: (3,), 2: (1, 2)}, [4, 8]),
+]
+
+
+@pytest.mark.parametrize("chains,ready", READY_BY_HAND)
+def test_ready_gates_on_hand_built_states(chains, ready):
+    enc = TWO_GATE_SITES.encoded
+    state = TrapState.from_dicts(TWO_GATE_SITES, chains)
+    gates = every_gate(4)
+    assert kernel.ready_gates(enc, state.chains, gates) == ready
+    assert unready_filter(enc, state.chains, gates) == ready
 
 
 # The digest of tools/rejection_digest.py run at 2 walks of 30 states and 15

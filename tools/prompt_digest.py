@@ -7,11 +7,12 @@ For each schedule file, in order, the digest covers every render_output
 text, one per slice, and then every instruction generate_schedule sends to
 the scripted client, retries included, so it changes when any rendered
 prompt or target of that run does. Stdout holds the digest alone; stderr
-gets one line per file with its slice, instruction and retry counts and the
-run's outcome. Its last line totals the render work, the kernel.successors
-calls of the whole run: "render work: N kernel.successors calls". A change
-that renders the same text with different work moves that line and not the
-digest.
+gets one line per file with its slice, instruction and retry counts, the
+run's outcome, and its tokens_total and tokens_final as the scripted
+client counts them. Its last line totals the render work, the
+kernel.successors calls of the whole run: "render work: N
+kernel.successors calls". A change that renders the same text with
+different work moves that line and not the digest.
 
     python tools/prompt_digest.py --seed 1
 """
@@ -53,7 +54,8 @@ def prompt_digest(seed: int) -> str:
         _, stats = lib.driver.generate_schedule(circuit, graph, client)
         print(
             f"{name}: {len(slices)} slices, {len(client.calls)} instructions, "
-            f"{stats.retries} retries for {faults} faults, {stats.outcome}",
+            f"{stats.retries} retries for {faults} faults, {stats.outcome}, "
+            f"tokens_total {stats.tokens_total}, tokens_final {stats.tokens_final}",
             file=sys.stderr,
             flush=True,
         )
