@@ -1,53 +1,34 @@
 """Heuristic schedule compiler and the exhaustive shortest-route oracle.
 
-The compiler executes one first-layer gate at a time: the lowest-numbered
-ready one, whose operands alone fill a gate vertex. When no first-layer
-gate is ready, one weighted best-first search over the kernel encoding
-(kernel.route_search) finds a short op sequence from the current state to
-a state where one is and no chain rests on a junction, and the router
-commits it and executes the lowest-numbered ready gate there. The search
-keeps each state as its exact integer key and its packed positions, and
-returns the op codes it applied; this module supplies its estimate, which
-reads those two ints, its seal-penalty table, its goal mask and cap, and
-words its failures.
-Before that search a reachability check (kernel.reachable_gates) stops the
-compile at once when junction locks have sealed every first-layer gate's
-operands apart. Each failure names the lowest-numbered first-layer gate.
+The router executes the lowest-numbered ready first-layer gate (see
+kernel.ready_gates). When none is ready, one kernel.route_search finds ops
+to a state where one is and no chain rests on a junction; this module
+supplies its estimate, seal penalty, goal mask and cap, and words its
+failures. `_route` commits each op through kernel.transition, so the
+kernel checks every op against the real state. A route never revisits a
+state, so the router's codes are exactly schedule.replay's kept ops.
 
-The router is two functions over the kernel encoding: `_route` walks one
-circuit gate by gate with its state and circuit as locals, and
-`_search_next` runs one search from a given state. `_route` commits a
-shuttling op with one kernel.transition call on that op's code, so the
-kernel checks every op against the real state, and it returns the op
-codes as committed. Replay's optimizer keeps them all: a route never
-revisits a state, so none of its ops undoes an earlier one, and no
-cancellation crosses an Execute Gate. Each compile decodes them once, and
-one schedule.replay validates the schedule and cuts the slices it holds,
-which schedule.decompose hands out: a compile yields it only when replay
-accepts it.
+Route memo. The compiles of one `compile_many` call share a map from a
+search's start, keyed by `_route_key`, to the op codes it found; the
+lowest ready gate of the real first layer then executes. A hit is the
+slice a fresh search would find, because the search is blind to qubit
+labels: it reads a qubit only through which vertex holds it and how long
+that chain is, its estimate is symmetric in a pair's two operands, and
+its successors, hence its heap order, follow vertex order. The memo holds
+successful searches only and lives for one call.
 
-`compile_many` compiles a batch of circuits on one trap and `compile` is a
-batch of one. Every search on one trap graph object reads its search
-tables, built on first use and kept in the graph's instance dict as the
-dataset render memo is. The compiles of a batch share a route memo, which
-maps a search's start to the op codes it found. The
-key renumbers qubits by order of appearance in vertex order, so a start that
-differs from an earlier one only in qubit labels reuses its slice. That is
-sound because the search sees labels only through which vertex holds an
-operand and how long that chain is: its estimate is symmetric in a pair's
-two operands, and its successors, hence its heap order, follow vertex
-order. The memo holds successful searches only and lives for one call.
+Failures. Each is a CompileError, and none proves that the circuit has no
+schedule. The initial placement does not fit. The router is stuck, and the
+message names the lowest-numbered first-layer gate: junction locks seal
+every first-layer gate's operands apart (found by kernel.reachable_gates
+before searching), the search exhausts every state reachable from where
+the router stands, or it spends `_SEARCH_CAP` expansions. Or the router
+has a defect: an op of a route is illegal in the router's current state,
+or replay rejects the router's schedule.
 
-A compile fails in one of two ways past placement, both reported as
-CompileError and neither a proof that the circuit has no schedule: the
-router is stuck, because locks seal it in or the search exhausts every
-state reachable from where it stands, or the search spends its cap of
-`_SEARCH_CAP` expansions first. The oracle runs the same
-kernel.route_search at uniform cost, feasible only on small instances, for
-a provably shortest op sequence to the next gate execution.
-Its independence from the router rests on tests: a digest of its answers
-pinned from a breadth-first search, and route_search held equal to a
-best-first loop over kernel.successors and kernel.transition.
+Tests hold the oracle, `bfs_next_gate`, independent of the router: a
+digest of its answers pinned from a breadth-first search, and route_search
+held equal to a best-first loop over kernel.successors and transition.
 """
 
 from __future__ import annotations
@@ -88,16 +69,15 @@ _ONE_QUBIT_NAMES = ("h", "x", "y", "z", "s", "t")
 class _SearchTables(NamedTuple):
     """Per-trap tables behind the search estimate and the seal penalty.
 
-    `n` is the vertex count and `far` stands in for an unreachable hop
-    distance. `paths` holds, per gate vertex, a pair of n x n tables for
-    operands at (va, vb), vb == va for one chain: distance[va][vb] is
-    t[va] + t[vb], or t[va] when va == vb, where t[v] is the hop distance
-    from v to that gate vertex; corridor[va][vb] is the bitmask of the
-    vertices other than va and vb that lie on some shortest path from va
-    or vb to it. seal_exits[j], for a junction j (None elsewhere), maps
-    each neighbor dst to the bitmask of vertices that must all be empty for
-    the Translate j -> dst to leave nothing on any other side of j.
-    junction_mask is the bitmask of junction vertices.
+    `far` stands in for an unreachable hop distance. `paths` holds, per
+    gate vertex, a pair of n x n tables for operands at (va, vb), vb == va
+    for one chain: distance[va][vb] is t[va] + t[vb], or t[va] when va ==
+    vb, where t[v] is the hop distance from v to that gate vertex;
+    corridor[va][vb] is the bitmask of the vertices other than va and vb on
+    some shortest path from va or vb to it. seal_exits[j], for a junction j
+    (None elsewhere), maps each neighbor dst to the bitmask of vertices that
+    must all be empty for the Translate j -> dst to leave nothing on any
+    other side of j.
     """
 
     n: int
@@ -108,11 +88,7 @@ class _SearchTables(NamedTuple):
 
 
 def _search_tables(graph: TrapGraph) -> _SearchTables:
-    """The search tables of `graph`, built on first use and kept in its instance dict.
-
-    They live and are freed with the graph object, and leave its eq, hash
-    and repr alone, so every compile and oracle call on it shares one build.
-    """
+    """The search tables of `graph`, built once and kept as the dataset render memo is."""
     tables = graph.__dict__.get("_search_tables")
     if tables is not None:
         return tables
@@ -165,23 +141,13 @@ def _search_tables(graph: TrapGraph) -> _SearchTables:
 def _estimate(tables: _SearchTables, gates: tuple, greedy: bool, layout: kernel.KeyLayout):
     """The search estimate for first-layer `gates`, as h(key, packed).
 
-    `key` is a state's kernel.route_search key, laid out by `layout`, and
-    `packed` its kernel.positions: each operand's vertex is read from
-    `packed` through that operand's kernel.position_shift, its low n bits
-    are the occupancy mask, which the corridor masks select from, and the
-    length of the chain at a vertex is read off that vertex's code in
-    `key` through `layout.length`.
-
-    For operands at va and vb (vb == va for one qubit or one shared chain)
-    and `held` qubits in their chains, h is the minimum over gates and gate
-    vertices of distance[va][vb] + stranger * (held - operands) + 1 +
-    crowd * popcount(corridor[va][vb] & occupied): the hops to the gate
-    vertex, a term per qubit sharing an operand's chain, one for the
-    execute, and a term per other occupied vertex on a shortest path there.
-    (stranger, crowd) is (1, 0) in exact mode and (3, 2) in greedy mode;
-    exact mode skips the corridor term, which is 0 there. The result is 1
-    exactly when some gate is ready: its operands alone fill a gate
-    vertex's chain.
+    Reads the two ints of a kernel.route_search state. For operands at va
+    and vb (vb == va for one qubit or one shared chain) and `held` qubits
+    in their chains, h is the minimum over gates and gate vertices of
+    distance[va][vb] + stranger * (held - operands) + 1 + crowd *
+    popcount(corridor[va][vb] & occupied). (stranger, crowd) is (1, 0) in
+    exact mode, which skips the corridor term, and (3, 2) in greedy mode.
+    h is 1 exactly when some gate is ready.
     """
     far, n, paths = tables.far, tables.n, tables.paths
     stranger, crowd = (3, 2) if greedy else (1, 0)
@@ -210,12 +176,7 @@ def _estimate(tables: _SearchTables, gates: tuple, greedy: bool, layout: kernel.
 
 
 def _route_key(chains: tuple, locks: tuple, gates: tuple) -> tuple:
-    """The route memo's key for a search from (chains, locks) to `gates`.
-
-    Qubits are renumbered by order of appearance in vertex order, and the
-    first layer enters as its sorted, renumbered operand sets: gate ids
-    and operand order do not reach the search.
-    """
+    """Route memo key: chains, locks, sorted operand sets; qubits renumbered in vertex order."""
     relabel: dict[int, int] = {}
     for chain in chains:
         for q in chain:
@@ -230,23 +191,14 @@ def _route_key(chains: tuple, locks: tuple, gates: tuple) -> tuple:
 def _search_next(
     trap: tuple, tables: _SearchTables, circuit: Circuit, chains: tuple, locks: tuple
 ) -> tuple[tuple[int, int, int], ...]:
-    """Weighted best-first search to the nearest first-layer execution.
+    """The shuttling op codes of one search from (chains, locks) to the nearest goal.
 
-    Runs kernel.route_search from (chains, locks) and returns the codes of
-    the shuttling ops to the first goal it pops; the caller takes them and
-    the execute. The trap's size picks one row of weights for the one
-    `_estimate` formula: on oracle-sized traps the search weight is 1 and
-    the estimate, with no corridor term, stays a near lower bound, so
-    slices stay near shortest; bigger traps take search weight 2 and
-    heavier stranger and corridor terms that keep the frontier narrow. A
-    goal has a ready gate and no chain on a junction: a slice may route
-    through junctions but must not end on one, since a chain resting there
-    when the gate fires can lock half the trap away for every later gate.
-    The estimate and the seal penalty read the trap's `_SearchTables`.
-
-    Raises CompileError, naming the lowest-numbered first-layer gate,
-    when the frontier runs out, so that no op sequence from the current
-    state reaches a goal, or when `_SEARCH_CAP` expansions are spent.
+    Oracle-sized traps take weight 1 and the exact-mode estimate, a near
+    lower bound, so slices stay near shortest; bigger traps take weight 2
+    and the greedy-mode terms, which keep the frontier narrow. A goal has a
+    ready gate and no chain on a junction, where one resting when the gate
+    fires can lock half the trap away. Raises CompileError when the frontier
+    runs out or the cap is spent.
     """
     gates = circuit.first_layer
     greedy = tables.n > ORACLE_MAX_VERTICES
@@ -288,12 +240,7 @@ def _route(
     chains: tuple,
     locks: tuple,
 ) -> list[tuple[int, int, int]]:
-    """The op codes that execute `circuit` from (chains, locks), gate by gate.
-
-    Executes the lowest ready first-layer gate, searching for a route when
-    none is ready. `routes` is the route memo: `_route_key` of a search's
-    start -> the op codes of the slice it found, without the final execute.
-    """
+    """The op codes that execute `circuit` from (chains, locks); `routes` is the route memo."""
     codes: list[tuple[int, int, int]] = []
     while not circuit.is_complete:
         first_layer = circuit.first_layer
@@ -333,54 +280,21 @@ def _route(
 
 
 def compile(circuit: Circuit, graph: TrapGraph) -> Schedule:
-    """Compile a circuit into a valid schedule on the given trap.
-
-    The same as `next(compile_many([circuit], graph))`, CompileError
-    included. A routing search whose start repeats an earlier one of this
-    compile up to qubit labels reuses its slice, which is the slice a fresh
-    search would find: the search is blind to labels (see `compile_many`).
-    The route memo lives for this one call, so two compiles on one graph
-    search alike.
-    """
+    """Compile a circuit into a valid schedule: `next(compile_many([circuit], graph))`."""
     return next(compile_many([circuit], graph))
 
 
 def compile_many(circuits: Iterable[Circuit], graph: TrapGraph) -> Iterator[Schedule]:
     """Compile circuits on one trap into valid schedules, yielded in order.
 
-    The lowest-numbered ready first-layer gate executes; when none is
-    ready, one weighted best-first search finds a short slice to the next
-    first-layer execution. Deterministic: the search orders its frontier
-    by cost, then by insertion.
+    Deterministic. The compiles share one route memo, and each schedule
+    equals the one `compile` gives for its circuit alone, by the
+    label-blindness argument in the module docstring. A schedule holds the
+    router's op codes, decoded once, and the replay that validated them
+    (see the schedule module docstring).
 
-    The compiles share a route memo, and with every other search on the
-    graph object, its search tables (see `_search_tables`). A search
-    whose start state and first-layer operand sets equal an earlier
-    successful one's up to a renumbering of qubits reuses that slice: each
-    of its ops is committed through kernel.transition on the real state,
-    and the lowest ready gate id of the real first layer executes. An op
-    that transition rejects raises CompileError naming a router defect.
-    The schedule holds the router's op codes, decoded once, which replay's
-    optimizer keeps whole, since a route never revisits a state and no
-    cancellation crosses an Execute Gate; the one replay that validates it
-    cuts the slices it holds (see schedule.decompose). A schedule replay
-    rejects raises CompileError naming a router defect and replay's reason.
-    The slice is the one a fresh search would find, because the search
-    reads qubit labels only through operand positions and chain lengths,
-    its estimate is symmetric in a pair's two operands, and its heap order
-    comes from vertex-ordered successors. So each schedule equals the one
-    `compile` gives for its circuit alone. The memo lives for this call
-    only: it is never module-global nor kept on the graph, so separate
-    calls never share entries.
-
-    Lazy: CompileError is raised when iteration reaches the first circuit
-    that fails: its initial placement does not fit, or the router is stuck
-    at some gate: junction locks seal every first-layer gate's operands
-    apart (found before searching), or the search exhausts every state
-    reachable from the router's current state without a gate execution,
-    or it spends its cap first. None of these proves that the circuit has
-    no schedule on the trap: a stuck state is one the router's own earlier
-    choices led to, and a spent cap proves nothing.
+    Lazy: CompileError, for a reason the module docstring lists, is raised
+    when iteration reaches the first circuit that fails.
     """
     tables, routes = _search_tables(graph), {}
     for circuit in circuits:
@@ -405,13 +319,11 @@ def bfs_next_gate(
 ) -> tuple[ShuttleOp, ...]:
     """Provably shortest op sequence ending in some first-layer gate execution.
 
-    kernel.route_search at uniform cost, with estimate 1 where a gate is
-    ready and 2 elsewhere: consistent, so the first goal popped is the first
-    one breadth-first search over kernel.successors generates. The estimate
-    is the exact-mode `_estimate` capped at 2, which reads a state's key and
-    positions and is 1 exactly when some gate is ready. Exhaustive,
-    so the instance must be small; the guards are hard limits, not tuning
-    knobs. NoRouteError when no gate can execute.
+    kernel.route_search at uniform cost with the exact-mode `_estimate`
+    capped at 2, which is consistent, so the first goal popped is the first
+    one breadth-first search over kernel.successors generates. Exhaustive,
+    so past the ORACLE_MAX_* guards, hard limits and not tuning knobs, it
+    raises OracleLimitError. NoRouteError when no gate can execute.
     """
     if len(graph.vertices) > ORACLE_MAX_VERTICES:
         raise OracleLimitError(

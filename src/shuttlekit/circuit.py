@@ -5,13 +5,11 @@ which qubits each gate touches and the per-qubit order implied by the text:
 gates sharing a qubit execute in ascending number, independent gates in any
 order. Circuits are immutable; executing a gate yields a new circuit.
 
-Progress is a frontier: one cursor per qubit into that qubit's gate order,
-which is built once per gate list, on the first frontier query, and shared
-by every circuit `mark_executed` derives from it. Executing a gate therefore
-costs O(operands), and the first layer is read off the cursors in
-O(qubits); the gate list is validated once, at construction. Construction
-holds gate ids to their positions 1..G, so the frontier's tables and every
-lookup index gates by position; `in_first_layer` bounds an id from outside.
+Progress is a frontier: one cursor per qubit into that qubit's gate order
+(`_Frontier`), built on the first frontier query and shared by every
+circuit `mark_executed` derives, so executing a gate costs O(operands) and
+the first layer is read off the cursors in O(qubits). Construction
+validates the gate list once and holds gate ids to positions 1..G.
 """
 
 from __future__ import annotations
@@ -104,9 +102,8 @@ class Circuit:
     def in_first_layer(self, gate_id: int) -> bool:
         """Whether gate_id is pending with no pending predecessor; O(operands).
 
-        The one place an id from outside is bounded: an id outside 1..G
-        names no gate and is in no layer, so a caller reads
-        `gates[gate_id - 1]` once this returns True.
+        The one place an id from outside is bounded: an id outside 1..G is
+        in no layer, so a caller reads `gates[gate_id - 1]` once this is True.
         """
         if not 0 < gate_id <= len(self.gates):
             return False
@@ -174,8 +171,8 @@ class Circuit:
     def mark_executed(self, gate_id: int) -> Circuit:
         """New circuit with gate_id executed; rejects out-of-order execution.
 
-        The successor shares this circuit's gate list and frontier tables,
-        so it skips the construction check.
+        The successor shares this circuit's gate list and frontier, so it
+        skips the construction check.
         """
         frontier = self._frontier
         if not self.in_first_layer(gate_id):
@@ -231,9 +228,8 @@ def _integer(digits: str, lineno: int) -> int:
 def parse_circuit(text: str) -> Circuit:
     """Parse the OpenQASM 2.0 subset: one qreg, 1-/2-qubit gates.
 
-    measure, barrier, and creg statements are skipped; gate names are kept
-    but their functionality plays no role. Gates are numbered 1..G in
-    textual order.
+    measure, barrier, and creg statements are skipped; gate names are kept.
+    Gates are numbered 1..G in textual order.
     """
     register: tuple[str, int] | None = None
     gates: list[Gate] = []

@@ -67,8 +67,8 @@ def _load_schedule_inputs(paths, trap=None, circuit=None, parsed=None):
 
     Each distinct trap and circuit path is read and parsed once into
     `parsed`, a (graphs, circuits) pair of dicts by path, so the schedules
-    on one trap share one graph and its render memo, and a later pass that
-    shares `parsed` reads only the schedule files again.
+    on one trap share one graph object and its render memo, and a later
+    pass that shares `parsed` reads only the schedule files again.
     """
     graphs, circuits = ({}, {}) if parsed is None else parsed
     for path in paths:
@@ -189,12 +189,11 @@ def _parse_qubit_range(text: str) -> range:
 def _write_dataset(out_dir: str, parts) -> dict[str, int]:
     """Write each (split, entries) pair of `parts` to `out_dir`; the entry count per split.
 
-    Each pair's `to_jsonl` text goes to a temporary file of its split as
-    it arrives, so no entry outlives its write, and both files are moved
-    into place as train.jsonl and eval.jsonl only after the last pair. An
-    exception removes the temporary files, and `out_dir` too if this call
-    made it, so a failed run leaves no output and the files already there
-    as they were.
+    Each pair's `to_jsonl` text goes to a temporary file of its split as it
+    arrives, so no entry outlives its write; both move into place as
+    train.jsonl and eval.jsonl only after the last pair. An exception
+    removes the temporary files, and `out_dir` if this call made it, so a
+    failed run leaves no output and the files already there as they were.
     """
     made = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)

@@ -3,33 +3,22 @@
 One data entry covers the ops between two consecutive gate executions: the
 instruction describes the trap, the rules, and the current state; the
 output lists the ops with a state echo after each one and stops at the
-`Execute Gate` line. All echoes are rendered from simulation, never taken
-from any external text: each is a state that the one schedule.replay of a
-schedule recorded in the slices it holds, which `schedule.decompose`
-hands out, so rendering steps no op and its text cannot disagree with
-replay. Wording lives in a versioned template file so the golden
-snapshots survive refactors.
+`Execute Gate` line. Every echo renders a state that the schedule's one
+replay recorded (see the schedule module docstring), so rendering steps no
+op and cannot disagree with replay. Wording lives in a versioned template
+file, so the golden snapshots survive refactors, cut once per process into
+the literal pieces around its `$` fields.
 
-The template is cut once per process into the literal pieces around its
-seven `$` fields, and an instruction is those pieces joined with the
-field values, so no render scans the template. A state renders straight
-from its encoding: positions off the chains, op lines off kernel op codes
-through ops.format_op, the one place op text is written. Each trap graph
-object carries one render memo, made on its first render and kept in the
-graph's instance dict, the slot `functools.cached_property` fills, so it
-lives and is freed with the graph and leaves the graph's eq, hash and repr
-alone. The memo is a pair: the instruction prefix up to the positions,
-filled once, and a dict that maps an encoded state to its text, the
-positions and the bulleted shuttling-op block. Every render on one graph
-shares it, across schedules, dataset runs and driver runs; the gate lines
-and the ready `Execute Gate` bullets, which depend on the circuit as well,
-are joined to that text for every echo.
-
-`generate_dataset` yields one schedule's entries at a time and keeps none
-of them. `gen-dataset` writes each schedule's `to_jsonl` text before it
-asks for the next, so in `--seed` mode its memory stays flat as the
-dataset grows, apart from the trap graphs' render memos, and its files
-appear only after a complete run.
+The render memo. Each trap graph object carries one, made on its first
+render and kept in the graph's instance dict, so it lives and is freed
+with the graph and leaves the graph's eq, hash and repr alone. It is a
+pair: the instruction up to its "Qubit positions" block, filled once, and
+a dict from an encoded state (chains, locks) to its `qubit q at [v, p]`
+lines (qubit q's at index q), its "Qubit positions" block and its
+bulleted shuttling-op block ("" when none is legal). Every render on one
+graph shares it, across schedules, dataset runs and driver runs; the gate
+lines and ready `Execute Gate` bullets, which depend on the circuit too,
+are joined to that text per echo.
 """
 
 from __future__ import annotations
@@ -138,14 +127,7 @@ def _layout(graph: TrapGraph) -> str:
 
 
 def _render_memo(graph: TrapGraph) -> tuple[str, dict]:
-    """The render memo of `graph`, made on first use and kept in its instance dict.
-
-    A pair: the instruction up to its "Qubit positions" block, with the
-    capacity, "Trap layout" and "Connections" filled in, and a dict that
-    maps an encoded state (chains, locks) to its `qubit q at [v, p]` lines
-    (qubit q's at index q), its "Qubit positions" block and its bulleted
-    shuttling-op block ("" when no shuttling op is legal).
-    """
+    """The render memo of `graph`, made on first use (see the module docstring)."""
     memo = graph.__dict__.get("_render_memo")
     if memo is None:
         memo = graph.__dict__["_render_memo"] = (_layout(graph), {})
@@ -195,10 +177,10 @@ def _allowed_block(graph: TrapGraph, shuttles: str, chains: tuple, gates: tuple)
 def render_instruction(graph: TrapGraph, state: TrapState, circuit: Circuit) -> str:
     """Deterministic instruction text for one generation step.
 
-    Contains the trap layout, the operation rules, the goal, and four
-    enumerations: qubit positions, first-layer gates, the gates one
-    execution away, and the currently allowed operations. The graph's
-    render memo supplies and keeps the filled layout and the state's text.
+    The trap layout, the rules, the goal, and four enumerations: qubit
+    positions, first-layer gates, the gates one execution away, and the
+    allowed operations, through the graph's render memo. A state that does
+    not hold exactly the circuit's qubits raises RenderError.
     """
     chains = state.chains
     _check_qubits(chains, circuit)
@@ -229,15 +211,12 @@ def render_instruction(graph: TrapGraph, state: TrapState, circuit: Circuit) -> 
 def render_output(slice: EntrySlice, graph: TrapGraph, circuit: Circuit) -> str:
     """Expected model output for one slice: op lines with per-op state echoes.
 
-    Every op except the final `Execute Gate` is followed by the new qubit
-    positions, the first-layer gates, and the operations allowed next.
-    circuit must reflect the executions before the slice, i.e. slice.circuit.
-    Each echo renders the state `slice.states` holds for its op, so nothing
-    is stepped here: legality is replay's, which cut the slice (see
-    schedule.decompose). A slice whose only `Execute Gate` is not its last
-    op, or that lacks one state per shuttling op, or whose state does not
-    hold exactly the circuit's qubits, raises RenderError. The graph's
-    render memo supplies and keeps each echoed state's text.
+    Every op except the final `Execute Gate` is followed by an echo of the
+    state `slice.states` holds for it: the qubit positions, the first-layer
+    gates, and the operations allowed next. `circuit` must be
+    slice.circuit. A slice whose only `Execute Gate` is not its last op, or
+    that lacks one state per shuttling op, or whose state does not hold
+    exactly the circuit's qubits, raises RenderError.
     """
     executes = [i for i, op in enumerate(slice.ops) if op.kind == kernel.EXECUTE]
     if executes != [len(slice.ops) - 1] or len(slice.states) != len(slice.ops) - 1:
@@ -274,12 +253,10 @@ def parse_output(text: str) -> list[ShuttleOp]:
     """Extract the op sequence from model output, hostile input expected.
 
     Reasoning spans go first. A line is what `str.splitlines` cuts, and the
-    whole output is scanned once for the column-0 lines that start like an
-    operation; echo blocks and prose are ignored, and a malformed one is an
-    error with its line number. Everything after the first `Execute Gate`
-    line is dropped. Legality is not checked here: callers validate by
-    replaying the ops against the graph, state, and circuit the prompt was
-    rendered for.
+    output is scanned once for the column-0 lines that start like an
+    operation; echo blocks and prose are ignored, and a malformed op line
+    is an error with its line number. Everything after the first `Execute
+    Gate` line is dropped. Legality is left to the caller's replay.
     """
     if "<" in text:  # every reasoning span starts with it
         text = _THINK.sub("", text)
@@ -311,17 +288,12 @@ def generate_dataset(
 ) -> Iterator[tuple[str, list[DataEntry]]]:
     """Render each slice of each schedule into one DataEntry, one schedule at a time.
 
-    Lazy: for each schedule of `schedules`, in order, yields its split,
-    "train" or "eval", and its entries, and keeps neither, so memory does
-    not grow with the number of schedules. `schedules` is any iterable of
-    valid schedules, such as `baseline.compile_many`'s; each renders from
-    the slices it holds, so a compiled one, or a parsed one that
-    `schedule.validate` accepted, replays no more. An invalid schedule
-    raises ScheduleValidationError. The split is assigned per whole
-    schedule: the first `train_count` become training data and the rest
-    evaluation data, so no trap state from an evaluation schedule ever
-    appears in training. Schedules on the same graph object share that
-    graph's render memo.
+    Lazy: for each schedule, in order, yields its split, "train" or "eval",
+    and its entries, and keeps neither. Each schedule renders from the
+    slices it holds; an invalid one raises ScheduleValidationError. The
+    split is per whole schedule, the first `train_count` for training, yet
+    identical entries can land in both splits: two schedules can reach the
+    same state with the same gates ahead.
     """
     for index, schedule in enumerate(schedules):
         graph = schedule.graph

@@ -1,11 +1,11 @@
 """Generate–validate–retry loop against a completion server, plus clients.
 
-One schedule is built gate by gate: render the instruction for the current
-state once, request exactly one completion, parse and replay it, and either
-apply the slice or resubmit the identical instruction. Clients share one
-small interface so the loop runs unchanged against HTTP, a scripted mock,
-or a recorded replay file. Every client answers requests in order and none
-is rewound, so a recording, failed requests included, replays exactly.
+`generate_schedule` builds one schedule gate by gate; it relies on the
+render memo (see the dataset module docstring) and on replay's kept ops
+(see schedule.replay). Clients share one small interface so the loop runs
+unchanged against HTTP, a scripted mock, or a recorded replay file. Every
+client answers requests in order and none is rewound, so a recording,
+failed requests included, replays exactly.
 """
 
 from __future__ import annotations
@@ -145,11 +145,10 @@ def _response_object(value, what: str) -> dict:
 class HttpCompletionClient:
     """One completion request per call against an OpenAI-compatible endpoint.
 
-    Reads choices[0].text (or .message.content) and the server-reported
-    usage.completion_tokens, estimating it by `word_count` when the server
-    omits it or reports anything but a non-negative integer (a boolean
-    included). A body of any other shape raises TransportError. An
-    endpoint that is not an http or https URL raises PermanentTransportError
+    Reads choices[0].text (or .message.content) and usage.completion_tokens,
+    estimated by `word_count` unless the server reports a non-negative
+    integer (not a boolean). A body of any other shape raises
+    TransportError; a non-HTTP(S) endpoint raises PermanentTransportError
     before any request.
     """
 
@@ -196,11 +195,9 @@ class HttpCompletionClient:
 
 
 class MockCompletionClient:
-    """Scripted client: returns canned responses in order.
+    """Scripted client: returns canned responses in order, each counting its `word_count`.
 
-    A response's token count is its `word_count`, the number of
-    whitespace-separated words. A request after the last response raises
-    ReplayMismatchError.
+    A request after the last response raises ReplayMismatchError.
     """
 
     def __init__(self, script: Sequence[str]) -> None:
@@ -246,12 +243,12 @@ class RecordingClient:
 class ReplayCompletionClient:
     """Replays a recorded exchange file in order, verifying request digests.
 
-    A record holds a string `digest` and either a string `text` and an
-    integer `token_count`, or a string `error` and a boolean `permanent`,
-    which replays as PermanentTransportError or TransportError with that
-    text; any other record raises TransportError at load. A request whose
-    digest differs from the next record's, or that comes after the last
-    record, raises ReplayMismatchError.
+    A record holds a string `digest` and either a string `text` and a
+    non-negative integer `token_count`, or a string `error` and a boolean
+    `permanent`, which replays as PermanentTransportError or TransportError
+    with that text; any other record raises TransportError at load. A
+    request whose digest differs from the next record's, or that comes
+    after the last record, raises ReplayMismatchError.
     """
 
     def __init__(self, path: str) -> None:
@@ -261,10 +258,11 @@ class ReplayCompletionClient:
                 fields, kinds = ("digest", "error", "permanent"), (str, str, bool)
             else:
                 fields, kinds = ("digest", "text", "token_count"), (str, str, int)
-            if tuple(type(record.get(field)) for field in fields) != kinds:
+            malformed = tuple(type(record.get(field)) for field in fields) != kinds
+            if malformed or ("error" not in record and record["token_count"] < 0):
                 raise TransportError(
                     f"replay file line {lineno}: a record needs a string digest and "
-                    "either a string text and an integer token_count, "
+                    "either a string text and a non-negative integer token_count, "
                     "or a string error and a boolean permanent"
                 )
             self.records.append(record)
@@ -295,24 +293,17 @@ def generate_schedule(
 ) -> tuple[Schedule, GenerationStats]:
     """Build a schedule one gate execution at a time via the client.
 
-    Each step submits one instruction and accepts the response only if it
-    parses and `replay` steps each op legally from the current state; the
-    slice that executes the last gate must also leave a schedule `validate`
-    accepts, so a complete run is a valid schedule. The accepted slice is
-    kept peephole-optimized, and the run continues from the state and
-    circuit the replay ended in. The instruction is rendered once per
-    state, through the graph's render memo, so a later run on the same
-    graph object renders a state it has seen from the memo. A rejected
-    attempt, whether the client raised TransportError or the output did
-    not parse or replay, counts one retry and resubmits that identical
-    string. The `max_consecutive_invalid`-th rejection in a row (ten by
-    default), a PermanentTransportError (a request no retry can answer:
-    an endpoint that is not HTTP(S), or a scripted or replayed client
-    that cannot answer it) or the time budget aborts the run with a
-    partial schedule. The failure reason is then `time budget exhausted`,
-    or names the last rejection as `transport: ...` or `N consecutive
-    invalid outputs for one instruction; last: ...`; the outcome is
-    "failed" exactly when there is a failure reason.
+    Each step renders the instruction for the current state once, through
+    the graph's render memo, and accepts a response only if it parses and
+    `replay` steps each op legally from that state; the slice that executes
+    the last gate must also leave a schedule `validate` accepts. The run
+    keeps replay's kept ops of the slice and continues from where replay
+    ended. A rejected attempt (TransportError, or output that does not
+    parse or replay) counts one retry and resubmits the identical string.
+    The `max_consecutive_invalid`-th rejection in a row, a
+    PermanentTransportError or the time budget ends the run "failed", with
+    a partial schedule and a reason: `time budget exhausted`, `transport:
+    ...` or `N consecutive invalid outputs for one instruction; last: ...`.
     """
     placement = initial_placement(circuit, graph)
     state = placement
@@ -372,12 +363,11 @@ def run_benchmark(
     params: GenerationParams = GenerationParams(),
     clock: Callable[[], float] = time.monotonic,
 ) -> list[dict]:
-    """Best-of-n generation for every (circuit, trap) cell.
+    """Best-of-n generation for every (circuit, trap) cell, one client for all.
 
-    The client is never rewound, so a recording of a benchmark replays it
-    row for row. A circuit that cannot be placed on a trap fails that cell
-    once, before any request. A cell with no complete run reports
-    "failed (n)" where n is the most gates any run executed.
+    A circuit that cannot be placed on a trap fails that cell once, before
+    any request. A cell with no complete run reports "failed (n)" where n
+    is the most gates any run executed.
     """
     rows: list[dict] = []
     for circuit_label, circuit in circuits:

@@ -38,14 +38,10 @@ class ScheduleValidationError(ShuttleError):
 
 
 class CompileError(ShuttleError):
-    """Router could not produce a legal operation sequence.
+    """Router could not produce a legal operation sequence; no proof that none exists.
 
-    Either the initial placement does not fit, or the router is stuck at
-    some gate: junction locks seal every first-layer gate's operands apart,
-    its search exhausted every state reachable from where it stands, or the
-    search spent its expansion cap. The message says which, and names the
-    lowest-numbered first-layer gate. None of these is proof that no
-    schedule exists.
+    The message says why, among the failures the baseline module docstring
+    lists: placement, a stuck router, a spent search cap, or a router defect.
     """
 
 
@@ -74,7 +70,4 @@ class PermanentTransportError(TransportError):
 
 
 class ReplayMismatchError(PermanentTransportError):
-    """A scripted client or recorded exchange file cannot answer the request.
-
-    Its answers are fixed in advance.
-    """
+    """A scripted client or recorded exchange file, fixed in advance, cannot answer the request."""

@@ -1,36 +1,19 @@
 """The shuttling rules and the routing search, on the encoding TrapState holds.
 
-The one module that states when an op is legal, and words the rule an
-illegal one breaks. `illegal` checks a shuttling op and `unready` an
-Execute Gate's operands, each returning the first rule broken as a constant
-template that ops.violation fills in; `transition` applies an op's effect
-once `illegal` passes it, and `successors` and `ready_gates` filter
-candidates by the two checks. The readiness rule: a gate is ready exactly
-when its one or two operands sit alone together in a gate-capable vertex,
-so `ready_gates` reads only the chains of the trap's `gate_sites`, and
-`unready` words the rule an unready gate breaks. ops.apply, which
-schedule.replay calls for every op, and the router's commits step ops
-through `transition`; dataset rendering steps nothing and echoes the
-states replay recorded.
-TrapGraph.site_violation words the state-independent site rules, which
-reach `illegal` through the encoded trap. `route_search` is the package's
-one state-space search: the router runs it as a weighted best-first
-search, and the next-gate oracle at uniform cost. Its loop is a fused copy
-of the `successors` enumeration over two ints per state, the state key
-that `key_layout` lays out and the `positions` int, each carried from
-parent to child; it builds no chains tuple past the start and returns the
-op codes it applied. tests/test_baseline.py holds it equal to a best-first
-loop over `successors` and `transition`.
+The one module that states when an op is legal and words the rule an
+illegal one breaks: `illegal` for a shuttling op and `unready` for an
+Execute Gate's operands, each as a template ops.violation fills in.
+`transition` applies an op's effect once `illegal` passes it; ops.apply,
+which schedule.replay calls for every op, and the router step ops through
+it. `successors` and `ready_gates` (which states the readiness rule)
+filter candidates by the two checks. `route_search` is the package's one
+state-space search; its docstring argues its two-int state.
 
-States come as TrapState holds them, so no call converts one: chains a
-vertex-indexed tuple of qubit tuples, locks a vertex-indexed tuple with -1
-for unset. The trap comes as `TrapGraph.encoded`, flattened once per
-graph, whose static site tables settle every state-independent condition
-(flags, lateral pairs, junction sides, gate sites). Gates come as
-Circuit.first_layer gives them; only their `id` and `qubits` are read. Op codes are
-(kind, a, b) with kinds 0=Translate(src, dst), 1=Separate(v), 2=Merge(v),
-3=Swap(v), 4=ExecuteGate(gate), b = -1 for one operand; each ops.ShuttleOp
-is one, so ops come to these functions as they are.
+States come as TrapState holds them, the trap as `TrapGraph.encoded`, and
+gates as Circuit.first_layer gives them, of which only `id` and `qubits`
+are read. Op codes are (kind, a, b) with kinds 0=Translate(src, dst),
+1=Separate(v), 2=Merge(v), 3=Swap(v), 4=ExecuteGate(gate), b = -1 for one
+operand; each ops.ShuttleOp is one.
 """
 
 from __future__ import annotations
@@ -57,13 +40,12 @@ def get_backend() -> ModuleType:
 def illegal(trap, chains, locks, code):
     """None if shuttling op `code` is legal in (chains, locks), else the first rule it breaks.
 
-    The rule comes as a constant str.format template, which ops.violation
-    fills in: {a} and {b} are the code's operands, {pair} the lateral pair
-    of a Separate or Merge site, {combined} the length of the chain a Merge
-    would build and {capacity} the trap's. A vertex where no state can do
-    the op gives TrapGraph.site_violation's reason, worded in full. Every
-    vertex id is bounds-checked, since op text can come from a model. An
-    execute code, which changes no chain, or an unknown kind is illegal.
+    The rule is a constant str.format template over {a} and {b}, the code's
+    operands, {pair}, a Separate or Merge site's lateral pair, {combined},
+    the length of the chain a Merge would build, and {capacity}; a vertex
+    where no state can do the op gives TrapGraph.site_violation's reason in
+    full. Every vertex id is bounds-checked, since op text can come from a
+    model. An execute code or an unknown kind is illegal.
     """
     kind, a, b = code
     n = trap[0]
@@ -110,10 +92,7 @@ def illegal(trap, chains, locks, code):
 
 
 def transition(trap, chains, locks, code):
-    """The (chains, locks) that shuttling op `code` leads to, or None if it is illegal.
-
-    `illegal` decides; this only states each op's effect.
-    """
+    """The (chains, locks) that shuttling op `code` leads to, or None if `illegal` rejects it."""
     if illegal(trap, chains, locks, code) is not None:
         return None
     kind, a, b = code
@@ -140,9 +119,8 @@ def transition(trap, chains, locks, code):
 def successors(trap, chains, locks):
     """The codes of all legal shuttling ops from a state, in canonical op order.
 
-    The candidates are Translates from occupied vertices by (src, dst),
-    then Separate, Merge and Swap at their sites by vertex; each is kept
-    when `illegal` finds no rule it breaks. No successor state is built.
+    Translates from occupied vertices by (src, dst), then Separate, Merge
+    and Swap at their sites by vertex. No successor state is built.
     """
     neighbors = trap[2]
     codes = [(TRANSLATE, v, w) for v, chain in enumerate(chains) if chain for w in neighbors[v]]
@@ -152,11 +130,11 @@ def successors(trap, chains, locks):
 
 
 def unready(trap, chains, qubits):
-    """None if a gate on `qubits` can execute in `chains`, else the first rule it breaks.
+    """None if a gate on `qubits` is ready in `chains`, else the first rule it breaks.
 
-    Its one or two operands must sit alone together in a gate-capable
-    vertex. The rule comes as a template like `illegal`'s, over {a}, the
-    gate id, {qubits}, the operands, and {vertex}, where the first one sits.
+    Readiness as `ready_gates` states it. The rule comes as a template like
+    `illegal`'s, over {a}, the gate id, {qubits}, the operands, and
+    {vertex}, where the first one sits.
     """
     first = qubits[0]
     for vertex, chain in enumerate(chains):
@@ -176,12 +154,12 @@ def unready(trap, chains, qubits):
 
 
 def ready_gates(trap, chains, gates):
-    """Ids of the gates `unready` finds no rule against, in the order given.
+    """Ids of the ready gates among `gates`, the ones `unready` passes, in the order given.
 
-    A gate is ready exactly when its one or two operands sit alone together
-    in a gate-capable vertex, that is, when its operand tuple, read either
-    way, is the whole chain of one of the trap's `gate_sites`. So one pass
-    over those chains answers every gate, and no chain elsewhere is read.
+    The readiness rule: a gate is ready exactly when its one or two
+    operands sit alone together in a gate-capable vertex, that is, when its
+    operand tuple, read either way, is the whole chain of one of the trap's
+    `gate_sites`. So one pass over those chains answers every gate.
     Precondition: each qubit appears at most once in `chains`, as
     TrapState.from_dicts and every kernel op guarantee, and each gate has
     one or two distinct operands, as Circuit construction checks.
@@ -197,16 +175,14 @@ def ready_gates(trap, chains, gates):
 def reachable_gates(trap, chains, locks, gates):
     """Gate ids whose operands could ever meet in one gate-capable vertex.
 
-    A sound over-approximation of what any op sequence can reach, so a gate
-    left out can never execute. Occupancy and capacity are ignored, and a
-    qubit moves along trap edges. A Translate u -> w into junction w with
-    locks[w] == u stays blocked until some chain can reach w; once one can,
-    every side of w counts as open, because leaving w rewrites its lock.
-    Separate and Merge need no rule of their own: they move qubits between
-    a vertex and its lateral neighbours, which are adjacent, and a legal
-    split or merge touches no junction, so no lock ever blocks those edges.
-    With no lock set every gate is returned at once, since traps are
-    connected.
+    A sound over-approximation, so a gate left out can never execute.
+    Occupancy and capacity are ignored, and a qubit moves along trap edges.
+    A Translate u -> w into junction w with locks[w] == u stays blocked
+    until some chain can reach w; once one can, every side of w counts as
+    open, because leaving w rewrites its lock. Separate and Merge move
+    qubits between adjacent vertices and touch no junction, so no lock
+    blocks them. With no lock set every gate is returned at once, since
+    traps are connected.
     """
     if max(locks) < 0:
         return [gate.id for gate in gates]
@@ -293,8 +269,7 @@ class KeyLayout(NamedTuple):
     to the longest chain, the trap's capacity capped at qubit_count. Vertex
     v's code sits in the bits `field` << shift[v], and its lock + 1 in
     `lock_field` << lock_shift[v], above every chain field. `length` maps a
-    chain code to its ion count, filled on a miss, so it never holds more
-    codes than a search reads.
+    chain code to its ion count.
     """
 
     base: int
@@ -307,12 +282,7 @@ class KeyLayout(NamedTuple):
 
 
 def key_layout(trap, qubit_count) -> KeyLayout:
-    """The state-key layout of `route_search` on `trap` with `qubit_count` qubits.
-
-    A chain field is (base ** capacity).bit_length() bits wide, with the
-    trap's capacity capped at qubit_count, which no chain exceeds; a lock
-    field is n.bit_length() bits wide. Each call makes a fresh `length`.
-    """
+    """The `route_search` key layout on `trap` for `qubit_count` qubits, with a fresh `length`."""
     n = trap[0]
     base = qubit_count + 1
     power = [base**k for k in range(min(trap[1], qubit_count) + 1)]
@@ -355,39 +325,33 @@ def route_search(
 ):
     """Weighted best-first search from (chains, locks) to a goal state.
 
-    The frontier is a heap on (g + weight * h, g, insertion count), with
-    h = estimate(key, packed), `key` the state's key as the caller's
-    `layout`, a `key_layout` of the trap and qubit count, lays it out and
-    `packed` its `positions`; an estimate built on that layout fills one
-    `length` table with the search. A popped state is a goal when h is 1
-    and no vertex of `goal_mask` is occupied. Each op costs 1; a
-    Translate out of junction j to dst costs `seal_penalty` more when no
-    vertex of seal_exits[j][dst] is occupied (seal_exits[v] is None off
-    junctions). Children come in `successors` order, and one that reaches
-    a state already stored at no greater cost is dropped.
+    A state is two ints: its exact key, laid out by the caller's `layout`
+    (a `key_layout` of the trap and qubit count), which dedups it and holds
+    its chains and locks, and its `positions` int, `packed`. A heap entry
+    is (g + weight * h, g, insertion count, key, packed), with h =
+    estimate(key, packed); no chains tuple is built past the start. A
+    child's two ints are its parent's plus the change its op makes to the
+    fields it touches. What that reads of a chain comes off its code
+    through tables filled on a miss, which hold only the codes the search
+    meets: its length (`layout.length`), the sum of its qubits'
+    `position_shift` units, and the code of the reversed chain. `best` maps
+    a key to one int, which no GC pass tracks: the cost above the parent's
+    expansion serial, which indexes `expanded`, above the index of the op
+    from the parent in a table of codes built once per call (0 for the
+    start).
+
+    A popped state is a goal when h is 1 and no vertex of `goal_mask` is
+    occupied. Each op costs 1; a Translate out of junction j to dst costs
+    `seal_penalty` more when no vertex of seal_exits[j][dst] is occupied
+    (seal_exits[v] is None off junctions). Children come in `successors`
+    order, and one that reaches a state already stored at no greater cost
+    is dropped by one dict lookup.
 
     Returns (codes, spent, expansions, stored). `codes` is the tuple of op
     codes from the start to the first goal popped, or None when the search
     failed: `spent` is then True if it stopped with states left on the
-    frontier because `max_expansions` expansions were made, and False if the
-    frontier ran out.
-
-    A state is its exact integer key, which dedups it and holds its chains
-    and locks, and its `positions` int, whose low n bits say which vertices
-    are occupied: a heap entry is (f, g, insertion count, key, packed), and
-    no chains tuple is built past the start. What the loop reads of a
-    chain comes from its code, through tables filled on a miss: its length,
-    from the layout's `length`, and, for this call, the sum of its qubits'
-    `position_shift` units, which a move of the chain adds to `packed`
-    times the vertex hop, and the code of the reversed chain for a Swap.
-    So they hold only the codes the search meets, never all
-    base ** capacity of them. A child's key and positions are its
-    parent's plus the change its op makes to the fields it touches, so a
-    duplicate child is rejected by one dict lookup. `best`
-    maps a key to one int, which no GC pass tracks: the cost above the
-    parent's expansion serial, which indexes `expanded`, the keys in the
-    order they were expanded, above the index of the op from the parent in
-    a table of codes built once per call (0 for the start).
+    frontier because `max_expansions` expansions were made, and False if
+    the frontier ran out.
     """
     n, neighbors, is_junction = trap[0], trap[2], trap[3]
     base, power, field, shift, lock_field, lock_shift, length = layout

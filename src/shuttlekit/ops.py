@@ -2,14 +2,8 @@
 
 An op is its kernel op code, the named tuple `ShuttleOp` (kind, a, b);
 each of the five op types fixes its kind, and `decode_op` types a plain
-code. The kernel states every rule: `apply`, which schedule.replay calls
-for each op, steps a shuttling op through kernel.transition, checks an
-Execute Gate with kernel.unready and raises the rejection of an illegal
-op; `allowed_ops` lists what kernel.successors and kernel.ready_gates
-allow. violation() only checks that an Execute Gate names a first-layer
-gate, and otherwise fills in the template of the rule kernel.illegal or
-kernel.unready names. Executing a gate changes no chain; callers advance
-the circuit separately. `format_op` writes an op's line, and one
+code. Every rule is the kernel's: `apply`, `allowed_ops` and `violation`
+ask it and word its answer. `format_op` writes an op's line, and one
 alternation regex, `_OP_LINE`, is the grammar `parse_op` reads it back by.
 """
 
@@ -132,12 +126,7 @@ def apply(state: TrapState, graph: TrapGraph, circuit: Circuit, op: ShuttleOp) -
 
 
 def allowed_ops(state: TrapState, graph: TrapGraph, circuit: Circuit) -> list[ShuttleOp]:
-    """Every legal operation, in canonical order.
-
-    The shuttling ops kernel.successors gives: Translates by (src, dst),
-    then Separate, Merge and Swap by vertex. Then the Execute Gates
-    kernel.ready_gates allows, by gate number.
-    """
+    """Every legal operation: kernel.successors's shuttling ops, then ready Execute Gates."""
     trap = graph.encoded
     codes = kernel.successors(trap, state.chains, state.locks)
     ready = kernel.ready_gates(trap, state.chains, circuit.first_layer)
@@ -173,10 +162,7 @@ _BY_NAME = {"Separate": Separate, "Merge": Merge, "Swap": Swap, "Execute Gate": 
 
 
 def parse_op(line: str) -> ShuttleOp:
-    """Parse one canonical op line, ASCII digits only; raises ValueError on any deviation.
-
-    The line must fullmatch the one alternation regex of the op-line grammar.
-    """
+    """Parse one canonical op line, ASCII digits only; raises ValueError on any deviation."""
     match = _OP_LINE.fullmatch(line)
     if match is None:
         raise ValueError(f"not an operation line: {line!r}")

@@ -1,20 +1,15 @@
 """Schedules: placement plus op list, validated by replay.
 
 A schedule is complete when replay executes every gate, ends with no
-occupied junction, and contains no shuttling after the final gate. There
-is one replay loop, `replay`, which applies `step` op by op and returns the
-validation report, the per-gate slices, the optimizer's kept ops and the
-circuit reached. It is the only code that steps ops. `validate` replays
-on every call and reads the report. `decompose` hands out the slices of
-the one replay the schedule holds: the first `validate`'s, or one run on
-first use (a compiled schedule's is the replay that validates it), so a
-parsed schedule is replayed once for its validation and its slices.
-`optimize` reads the kept ops of its own pass, and the generation
-driver the report, kept ops and circuit of each slice it accepts, so a
-generated schedule is complete only if `validate` accepts it. The
-optimizer deletes adjacent op pairs that provably return to the state they
-started from, junction locks included, so removal can never invalidate a
-later op or change the final state.
+occupied junction, and contains no shuttling after the final gate.
+`replay` is the one loop that steps ops; it returns the validation
+report, the per-gate slices, its kept ops and the circuit reached.
+
+One replay per schedule: a schedule holds the report and slices of the
+first `validate`'s replay, or of one run when `decompose` first asks (for
+a compiled schedule, the replay that validates it), so it replays once for
+its validation and the slices whose states the dataset renders. `validate`
+replays on every call.
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ class Schedule:
 
     @cached_property
     def _replayed(self) -> tuple[ValidationReport, tuple[EntrySlice, ...]]:
-        """The report and slices of the schedule's one replay, held from its first run."""
+        """The report and slices of the schedule's one replay (see the module docstring)."""
         report, slices, *_ = replay(self.graph, self.placement, self.circuit, self.ops)
         return report, tuple(slices)
 
@@ -92,21 +87,18 @@ def replay(
     """Step the ops once from (state, circuit): report, slices, kept ops, circuit reached.
 
     An illegal op stops the replay with `failure_index` set and
-    `final_state=None`. Otherwise the report checks the end conditions:
-    every gate executed, no op after the final gate, no chain on a junction.
-    The slices are cut at each Execute Gate from the ops as given, and each
-    records the state every one of its shuttling ops led to.
+    `final_state=None`. Otherwise the report checks the end conditions of
+    the module docstring. The slices are cut at each Execute Gate from the
+    ops as given.
 
     The kept ops are the optimizer's. A stack holds each kept op with the
     state it starts from; an incoming shuttling op cancels the top when the
-    pair returns to the top op's start state, junction locks included.
-    Every shuttling op changes the state and only its inverse undoes it, so
-    such a pair is a back-and-forth Translate, Merge;Separate either way
-    round, or a double Swap. A cancelled pair is a state identity, so the
-    kept ops replay to the same states, final state and executed gates, and
-    no kept adjacent pair is redundant. Ops are never reordered and Execute
-    Gate lines survive. No cancellation crosses an Execute Gate, which keeps
-    the state every shuttling op changes: the kept ops are each slice's own.
+    pair returns to the top op's start state, junction locks included. A
+    cancelled pair is a state identity, so the kept ops replay to the same
+    states, final state and executed gates, and no kept adjacent pair is
+    redundant. Ops are never reordered, and Execute Gates always survive.
+    No cancellation crosses an Execute Gate, since every shuttling op
+    changes the state: the kept ops are each slice's own.
     """
     slices: list[EntrySlice] = []
     kept: list[tuple[ShuttleOp, TrapState]] = []
@@ -146,12 +138,7 @@ def replay(
 
 
 def validate(schedule: Schedule) -> ValidationReport:
-    """Replay the schedule and report the first violated condition, if any.
-
-    Every call replays. The schedule keeps this replay for `decompose` when
-    it holds none yet, so the slices `decompose` reads after
-    `parse_schedule` are those of the replay that validated the file.
-    """
+    """Replay the schedule and report the first violated condition; see the module docstring."""
     report, slices, *_ = replay(schedule.graph, schedule.placement, schedule.circuit, schedule.ops)
     schedule.__dict__.setdefault("_replayed", (report, tuple(slices)))
     return report
@@ -160,10 +147,9 @@ def validate(schedule: Schedule) -> ValidationReport:
 def decompose(schedule: Schedule) -> list[EntrySlice]:
     """A fresh list of the per-gate slices of the schedule's one replay.
 
-    Concatenating the slices restores the schedule. The replay is the
-    first `validate`'s, or one run on the first call. An invalid schedule
+    Concatenating the slices restores the schedule. An invalid schedule
     raises ScheduleValidationError carrying the report `validate` returns,
-    on every call: only a valid schedule hands out slices.
+    on every call.
     """
     report, slices = schedule._replayed
     if not report.ok:

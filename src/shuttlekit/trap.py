@@ -3,12 +3,8 @@
 A trap is a connected undirected graph whose vertices hold short ordered
 chains of qubits. Junctions are exactly the vertices of degree greater than
 two; they never carry eligibility flags, so no chain reordering or gate can
-happen on them. Separate and Merge act between a vertex and its two lateral
-neighbors, which on non-path graphs are recorded explicitly per vertex.
-
-The layout builders state only a trap's edges and its gate segments; one
-assembler gives every other vertex its kind from its degree (junction above
-two, storage otherwise).
+happen on them. The layout builders state only edges and gate segments
+(see `_assemble`).
 """
 
 from __future__ import annotations
@@ -119,13 +115,10 @@ class TrapGraph:
         field is a length-n tuple indexed by vertex id (ids run 0..n-1, which
         construction checks); `lateral[v]` is `lateral_pair(v)`.
         `site_reasons` holds, for Separate, Merge and Swap in turn, each
-        vertex's `site_violation`. Next come the static site tables the
-        enumerators loop over, the vertices where that reason is None, in
-        vertex order: (v, left, right) triples for Separate and Merge, and
-        plain vertices for Swap. Last, `gate_sites` is `gate_vertices`, the
-        gate-capable vertices in vertex order: a gate is ready exactly when
-        its one or two operands sit alone together in one of them, so
-        kernel.ready_gates reads only their chains.
+        vertex's `site_violation`; each site table lists, in vertex order,
+        the vertices where that reason is None, as (v, left, right) for
+        Separate and Merge and plain vertices for Swap. `gate_sites` is
+        `gate_vertices`, the only chains kernel.ready_gates reads.
         """
         ids = range(len(self.vertices))
         lateral = tuple(self.lateral_pair(v) for v in ids)

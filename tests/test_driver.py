@@ -468,9 +468,10 @@ def test_replay_that_cannot_answer_fails_at_once(tmp_path):
         {"digest": "d", "text": "Execute Gate 1", "token_count": "3"},
         {"digest": "d", "text": None, "token_count": 3},
         {"digest": "d", "error": "x"},
+        {"digest": "d", "text": "Execute Gate 1", "token_count": -7},
     ],
     ids=["list", "no_digest", "no_text", "no_token_count", "string_count", "null_text",
-         "no_permanent"],
+         "no_permanent", "negative_count"],
 )
 def test_replay_rejects_a_malformed_record_at_load(tmp_path, record):
     path = tmp_path / "exchanges.jsonl"

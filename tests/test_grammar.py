@@ -1,7 +1,8 @@
-"""Every source and test file parses under the Python 3.10 grammar.
+"""Every source, test and tooling file parses under the Python 3.10 grammar.
 
-The package declares requires-python >= 3.10. This catches syntax newer
-than 3.10 (such as `except*`) on any interpreter; it cannot catch a
+The package declares requires-python >= 3.10, and CI runs the tools and
+the benchmark harness on 3.10 too. This catches syntax newer than 3.10
+(such as `except*`) on any interpreter; it cannot catch a
 standard-library name that 3.10 lacks. Every package module also reads
 each name it imports, and some package module reads each private name a
 package module defines, so an import or a helper that a change leaves
@@ -22,7 +23,7 @@ FILES = sorted((ROOT / "src" / "shuttlekit").rglob("*.py")) + sorted(
 )
 
 
-@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+@pytest.mark.parametrize("path", FILES + TOOLING, ids=lambda p: str(p.relative_to(ROOT)))
 def test_parses_with_python_3_10_grammar(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
