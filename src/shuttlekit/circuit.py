@@ -7,9 +7,13 @@ order. Circuits are immutable; executing a gate yields a new circuit.
 
 Progress is a frontier: one cursor per qubit into that qubit's gate order
 (`_Frontier`), built on the first frontier query and shared by every
-circuit `mark_executed` derives, so executing a gate costs O(operands) and
-the first layer is read off the cursors in O(qubits). Construction
-validates the gate list once and holds gate ids to positions 1..G.
+circuit `mark_executed` derives, so executing a gate costs O(operands).
+The frontier also holds the layers: the first layer and the gates one
+execution away of each cursor state asked about, computed on the first
+request. So the router, replay, the renderer and the driver, each stepping
+their own circuit objects from one root, compute each state's layers once.
+It keeps no successor circuit. Construction validates the gate list once
+and holds gate ids to positions 1..G.
 """
 
 from __future__ import annotations
@@ -43,16 +47,17 @@ class Gate:
 
 
 class _Frontier:
-    """Per-qubit gate order of one gate list, by gate position (id - 1).
+    """Per-qubit gate order of one gate list, by gate position (id - 1), and its layers.
 
     order[q] holds the positions of the gates on qubit q, ascending;
     places[i] pairs each operand q of the gate at position i with that
     gate's index in order[q]. A gate is executed exactly when every
     operand's cursor has passed it, and it is in the first layer when every
-    operand's cursor points at it.
+    operand's cursor points at it. first_layers and next_layers map a
+    cursor tuple to its layer, filled on the first request for it.
     """
 
-    __slots__ = ("order", "places")
+    __slots__ = ("gates", "order", "places", "first_layers", "next_layers")
 
     def __init__(self, qubit_count: int, gates: tuple[Gate, ...]) -> None:
         order: list[list[int]] = [[] for _ in range(qubit_count)]
@@ -61,8 +66,69 @@ class _Frontier:
             places.append(tuple((q, len(order[q])) for q in gate.qubits))
             for q in gate.qubits:
                 order[q].append(i)
+        self.gates = gates
         self.order = tuple(tuple(positions) for positions in order)
         self.places = tuple(places)
+        self.first_layers: dict[tuple[int, ...], tuple[Gate, ...]] = {}
+        self.next_layers: dict[tuple[int, ...], tuple[Gate, ...]] = {}
+
+    def first_layer(self, cursors: tuple[int, ...]) -> tuple[Gate, ...]:
+        layer = self.first_layers.get(cursors)
+        if layer is None:
+            layer = self.first_layers[cursors] = self._scan_first_layer(cursors)
+        return layer
+
+    def next_layer(self, cursors: tuple[int, ...]) -> tuple[Gate, ...]:
+        layer = self.next_layers.get(cursors)
+        if layer is None:
+            layer = self.next_layers[cursors] = self._scan_next_layer(cursors)
+        return layer
+
+    def _scan_first_layer(self, cursors: tuple[int, ...]) -> tuple[Gate, ...]:
+        """Pending gates with no pending predecessor on any operand.
+
+        Such a gate heads the pending list of every operand, and is taken
+        from its first operand's.
+        """
+        places = self.places
+        ready = []
+        for q, positions in enumerate(self.order):
+            cursor = cursors[q]
+            if cursor == len(positions):
+                continue
+            i = positions[cursor]
+            operands = places[i]
+            if operands[0][0] != q:
+                continue
+            for p, index in operands:
+                if cursors[p] != index:
+                    break
+            else:
+                ready.append(i)
+        ready.sort()
+        return tuple(map(self.gates.__getitem__, ready))
+
+    def _scan_next_layer(self, cursors: tuple[int, ...]) -> tuple[Gate, ...]:
+        """Deeper gates that enter the first layer once a single gate resolves.
+
+        Executing first-layer gate g advances the cursor of each operand of
+        g by one. The gate after g on such an operand is promoted when every
+        operand p of it then has its cursor at that gate's index in order[p].
+        """
+        order, places = self.order, self.places
+        promoted = set()
+        for gate in self.first_layer(cursors):
+            qubits = gate.qubits
+            for q in qubits:
+                positions, after = order[q], cursors[q] + 1
+                if after < len(positions):
+                    i = positions[after]
+                    for p, index in places[i]:
+                        if index != cursors[p] + (p in qubits):
+                            break
+                    else:
+                        promoted.add(i)
+        return tuple(map(self.gates.__getitem__, sorted(promoted)))
 
 
 @dataclass(frozen=True)
@@ -113,56 +179,15 @@ class Circuit:
                 return False
         return True
 
-    @cached_property
+    @property
     def first_layer(self) -> tuple[Gate, ...]:
-        """Pending gates with no pending predecessor on any operand.
+        """Pending gates with no pending predecessor on any operand, in id order."""
+        return self._frontier.first_layer(self._cursors)
 
-        Such a gate heads the pending list of every operand, and is taken
-        from its first operand's.
-        """
-        frontier = self._frontier
-        places = frontier.places
-        cursors = self._cursors
-        ready = []
-        for q, positions in enumerate(frontier.order):
-            cursor = cursors[q]
-            if cursor == len(positions):
-                continue
-            i = positions[cursor]
-            operands = places[i]
-            if operands[0][0] != q:
-                continue
-            for p, index in operands:
-                if cursors[p] != index:
-                    break
-            else:
-                ready.append(i)
-        ready.sort()
-        return tuple(map(self.gates.__getitem__, ready))
-
-    @cached_property
+    @property
     def next_executable(self) -> tuple[Gate, ...]:
-        """Deeper gates that enter the first layer once a single gate resolves.
-
-        Executing first-layer gate g advances the cursor of each operand of
-        g by one. The gate after g on such an operand is promoted when every
-        operand p of it then has its cursor at that gate's index in order[p].
-        """
-        frontier = self._frontier
-        order, places, cursors = frontier.order, frontier.places, self._cursors
-        promoted = set()
-        for gate in self.first_layer:
-            qubits = gate.qubits
-            for q in qubits:
-                positions, after = order[q], cursors[q] + 1
-                if after < len(positions):
-                    i = positions[after]
-                    for p, index in places[i]:
-                        if index != cursors[p] + (p in qubits):
-                            break
-                    else:
-                        promoted.add(i)
-        return tuple(map(self.gates.__getitem__, sorted(promoted)))
+        """Deeper gates that enter the first layer once a single gate resolves."""
+        return self._frontier.next_layer(self._cursors)
 
     @property
     def is_complete(self) -> bool:

@@ -13,7 +13,7 @@ import sys
 from contextlib import ExitStack, suppress
 
 from . import baseline, dataset, driver
-from .circuit import Circuit, parse_circuit
+from .circuit import MAX_QUBITS, Circuit, parse_circuit
 from .errors import CompileError, ShuttleError
 from .ops import format_op
 from .schedule import (
@@ -175,14 +175,25 @@ def _cmd_oracle(args) -> int:
 
 
 def _parse_qubit_range(text: str) -> range:
+    """The qubit counts of `--qubits N` or `LO-HI`, in ASCII digits, within 1..MAX_QUBITS.
+
+    Checked before any trap is built, since a trap's search tables grow
+    with the square of its vertex count.
+    """
     lo, sep, hi = text.partition("-")
-    try:
-        low = int(lo)
-        high = int(hi) if sep else low
-    except ValueError:
-        raise _UsageError(f"--qubits expects N or LO-HI, got {text!r}") from None
+    bounds = (lo, hi if sep else lo)
+    ok = all(bound.isascii() and bound.isdigit() for bound in bounds)
+    if ok:
+        try:
+            low, high = map(int, bounds)
+        except ValueError:  # past the interpreter's digit limit
+            ok = False
+    if not ok:
+        raise _UsageError(f"--qubits expects N or LO-HI in ASCII digits, got {text!r}")
     if low < 1 or high < low:
         raise _UsageError(f"bad qubit range {text!r}")
+    if high > MAX_QUBITS:
+        raise _UsageError(f"--qubits {text!r}: {high} qubits exceed the limit of {MAX_QUBITS}")
     return range(low, high + 1)
 
 

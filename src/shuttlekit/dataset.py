@@ -139,15 +139,13 @@ def _op_block(codes) -> str:
     return "\n".join(["- " + op_mod.format_op(code) for code in codes])
 
 
-def _state_text(
-    graph: TrapGraph, states: dict, chains: tuple, locks: tuple
-) -> tuple[list[str], str, str]:
-    """The memo entry of state (chains, locks), rendered and stored on a miss."""
-    entry = states.get((chains, locks))
+def _state_text(graph: TrapGraph, states: dict, state: TrapState) -> tuple[list[str], str, str]:
+    """The memo entry of `state`, rendered and stored on a miss."""
+    entry = states.get(state)
     if entry is None:
-        lines = position_lines(TrapState(chains, locks))
-        shuttles = _op_block(kernel.successors(graph.encoded, chains, locks))
-        entry = states[chains, locks] = (lines, _bullets(lines), shuttles)
+        lines = position_lines(state)
+        shuttles = _op_block(kernel.successors(graph.encoded, *state))
+        entry = states[state] = (lines, _bullets(lines), shuttles)
     return entry
 
 
@@ -185,7 +183,7 @@ def render_instruction(graph: TrapGraph, state: TrapState, circuit: Circuit) -> 
     chains = state.chains
     _check_qubits(chains, circuit)
     layout, states = _render_memo(graph)
-    spots, positions, shuttles = _state_text(graph, states, chains, state.locks)
+    spots, positions, shuttles = _state_text(graph, states, state)
     first_layer = circuit.first_layer
     after_positions, after_first, after_next, tail = _template()[4:]
     return "".join(
@@ -231,12 +229,11 @@ def render_output(slice: EntrySlice, graph: TrapGraph, circuit: Circuit) -> str:
     first_layer = circuit.first_layer
     blocks: list[str] = []
     for op, state in zip(moves, slice.states):
-        chains = state.chains
-        spots, positions, shuttles = _state_text(graph, states, chains, state.locks)
+        spots, positions, shuttles = _state_text(graph, states, state)
         lines = [op_mod.format_op(op), "Qubit positions:", positions, "First-layer gates:"]
         lines.append(_gate_lines(first_layer, spots))
         lines.append("Allowed operations:")
-        lines.append(_allowed_block(graph, shuttles, chains, first_layer))
+        lines.append(_allowed_block(graph, shuttles, state.chains, first_layer))
         blocks.append("\n".join(lines))
     blocks.append(op_mod.format_op(last))
     return "\n\n".join(blocks) + "\n"

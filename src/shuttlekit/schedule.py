@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import ops as op_mod
 from .circuit import Circuit
@@ -44,8 +45,12 @@ class Schedule:
         return report, tuple(slices)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
+    """What one replay found, as `replay` states it; `final_state` is None after an illegal op.
+
+    A named tuple, as replay builds one per run.
+    """
+
     ok: bool
     failure_index: int | None
     reason: str | None
@@ -53,13 +58,13 @@ class ValidationReport:
     final_state: TrapState | None
 
 
-@dataclass(frozen=True)
-class EntrySlice:
+class EntrySlice(NamedTuple):
     """Ops up to and including one gate execution, with the states they pass through.
 
     `state` and `circuit` are where the slice starts, and `states[i]` is the
     state that shuttling op `ops[i]` leads to, one per op before the final
-    Execute Gate, as replay stepped them.
+    Execute Gate, as replay stepped them. A named tuple, as replay builds
+    one per gate executed.
     """
 
     state: TrapState

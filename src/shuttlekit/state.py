@@ -2,21 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuit import Circuit
 from .errors import PlacementError
 from .trap import TrapGraph, VertexKind, bfs_distances
 
 
-@dataclass(frozen=True)
-class TrapState:
-    """Chains and junction re-entry locks as vertex-indexed tuples, the kernel's encoding.
+class TrapState(NamedTuple):
+    """Chains and junction re-entry locks: the kernel's (chains, locks) pair of tuples.
 
     chains[v] is the qubit chain at vertex v, () when v is empty. locks[j] is
     the neighbor the last chain leaving junction j moved to, -1 when unset;
     re-entering j from that neighbor is forbidden until j is left toward
-    another one. Operations return new states; `from_dicts` builds a checked one.
+    another one. As a named tuple, a state equals and hashes as that pair.
+    Operations return new states; `from_dicts` builds a checked one.
     """
 
     chains: tuple[tuple[int, ...], ...]

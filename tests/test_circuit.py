@@ -6,6 +6,7 @@ incremental bookkeeping cannot hide.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,11 +16,14 @@ from shuttlekit.circuit import (
     Circuit,
     Gate,
     QASM_HEADER,
+    _Frontier,
     parse_circuit,
     serialize_circuit,
 )
+from shuttlekit.dataset import render_instruction, render_output
+from shuttlekit.driver import MockCompletionClient, generate_schedule
 from shuttlekit.errors import CircuitError, OrderViolationError
-from shuttlekit.schedule import validate
+from shuttlekit.schedule import decompose, validate
 
 
 FIG1_STYLE = """OPENQASM 2.0;
@@ -330,3 +334,35 @@ def test_replay_validates_the_gate_list_only_at_construction(monkeypatch):
     assert calls == []
     parse_circuit(serialize_circuit(schedule.circuit))
     assert len(calls) == 1
+
+
+def test_each_cursor_state_computes_its_layers_once_across_the_pipeline(monkeypatch):
+    """The router, replay, both renderers and the driver step their own circuit
+    objects from one root, and all of them read one frontier's layers."""
+    scans = Counter()
+    scan_first, scan_next = _Frontier._scan_first_layer, _Frontier._scan_next_layer
+
+    def counted_first(self, cursors):
+        scans["first", cursors] += 1
+        return scan_first(self, cursors)
+
+    def counted_next(self, cursors):
+        scans["next", cursors] += 1
+        return scan_next(self, cursors)
+
+    monkeypatch.setattr(_Frontier, "_scan_first_layer", counted_first)
+    monkeypatch.setattr(_Frontier, "_scan_next_layer", counted_next)
+    circuit, graph = baseline.random_circuit(4, 6, 0), trap.build_eval_layout("ring", 4)
+    schedule = baseline.compile(circuit, graph)
+    slices = decompose(schedule)
+    outputs = []
+    for piece in slices:
+        render_instruction(graph, piece.state, piece.circuit)
+        outputs.append(render_output(piece, graph, piece.circuit))
+    produced, stats = generate_schedule(circuit, graph, MockCompletionClient(outputs))
+    assert (produced.ops, stats.outcome) == (schedule.ops, "complete")
+    starts = {piece.circuit._cursors for piece in slices}
+    assert len(starts) == len(slices) == len(circuit.gates)
+    assert {cursors for kind, cursors in scans if kind == "first"} >= starts
+    assert {cursors for kind, cursors in scans if kind == "next"} == starts
+    assert set(scans.values()) == {1}

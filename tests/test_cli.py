@@ -216,6 +216,33 @@ def test_gen_dataset_rejects_bad_counts_as_usage_errors(tmp_path, capsys, argv, 
     assert capsys.readouterr().err.startswith(f"usage error: {message}")
 
 
+@pytest.mark.parametrize(
+    "qubits,message",
+    [
+        ("\u0663", "--qubits expects N or LO-HI in ASCII digits"),
+        ("1_0", "--qubits expects N or LO-HI in ASCII digits"),
+        ("2-\u0663", "--qubits expects N or LO-HI in ASCII digits"),
+        ("9" * 5000, "--qubits expects N or LO-HI in ASCII digits"),
+        ("5000", "--qubits '5000': 5000 qubits exceed the limit of 4096"),
+        ("2-4097", "--qubits '2-4097': 4097 qubits exceed the limit of 4096"),
+    ],
+    ids=["arabic_indic_digit", "underscore", "arabic_indic_bound", "digit_limit", "5000", "range"],
+)
+def test_gen_dataset_reads_qubits_in_ascii_digits_up_to_the_limit_before_any_trap(
+    tmp_path, capsys, monkeypatch, qubits, message
+):
+    """A --qubits value that int() reads but a trap or schedule file would not, or that
+    names more qubits than a circuit may hold, is a usage error before any trap is built."""
+    built = []
+    monkeypatch.setattr(cli, "build_linear", lambda n: built.append(n))
+    argv = ["gen-dataset", "--seed", "1", "--qubits", qubits, "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"usage error: {message}")
+    assert built == [] and not (tmp_path / "out").exists()
+    assert cli._parse_qubit_range("4096") == range(4096, 4097)
+    assert cli._parse_qubit_range("2-4") == range(2, 5)
+
+
 def test_a_failed_gen_dataset_names_the_circuit_and_leaves_the_out_dir_as_it_was(
     tmp_path, capsys, monkeypatch
 ):

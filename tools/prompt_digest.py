@@ -9,10 +9,11 @@ the scripted client, retries included, so it changes when any rendered
 prompt or target of that run does. Stdout holds the digest alone; stderr
 gets one line per file with its slice, instruction and retry counts, the
 run's outcome, and its tokens_total and tokens_final as the scripted
-client counts them. Its last line totals the render work, the
-kernel.successors calls of the whole run: "render work: N
+client counts them. Its last two lines total the work of the whole run:
+the first layers computed, "frontier work: N first-layer computations",
+and the render work, the kernel.successors calls, "render work: N
 kernel.successors calls". A change that renders the same text with
-different work moves that line and not the digest.
+different work moves those lines and not the digest.
 
     python tools/prompt_digest.py --seed 1
 """
@@ -36,15 +37,23 @@ def prompt_digest(seed: int) -> str:
     workload = ReplayLong()
     workload.setup(lib, seed)
     digest = hashlib.sha256()
-    calls = 0
+    calls = layers = 0
     successors = lib.kernel.successors
+    frontier = lib.circuit._Frontier
+    scan = frontier._scan_first_layer
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return successors(*args)
 
+    def counted_scan(*args):
+        nonlocal layers
+        layers += 1
+        return scan(*args)
+
     lib.kernel.successors = counted
+    frontier._scan_first_layer = counted_scan
     for name, text, graph, circuit, plan in workload.files:
         schedule = lib.schedule.parse_schedule(text, graph, circuit)
         slices = lib.schedule.decompose(schedule)
@@ -62,6 +71,7 @@ def prompt_digest(seed: int) -> str:
         for rendered in outputs + client.calls:
             digest.update(rendered.encode())
             digest.update(b"\0")
+    print(f"frontier work: {layers} first-layer computations", file=sys.stderr)
     print(f"render work: {calls} kernel.successors calls", file=sys.stderr)
     return digest.hexdigest()
 
